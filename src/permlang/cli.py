@@ -26,11 +26,9 @@ def _parse_pattern(text: str) -> Permutation:
     text = text.strip()
     if not text:
         raise ValueError("empty pattern")
-    if " " in text:
-        return Permutation.from_text(text)
-    if not text.isdigit():
-        raise ValueError(f"bad pattern token: {text!r}")
-    return Permutation(int(ch) for ch in text)
+    if " " not in text:
+        text = " ".join(text)  # digit form: one entry per character
+    return Permutation.from_text(text)
 
 
 def _parse_basis(text: str) -> Basis:
@@ -156,7 +154,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         elif args.suite == "compare":
             run = tape.compare(word, 0, len(word) - 1)
         else:
-            run = tape.accepts_avoiding(word, pattern)
+            run = tape.accepts_basis(word, Basis([pattern]))
         print(f"{len(word)},{run.steps},{run.max_cells_touched}")
     return EXIT_OK
 
@@ -195,9 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--cap", type=int, default=counting.DEFAULT_COUNT_CAP)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", help="CSV output (default)")
-    fmt.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", help="JSON instead of CSV output")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bivariate", help="legal codewords by t-count")

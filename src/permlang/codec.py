@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .permutations import CapExceededError, Permutation
+from .permutations import DEFAULT_ENUMERATION_CAP, CapExceededError, Permutation
 
 ALPHABET = "lrmft"
-
-DEFAULT_CODEWORD_CAP = 10
 
 REASON_EMPTY = "empty-word"
 REASON_T_OVERFLOW = "t-overflow"
@@ -56,6 +54,8 @@ class IllegalCodewordError(ValueError):
 
 def check_letters(word: str) -> None:
     """Reject strings containing characters outside the codeword alphabet."""
+    if frozenset(ALPHABET).issuperset(word):
+        return
     for i, ch in enumerate(word):
         if ch not in ALPHABET:
             raise ValueError(
@@ -164,7 +164,7 @@ def encode(perm: Permutation) -> str:
 
 
 def codewords_with_insertions(
-    n: int, cap: int = DEFAULT_CODEWORD_CAP
+    n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[str]:
     """Yield every legal codeword with exactly n insertion (non-t) letters.
 

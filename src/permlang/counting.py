@@ -71,16 +71,20 @@ class CountTable:
         )
 
 
+def _check_size(n: int, cap: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > cap:
+        raise CapExceededError(f"n={n} exceeds counting cap {cap}")
+
+
 def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> tuple[int, int]:
     """Count length-n avoiders of the basis along both routes.
 
     Returns (brute_force, via_codewords); n = 0 is (1, 1) by convention,
     the empty permutation avoiding every nonempty pattern.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds counting cap {cap}")
+    _check_size(n, cap)
     if n == 0:
         return (1, 1)
     brute = sum(1 for p in all_permutations(n, cap=cap) if avoids_basis(p, basis))
@@ -93,7 +97,11 @@ def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> tuple[
 
 
 def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTable:
-    """Avoider counts for n = 0..n_max along both routes; raises on mismatch."""
+    """Avoider counts for n = 0..n_max along both routes; raises on mismatch.
+
+    n_max is checked against the cap before any row is computed.
+    """
+    _check_size(n_max, cap)
     rows = []
     for n in range(n_max + 1):
         brute, via = count_avoiders(n, basis, cap=cap)
@@ -107,8 +115,7 @@ def count_codewords_bivariate(
     """Partition the n! legal codewords with n insertions by their t-count."""
     if n_insertions < 1:
         raise ValueError("n_insertions must be positive")
-    if n_insertions > cap:
-        raise CapExceededError(f"n={n_insertions} exceeds counting cap {cap}")
+    _check_size(n_insertions, cap)
     table: dict[int, int] = {}
     for word in codewords_with_insertions(n_insertions, cap=cap):
         t_count = word.count("t")

@@ -64,13 +64,21 @@ class Permutation:
 
     @classmethod
     def from_text(cls, line: str) -> "Permutation":
-        """Parse the text form; the empty line is the empty permutation."""
+        """Parse the text form; the empty line is the empty permutation.
+
+        Unlike the constructor this does not rank-normalize: the entries
+        must be exactly 1..k, so that text input is never reinterpreted.
+        """
         tokens = line.split()
         entries = []
         for tok in tokens:
             if not tok.isdigit() or int(tok) < 1:
                 raise ValueError(f"bad permutation token: {tok!r}")
             entries.append(int(tok))
+        if sorted(entries) != list(range(1, len(entries) + 1)):
+            raise ValueError(
+                f"entries {line.strip()!r} are not a permutation of 1..{len(entries)}"
+            )
         return cls(entries)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .codec import ALPHABET
+from .codec import check_letters
 
 START = "start"
 ACCEPT = "accept"
@@ -91,11 +91,10 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     down one token, failing at the root; f pops, except on an empty stack,
     where it accepts iff it is the last letter.
     """
+    check_letters(word)
     machine = StackMachine()
     last = len(word) - 1
     for idx, ch in enumerate(word):
-        if ch not in ALPHABET:
-            raise ValueError(f"letter {ch!r} at position {idx} is not one of {ALPHABET!r}")
         if ch in "lr":
             machine.cursor_to_top()
         elif ch == "m":

@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .codec import check_letters, validate
-from .permutations import Basis, Permutation
+from .permutations import Basis
 
 NO_MARK = 0
 STAR = 1
@@ -57,13 +57,6 @@ class TapeRun:
     verdict: bool | PairOrder
     steps: int
     max_cells_touched: int
-    restored: bool
-    word: str
-
-
-def metrics(run: TapeRun) -> tuple[int, int]:
-    """Exact (steps, max_cells_touched) counters from a completed run."""
-    return (run.steps, run.max_cells_touched)
 
 
 class BoundedTape:
@@ -177,7 +170,7 @@ def _restore(tape: BoundedTape, word: str) -> None:
             tape.move_right()
             pos += 1
     if not tape.marks_clear() or tape.text() != word:
-        raise TapeFault("tape not restored to the input word")
+        raise TapeFault("tape does not hold the unmarked input word")
 
 
 # --- legality -------------------------------------------------------------
@@ -262,12 +255,12 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
 
 
 def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
-    """Decide legality on a bounded tape and return the restored-tape run."""
+    """Decide legality on a bounded tape, restoring the word afterwards."""
     check_letters(word)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
     _restore(tape, word)
-    return TapeRun(ok, tape.steps, tape.max_cells_touched, True, word)
+    return TapeRun(ok, tape.steps, tape.max_cells_touched)
 
 
 # --- pairwise positional comparison ---------------------------------------
@@ -431,7 +424,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     tape = BoundedTape(word, trace)
     order = _compare_on_tape(tape, x_pos, y_pos)
     _restore(tape, word)
-    return TapeRun(order, tape.steps, tape.max_cells_touched, True, word)
+    return TapeRun(order, tape.steps, tape.max_cells_touched)
 
 
 # --- pattern avoidance -----------------------------------------------------
@@ -449,7 +442,9 @@ def _insertion_cells(tape: BoundedTape, n: int) -> list[int]:
     return cells
 
 
-def _accepts_avoiding_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> bool:
+def _avoids_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> bool:
+    """Legality check, then every k-tuple of insertion cells is pattern-tested
+    via C(k,2) pairwise comparisons; the marks are cleared after each phase."""
     n = len(word)
     legal = _check_legal_on_tape(tape, n)
     _restore(tape, word)
@@ -479,33 +474,17 @@ def _accepts_avoiding_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, 
     return True
 
 
-def accepts_avoiding(word: str, pattern, trace: TraceFn | None = None) -> TapeRun:
-    """Accept iff the word is a legal codeword whose permutation avoids the
-    pattern: legality check, then every ordered k-tuple of insertion cells
-    is pattern-tested via C(k,2) pairwise comparisons."""
-    check_letters(word)
-    ranks = (pattern if isinstance(pattern, Permutation) else Permutation(pattern)).ranks
-    if len(ranks) < 1:
-        raise ValueError("pattern must have length >= 1")
-    tape = BoundedTape(word, trace)
-    ok = _accepts_avoiding_on_tape(tape, word, ranks)
-    return TapeRun(ok, tape.steps, tape.max_cells_touched, True, word)
-
-
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
-    """Accept iff the word avoids every pattern in the basis.
+    """Accept iff the word is a legal codeword whose permutation avoids every
+    pattern in the basis; a single pattern p is ``Basis([p])``.
 
-    Runs the single-pattern acceptor once per pattern on the same tape;
-    each run leaves the codeword restored for the next.
+    Runs the single-pattern procedure once per pattern on the same tape;
+    each run leaves the codeword unmarked for the next.
     """
     check_letters(word)
     tape = BoundedTape(word, trace)
-    ok = True
-    for pattern in basis:
-        if not _accepts_avoiding_on_tape(tape, word, pattern.ranks):
-            ok = False
-            break
-    return TapeRun(ok, tape.steps, tape.max_cells_touched, True, word)
+    ok = all(_avoids_on_tape(tape, word, pattern.ranks) for pattern in basis)
+    return TapeRun(ok, tape.steps, tape.max_cells_touched)
 
 
 # --- primality by sieve strides --------------------------------------------
@@ -554,4 +533,4 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
                 verdict = False
                 break
     _restore(tape, word)
-    return TapeRun(verdict, tape.steps, tape.max_cells_touched, True, word)
+    return TapeRun(verdict, tape.steps, tape.max_cells_touched)

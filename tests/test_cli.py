@@ -43,6 +43,11 @@ class TestDecodeEncode:
         assert code == 2
         assert "'x'" in err
 
+    def test_encode_rejects_entries_outside_one_to_k(self):
+        code, out, err = run_cli("encode", "5", "9")
+        assert (code, out) == (2, "")
+        assert "1..2" in err
+
 
 class TestValidate:
     def test_false_with_reason(self):
@@ -96,6 +101,17 @@ class TestCheck:
         assert code == 2
         assert "pattern" in err
 
+    @pytest.mark.parametrize(
+        "option, value, named",
+        [("--pattern", "102", "'0'"), ("--pattern", "35", "1..2"), ("--perm", "5 9", "1..2")],
+    )
+    def test_entries_must_be_one_to_k(self, option, value, named):
+        argv = ["check", option, value]
+        argv += ["--pattern", "12"] if option == "--perm" else ["mrlff"]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert named in err
+
     def test_needs_exactly_one_input(self):
         assert run_cli("check", "--pattern", "12")[0] == 2
         assert run_cli("check", "--pattern", "12", "rf", "--perm", "2 1")[0] == 2
@@ -103,7 +119,7 @@ class TestCheck:
 
 class TestEnumerate:
     def test_catalan_csv(self):
-        code, out, _ = run_cli("enumerate", "--basis", "123", "--n-max", "6", "--csv")
+        code, out, _ = run_cli("enumerate", "--basis", "123", "--n-max", "6")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "n,brute,codeword"
@@ -113,6 +129,11 @@ class TestEnumerate:
         code, out, _ = run_cli("enumerate", "--basis", "21", "--n-max", "2", "--json")
         assert code == 0
         assert json.loads(out)["rows"][-1] == {"n": 2, "brute": 1, "codeword": 1}
+
+    def test_negative_n_max(self):
+        code, out, err = run_cli("enumerate", "--basis", "12", "--n-max", "-1")
+        assert (code, out) == (2, "")
+        assert "nonnegative" in err
 
     def test_cap_guard(self):
         code, _, err = run_cli("enumerate", "--basis", "12", "--n-max", "9")

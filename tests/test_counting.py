@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from permlang import counting
 from permlang.codec import encode
 from permlang.counting import (
     CountMismatchError,
@@ -51,6 +52,16 @@ class TestSequence:
 
     def test_av_1234_prefix(self):
         assert sequence(Basis([[1, 2, 3, 4]]), 6).counts() == (1, 1, 2, 6, 23, 103, 513)
+
+    def test_size_checked_before_any_row(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(counting, "count_avoiders", no_rows)
+        with pytest.raises(CapExceededError):
+            sequence(Basis([[1, 2]]), 9)
+        with pytest.raises(ValueError):
+            sequence(Basis([[1, 2]]), -1)
 
     def test_csv_shape(self):
         csv = sequence(Basis([[1, 2, 3]]), 3).to_csv()

@@ -32,6 +32,10 @@ def test_text_roundtrip():
     assert Permutation.from_text("") == Permutation([])
     with pytest.raises(ValueError):
         Permutation.from_text("3 x 1")
+    # text is never rank-normalized: the entries must be exactly 1..k
+    for line in ("5 9", "1 3", "2 1 2", "0 1"):
+        with pytest.raises(ValueError):
+            Permutation.from_text(line)
 
 
 def test_order_isomorphic_examples():

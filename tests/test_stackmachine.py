@@ -59,6 +59,9 @@ class TestAcceptsCodewords:
     def test_rejects_foreign_letters(self):
         with pytest.raises(ValueError):
             accepts_codewords("abc")
+        # checked before the run, not when the machine reaches the letter
+        with pytest.raises(ValueError, match="'x' at position 1"):
+            accepts_codewords("fx")
 
     def test_agrees_with_validate_exhaustively(self):
         for n in range(0, 7):

@@ -12,13 +12,36 @@ from permlang.tape import (
     STAR,
     TapeFault,
     TapeRun,
-    accepts_avoiding,
     accepts_basis,
     check_legal,
     compare,
     is_prime,
-    metrics,
 )
+
+
+@pytest.fixture
+def tapes(monkeypatch):
+    """Record every (word, tape) pair the procedures create, so a test can
+    inspect the tape a public procedure left behind."""
+    made = []
+
+    class RecordingTape(BoundedTape):
+        __slots__ = ()
+
+        def __init__(self, word, trace=None):
+            super().__init__(word, trace)
+            made.append((word, self))
+
+    monkeypatch.setattr(tape, "BoundedTape", RecordingTape)
+    return made
+
+
+def assert_tapes_clean(tapes):
+    """Every recorded tape holds its input word again, with no marks left."""
+    assert tapes
+    for word, t in tapes:
+        assert t.text() == word, word
+        assert t.marks_clear(), word
 
 
 class TestBoundedTape:
@@ -78,6 +101,33 @@ class TestBoundedTape:
         assert "move-right" in lines[2]
 
 
+class TestRestore:
+    def test_clears_a_mark_left_mid_word(self):
+        t = BoundedTape("mrlff")
+        t.move_right()
+        t.move_right()
+        t.write_mark(STAR)
+        tape._restore(t, "mrlff")
+        assert t.marks_clear()
+        assert t.text() == "mrlff"
+
+    def test_overwritten_letter_faults(self):
+        t = BoundedTape("mrlff")
+        t.move_right()
+        t.write_letter("l")
+        with pytest.raises(TapeFault):
+            tape._restore(t, "mrlff")
+
+    def test_mark_on_the_boundary_cell_faults(self):
+        # the clearing scan stops at the last letter and never visits it
+        t = BoundedTape("lf")
+        t.move_right()
+        t.move_right()
+        t.write_mark(STAR)
+        with pytest.raises(TapeFault):
+            tape._restore(t, "lf")
+
+
 class TestCheckLegal:
     @pytest.mark.parametrize(
         "word, expected",
@@ -90,25 +140,24 @@ class TestCheckLegal:
             ("", False),
         ],
     )
-    def test_verdicts(self, word, expected):
+    def test_verdicts(self, word, expected, tapes):
         run = check_legal(word)
         assert run.verdict is expected
-        assert run.restored
+        assert_tapes_clean(tapes)
 
-    def test_agrees_with_direct_validate_exhaustively(self):
+    def test_agrees_with_direct_validate_exhaustively(self, tapes):
         for n in range(0, 7):
             for tup in itertools.product(codec.ALPHABET, repeat=n):
                 word = "".join(tup)
                 run = check_legal(word)
                 assert run.verdict == bool(validate(word)), word
                 assert run.max_cells_touched <= len(word) + 1
-                assert run.restored
+        assert_tapes_clean(tapes)
 
-    def test_metrics_small_word(self):
+    def test_counters_small_word(self):
         run = check_legal("f")
-        steps, cells = metrics(run)
-        assert steps >= 1
-        assert cells <= 2
+        assert run.steps >= 1
+        assert run.max_cells_touched <= 2
 
     def test_steps_quadratic_calibrated_then_verified(self):
         # calibrate the constant on |w| <= 10, then check words up to 40
@@ -134,10 +183,10 @@ class TestCompare:
             ("rf", 0, 1, PairOrder.DESCENDING),
         ],
     )
-    def test_examples(self, word, x, y, expected):
+    def test_examples(self, word, x, y, expected, tapes):
         run = compare(word, x, y)
         assert run.verdict is expected
-        assert run.restored
+        assert_tapes_clean(tapes)
 
     def test_precondition_violations_raise(self):
         with pytest.raises(ValueError):
@@ -147,7 +196,7 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare("tf", 0, 1)  # illegal word
 
-    def test_matches_decoded_positions_exhaustively(self):
+    def test_matches_decoded_positions_exhaustively(self, tapes):
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 perm = decode(word)
@@ -162,11 +211,13 @@ class TestCompare:
                     )
                     run = compare(word, cells[a], cells[b])
                     assert run.verdict is want, (word, cells[a], cells[b])
-                    assert run.restored
                     assert run.max_cells_touched <= len(word) + 1
+        assert_tapes_clean(tapes)
 
 
 class TestAcceptsAvoiding:
+    """accepts_basis on single-pattern bases."""
+
     @pytest.mark.parametrize(
         "word, pattern, expected",
         [
@@ -176,11 +227,11 @@ class TestAcceptsAvoiding:
         ],
     )
     def test_examples(self, word, pattern, expected):
-        assert accepts_avoiding(word, pattern).verdict is expected
+        assert accepts_basis(word, Basis([pattern])).verdict is expected
 
     def test_illegal_words_rejected(self):
-        assert accepts_avoiding("tf", [1, 2]).verdict is False
-        assert accepts_avoiding("", [1]).verdict is False
+        assert accepts_basis("tf", Basis([[1, 2]])).verdict is False
+        assert accepts_basis("", Basis([[1]])).verdict is False
 
     def test_matches_oracle_on_small_words(self):
         patterns = [
@@ -193,7 +244,7 @@ class TestAcceptsAvoiding:
                 perm = decode(word)
                 for q in patterns:
                     want = avoids_basis(perm, Basis([q]))
-                    run = accepts_avoiding(word, q)
+                    run = accepts_basis(word, Basis([q]))
                     assert run.verdict is want, (word, q)
                     assert run.max_cells_touched <= len(word) + 1
 
@@ -217,7 +268,7 @@ class TestAcceptsBasis:
                     want = avoids_basis(perm, basis)
                     assert accepts_basis(word, basis).verdict is want
 
-    def test_cumulative_metrics_cover_all_patterns(self):
+    def test_cumulative_counters_cover_all_patterns(self):
         single = accepts_basis("rrf", Basis([[1, 2, 3]]))
         double = accepts_basis("rrf", Basis([[1, 2, 3], [2, 1, 3]]))
         assert double.steps > single.steps
