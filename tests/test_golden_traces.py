@@ -1,0 +1,57 @@
+"""Golden machine traces: the full text trace of a few fixed tape runs.
+
+``golden_traces.txt`` freezes, line for line, what the tape procedures emit
+through their ``trace`` callback on a small fixed input set, each run under
+a ``# <procedure> <arguments>`` header.  A change that claims the same
+machine behaviour must leave the file untouched; a change that alters the
+traces on purpose regenerates it and states the delta:
+
+    PYTHONPATH=src python tests/test_golden_traces.py > tests/golden_traces.txt
+"""
+
+import sys
+from pathlib import Path
+
+from permlang import tape
+from permlang.permutations import Basis
+
+GOLDEN = Path(__file__).with_name("golden_traces.txt")
+
+RUNS = (
+    ("check_legal mrtltff", lambda trace: tape.check_legal("mrtltff", trace)),
+    ("compare mrtltff 0 6", lambda trace: tape.compare("mrtltff", 0, 6, trace)),
+    (
+        "accepts_basis 132,21 mrtltff",
+        lambda trace: tape.accepts_basis("mrtltff", Basis([[1, 3, 2], [2, 1]]), trace),
+    ),
+    (
+        "accepts_basis 123 mmtlff",
+        lambda trace: tape.accepts_basis("mmtlff", Basis([[1, 2, 3]]), trace),
+    ),
+    ("is_prime 12", lambda trace: tape.is_prime(12, trace)),
+)
+
+
+def render() -> str:
+    lines = []
+    for header, run in RUNS:
+        lines.append(f"# {header}")
+        run(lines.append)
+    return "".join(line + "\n" for line in lines)
+
+
+def test_golden_traces_unchanged():
+    want = GOLDEN.read_text().splitlines()
+    got = render().splitlines()
+    first = next(
+        (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+        min(len(want), len(got)),
+    )
+    assert got == want, (
+        f"trace differs from line {first + 1}: "
+        f"want {want[first:first + 1]}, got {got[first:first + 1]}"
+    )
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render())
