@@ -19,6 +19,11 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 
+# Largest --n for the primes machine (Θ(n²) steps on a prime n) and largest
+# bench size (legality and compare cost Θ(size²) steps per word).
+DEFAULT_PRIMES_CAP = 5000
+DEFAULT_BENCH_CAP = 100
+
 
 def _parse_pattern(text: str) -> Permutation:
     """One pattern: a digit string like 3142, or quoted space-separated ranks
@@ -33,6 +38,12 @@ def _parse_pattern(text: str) -> Permutation:
 
 def _parse_basis(text: str) -> Basis:
     return Basis(_parse_pattern(item) for item in text.split(","))
+
+
+def _check_cap(option: str, value: int, cap: int) -> None:
+    """Refuse an over-cap size before any work starts."""
+    if value > cap:
+        raise CapExceededError(f"{option} {value} exceeds the cap {cap} (see --cap)")
 
 
 def _stderr_trace(line: str) -> None:
@@ -115,6 +126,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.machine == "primes":
         if args.n is None:
             raise ValueError("--machine primes needs --n")
+        _check_cap("--n", args.n, args.cap)
         ok = bool(tape.is_prime(args.n, trace=trace).verdict)
     else:
         if args.word is None:
@@ -134,20 +146,22 @@ def bench_word(size: int) -> str:
     return "m" * a + "l" * pad + "t" * a + "f" * (a + 1)
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_sizes(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep or not lo.isdigit() or not hi.isdigit():
         raise ValueError(f"bad --sizes value {text!r}, expected a..b")
     lo_n, hi_n = int(lo), int(hi)
     if not 1 <= lo_n <= hi_n:
         raise ValueError(f"bad size range {text!r}")
-    return list(range(lo_n, hi_n + 1))
+    return range(lo_n, hi_n + 1)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     pattern = _parse_pattern(args.pattern)
+    sizes = _parse_sizes(args.sizes)
+    _check_cap("size", sizes[-1], args.cap)
     print("size,steps,max_cells")
-    for size in _parse_sizes(args.sizes):
+    for size in sizes:
         word = bench_word(size)
         if args.suite == "legality":
             run = tape.check_legal(word)
@@ -205,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", choices=("primes", "partitions"), required=True)
     p.add_argument("--n", type=int, help="tape length for the primes machine")
     p.add_argument("--word", help="input for the partitions machine")
+    p.add_argument("--cap", type=int, default=DEFAULT_PRIMES_CAP, help="largest --n")
     p.add_argument("--trace", action="store_true", help="machine trace on stderr")
     p.set_defaults(func=_cmd_simulate)
 
@@ -212,6 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("legality", "compare", "avoid"), required=True)
     p.add_argument("--sizes", required=True, help="inclusive range, e.g. 10..40")
     p.add_argument("--pattern", default="21", help="pattern for the avoid suite")
+    p.add_argument("--cap", type=int, default=DEFAULT_BENCH_CAP, help="largest size")
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -67,12 +67,13 @@ class Permutation:
         """Parse the text form; the empty line is the empty permutation.
 
         Unlike the constructor this does not rank-normalize: the entries
-        must be exactly 1..k, so that text input is never reinterpreted.
+        must be exactly 1..k, each written in ASCII decimal with no leading
+        zero, so that text input is never reinterpreted.
         """
         tokens = line.split()
         entries = []
         for tok in tokens:
-            if not tok.isdigit() or int(tok) < 1:
+            if not (tok.isascii() and tok.isdigit()) or tok[0] == "0":
                 raise ValueError(f"bad permutation token: {tok!r}")
             entries.append(int(tok))
         if sorted(entries) != list(range(1, len(entries) + 1)):

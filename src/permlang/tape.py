@@ -66,17 +66,40 @@ class BoundedTape:
     ``steps`` is the number of primitives executed, ``max_cells_touched``
     the number of distinct cells the head has visited (the head only moves
     one cell at a time from cell 0, so that is max head index + 1).
+
+    The tape also counts its marked cells and the cells whose letter differs
+    from the input (the boundary cell's input letter is the blank), so
+    ``holds_input`` answers in O(1).  Those counts are bookkeeping of the
+    simulator, like the step counter, not tape contents the procedures read.
+
+    ``seek`` and ``clear_marks`` are head-movement programs built from the
+    primitives.  With a trace attached they run primitive by primitive, one
+    trace line each; without one they charge the same steps and the same
+    high-water mark in closed form.
     """
 
-    __slots__ = ("_cells", "_capacity", "_head", "_steps", "_max_head", "trace")
+    __slots__ = (
+        "_cells",
+        "_input",
+        "_capacity",
+        "_head",
+        "_steps",
+        "_max_head",
+        "_marked",
+        "_altered",
+        "trace",
+    )
 
     def __init__(self, word: str, trace: TraceFn | None = None) -> None:
         self._cells: list[tuple[str, int]] = [(ch, NO_MARK) for ch in word]
         self._cells.append((BLANK, NO_MARK))
+        self._input = word + BLANK
         self._capacity = len(word) + 1
         self._head = 0
         self._steps = 0
         self._max_head = 0
+        self._marked = 0
+        self._altered = 0
         self.trace = trace
 
     @property
@@ -128,6 +151,11 @@ class BoundedTape:
         before = self._cells[self._head]
         after = (before[0], mark)
         self._cells[self._head] = after
+        if before[1] == NO_MARK:
+            if mark != NO_MARK:
+                self._marked += 1
+        elif mark == NO_MARK:
+            self._marked -= 1
         if self.trace is not None:
             self._emit("write-mark", before, after)
 
@@ -136,8 +164,62 @@ class BoundedTape:
         before = self._cells[self._head]
         after = (letter, before[1])
         self._cells[self._head] = after
+        original = self._input[self._head]
+        self._altered += (letter != original) - (before[0] != original)
         if self.trace is not None:
             self._emit("write-letter", before, after)
+
+    # Head-movement programs with closed-form charges when untraced.
+
+    def seek(self, pos: int) -> None:
+        """Move the head to cell pos: |pos - head| moves."""
+        if not 0 <= pos < self._capacity:
+            raise TapeFault(f"seek to cell {pos} outside 0..{self._capacity - 1}")
+        if self.trace is not None:
+            while self._head < pos:
+                self.move_right()
+            while self._head > pos:
+                self.move_left()
+            return
+        head = self._head
+        self._steps += pos - head if pos > head else head - pos
+        if pos > self._max_head:
+            self._max_head = pos
+        self._head = pos
+
+    def clear_marks(self, n: int) -> None:
+        """Clearing scan of cells 0..n-1: seek cell 0, then read each cell,
+        write NO_MARK over a mark, and move right until cell n-1, where the
+        head stays.  Costs head + n reads + (n-1) moves + one write per
+        cleared mark."""
+        if not 0 < n <= self._capacity:
+            raise TapeFault(f"clearing scan of {n} cells on a tape of {self._capacity}")
+        if self.trace is not None:
+            self.seek(0)
+            while True:
+                _, mark = self.read()
+                if mark != NO_MARK:
+                    self.write_mark(NO_MARK)
+                if self._head == n - 1:
+                    return
+                self.move_right()
+        cleared = 0
+        if self._marked:
+            cells = self._cells
+            for i in range(n):
+                letter, mark = cells[i]
+                if mark != NO_MARK:
+                    cells[i] = (letter, NO_MARK)
+                    cleared += 1
+            self._marked -= cleared
+        self._steps += self._head + 2 * n - 1 + cleared
+        if n - 1 > self._max_head:
+            self._max_head = n - 1
+        self._head = n - 1
+
+    def holds_input(self) -> bool:
+        """True iff no cell is marked and every cell holds its input letter."""
+        return self._marked == 0 and self._altered == 0
 
     # Snapshot inspection for assertions and tests; not machine work.
 
@@ -148,28 +230,11 @@ class BoundedTape:
         return all(mark == NO_MARK for _, mark in self._cells)
 
 
-def _seek(tape: BoundedTape, pos: int) -> None:
-    while tape.head < pos:
-        tape.move_right()
-    while tape.head > pos:
-        tape.move_left()
-
-
 def _restore(tape: BoundedTape, word: str) -> None:
-    """Clear every mark (charged scan) and verify the letters are intact."""
-    n = len(word)
-    if n:
-        _seek(tape, 0)
-        pos = 0
-        while True:
-            _, mark = tape.read()
-            if mark != NO_MARK:
-                tape.write_mark(NO_MARK)
-            if pos == n - 1:
-                break
-            tape.move_right()
-            pos += 1
-    if not tape.marks_clear() or tape.text() != word:
+    """Clear every mark (charged scan) and verify the tape holds the input."""
+    if word:
+        tape.clear_marks(len(word))
+    if not tape.holds_input():
         raise TapeFault("tape does not hold the unmarked input word")
 
 
@@ -188,7 +253,7 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
         tape.read()
         return False
     while True:
-        _seek(tape, 0)
+        tape.seek(0)
         open_m = -1
         pair = None
         while True:
@@ -206,11 +271,11 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
             break
         i, j = pair
         tape.write_mark(STAR)
-        _seek(tape, i)
+        tape.seek(i)
         tape.write_mark(STAR)
         _license_span(tape, i, j)
     # final verification scan
-    _seek(tape, 0)
+    tape.seek(0)
     ok = True
     pos = 0
     while True:
@@ -251,7 +316,7 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
             if run_mark == NO_MARK:
                 tape.write_mark(STAR)
                 break
-        _seek(tape, pos)
+        tape.seek(pos)
 
 
 def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
@@ -277,7 +342,7 @@ def _stars_beat_ts(tape: BoundedTape, z: int) -> bool:
     lo = z  # leftmost cell this shuttle may have marked
     result: bool | None = None
     while result is None:
-        _seek(tape, t_scan)
+        tape.seek(t_scan)
         p = t_scan
         found_t = -1
         boundary_star = False
@@ -325,7 +390,7 @@ def _stars_beat_ts(tape: BoundedTape, z: int) -> bool:
             if found_s < lo:
                 lo = found_s
     # undo shuttle marks: daggers cleared, double stars back to stars
-    _seek(tape, z)
+    tape.seek(z)
     p = z
     while p > lo:
         tape.move_left()
@@ -335,7 +400,7 @@ def _stars_beat_ts(tape: BoundedTape, z: int) -> bool:
             tape.write_mark(NO_MARK)
         elif mark == DOUBLE_STAR:
             tape.write_mark(STAR)
-    _seek(tape, z)
+    tape.seek(z)
     return result
 
 
@@ -356,7 +421,7 @@ def _drop_rightmost_star(tape: BoundedTape, z: int) -> bool:
             cleared = True
     if not cleared:
         raise TapeFault("asked to drop a star but none exists")
-    _seek(tape, z)
+    tape.seek(z)
     return remain
 
 
@@ -370,7 +435,7 @@ def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
     has no open slot to its left and the answer is ascending.  At y, stars
     strictly exceeding y's t-run means y inserts left of x: descending.
     """
-    _seek(tape, x_pos)
+    tape.seek(x_pos)
     x_letter, _ = tape.read()
     have_stars = False
     if x_letter in "rm":
@@ -387,7 +452,7 @@ def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
         have_stars = True
     if not have_stars:
         return PairOrder.ASCENDING
-    _seek(tape, x_pos)
+    tape.seek(x_pos)
     pos = x_pos
     while True:
         tape.move_right()
@@ -412,13 +477,12 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     Preconditions (violations raise ValueError): x_pos < y_pos, both cells
     hold insertion letters, and the word is a legal codeword.
     """
-    check_letters(word)
+    verdict = validate(word)  # raises first on a foreign letter
     n = len(word)
     if not (0 <= x_pos < y_pos < n):
         raise ValueError(f"need 0 <= x_pos < y_pos < {n}, got {x_pos}, {y_pos}")
     if word[x_pos] == "t" or word[y_pos] == "t":
         raise ValueError("compared cells must hold insertion letters, not t")
-    verdict = validate(word)
     if not verdict:
         raise ValueError(f"compare requires a legal codeword: {verdict.reason}")
     tape = BoundedTape(word, trace)
@@ -431,7 +495,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
 
 def _insertion_cells(tape: BoundedTape, n: int) -> list[int]:
     cells = []
-    _seek(tape, 0)
+    tape.seek(0)
     while True:
         letter, _ = tape.read()
         if letter != "t":
@@ -506,15 +570,14 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
         verdict = False
     else:
         for i in range(2, n):
-            _seek(tape, i - 1)
+            tape.seek(i - 1)
             tape.write_mark(STAR)
             pos = i - 1
             divides = False
             while True:
                 hop = min(i, n - pos)
-                for _ in range(hop):
-                    tape.move_right()
                 pos += hop
+                tape.seek(pos)
                 letter, _ = tape.read()
                 if letter == BLANK or hop < i:
                     break

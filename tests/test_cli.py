@@ -48,6 +48,15 @@ class TestDecodeEncode:
         assert (code, out) == (2, "")
         assert "1..2" in err
 
+    @pytest.mark.parametrize(
+        "ranks, bad",
+        [(("01", "2"), "'01'"), (("\u0661", "\u0662"), "'\u0661'"), (("1", "\u00b2"), "'\u00b2'")],
+    )
+    def test_encode_rejects_reinterpretable_tokens(self, ranks, bad):
+        code, out, err = run_cli("encode", *ranks)
+        assert (code, out) == (2, "")
+        assert bad in err
+
 
 class TestValidate:
     def test_false_with_reason(self):
@@ -103,7 +112,13 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "option, value, named",
-        [("--pattern", "102", "'0'"), ("--pattern", "35", "1..2"), ("--perm", "5 9", "1..2")],
+        [
+            ("--pattern", "102", "'0'"),
+            ("--pattern", "35", "1..2"),
+            ("--perm", "5 9", "1..2"),
+            ("--perm", "2 01", "'01'"),
+            ("--perm", "\u0662 \u0661", "'\u0662'"),
+        ],
     )
     def test_entries_must_be_one_to_k(self, option, value, named):
         argv = ["check", option, value]
@@ -167,6 +182,15 @@ class TestSimulate:
     def test_missing_argument(self):
         assert run_cli("simulate", "--machine", "primes")[0] == 2
 
+    def test_cap_guard(self):
+        # one past the default cap; 5001 = 3 * 1667, so even uncapped it is quick
+        code, out, err = run_cli("simulate", "--machine", "primes", "--n", "5001")
+        assert (code, out) == (2, "")
+        assert "cap" in err
+        argv = ("simulate", "--machine", "primes", "--n", "7")
+        assert run_cli(*argv, "--cap", "6")[:2] == (2, "")
+        assert run_cli(*argv, "--cap", "7")[:2] == (0, "accept\n")
+
 
 class TestBench:
     def test_output_shape(self):
@@ -181,6 +205,15 @@ class TestBench:
 
     def test_bad_sizes(self):
         assert run_cli("bench", "--suite", "legality", "--sizes", "abc")[0] == 2
+
+    def test_cap_guard(self):
+        # checked before the header and the first size
+        code, out, err = run_cli("bench", "--suite", "legality", "--sizes", "100..101")
+        assert (code, out) == (2, "")
+        assert "cap" in err
+        argv = ("bench", "--suite", "legality", "--sizes", "10..12")
+        assert run_cli(*argv, "--cap", "11")[:2] == (2, "")
+        assert run_cli(*argv, "--cap", "12")[0] == 0
 
     def test_bench_words_are_legal(self):
         from permlang.codec import validate

@@ -30,31 +30,31 @@ def _row(run: tape.TapeRun) -> list:
     return [verdict, run.steps, run.max_cells_touched]
 
 
-def collect() -> dict[str, dict[str, list]]:
+def collect(trace: tape.TraceFn | None = None) -> dict[str, dict[str, list]]:
     legal = {}
     for n in range(6):
         for letters in itertools.product(ALPHABET, repeat=n):
             word = "".join(letters)
-            legal[word] = _row(tape.check_legal(word))
+            legal[word] = _row(tape.check_legal(word, trace))
     for size in range(10, 41):
         word = bench_word(size)
-        legal[word] = _row(tape.check_legal(word))
+        legal[word] = _row(tape.check_legal(word, trace))
 
     compare = {}
     for n in range(1, 5):
         for word in codewords_with_insertions(n):
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             for x, y in itertools.combinations(cells, 2):
-                compare[f"{word} {x} {y}"] = _row(tape.compare(word, x, y))
+                compare[f"{word} {x} {y}"] = _row(tape.compare(word, x, y, trace))
 
     avoid = {}
     for text in BASES:
         basis = Basis([int(d) for d in item] for item in text.split(","))
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
-                avoid[f"{text} {word}"] = _row(tape.accepts_basis(word, basis))
+                avoid[f"{text} {word}"] = _row(tape.accepts_basis(word, basis, trace))
 
-    primes = {str(n): _row(tape.is_prime(n)) for n in range(1, 61)}
+    primes = {str(n): _row(tape.is_prime(n, trace)) for n in range(1, 61)}
 
     return {
         "check_legal": legal,
@@ -85,6 +85,12 @@ def test_golden_counters_unchanged():
         ]
         assert not changed, f"{name}: {len(changed)} runs changed, e.g. {changed[:5]}"
         assert sorted(actual[name]) == sorted(rows), name
+
+
+def test_traced_runs_match_untraced():
+    # Seeks and restore scans take closed-form charges only when untraced,
+    # so the traced primitive-by-primitive path must count the same.
+    assert collect(trace=lambda _: None) == collect()
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ def test_text_roundtrip():
     with pytest.raises(ValueError):
         Permutation.from_text("3 x 1")
     # text is never rank-normalized: the entries must be exactly 1..k
-    for line in ("5 9", "1 3", "2 1 2", "0 1"):
+    # nor read beyond ASCII decimal: no leading zeros, no other digit scripts
+    for line in ("5 9", "1 3", "2 1 2", "0 1", "01 2", "\u0661 \u0662", "1 \u00b2"):
         with pytest.raises(ValueError):
             Permutation.from_text(line)
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from permlang.codec import codewords_with_insertions, decode, validate
 from permlang.permutations import Basis, Permutation, avoids_basis
 from permlang.tape import (
     BoundedTape,
+    DAGGER,
     NO_MARK,
     PairOrder,
     STAR,
@@ -37,11 +39,13 @@ def tapes(monkeypatch):
 
 
 def assert_tapes_clean(tapes):
-    """Every recorded tape holds its input word again, with no marks left."""
+    """Every recorded tape holds its input word again, with no marks left,
+    by the snapshot reference and by the tape's own counts."""
     assert tapes
     for word, t in tapes:
         assert t.text() == word, word
         assert t.marks_clear(), word
+        assert t.holds_input(), word
 
 
 class TestBoundedTape:
@@ -89,6 +93,71 @@ class TestBoundedTape:
         assert t.read() == ("m", NO_MARK)
         assert t.text() == "mf"
 
+    def test_seek_charges_one_step_per_cell(self):
+        for trace in (None, [].append):
+            t = BoundedTape("mrlff", trace)
+            t.seek(4)
+            assert (t.head, t.steps, t.max_cells_touched) == (4, 4, 5)
+            t.seek(1)
+            assert (t.head, t.steps, t.max_cells_touched) == (1, 7, 5)
+            t.seek(1)
+            assert t.steps == 7
+
+    @pytest.mark.parametrize("pos", [-1, 6, 100])
+    @pytest.mark.parametrize("trace", [None, lambda _: None])
+    def test_seek_outside_the_tape_faults(self, pos, trace):
+        t = BoundedTape("mrlff", trace)
+        t.seek(2)
+        with pytest.raises(TapeFault):
+            t.seek(pos)
+        assert (t.head, t.steps) == (2, 2)
+
+    def test_counts_match_snapshot_reference(self):
+        # holds_input() is kept by counting; text() and marks_clear() rescan
+        # the cells, so random primitive programs must keep the two equal
+        rng = random.Random(20261018)
+        for _ in range(300):
+            word = "".join(rng.choice(codec.ALPHABET) for _ in range(rng.randint(0, 6)))
+            t = BoundedTape(word)
+            for _ in range(rng.randint(1, 20)):
+                t.seek(rng.randrange(len(word) + 1))
+                if rng.random() < 0.5:
+                    t.write_mark(rng.choice([NO_MARK, NO_MARK, STAR, DAGGER]))
+                else:
+                    t.write_letter(rng.choice(codec.ALPHABET + tape.BLANK))
+                blank = t._cells[-1][0] == tape.BLANK
+                assert t.holds_input() == (
+                    t.text() == word and t.marks_clear() and blank
+                ), word
+
+    def test_clear_marks_closed_form_matches_primitive_scan(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            word = "".join(rng.choice(codec.ALPHABET) for _ in range(rng.randint(1, 7)))
+            n = rng.randint(1, len(word) + 1)
+            head = rng.randrange(len(word) + 1)
+            marks = [(i, rng.choice([STAR, DAGGER])) for i in range(len(word) + 1)
+                     if rng.random() < 0.3]
+            ends = []
+            for trace in (None, [].append):
+                t = BoundedTape(word, trace)
+                for i, mark in marks:
+                    t.seek(i)
+                    t.write_mark(mark)
+                t.seek(head)
+                t.clear_marks(n)
+                ends.append(
+                    (t.head, t.steps, t.max_cells_touched, t._cells, t.holds_input())
+                )
+            assert ends[0] == ends[1], (word, n, head, marks)
+            assert ends[0][0] == n - 1
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_clear_marks_outside_the_tape_faults(self, n):
+        for trace in (None, lambda _: None):
+            with pytest.raises(TapeFault):
+                BoundedTape("lf", trace).clear_marks(n)
+
     def test_trace_lines_one_per_primitive(self):
         lines = []
         t = BoundedTape("tf", trace=lines.append)
@@ -117,6 +186,21 @@ class TestRestore:
         t.write_letter("l")
         with pytest.raises(TapeFault):
             tape._restore(t, "mrlff")
+
+    def test_letter_written_back_is_restored(self):
+        t = BoundedTape("mrlff")
+        t.move_right()
+        t.write_letter("l")
+        t.write_letter("r")
+        tape._restore(t, "mrlff")
+        assert t.holds_input()
+
+    def test_letter_on_the_boundary_cell_faults(self):
+        t = BoundedTape("lf")
+        t.seek(2)
+        t.write_letter("f")
+        with pytest.raises(TapeFault):
+            tape._restore(t, "lf")
 
     def test_mark_on_the_boundary_cell_faults(self):
         # the clearing scan stops at the last letter and never visits it
@@ -187,6 +271,30 @@ class TestCompare:
         run = compare(word, x, y)
         assert run.verdict is expected
         assert_tapes_clean(tapes)
+
+    def test_letters_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting_check(word):
+            calls.append(word)
+            return real(word)
+
+        real = codec.check_letters
+        monkeypatch.setattr(codec, "check_letters", counting_check)
+        monkeypatch.setattr(tape, "check_letters", counting_check, raising=False)
+        compare("mrlff", 0, 1)
+        assert calls == ["mrlff"]
+
+    def test_error_order(self):
+        # letters, then positions, then t cells, then legality
+        with pytest.raises(ValueError, match="'x'"):
+            compare("tx", 1, 0)
+        with pytest.raises(ValueError, match="x_pos < y_pos"):
+            compare("ttf", 1, 0)
+        with pytest.raises(ValueError, match="not t"):
+            compare("ttf", 0, 2)
+        with pytest.raises(ValueError, match="legal"):
+            compare("lff", 0, 2)
 
     def test_precondition_violations_raise(self):
         with pytest.raises(ValueError):
