@@ -9,11 +9,19 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import bisect
+import math
 import sys
 from typing import Sequence
 
 from . import codec, counting, stackmachine, tape
-from .permutations import Basis, CapExceededError, Permutation, avoids_basis
+from .permutations import (
+    Basis,
+    CapExceededError,
+    Permutation,
+    avoids_basis,
+    is_positive_decimal,
+)
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -148,18 +156,29 @@ def bench_word(size: int) -> str:
 
 def _parse_sizes(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not (sep and is_positive_decimal(lo) and is_positive_decimal(hi)):
         raise ValueError(f"bad --sizes value {text!r}, expected a..b")
     lo_n, hi_n = int(lo), int(hi)
-    if not 1 <= lo_n <= hi_n:
+    if lo_n > hi_n:
         raise ValueError(f"bad size range {text!r}")
     return range(lo_n, hi_n + 1)
+
+
+def _avoid_size_cap(cap: int, k: int) -> int:
+    """Largest avoid-suite size for a length-k pattern: no more than the cap,
+    and no more k-tuples of cells, C(size, k), than C(cap, 3)."""
+    tuples = math.comb(cap, 3)
+    return bisect.bisect_right(range(cap + 1), tuples, key=lambda s: math.comb(s, k)) - 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     pattern = _parse_pattern(args.pattern)
     sizes = _parse_sizes(args.sizes)
     _check_cap("size", sizes[-1], args.cap)
+    if args.suite == "avoid":
+        # the tuple search, not the size, sets the avoid suite's work
+        cap = _avoid_size_cap(args.cap, len(pattern))
+        _check_cap(f"size (pattern length {len(pattern)})", sizes[-1], cap)
     print("size,steps,max_cells")
     for size in sizes:
         word = bench_word(size)
@@ -227,7 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("legality", "compare", "avoid"), required=True)
     p.add_argument("--sizes", required=True, help="inclusive range, e.g. 10..40")
     p.add_argument("--pattern", default="21", help="pattern for the avoid suite")
-    p.add_argument("--cap", type=int, default=DEFAULT_BENCH_CAP, help="largest size")
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_BENCH_CAP,
+        help="largest size; the avoid suite also keeps C(size, |pattern|) <= C(cap, 3)",
+    )
     p.set_defaults(func=_cmd_bench)
 
     return parser

@@ -17,6 +17,12 @@ class CapExceededError(ValueError):
     """An enumeration request exceeded its configured size cap."""
 
 
+def is_positive_decimal(token: str) -> bool:
+    """True iff the token is a positive integer in ASCII decimal with no
+    leading zero: the only number text that input never reinterprets."""
+    return token.isascii() and token.isdigit() and token[0] != "0"
+
+
 class Permutation:
     """An immutable permutation stored as ranks 1..n.
 
@@ -73,7 +79,7 @@ class Permutation:
         tokens = line.split()
         entries = []
         for tok in tokens:
-            if not (tok.isascii() and tok.isdigit()) or tok[0] == "0":
+            if not is_positive_decimal(tok):
                 raise ValueError(f"bad permutation token: {tok!r}")
             entries.append(int(tok))
         if sorted(entries) != list(range(1, len(entries) + 1)):

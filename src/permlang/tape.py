@@ -18,7 +18,6 @@ procedure, never an input condition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -507,8 +506,17 @@ def _insertion_cells(tape: BoundedTape, n: int) -> list[int]:
 
 
 def _avoids_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> bool:
-    """Legality check, then every k-tuple of insertion cells is pattern-tested
-    via C(k,2) pairwise comparisons; the marks are cleared after each phase."""
+    """Legality check, then a depth-first search for an occurrence.
+
+    The insertion cells are in value order, so a tuple of cells taken left
+    to right holds the values 1..k of a candidate occurrence.  The search
+    extends a tuple of cell indices in lexicographic order: level j tries
+    each cell y after the one chosen at level j-1 (while k-j cells remain)
+    and compares it with the chosen cells in order; the first pair whose
+    order disagrees with the pattern prunes y and everything below it.  A
+    full k-tuple is an occurrence.  Control state is the pattern's inverse
+    and the chosen cell indices; every compare is followed by a restore.
+    """
     n = len(word)
     legal = _check_legal_on_tape(tape, n)
     _restore(tape, word)
@@ -518,24 +526,30 @@ def _avoids_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> b
     cells = _insertion_cells(tape, n)
     if k > len(cells):
         return True
-    for combo in itertools.combinations(cells, k):
-        # Values at the selected cells increase left to right, so pairwise
-        # positional comparisons fully determine the tuple's pattern.
-        left_of = [0] * k
-        for a in range(k):
-            for b in range(a + 1, k):
-                order = _compare_on_tape(tape, combo[a], combo[b])
-                _restore(tape, word)
-                if order is PairOrder.DESCENDING:
-                    left_of[a] += 1
-                else:
-                    left_of[b] += 1
-        found = [0] * k
-        for value_rank, position in enumerate(left_of):
-            found[position] = value_rank + 1
-        if tuple(found) == pattern:
-            return False
-    return True
+    place = [0] * k  # place[r]: position of value rank r+1 in the pattern
+    for position, rank in enumerate(pattern):
+        place[rank - 1] = position
+    chosen: list[int] = []
+    i = 0
+    while True:
+        j = len(chosen)
+        if i > len(cells) - k + j:  # fewer than k-j cells left: back up
+            if j == 0:
+                return True
+            i = chosen.pop() + 1
+            continue
+        y = cells[i]
+        for a in range(j):
+            order = _compare_on_tape(tape, cells[chosen[a]], y)
+            _restore(tape, word)
+            # y's entry lies left of chosen[a]'s iff rank j+1 precedes rank a+1
+            if (order is PairOrder.DESCENDING) != (place[j] < place[a]):
+                break
+        else:
+            if j + 1 == k:
+                return False
+            chosen.append(i)
+        i += 1
 
 
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:

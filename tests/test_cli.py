@@ -205,6 +205,9 @@ class TestBench:
 
     def test_bad_sizes(self):
         assert run_cli("bench", "--suite", "legality", "--sizes", "abc")[0] == 2
+        # bounds are ASCII decimal with no leading zero, as in permutation text
+        for sizes in ("\u0661\u0660..\u0661\u0661", "010..11", "0..3", "12..11"):
+            assert run_cli("bench", "--suite", "legality", "--sizes", sizes)[:2] == (2, "")
 
     def test_cap_guard(self):
         # checked before the header and the first size
@@ -214,6 +217,20 @@ class TestBench:
         argv = ("bench", "--suite", "legality", "--sizes", "10..12")
         assert run_cli(*argv, "--cap", "11")[:2] == (2, "")
         assert run_cli(*argv, "--cap", "12")[0] == 0
+
+    def test_avoid_cap_bounds_the_tuple_search(self):
+        # C(100, 5) tuples, far over the C(100, 3) of a length-3 pattern at
+        # the size cap: refused before the header and the first size
+        avoid = ("bench", "--suite", "avoid", "--sizes")
+        code, out, err = run_cli(*avoid, "1..100", "--pattern", "12345")
+        assert (code, out) == (2, "")
+        assert "cap" in err
+        code, out, _ = run_cli(*avoid, "1..100", "--pattern", "21")
+        assert code == 0
+        assert len(out.splitlines()) == 101
+        # --cap 10: C(8, 4) = 70 <= C(10, 3) = 120 < C(9, 4) = 126
+        assert run_cli(*avoid, "8..8", "--pattern", "1234", "--cap", "10")[0] == 0
+        assert run_cli(*avoid, "9..9", "--pattern", "1234", "--cap", "10")[:2] == (2, "")
 
     def test_bench_words_are_legal(self):
         from permlang.codec import validate

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -36,6 +37,54 @@ def tapes(monkeypatch):
 
     monkeypatch.setattr(tape, "BoundedTape", RecordingTape)
     return made
+
+
+@pytest.fixture
+def compares(monkeypatch):
+    """Record the (x_pos, y_pos) of every compare the tape procedures make."""
+    made = []
+    inner = tape._compare_on_tape
+
+    def counting(t, x_pos, y_pos):
+        made.append((x_pos, y_pos))
+        return inner(t, x_pos, y_pos)
+
+    monkeypatch.setattr(tape, "_compare_on_tape", counting)
+    return made
+
+
+def first_occurrence(p, q):
+    """The lexicographically first value tuple v1 < ... < vk of p whose
+    positions spell q, or None if p avoids q."""
+    where = {value: position for position, value in enumerate(p)}
+    for values in itertools.combinations(range(1, len(p) + 1), len(q)):
+        positions = [where[values[rank - 1]] for rank in q]
+        if positions == sorted(positions):
+            return values
+    return None
+
+
+def longest_increasing(seq):
+    best = []
+    for i, v in enumerate(seq):
+        best.append(1 + max((best[j] for j in range(i) if seq[j] < v), default=0))
+    return max(best)
+
+
+def built_avoider(rng, n, q):
+    """A random permutation of 1..n avoiding q: LIS(q) - 1 interleaved
+    decreasing runs leave no increasing subsequence long enough for q.  A
+    decreasing q is avoided by the reverse of an avoider of its reverse."""
+    runs = longest_increasing(q) - 1
+    if runs == 0:
+        return built_avoider(rng, n, q[::-1])[::-1]
+    labels = [rng.randrange(runs) for _ in range(n)]
+    values = rng.sample(range(1, n + 1), n)
+    pools = [
+        sorted((v for v, label in zip(values, labels) if label == run), reverse=True)
+        for run in range(runs)
+    ]
+    return [pools[label].pop(0) for label in labels]
 
 
 def assert_tapes_clean(tapes):
@@ -356,6 +405,51 @@ class TestAcceptsAvoiding:
                     assert run.verdict is want, (word, q)
                     assert run.max_cells_touched <= len(word) + 1
 
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_nothing_to_prune_for_12_on_a_decreasing_word(self, m, compares):
+        # m..1: every pair is descending, so every pair is a full 12-tuple
+        # that fails only on its one compare
+        word = "r" * (m - 1) + "f"
+        assert accepts_basis(word, Basis([[1, 2]])).verdict is True
+        assert len(compares) == math.comb(m, 2)
+
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_first_pair_prunes_123_on_a_decreasing_word(self, m, compares):
+        # every level-1 pair is descending and prunes its subtree; all
+        # C(m, 3) triples at C(3, 2) compares each would be 3 * C(m, 3)
+        word = "r" * (m - 1) + "f"
+        assert accepts_basis(word, Basis([[1, 2, 3]])).verdict is True
+        assert len(compares) == math.comb(m - 1, 2) < 3 * math.comb(m, 3)
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_first_disagreeing_pair_ends_the_compares_at_y(self, m, compares):
+        # 1..m with 312: every level-1 pair is ascending, as 3 1 2 wants of
+        # values 1 and 2; at level 2, y against the first cell is ascending,
+        # not descending, so y's second compare is never made
+        word = "l" * (m - 1) + "f"
+        assert accepts_basis(word, Basis([[3, 1, 2]])).verdict is True
+        assert len(compares) == math.comb(m - 1, 2) + math.comb(m, 3)
+
+    def test_search_stops_at_the_lexicographically_first_occurrence(self, compares):
+        rng = random.Random(4)
+        checked = 0
+        while checked < 30:
+            n, k = rng.randrange(5, 10), rng.randrange(2, 5)
+            p = rng.sample(range(1, n + 1), n)
+            q = rng.sample(range(1, k + 1), k)
+            first = first_occurrence(p, q)
+            if first is None:
+                continue
+            word = codec.encode(Permutation(p))
+            cell = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
+            compares.clear()
+            assert accepts_basis(word, Basis([q])).verdict is False
+            # the last compares extend the first occurrence's (k-1)-prefix
+            # by its last cell, one pair per chosen cell in order
+            last = cell[first[-1] - 1]
+            assert compares[1 - k:] == [(cell[v - 1], last) for v in first[:-1]]
+            checked += 1
+
 
 class TestAcceptsBasis:
     def test_examples(self):
@@ -375,6 +469,19 @@ class TestAcceptsBasis:
                 for basis in bases:
                     want = avoids_basis(perm, basis)
                     assert accepts_basis(word, basis).verdict is want
+
+    def test_matches_oracle_on_random_larger_words(self):
+        # half built avoiders, so the full search runs as often as not
+        rng = random.Random(2005)
+        for n in range(9, 13):
+            for k in (4, 5):
+                for built in (True, False) * 8:
+                    q = rng.sample(range(1, k + 1), k)
+                    p = built_avoider(rng, n, q) if built else rng.sample(range(1, n + 1), n)
+                    perm, basis = Permutation(p), Basis([q])
+                    want = avoids_basis(perm, basis)
+                    assert want or not built, (p, q)
+                    assert accepts_basis(codec.encode(perm), basis).verdict is want, (p, q)
 
     def test_cumulative_counters_cover_all_patterns(self):
         single = accepts_basis("rrf", Basis([[1, 2, 3]]))
