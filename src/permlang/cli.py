@@ -175,6 +175,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     pattern = _parse_pattern(args.pattern)
     sizes = _parse_sizes(args.sizes)
     _check_cap("size", sizes[-1], args.cap)
+    if args.suite == "compare" and sizes[0] < 2:
+        # bench_word(1) is "f": one insertion cell, nothing to compare it with
+        raise ValueError(f"the compare suite needs sizes of at least 2, got {args.sizes!r}")
     if args.suite == "avoid":
         # the tuple search, not the size, sets the avoid suite's work
         cap = _avoid_size_cap(args.cap, len(pattern))

@@ -104,12 +104,9 @@ def decode(word: str) -> Permutation:
         if ch == "t":
             next_slot += 1
             continue
-        seen = 0
-        for idx, v in enumerate(items):
-            if v is None:
-                seen += 1
-                if seen == next_slot:
-                    break
+        idx = -1
+        for _ in range(next_slot):
+            idx = items.index(None, idx + 1)
         if ch == "l":
             items[idx : idx + 1] = [next_entry, None]
         elif ch == "r":
@@ -126,40 +123,29 @@ def decode(word: str) -> Permutation:
 def encode(perm: Permutation) -> str:
     """Inverse of decode: the unique codeword building the given permutation.
 
-    Works on the not-yet-filled positions of the target: their maximal runs
-    are exactly the open slots, left to right.  Entry i at position pos is
-    encoded by t^(run_index - 1) followed by f/l/r/m according to whether pos
-    is the run's only cell, its left end, its right end, or interior.
+    Works on the not-yet-filled cells 1..n of the target, between two filled
+    sentinel cells 0 and n+1: their maximal runs are exactly the open slots,
+    left to right.  The entry at cell pos is encoded by one t per open run
+    ending before pos (each such end is an unfilled cell followed by a
+    filled one), then f/l/r/m according to whether pos is its run's only
+    cell, its left end, its right end, or interior.
     """
     n = len(perm)
     if n == 0:
         raise ValueError("the empty permutation has no codeword")
-    position = {v: i for i, v in enumerate(perm.ranks)}
-    unfilled = list(range(n))
+    cell = [0] * n  # cell[v - 1]: the cell of value v
+    for pos, value in enumerate(perm.ranks, 1):
+        cell[value - 1] = pos
+    filled = bytearray(n + 2)
+    filled[0] = filled[n + 1] = 1
     out: list[str] = []
-    for value in range(1, n + 1):
-        pos = position[value]
-        runs: list[tuple[int, int]] = []
-        start = prev = unfilled[0]
-        for q in unfilled[1:]:
-            if q == prev + 1:
-                prev = q
-            else:
-                runs.append((start, prev))
-                start = prev = q
-        runs.append((start, prev))
-        run_index = next(i for i, (a, b) in enumerate(runs) if a <= pos <= b)
-        a, b = runs[run_index]
-        out.append("t" * run_index)
-        if a == b:
-            out.append("f")
-        elif pos == a:
-            out.append("l")
-        elif pos == b:
-            out.append("r")
+    for pos in cell:
+        out.append("t" * filled.count(b"\x00\x01", 0, pos))
+        if filled[pos - 1]:
+            out.append("f" if filled[pos + 1] else "l")
         else:
-            out.append("m")
-        unfilled.remove(pos)
+            out.append("r" if filled[pos + 1] else "m")
+        filled[pos] = 1
     return "".join(out)
 
 

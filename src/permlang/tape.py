@@ -2,9 +2,9 @@
 
 The procedures here decide codeword legality, the relative position of two
 inserted entries, and pattern avoidance, all as head-movement programs over
-a BoundedTape of |w|+1 cells.  Five primitives exist — move-left,
-move-right, read, write-mark, write-letter — and each costs exactly one
-step.  Marks are an overlay channel separate from the base letters, so
+a BoundedTape of |w|+1 cells.  Four primitives exist — move-left,
+move-right, read, write-mark — and each costs exactly one step.  The
+letters are read-only and marks are an overlay channel over them, so
 "return the original string on the tape" means clearing marks; every
 public procedure restores the tape before returning and verifies that it
 did.
@@ -61,15 +61,17 @@ class TapeRun:
 class BoundedTape:
     """Fixed-capacity tape: the input word plus one blank boundary cell.
 
-    Cells hold (letter, mark) pairs; the head starts on cell 0.  Counters:
-    ``steps`` is the number of primitives executed, ``max_cells_touched``
-    the number of distinct cells the head has visited (the head only moves
-    one cell at a time from cell 0, so that is max head index + 1).
+    Cells hold (letter, mark) pairs; the head starts on cell 0.  The four
+    primitives are ``move_left``, ``move_right``, ``read`` and
+    ``write_mark``: the letters are read-only, so the tape holds its input
+    exactly when no cell is marked.  Counters: ``steps`` is the number of
+    primitives executed, ``max_cells_touched`` the number of distinct cells
+    the head has visited (the head only moves one cell at a time from cell
+    0, so that is max head index + 1).
 
-    The tape also counts its marked cells and the cells whose letter differs
-    from the input (the boundary cell's input letter is the blank), so
-    ``holds_input`` answers in O(1).  Those counts are bookkeeping of the
-    simulator, like the step counter, not tape contents the procedures read.
+    The tape also counts its marked cells, so ``holds_input`` answers in
+    O(1).  That count is bookkeeping of the simulator, like the step
+    counter, not tape contents the procedures read.
 
     ``seek`` and ``clear_marks`` are head-movement programs built from the
     primitives.  With a trace attached they run primitive by primitive, one
@@ -79,26 +81,22 @@ class BoundedTape:
 
     __slots__ = (
         "_cells",
-        "_input",
         "_capacity",
         "_head",
         "_steps",
         "_max_head",
         "_marked",
-        "_altered",
         "trace",
     )
 
     def __init__(self, word: str, trace: TraceFn | None = None) -> None:
         self._cells: list[tuple[str, int]] = [(ch, NO_MARK) for ch in word]
         self._cells.append((BLANK, NO_MARK))
-        self._input = word + BLANK
         self._capacity = len(word) + 1
         self._head = 0
         self._steps = 0
         self._max_head = 0
         self._marked = 0
-        self._altered = 0
         self.trace = trace
 
     @property
@@ -158,16 +156,6 @@ class BoundedTape:
         if self.trace is not None:
             self._emit("write-mark", before, after)
 
-    def write_letter(self, letter: str) -> None:
-        self._steps += 1
-        before = self._cells[self._head]
-        after = (letter, before[1])
-        self._cells[self._head] = after
-        original = self._input[self._head]
-        self._altered += (letter != original) - (before[0] != original)
-        if self.trace is not None:
-            self._emit("write-letter", before, after)
-
     # Head-movement programs with closed-form charges when untraced.
 
     def seek(self, pos: int) -> None:
@@ -216,25 +204,23 @@ class BoundedTape:
             self._max_head = n - 1
         self._head = n - 1
 
+    def restore(self) -> None:
+        """Clear the marks on the word's cells (charged scan) and verify the
+        tape holds its input; a mark on the boundary cell, which the scan
+        never visits, faults."""
+        if self._capacity > 1:
+            self.clear_marks(self._capacity - 1)
+        if not self.holds_input():
+            raise TapeFault("tape does not hold the unmarked input word")
+
     def holds_input(self) -> bool:
-        """True iff no cell is marked and every cell holds its input letter."""
-        return self._marked == 0 and self._altered == 0
+        """True iff no cell is marked: the letters never change."""
+        return self._marked == 0
 
     # Snapshot inspection for assertions and tests; not machine work.
 
-    def text(self) -> str:
-        return "".join(letter for letter, _ in self._cells[: self._capacity - 1])
-
     def marks_clear(self) -> bool:
         return all(mark == NO_MARK for _, mark in self._cells)
-
-
-def _restore(tape: BoundedTape, word: str) -> None:
-    """Clear every mark (charged scan) and verify the tape holds the input."""
-    if word:
-        tape.clear_marks(len(word))
-    if not tape.holds_input():
-        raise TapeFault("tape does not hold the unmarked input word")
 
 
 # --- legality -------------------------------------------------------------
@@ -323,7 +309,7 @@ def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     check_letters(word)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
-    _restore(tape, word)
+    tape.restore()
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
 
 
@@ -486,7 +472,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
         raise ValueError(f"compare requires a legal codeword: {verdict.reason}")
     tape = BoundedTape(word, trace)
     order = _compare_on_tape(tape, x_pos, y_pos)
-    _restore(tape, word)
+    tape.restore()
     return TapeRun(order, tape.steps, tape.max_cells_touched)
 
 
@@ -505,7 +491,7 @@ def _insertion_cells(tape: BoundedTape, n: int) -> list[int]:
     return cells
 
 
-def _avoids_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> bool:
+def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool:
     """Legality check, then a depth-first search for an occurrence.
 
     The insertion cells are in value order, so a tuple of cells taken left
@@ -517,9 +503,8 @@ def _avoids_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> b
     full k-tuple is an occurrence.  Control state is the pattern's inverse
     and the chosen cell indices; every compare is followed by a restore.
     """
-    n = len(word)
     legal = _check_legal_on_tape(tape, n)
-    _restore(tape, word)
+    tape.restore()
     if not legal:
         return False
     k = len(pattern)
@@ -541,7 +526,7 @@ def _avoids_on_tape(tape: BoundedTape, word: str, pattern: tuple[int, ...]) -> b
         y = cells[i]
         for a in range(j):
             order = _compare_on_tape(tape, cells[chosen[a]], y)
-            _restore(tape, word)
+            tape.restore()
             # y's entry lies left of chosen[a]'s iff rank j+1 precedes rank a+1
             if (order is PairOrder.DESCENDING) != (place[j] < place[a]):
                 break
@@ -561,7 +546,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     """
     check_letters(word)
     tape = BoundedTape(word, trace)
-    ok = all(_avoids_on_tape(tape, word, pattern.ranks) for pattern in basis)
+    ok = all(_avoids_on_tape(tape, len(word), pattern.ranks) for pattern in basis)
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
 
 
@@ -576,8 +561,7 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    word = "a" * n
-    tape = BoundedTape(word, trace)
+    tape = BoundedTape("a" * n, trace)
     verdict = True
     if n == 1:
         tape.read()
@@ -609,5 +593,5 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
             if divides:
                 verdict = False
                 break
-    _restore(tape, word)
+    tape.restore()
     return TapeRun(verdict, tape.steps, tape.max_cells_touched)

@@ -112,24 +112,23 @@ def test_criterion_06_space_bound():
 
 
 def test_criterion_07_tape_restoration():
-    # Every public procedure ends in tape._restore, which raises TapeFault
-    # unless the tape holds the unmarked word, so criteria 3-5 already ran
-    # that check.  Here the procedures run on tapes this test owns: they
-    # write only marks, and the clearing scan removes every one of them.
+    # Every public procedure ends in BoundedTape.restore, which raises
+    # TapeFault unless the tape holds the unmarked word, so criteria 3-5
+    # already ran that check.  Here the procedures run on tapes this test
+    # owns: the letters are read-only, and the clearing scan removes every
+    # mark they leave.
     checked = 0
     for n in range(1, 5):
         for word in codewords_with_insertions(n):
             t = tape.BoundedTape(word)
             assert tape._check_legal_on_tape(t, len(word))
-            assert t.text() == word
-            tape._restore(t, word)
+            t.restore()
             assert t.marks_clear()
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             for x, y in itertools.combinations(cells, 2):
                 t = tape.BoundedTape(word)
                 tape._compare_on_tape(t, x, y)
-                assert t.text() == word, (word, x, y)
-                tape._restore(t, word)
+                t.restore()
                 assert t.marks_clear(), (word, x, y)
                 checked += 1
     print(f"ACCEPTANCE 07 tape restoration over {checked} owned compare tapes: PASS")

@@ -232,6 +232,16 @@ class TestBench:
         assert run_cli(*avoid, "8..8", "--pattern", "1234", "--cap", "10")[0] == 0
         assert run_cli(*avoid, "9..9", "--pattern", "1234", "--cap", "10")[:2] == (2, "")
 
+    def test_compare_suite_needs_two_insertion_cells(self):
+        # bench_word(1) is "f", with no second cell to compare: refused
+        # before the header
+        code, out, err = run_cli("bench", "--suite", "compare", "--sizes", "1..3")
+        assert (code, out) == (2, "")
+        assert "at least 2" in err
+        code, out, _ = run_cli("bench", "--suite", "compare", "--sizes", "2..3")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
     def test_bench_words_are_legal(self):
         from permlang.codec import validate
 

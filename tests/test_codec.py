@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -105,6 +106,18 @@ def test_bijection_small():
         for w, p in zip(words, perms):
             assert validate(w)
             assert encode(p) == w
+
+
+def test_random_round_trip_beyond_enumeration():
+    # legal codewords are in bijection with permutations, so a legal
+    # encode(p) that decodes back to p is the one codeword of p
+    rng = random.Random(2026)
+    for n in range(20, 61):
+        for _ in range(3):
+            p = Permutation(rng.sample(range(1, n + 1), n))
+            word = encode(p)
+            assert validate(word), p
+            assert decode(word) == p
 
 
 def test_generated_words_satisfy_slot_balance():

@@ -88,13 +88,13 @@ def built_avoider(rng, n, q):
 
 
 def assert_tapes_clean(tapes):
-    """Every recorded tape holds its input word again, with no marks left,
-    by the snapshot reference and by the tape's own counts."""
+    """Every recorded tape is left with no marks, by the snapshot reference
+    and by the tape's own count, so restoring it again does not fault."""
     assert tapes
     for word, t in tapes:
-        assert t.text() == word, word
         assert t.marks_clear(), word
         assert t.holds_input(), word
+        t.restore()
 
 
 class TestBoundedTape:
@@ -107,10 +107,8 @@ class TestBoundedTape:
         assert t.steps == 2
         t.write_mark(STAR)
         assert t.steps == 3
-        t.write_letter("m")
-        assert t.steps == 4
         t.move_left()
-        assert t.steps == 5
+        assert t.steps == 4
         assert t.read() == ("l", NO_MARK)
 
     def test_capacity_is_word_plus_one(self):
@@ -140,7 +138,7 @@ class TestBoundedTape:
         assert t.read() == ("m", STAR)
         t.write_mark(NO_MARK)
         assert t.read() == ("m", NO_MARK)
-        assert t.text() == "mf"
+        assert t.holds_input()
 
     def test_seek_charges_one_step_per_cell(self):
         for trace in (None, [].append):
@@ -162,22 +160,24 @@ class TestBoundedTape:
         assert (t.head, t.steps) == (2, 2)
 
     def test_counts_match_snapshot_reference(self):
-        # holds_input() is kept by counting; text() and marks_clear() rescan
-        # the cells, so random primitive programs must keep the two equal
+        # holds_input() is kept by counting; marks_clear() rescans the
+        # cells, so random programs of seeks, reads, mark writes and
+        # clearing scans must keep the two equal and every letter as input
         rng = random.Random(20261018)
         for _ in range(300):
             word = "".join(rng.choice(codec.ALPHABET) for _ in range(rng.randint(0, 6)))
             t = BoundedTape(word)
             for _ in range(rng.randint(1, 20)):
                 t.seek(rng.randrange(len(word) + 1))
-                if rng.random() < 0.5:
+                step = rng.random()
+                if step < 0.2:
+                    t.read()
+                elif step < 0.9:
                     t.write_mark(rng.choice([NO_MARK, NO_MARK, STAR, DAGGER]))
                 else:
-                    t.write_letter(rng.choice(codec.ALPHABET + tape.BLANK))
-                blank = t._cells[-1][0] == tape.BLANK
-                assert t.holds_input() == (
-                    t.text() == word and t.marks_clear() and blank
-                ), word
+                    t.clear_marks(rng.randint(1, len(word) + 1))
+                assert t.holds_input() == t.marks_clear(), word
+                assert [letter for letter, _ in t._cells] == list(word + tape.BLANK)
 
     def test_clear_marks_closed_form_matches_primitive_scan(self):
         rng = random.Random(5)
@@ -225,31 +225,9 @@ class TestRestore:
         t.move_right()
         t.move_right()
         t.write_mark(STAR)
-        tape._restore(t, "mrlff")
+        t.restore()
         assert t.marks_clear()
-        assert t.text() == "mrlff"
-
-    def test_overwritten_letter_faults(self):
-        t = BoundedTape("mrlff")
-        t.move_right()
-        t.write_letter("l")
-        with pytest.raises(TapeFault):
-            tape._restore(t, "mrlff")
-
-    def test_letter_written_back_is_restored(self):
-        t = BoundedTape("mrlff")
-        t.move_right()
-        t.write_letter("l")
-        t.write_letter("r")
-        tape._restore(t, "mrlff")
         assert t.holds_input()
-
-    def test_letter_on_the_boundary_cell_faults(self):
-        t = BoundedTape("lf")
-        t.seek(2)
-        t.write_letter("f")
-        with pytest.raises(TapeFault):
-            tape._restore(t, "lf")
 
     def test_mark_on_the_boundary_cell_faults(self):
         # the clearing scan stops at the last letter and never visits it
@@ -258,7 +236,7 @@ class TestRestore:
         t.move_right()
         t.write_mark(STAR)
         with pytest.raises(TapeFault):
-            tape._restore(t, "lf")
+            t.restore()
 
 
 class TestCheckLegal:
@@ -487,6 +465,43 @@ class TestAcceptsBasis:
         single = accepts_basis("rrf", Basis([[1, 2, 3]]))
         double = accepts_basis("rrf", Basis([[1, 2, 3], [2, 1, 3]]))
         assert double.steps > single.steps
+
+
+class TestSymmetries:
+    """Reverse, complement and inverse preserve avoidance when applied to
+    the permutation and the pattern together, so the tape verdict on
+    encode(p) against q must be its verdict on the transformed pair; no
+    oracle is consulted."""
+
+    @staticmethod
+    def reverse(ranks):
+        return ranks[::-1]
+
+    @staticmethod
+    def complement(ranks):
+        return [len(ranks) + 1 - v for v in ranks]
+
+    @staticmethod
+    def inverse(ranks):
+        inv = [0] * len(ranks)
+        for position, value in enumerate(ranks, 1):
+            inv[value - 1] = position
+        return inv
+
+    @pytest.mark.parametrize("sigma", ["reverse", "complement", "inverse"])
+    def test_verdict_is_invariant(self, sigma):
+        move = getattr(self, sigma)
+        rng = random.Random(1995)
+        verdicts = set()
+        for built in (True, False) * 10:
+            n, k = rng.randint(9, 11), rng.randint(3, 4)
+            q = rng.sample(range(1, k + 1), k)
+            p = built_avoider(rng, n, q) if built else rng.sample(range(1, n + 1), n)
+            verdict = accepts_basis(codec.encode(Permutation(p)), Basis([q])).verdict
+            moved = accepts_basis(codec.encode(Permutation(move(p))), Basis([move(q)]))
+            assert moved.verdict is verdict, (p, q)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestIsPrime:
