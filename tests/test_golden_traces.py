@@ -1,7 +1,7 @@
-"""Golden machine traces: the full text trace of a few fixed tape runs.
+"""Golden machine traces: the full text trace of a few fixed machine runs.
 
-``golden_traces.txt`` freezes, line for line, what the tape procedures emit
-through their ``trace`` callback on a small fixed input set, each run under
+``golden_traces.txt`` freezes, line for line, what the tape procedures and
+the stack acceptor emit through their ``trace`` callback on a small fixed input set, each run under
 a ``# <procedure> <arguments>`` header.  A change that claims the same
 machine behaviour must leave the file untouched; a change that alters the
 traces on purpose regenerates it and states the delta:
@@ -12,7 +12,7 @@ traces on purpose regenerates it and states the delta:
 import sys
 from pathlib import Path
 
-from permlang import tape
+from permlang import stackmachine, tape
 from permlang.permutations import Basis
 
 GOLDEN = Path(__file__).with_name("golden_traces.txt")
@@ -29,6 +29,15 @@ RUNS = (
         lambda trace: tape.accepts_basis("mmtlff", Basis([[1, 2, 3]]), trace),
     ),
     ("is_prime 12", lambda trace: tape.is_prime(12, trace)),
+)
+# encode(9 1 10 3 8 12 2 7 6 11 5 4): three t-runs walk to the root exactly
+STACK_WORDS = ("mrtltff", "tf", "mttf", "mtmtmtttrtttrtttmtttfttlfftff")
+RUNS += tuple(
+    (
+        f"accepts_codewords {word}",
+        lambda trace, word=word: stackmachine.accepts_codewords(word, trace),
+    )
+    for word in STACK_WORDS
 )
 
 
