@@ -14,10 +14,15 @@ word ends exactly when the last slot is filled.  Scanning left to right
 with ``slots = 1 + #m - #f``, that means: slots >= 1 before every
 insertion, every t-run has length <= slots - 1, the final letter is f,
 and slots == 0 precisely at the end of the word.
+
+A codeword for a permutation of size n has n insertion letters but up to
+Θ(n²) t letters, so every reader here and in ``stackmachine`` takes a word
+in tokens (see ``tokens``): one per insertion letter, with its t-run.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -43,6 +48,21 @@ class Legality:
         return self.ok
 
 
+# Verdicts are frozen, so validate hands out shared ones: building a fresh
+# one is a large share of the time to scan a short word.
+_LEGAL = Legality(True)
+_ILLEGAL = {
+    reason: Legality(False, reason)
+    for reason in (
+        REASON_EMPTY,
+        REASON_T_OVERFLOW,
+        REASON_EXHAUSTED,
+        REASON_TRAILING,
+        REASON_UNFILLED,
+    )
+}
+
+
 class IllegalCodewordError(ValueError):
     """Raised when an operation requires a legal codeword but got none."""
 
@@ -52,72 +72,112 @@ class IllegalCodewordError(ValueError):
         self.reason = reason
 
 
-def check_letters(word: str) -> None:
-    """Reject strings containing characters outside the codeword alphabet."""
-    if frozenset(ALPHABET).issuperset(word):
+def check_letters(word: str, alphabet: str = ALPHABET) -> None:
+    """Reject strings containing characters outside the alphabet (the
+    codeword alphabet unless given), naming the first one."""
+    if not word.strip(alphabet):
         return
     for i, ch in enumerate(word):
-        if ch not in ALPHABET:
+        if ch not in alphabet:
             raise ValueError(
-                f"letter {ch!r} at position {i} is not one of {ALPHABET!r}"
+                f"letter {ch!r} at position {i} is not one of {alphabet!r}"
             )
 
 
+_INSERTION = re.compile("[lrmf]")
+
+
+def tokens(word: str) -> Iterator[tuple[int, str]]:
+    """Lazily read a word as ``(run, letter)``: one token per insertion
+    letter, ``run`` being the number of t's right in front of it, plus
+    ``(run, "")`` if the word ends in a bare run of t's: ``mrtltff``
+    reads ``(0, "m"), (0, "r"), (1, "l"), (1, "f"), (0, "f")``.
+
+    Only a t-run costs a search; the letters are assumed checked
+    (``check_letters``).
+    """
+    start, end = 0, len(word)
+    while start < end:
+        letter = word[start]
+        if letter != "t":
+            yield 0, letter
+            start += 1
+            continue
+        found = _INSERTION.search(word, start)
+        if found is None:
+            yield end - start, ""
+            return
+        stop = found.start()
+        yield stop - start, word[stop]
+        start = stop + 1
+
+
 def validate(word: str) -> Legality:
-    """Plain left-to-right legality scan with constant extra state."""
+    """Left-to-right legality scan, a token at a time, with constant extra
+    state; it names the same first fault as a letter-by-letter scan."""
     check_letters(word)
     if not word:
-        return Legality(False, REASON_EMPTY)
-    slots, t_run = 1, 0
-    for ch in word:
+        return _ILLEGAL[REASON_EMPTY]
+    slots = 1
+    for run, letter in tokens(word):
         if slots == 0:
-            return Legality(False, REASON_EXHAUSTED)
-        if ch == "t":
-            t_run += 1
-            if t_run > slots - 1:
-                return Legality(False, REASON_T_OVERFLOW)
-        else:
-            if ch == "m":
-                slots += 1
-            elif ch == "f":
-                slots -= 1
-            t_run = 0
+            return _ILLEGAL[REASON_EXHAUSTED]
+        if run >= slots:
+            return _ILLEGAL[REASON_T_OVERFLOW]
+        if letter == "m":
+            slots += 1
+        elif letter == "f":
+            slots -= 1
     if word[-1] != "f":
-        return Legality(False, REASON_TRAILING)
+        return _ILLEGAL[REASON_TRAILING]
     if slots != 0:
-        return Legality(False, REASON_UNFILLED)
-    return Legality(True)
+        return _ILLEGAL[REASON_UNFILLED]
+    return _LEGAL
 
 
 def decode(word: str) -> Permutation:
-    """Build the permutation a legal codeword describes.
+    """Build the permutation a legal codeword describes, in O(|w|).
 
     Raises IllegalCodewordError (carrying the validate reason) otherwise.
     The result's length equals the number of non-t letters.
+
+    The entries form a linked list, ``after[v]`` being the entry right of
+    value v and ``after[0]`` the leftmost.  The open slots form a second
+    linked list, left to right from the head slot 0; slot s sits just
+    right of entry ``anchor[s]`` (0 at the left end), so every insertion
+    links its value in right after its slot's anchor.  Walking to slot
+    j+1 takes the j steps of the token's t-run.
     """
     verdict = validate(word)
     if not verdict:
         raise IllegalCodewordError(word, verdict.reason or "illegal")
-    items: list[int | None] = [None]
-    next_entry, next_slot = 1, 1
-    for ch in word:
-        if ch == "t":
-            next_slot += 1
-            continue
-        idx = -1
-        for _ in range(next_slot):
-            idx = items.index(None, idx + 1)
-        if ch == "l":
-            items[idx : idx + 1] = [next_entry, None]
-        elif ch == "r":
-            items[idx : idx + 1] = [None, next_entry]
-        elif ch == "m":
-            items[idx : idx + 1] = [None, next_entry, None]
-        else:
-            items[idx] = next_entry
-        next_entry += 1
-        next_slot = 1
-    return Permutation(items)  # type: ignore[arg-type]  # no None left in a legal word
+    after = [0] * (len(word) - word.count("t") + 1)
+    anchor = [0, 0]
+    next_slot = [1, 0]
+    value = 0
+    for run, letter in tokens(word):
+        prev = 0
+        for _ in range(run):
+            prev = next_slot[prev]
+        slot = next_slot[prev]
+        value += 1
+        left = anchor[slot]
+        after[value] = after[left]
+        after[left] = value
+        if letter == "l":
+            anchor[slot] = value
+        elif letter == "m":
+            next_slot.append(next_slot[slot])
+            next_slot[slot] = len(anchor)
+            anchor.append(value)
+        elif letter == "f":
+            next_slot[prev] = next_slot[slot]
+    items = []
+    value = after[0]
+    while value:
+        items.append(value)
+        value = after[value]
+    return Permutation(items)
 
 
 def encode(perm: Permutation) -> str:

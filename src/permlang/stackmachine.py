@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .codec import check_letters
+from .codec import check_letters, tokens
 
 START = "start"
 ACCEPT = "accept"
@@ -65,6 +65,13 @@ class StackMachine:
             raise StackDisciplineError("cursor cannot descend below the root")
         self._cursor -= 1
 
+    def cursor_down_by(self, j: int) -> None:
+        """j calls of cursor_down at once: raises, leaving the cursor where
+        it was, exactly when one of them would."""
+        if not 0 <= j <= self._cursor:
+            raise StackDisciplineError("cursor cannot descend below the root")
+        self._cursor -= j
+
     def push(self) -> None:
         if not self.at_top:
             raise StackDisciplineError("push requires the cursor at the top")
@@ -84,40 +91,58 @@ class StackMachine:
             raise StackDisciplineError("more pops than pushes")
 
 
+def _trace_line(idx: int, letter: str, state: str, cursor: int, height: int) -> str:
+    return f"{idx}\t{letter}\tstate={state}\tcursor={cursor}\theight={height}"
+
+
 def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     """Run the codeword acceptor; the stack height tracks #m - #f.
 
     l and r return the cursor to the top; m pushes; each t walks the cursor
     down one token, failing at the root; f pops, except on an empty stack,
     where it accepts iff it is the last letter.
+
+    The word is read a t-run at a time (``codec.tokens``).  A t-run never
+    pushes or pops, so it is charged at once by ``cursor_down_by``; a
+    trace still gets one line per t, the state after that letter.
     """
     check_letters(word)
     machine = StackMachine()
+    idx = 0  # index of the first letter of the t-run or insertion
     last = len(word) - 1
-    for idx, ch in enumerate(word):
-        if ch in "lr":
-            machine.cursor_to_top()
-        elif ch == "m":
-            machine.cursor_to_top()
+    for run, letter in tokens(word):
+        if run:
+            depth = machine.cursor_depth
+            machine.cursor_down_by(min(run, depth))
+            if run > depth:
+                machine.state = FAIL
+            if trace is not None:
+                # one line per t read: the run stops at the t that finds
+                # the cursor at the root
+                for k in range(1, min(run, depth + 1) + 1):
+                    state = FAIL if k > depth else START
+                    cursor = max(depth - k, 0)
+                    trace(_trace_line(idx + k - 1, "t", state, cursor, machine.height))
+            if machine.state != START or not letter:
+                break
+            idx += run
+        machine.cursor_to_top()
+        if letter == "m":
             machine.push()
-        elif ch == "f":
-            machine.cursor_to_top()
+        elif letter == "f":
             if machine.height == 0:
                 machine.state = ACCEPT if idx == last else FAIL
             else:
                 machine.pop()
-        else:  # t
-            if machine.at_root:
-                machine.state = FAIL
-            else:
-                machine.cursor_down()
         if trace is not None:
             trace(
-                f"{idx}\t{ch}\tstate={machine.state}"
-                f"\tcursor={machine.cursor_depth}\theight={machine.height}"
+                _trace_line(
+                    idx, letter, machine.state, machine.cursor_depth, machine.height
+                )
             )
         if machine.state != START:
             break
+        idx += 1
     return machine.state == ACCEPT
 
 
@@ -128,14 +153,15 @@ def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
     block; reaching the root switches to pushing, so on block exit the stack
     height equals the block's length.  A block that ends while the cursor is
     still above the root was shorter than its predecessor: reject.  The
-    empty word is rejected.
+    empty word is rejected; a letter other than a and b raises before the
+    run starts.
     """
+    if word.strip("ab"):  # tested here: a call per word costs as much as a short run
+        check_letters(word, "ab")  # raises, naming the first foreign letter
     machine = StackMachine()
     block = "a"
     pushing = True  # trivially at the bottom before the first block
     for idx, ch in enumerate(word):
-        if ch not in "ab":
-            raise ValueError(f"letter {ch!r} at position {idx} is not one of 'ab'")
         if ch != block:
             if not pushing:
                 machine.state = FAIL
@@ -155,8 +181,7 @@ def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
                     pushing = True
         if trace is not None:
             trace(
-                f"{idx}\t{ch}\tstate={machine.state}"
-                f"\tcursor={machine.cursor_depth}\theight={machine.height}"
+                _trace_line(idx, ch, machine.state, machine.cursor_depth, machine.height)
             )
         if machine.state != START:
             break

@@ -172,6 +172,13 @@ class TestSimulate:
         assert run_cli("simulate", "--machine", "partitions", "--word", "abb")[0] == 0
         assert run_cli("simulate", "--machine", "partitions", "--word", "aab")[0] == 1
 
+    def test_partitions_foreign_letter_is_input_error(self):
+        # the block rule rejects aab before the x: the letters are checked first
+        for word in ("bx", "aabx"):
+            code, out, err = run_cli("simulate", "--machine", "partitions", "--word", word)
+            assert (code, out) == (2, "")
+            assert "'x'" in err
+
     def test_partitions_trace(self):
         code, _, err = run_cli(
             "simulate", "--machine", "partitions", "--word", "abb", "--trace"

@@ -5,8 +5,9 @@
 reason (null for a legal word), the verdict of
 ``stackmachine.accepts_codewords``, and the push and pop counts, final
 stack height and final cursor depth of the one ``StackMachine`` that the
-acceptor created.  The set is every word of length <= 5, plus ``encode(p)``
-for seeded random p with n = 20..60, each also with one letter changed.
+acceptor created (recorded by the ``machines`` fixture of ``conftest.py``).
+The set is every word of length <= 5, plus ``encode(p)`` for seeded random
+p with n = 20..60, each also with one letter changed.
 A change that claims the same machine behaviour must leave the file
 untouched; a change that alters it on purpose regenerates it and states
 the delta:
@@ -21,6 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import record_machines
 
 from permlang import codec, stackmachine
 from permlang.codec import ALPHABET, encode, validate
@@ -30,26 +32,6 @@ GOLDEN = Path(__file__).with_name("golden_stack.json")
 
 LONG_SEED = 2
 LONG_COUNT = 30
-
-
-def record_machines(monkeypatch) -> list:
-    """Record every StackMachine the acceptors create."""
-    made = []
-
-    class RecordingMachine(stackmachine.StackMachine):
-        __slots__ = ()
-
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(stackmachine, "StackMachine", RecordingMachine)
-    return made
-
-
-@pytest.fixture
-def machines(monkeypatch):
-    return record_machines(monkeypatch)
 
 
 def long_words() -> list[str]:

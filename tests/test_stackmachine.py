@@ -31,6 +31,35 @@ class TestStackMachine:
         with pytest.raises(StackDisciplineError):
             m.cursor_down()
 
+    def test_cursor_down_by_zero_does_nothing(self):
+        m = StackMachine()
+        m.cursor_down_by(0)  # at the root: zero steps never descend
+        m.push()
+        m.push()
+        m.cursor_down_by(0)
+        assert (m.cursor_depth, m.height, m.pushes, m.pops) == (2, 2, 2, 0)
+
+    def test_cursor_down_by_walks_j_tokens(self):
+        m = StackMachine()
+        for _ in range(3):
+            m.push()
+        m.cursor_down_by(2)
+        assert m.cursor_depth == 1
+        m.cursor_down_by(1)  # exactly to the root
+        assert m.at_root and m.height == 3
+
+    @pytest.mark.parametrize("depth, j", [(0, 1), (2, 3), (3, 7)])
+    def test_cursor_down_by_past_the_root_raises_in_place(self, depth, j):
+        m = StackMachine()
+        for _ in range(depth):
+            m.push()
+        with pytest.raises(StackDisciplineError):
+            m.cursor_down_by(j)
+        assert m.cursor_depth == depth and m.at_top
+        with pytest.raises(StackDisciplineError):
+            m.cursor_down_by(-1)
+        assert m.cursor_depth == depth
+
     def test_pop_count_never_exceeds_push_count(self):
         m = StackMachine()
         for _ in range(3):
@@ -98,6 +127,11 @@ class TestAcceptsPartitionLanguage:
     def test_rejects_foreign_letters(self):
         with pytest.raises(ValueError):
             accepts_partition_language("abc")
+        # checked before the run: the block rule rejects at "b" before "x"
+        with pytest.raises(ValueError, match="'x' at position 1"):
+            accepts_partition_language("bx")
+        with pytest.raises(ValueError, match="'x' at position 3"):
+            accepts_partition_language("aabx")
 
     def test_accepted_count_equals_partition_number(self):
         for n in range(1, 15):

@@ -1,0 +1,179 @@
+"""The token readers against the letter-by-letter readers they replaced.
+
+``codec.validate``, ``codec.decode`` and ``stackmachine.accepts_codewords``
+read a codeword a token (an insertion letter with its t-run) at a time.
+The plain per-letter readers below are the references.  On long seeded
+codewords, on copies with one letter changed, and on copies whose t-run
+to the root is one letter longer, the token readers must give the same
+reason, the same permutation, and the same stack verdict, counters and
+trace.
+"""
+
+import random
+
+import pytest
+
+from permlang import codec, stackmachine
+from permlang.codec import ALPHABET, IllegalCodewordError, encode
+from permlang.permutations import Permutation
+from permlang.stackmachine import ACCEPT, FAIL, START, StackMachine
+
+SEED = 2005
+COUNT = 10
+
+
+def validate_by_letters(word: str) -> str | None:
+    """The validate reason, None for a legal word."""
+    if not word:
+        return codec.REASON_EMPTY
+    slots, t_run = 1, 0
+    for ch in word:
+        if slots == 0:
+            return codec.REASON_EXHAUSTED
+        if ch == "t":
+            t_run += 1
+            if t_run > slots - 1:
+                return codec.REASON_T_OVERFLOW
+        else:
+            if ch == "m":
+                slots += 1
+            elif ch == "f":
+                slots -= 1
+            t_run = 0
+    if word[-1] != "f":
+        return codec.REASON_TRAILING
+    if slots != 0:
+        return codec.REASON_UNFILLED
+    return None
+
+
+def decode_by_letters(word: str) -> Permutation:
+    """Decode a legal word by splicing a list of entries and open slots."""
+    items: list[int | None] = [None]
+    next_entry, next_slot = 1, 1
+    for ch in word:
+        if ch == "t":
+            next_slot += 1
+            continue
+        idx = -1
+        for _ in range(next_slot):
+            idx = items.index(None, idx + 1)
+        if ch == "l":
+            items[idx : idx + 1] = [next_entry, None]
+        elif ch == "r":
+            items[idx : idx + 1] = [None, next_entry]
+        elif ch == "m":
+            items[idx : idx + 1] = [None, next_entry, None]
+        else:
+            items[idx] = next_entry
+        next_entry += 1
+        next_slot = 1
+    return Permutation(items)
+
+
+def accepts_by_letters(word: str, trace) -> tuple[bool, StackMachine]:
+    """The stack acceptor, one cursor_down per t."""
+    machine = StackMachine()
+    last = len(word) - 1
+    for idx, ch in enumerate(word):
+        if ch in "lr":
+            machine.cursor_to_top()
+        elif ch == "m":
+            machine.cursor_to_top()
+            machine.push()
+        elif ch == "f":
+            machine.cursor_to_top()
+            if machine.height == 0:
+                machine.state = ACCEPT if idx == last else FAIL
+            else:
+                machine.pop()
+        else:  # t
+            if machine.at_root:
+                machine.state = FAIL
+            else:
+                machine.cursor_down()
+        trace(
+            f"{idx}\t{ch}\tstate={machine.state}"
+            f"\tcursor={machine.cursor_depth}\theight={machine.height}"
+        )
+        if machine.state != START:
+            break
+    return machine.state == ACCEPT, machine
+
+
+def root_runs(word: str) -> list[int]:
+    """Positions of the insertion letters whose t-run ends at the root:
+    the run has slots - 1 letters, the most a legal word allows."""
+    slots, t_run, found = 1, 0, []
+    for i, ch in enumerate(word):
+        if ch == "t":
+            t_run += 1
+            continue
+        if t_run and t_run == slots - 1:
+            found.append(i)
+        slots += (ch == "m") - (ch == "f")
+        t_run = 0
+    return found
+
+
+def make_cases() -> list[str]:
+    rng = random.Random(SEED)
+    words = []
+    for _ in range(COUNT):
+        n = rng.randint(100, 300)
+        word = encode(Permutation(rng.sample(range(1, n + 1), n)))
+        pos = rng.randrange(len(word))
+        letter = rng.choice([ch for ch in ALPHABET if ch != word[pos]])
+        past = rng.choice(root_runs(word))
+        words.append(word)
+        words.append(word[:pos] + letter + word[pos + 1 :])
+        words.append(word[:past] + "t" + word[past:])
+    return words
+
+
+CASES = make_cases()
+
+
+def test_cases_reach_the_root_and_one_past_it():
+    legal = CASES[0::3]
+    assert all(root_runs(word) for word in legal)
+    assert {validate_by_letters(word) for word in legal} == {None}
+    # one t more than the run to the root: the first overflow is that t
+    for word in CASES[2::3]:
+        lines = []
+        accepts_by_letters(word, lines.append)
+        assert validate_by_letters(word) == codec.REASON_T_OVERFLOW
+        assert lines[-1].split("\t")[1:4] == ["t", f"state={FAIL}", "cursor=0"]
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_validate_matches_letter_scan(index):
+    word = CASES[index]
+    assert codec.validate(word).reason == validate_by_letters(word)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_decode_matches_list_splicing(index):
+    word = CASES[index]
+    reason = validate_by_letters(word)
+    if reason is None:
+        assert codec.decode(word) == decode_by_letters(word)
+    else:
+        with pytest.raises(IllegalCodewordError) as err:
+            codec.decode(word)
+        assert err.value.reason == reason
+
+
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_stack_acceptor_matches_letter_run(index, machines):
+    word = CASES[index]
+    want_lines, got_lines = [], []
+    want, reference = accepts_by_letters(word, want_lines.append)
+    assert stackmachine.accepts_codewords(word) is want
+    assert stackmachine.accepts_codewords(word, got_lines.append) is want
+    assert got_lines == want_lines
+    def counters(m):
+        return m.pushes, m.pops, m.height, m.cursor_depth
+
+    assert len(machines) == 2  # the untraced and the traced run
+    assert [counters(m) for m in machines] == [counters(reference)] * 2
