@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import math
 import sys
 from typing import Sequence
@@ -71,17 +72,21 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     trace = _stderr_trace if args.trace else None
+    verdict = None
     if args.machine == "lba":
         ok = bool(tape.check_legal(args.codeword, trace=trace).verdict)
     elif args.machine == "stack":
         ok = stackmachine.accepts_codewords(args.codeword, trace=trace)
     else:
-        ok = bool(codec.validate(args.codeword))
+        verdict = codec.validate(args.codeword)
+        ok = bool(verdict)
     if ok:
         print("true")
         return EXIT_OK
     # the three validators agree, so the direct scan names the reason
-    print(f"false {codec.validate(args.codeword).reason}")
+    if verdict is None:
+        verdict = codec.validate(args.codeword)
+    print(f"false {verdict.reason}")
     return EXIT_REJECT
 
 
@@ -103,14 +108,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             ok = avoids_basis(perm, basis)
         else:
             ok = bool(tape.accepts_basis(codec.encode(perm), basis).verdict)
+    elif args.oracle:
+        # decode validates, raising IllegalCodewordError (a ValueError)
+        ok = avoids_basis(codec.decode(args.codeword), basis)
     else:
         verdict = codec.validate(args.codeword)
         if not verdict:
-            raise ValueError(f"illegal codeword {args.codeword!r}: {verdict.reason}")
-        if args.oracle:
-            ok = avoids_basis(codec.decode(args.codeword), basis)
-        else:
-            ok = bool(tape.accepts_basis(args.codeword, basis).verdict)
+            raise codec.IllegalCodewordError(args.codeword, verdict.reason)
+        ok = bool(tape.accepts_basis(args.codeword, basis).verdict)
     print("avoid" if ok else "contain")
     return EXIT_OK if ok else EXIT_REJECT
 
@@ -260,10 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, not at import, and
+    shared by every later call in the process (parsing leaves it as built)."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from permlang import cli
+from permlang import cli, codec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -271,3 +278,126 @@ class TestHarness:
             ("bench", "--suite", "compare", "--sizes", "10..13"),
         ):
             assert run_cli(*argv) == run_cli(*argv)
+
+
+def readme_tour():
+    """The argv of every command in the README's CLI tour."""
+    block = (ROOT / "README.md").read_text().split("## CLI tour", 1)[1].split("```")[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("permlang ")
+    ]
+
+
+def parse(parser, argv):
+    """The namespace a parser gives for argv, or the exit code it raises."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestParserReuse:
+    # help, a usage error, an input error, and --oracle right before a check
+    # without it, so that no parse can leak into the next
+    EXTRA = [
+        ["--help"],
+        ["check", "--help"],
+        ["frobnicate"],
+        ["check", "--pattern", "1x2", "mrlff"],
+        ["check", "--pattern", "12", "--oracle", "mrlff"],
+        ["check", "--pattern", "12", "mrlff"],
+    ]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_reused_parser_matches_a_fresh_one(self, monkeypatch, order):
+        tour = readme_tour()
+        assert {argv[0] for argv in tour} == {
+            "decode", "encode", "validate", "check",
+            "enumerate", "bivariate", "simulate", "bench",
+        }
+        commands = (tour + self.EXTRA)[::order]
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", cli.build_parser)
+            expected = [run_cli(*argv) for argv in commands]
+        cli._parser.cache_clear()
+        for argv, want in zip(commands, expected):
+            assert run_cli(*argv) == want, argv
+            # the namespace too: a leaked --oracle would not show in the
+            # bytes, since both paths give the same verdicts
+            assert parse(cli._parser(), argv) == parse(cli.build_parser(), argv), argv
+        assert cli._parser.cache_info().currsize == 1
+
+    def test_main_builds_the_parser_once(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for argv in readme_tour()[:7] * 3 + self.EXTRA:
+            run_cli(*argv)
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestValidateCalls:
+    """codec.validate runs once per command; decode's own call counts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        words = []
+        validate = codec.validate
+
+        def counted(word):
+            words.append(word)
+            return validate(word)
+
+        monkeypatch.setattr(codec, "validate", counted)
+        return words
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["validate", "mf", "--machine", "direct"], (1, "false unfilled-slots\n", "")),
+            (["validate", "mf", "--machine", "lba"], (1, "false unfilled-slots\n", "")),
+            (["validate", "mf", "--machine", "stack"], (1, "false unfilled-slots\n", "")),
+            (["check", "--pattern", "12", "--oracle", "mrlff"], (1, "contain\n", "")),
+            (["check", "--pattern", "12", "mrlff"], (1, "contain\n", "")),
+        ],
+    )
+    def test_one_call(self, calls, argv, expected):
+        assert run_cli(*argv) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("oracle", [["--oracle"], []], ids=["oracle", "tape"])
+    def test_illegal_codeword_message(self, calls, oracle):
+        code, out, err = run_cli("check", "--pattern", "12", *oracle, "tf")
+        assert (code, out, err) == (2, "", "error: illegal codeword 'tf': t-overflow\n")
+        assert calls == ["tf"]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "permlang", "decode", "mrlff"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3 4 2 1 5\n", "")
+
+
+def test_import_builds_no_parser():
+    # every workload imports cli; the first main call pays for the parser
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "from permlang import cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "0\n")
