@@ -10,17 +10,24 @@ alters the counters on purpose regenerates it and states the delta:
 
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
+from conftest import built_avoider
+
 from permlang import tape
 from permlang.cli import bench_word
-from permlang.codec import ALPHABET, codewords_with_insertions
-from permlang.permutations import Basis
+from permlang.codec import ALPHABET, codewords_with_insertions, encode
+from permlang.permutations import Basis, Permutation
 
 GOLDEN = Path(__file__).with_name("golden_counters.json")
 
 BASES = ("12", "321", "123", "1342", "132,4321")
+
+# Longer words, where t-runs and star counts grow past what n <= 5 reaches.
+LONG_WORDS = 40
+LONG_PAIRS = 3
 
 
 def _row(run: tape.TapeRun) -> list:
@@ -30,7 +37,21 @@ def _row(run: tape.TapeRun) -> list:
     return [verdict, run.steps, run.max_cells_touched]
 
 
+def long_words() -> list[tuple[tuple[int, ...], str]]:
+    """Seeded (pattern, encode(p)) pairs with n = 9..14 and |q| = 3..5;
+    every other p is built to avoid q, so the full search runs."""
+    rng = random.Random(2026)
+    pairs = []
+    for i in range(LONG_WORDS):
+        n, k = rng.randint(9, 14), rng.randint(3, 5)
+        q = tuple(rng.sample(range(1, k + 1), k))
+        p = built_avoider(rng, n, q) if i % 2 == 0 else rng.sample(range(1, n + 1), n)
+        pairs.append((q, encode(Permutation(p))))
+    return pairs
+
+
 def collect(trace: tape.TraceFn | None = None) -> dict[str, dict[str, list]]:
+    long = long_words()
     legal = {}
     for n in range(6):
         for letters in itertools.product(ALPHABET, repeat=n):
@@ -46,6 +67,12 @@ def collect(trace: tape.TraceFn | None = None) -> dict[str, dict[str, list]]:
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             for x, y in itertools.combinations(cells, 2):
                 compare[f"{word} {x} {y}"] = _row(tape.compare(word, x, y, trace))
+    rng = random.Random(2027)
+    for _, word in long:
+        cells = [i for i, ch in enumerate(word) if ch != "t"]
+        for _ in range(LONG_PAIRS):
+            x, y = sorted(rng.sample(cells, 2))
+            compare[f"{word} {x} {y}"] = _row(tape.compare(word, x, y, trace))
 
     avoid = {}
     for text in BASES:
@@ -53,6 +80,9 @@ def collect(trace: tape.TraceFn | None = None) -> dict[str, dict[str, list]]:
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 avoid[f"{text} {word}"] = _row(tape.accepts_basis(word, basis, trace))
+    for q, word in long:
+        text = "".join(map(str, q))
+        avoid[f"{text} {word}"] = _row(tape.accepts_basis(word, Basis([q]), trace))
 
     primes = {str(n): _row(tape.is_prime(n, trace)) for n in range(1, 61)}
 

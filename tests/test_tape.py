@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from conftest import built_avoider
 
 from permlang import codec, tape
 from permlang.codec import codewords_with_insertions, decode, validate
@@ -62,29 +63,6 @@ def first_occurrence(p, q):
         if positions == sorted(positions):
             return values
     return None
-
-
-def longest_increasing(seq):
-    best = []
-    for i, v in enumerate(seq):
-        best.append(1 + max((best[j] for j in range(i) if seq[j] < v), default=0))
-    return max(best)
-
-
-def built_avoider(rng, n, q):
-    """A random permutation of 1..n avoiding q: LIS(q) - 1 interleaved
-    decreasing runs leave no increasing subsequence long enough for q.  A
-    decreasing q is avoided by the reverse of an avoider of its reverse."""
-    runs = longest_increasing(q) - 1
-    if runs == 0:
-        return built_avoider(rng, n, q[::-1])[::-1]
-    labels = [rng.randrange(runs) for _ in range(n)]
-    values = rng.sample(range(1, n + 1), n)
-    pools = [
-        sorted((v for v, label in zip(values, labels) if label == run), reverse=True)
-        for run in range(runs)
-    ]
-    return [pools[label].pop(0) for label in labels]
 
 
 def assert_tapes_clean(tapes):
