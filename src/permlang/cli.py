@@ -13,7 +13,7 @@ import bisect
 import functools
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import codec, counting, stackmachine, tape
 from .permutations import (
@@ -47,6 +47,26 @@ def _parse_pattern(text: str) -> Permutation:
 
 def _parse_basis(text: str) -> Basis:
     return Basis(_parse_pattern(item) for item in text.split(","))
+
+
+def _decimal(minimum: int) -> Callable[[str], int]:
+    """Argparse type for an integer option: ASCII decimal with no sign,
+    underscore, space or leading zero, the rule permutation text follows;
+    "0" passes only when minimum is 0."""
+    kind = "nonnegative" if minimum == 0 else "positive"
+
+    def parse(text: str) -> int:
+        if not (is_positive_decimal(text) or (minimum == 0 and text == "0")):
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} decimal integer like 12, got {text!r}"
+            )
+        return int(text)
+
+    return parse
+
+
+_COUNT = _decimal(0)
+_POSITIVE = _decimal(1)
 
 
 def _check_cap(option: str, value: int, cap: int) -> None:
@@ -232,21 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="avoider counts along both routes")
     p.add_argument("--basis", required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--cap", type=int, default=counting.DEFAULT_COUNT_CAP)
+    p.add_argument("--n-max", type=_COUNT, required=True)
+    p.add_argument("--cap", type=_COUNT, default=counting.DEFAULT_COUNT_CAP)
     p.add_argument("--json", action="store_true", help="JSON instead of CSV output")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("bivariate", help="legal codewords by t-count")
-    p.add_argument("--n", type=int, required=True, help="number of insertions")
-    p.add_argument("--cap", type=int, default=counting.DEFAULT_COUNT_CAP)
+    p.add_argument("--n", type=_POSITIVE, required=True, help="number of insertions")
+    p.add_argument("--cap", type=_COUNT, default=counting.DEFAULT_COUNT_CAP)
     p.set_defaults(func=_cmd_bivariate)
 
     p = sub.add_parser("simulate", help="run the primes or partitions machine")
     p.add_argument("--machine", choices=("primes", "partitions"), required=True)
-    p.add_argument("--n", type=int, help="tape length for the primes machine")
+    p.add_argument("--n", type=_POSITIVE, help="tape length for the primes machine")
     p.add_argument("--word", help="input for the partitions machine")
-    p.add_argument("--cap", type=int, default=DEFAULT_PRIMES_CAP, help="largest --n")
+    p.add_argument("--cap", type=_COUNT, default=DEFAULT_PRIMES_CAP, help="largest --n")
     p.add_argument("--trace", action="store_true", help="machine trace on stderr")
     p.set_defaults(func=_cmd_simulate)
 
@@ -256,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="21", help="pattern for the avoid suite")
     p.add_argument(
         "--cap",
-        type=int,
+        type=_COUNT,
         default=DEFAULT_BENCH_CAP,
         help="largest size; the avoid suite also keeps C(size, |pattern|) <= C(cap, 3)",
     )

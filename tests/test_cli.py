@@ -206,6 +206,45 @@ class TestSimulate:
         assert run_cli(*argv, "--cap", "7")[:2] == (0, "accept\n")
 
 
+class TestIntegerOptions:
+    """Integer options read ASCII decimal only, as permutation text does."""
+
+    OPTIONS = [
+        ("enumerate", "--basis", "12", "--n-max"),
+        ("enumerate", "--basis", "12", "--n-max", "3", "--cap"),
+        ("bivariate", "--n"),
+        ("bivariate", "--n", "3", "--cap"),
+        ("simulate", "--machine", "primes", "--n"),
+        ("simulate", "--machine", "primes", "--n", "3", "--cap"),
+        ("bench", "--suite", "legality", "--sizes", "1..3", "--cap"),
+    ]
+
+    @pytest.mark.parametrize("argv", OPTIONS)
+    @pytest.mark.parametrize("text", ["\u0663", "0_3", "1_3", "+3", "03", " 3", "3 ", "-1", "3.0", ""])
+    def test_reinterpreted_text_is_refused(self, argv, text):
+        code, out, err = run_cli(*argv, text)
+        assert (code, out) == (2, "")
+        assert f"argument {argv[-1]}: expected a" in err
+        assert repr(text) in err
+
+    @pytest.mark.parametrize("argv", OPTIONS)
+    def test_plain_decimal_is_read(self, argv):
+        code, out, _ = run_cli(*argv, "3")
+        assert code == 0
+        assert out
+
+    def test_zero_only_where_the_option_allows_it(self):
+        assert run_cli("enumerate", "--basis", "12", "--n-max", "0")[:2] == (
+            0,
+            "n,brute,codeword\n0,1,1\n",
+        )
+        assert run_cli("enumerate", "--basis", "12", "--n-max", "0", "--cap", "0")[0] == 0
+        for argv in (("bivariate", "--n", "0"), ("simulate", "--machine", "primes", "--n", "0")):
+            code, out, err = run_cli(*argv)
+            assert (code, out) == (2, "")
+            assert "expected a positive decimal integer" in err
+
+
 class TestBench:
     def test_output_shape(self):
         code, out, _ = run_cli("bench", "--suite", "legality", "--sizes", "10..12")
