@@ -18,6 +18,7 @@ procedure, never an input condition.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -33,6 +34,12 @@ DAGGER = 3
 _MARK_TEXT = {NO_MARK: "", STAR: "*", DOUBLE_STAR: "**", DAGGER: "+"}
 
 BLANK = " "
+
+_STAR_BYTE = bytes([STAR])
+# Rewrites for BoundedTape.rewrite_left: undo a shuttle's daggers and
+# double stars, and clear every mark.
+_UNDO_SHUTTLE = bytes.maketrans(bytes([DAGGER, DOUBLE_STAR]), bytes([NO_MARK, STAR]))
+_CLEAR = bytes.maketrans(bytes([STAR, DOUBLE_STAR, DAGGER]), bytes(3))
 
 TraceFn = Callable[[str], None]
 
@@ -61,42 +68,69 @@ class TapeRun:
 class BoundedTape:
     """Fixed-capacity tape: the input word plus one blank boundary cell.
 
-    Cells hold (letter, mark) pairs; the head starts on cell 0.  The four
-    primitives are ``move_left``, ``move_right``, ``read`` and
-    ``write_mark``: the letters are read-only, so the tape holds its input
-    exactly when no cell is marked.  Counters: ``steps`` is the number of
-    primitives executed, ``max_cells_touched`` the number of distinct cells
-    the head has visited (the head only moves one cell at a time from cell
-    0, so that is max head index + 1).
+    The letters are an immutable string and the marks a ``bytearray`` over
+    it, one byte per cell; the head starts on cell 0.  The four primitives
+    are ``move_left``, ``move_right``, ``read`` and ``write_mark``: the
+    letters are read-only, so the tape holds its input exactly when no cell
+    is marked.  Counters: ``steps`` is the number of primitives executed,
+    ``max_cells_touched`` the number of distinct cells the head has visited
+    (the head only moves one cell at a time from cell 0, so that is max
+    head index + 1).
 
-    The tape also counts its marked cells, so ``holds_input`` answers in
-    O(1).  That count is bookkeeping of the simulator, like the step
-    counter, not tape contents the procedures read.
+    The tape also keeps two tables over its letters: for each cell, the
+    nearest cell to its left whose letter is not t, and the nearest cell at
+    or to its right holding m or f.  Like the step counter they are
+    bookkeeping of the simulator, not tape contents the procedures read.
 
-    ``seek`` and ``clear_marks`` are head-movement programs built from the
-    primitives.  With a trace attached they run primitive by primitive, one
-    trace line each; without one they charge the same steps and the same
-    high-water mark in closed form.
+    The methods after the primitives are head-movement programs built from
+    them: ``seek``, ``clear_marks``, ``scan_insertions``,
+    ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
+    ``rewrite_left``, ``right_to_m_or_f``, ``right_to_pair`` and
+    ``right_to_unmarked_mft``.  With a trace attached they run primitive by
+    primitive, one trace line each.  Without one they charge the same
+    steps, leave the same head, high-water mark and marks, and return the
+    same value in closed form, using the tables and C-level ``bytearray``
+    searches, counts and translations; they raise TapeFault wherever the
+    primitive loop would.
     """
 
     __slots__ = (
-        "_cells",
+        "_letters",
+        "_marks",
+        "_view",
+        "_blank",
+        "_stop",
+        "_next_mf",
         "_capacity",
         "_head",
         "_steps",
         "_max_head",
-        "_marked",
         "trace",
     )
 
     def __init__(self, word: str, trace: TraceFn | None = None) -> None:
-        self._cells: list[tuple[str, int]] = [(ch, NO_MARK) for ch in word]
-        self._cells.append((BLANK, NO_MARK))
-        self._capacity = len(word) + 1
+        self._letters = letters = word + BLANK
+        self._marks = bytearray(len(letters))
+        self._view = memoryview(self._marks)  # fixed-size slice writes
+        self._blank = bytes(len(letters))
+        # stop[i]: nearest cell left of i whose letter is not t, else -1;
+        # next_mf[i]: nearest cell at or right of i holding m or f, else
+        # the capacity (so next_mf has one entry past the last cell)
+        stop = []
+        last = -1
+        for i, letter in enumerate(letters):
+            stop.append(last)
+            if letter != "t":
+                last = i
+        next_mf = [len(letters)] * (len(letters) + 1)
+        for i in range(len(letters) - 1, -1, -1):
+            next_mf[i] = i if letters[i] in "mf" else next_mf[i + 1]
+        self._stop = stop
+        self._next_mf = next_mf
+        self._capacity = len(self._letters)
         self._head = 0
         self._steps = 0
         self._max_head = 0
-        self._marked = 0
         self.trace = trace
 
     @property
@@ -124,7 +158,7 @@ class BoundedTape:
         if self._head > self._max_head:
             self._max_head = self._head
         if self.trace is not None:
-            cell = self._cells[self._head]
+            cell = (self._letters[self._head], self._marks[self._head])
             self._emit("move-right", cell, cell)
 
     def move_left(self) -> None:
@@ -133,33 +167,34 @@ class BoundedTape:
         self._head -= 1
         self._steps += 1
         if self.trace is not None:
-            cell = self._cells[self._head]
+            cell = (self._letters[self._head], self._marks[self._head])
             self._emit("move-left", cell, cell)
 
     def read(self) -> tuple[str, int]:
         self._steps += 1
-        cell = self._cells[self._head]
+        cell = (self._letters[self._head], self._marks[self._head])
         if self.trace is not None:
             self._emit("read", cell, cell)
         return cell
 
     def write_mark(self, mark: int) -> None:
         self._steps += 1
-        before = self._cells[self._head]
-        after = (before[0], mark)
-        self._cells[self._head] = after
-        if before[1] == NO_MARK:
-            if mark != NO_MARK:
-                self._marked += 1
-        elif mark == NO_MARK:
-            self._marked -= 1
+        head = self._head
         if self.trace is not None:
-            self._emit("write-mark", before, after)
+            letter = self._letters[head]
+            before = self._marks[head]
+            self._marks[head] = mark
+            self._emit("write-mark", (letter, before), (letter, mark))
+        else:
+            self._marks[head] = mark
 
     # Head-movement programs with closed-form charges when untraced.
 
     def seek(self, pos: int) -> None:
         """Move the head to cell pos: |pos - head| moves."""
+        head = self._head
+        if pos == head:
+            return
         if not 0 <= pos < self._capacity:
             raise TapeFault(f"seek to cell {pos} outside 0..{self._capacity - 1}")
         if self.trace is not None:
@@ -167,12 +202,14 @@ class BoundedTape:
                 self.move_right()
             while self._head > pos:
                 self.move_left()
-            return
-        head = self._head
-        self._steps += pos - head if pos > head else head - pos
-        if pos > self._max_head:
-            self._max_head = pos
-        self._head = pos
+        elif pos > head:
+            self._steps += pos - head
+            if pos > self._max_head:
+                self._max_head = pos
+            self._head = pos
+        else:
+            self._steps += head - pos
+            self._head = pos
 
     def clear_marks(self, n: int) -> None:
         """Clearing scan of cells 0..n-1: seek cell 0, then read each cell,
@@ -180,7 +217,7 @@ class BoundedTape:
         head stays.  Costs head + n reads + (n-1) moves + one write per
         cleared mark."""
         if not 0 < n <= self._capacity:
-            raise TapeFault(f"clearing scan of {n} cells on a tape of {self._capacity}")
+            raise TapeFault(f"scan of {n} cells on a tape of {self._capacity}")
         if self.trace is not None:
             self.seek(0)
             while True:
@@ -190,19 +227,219 @@ class BoundedTape:
                 if self._head == n - 1:
                     return
                 self.move_right()
-        cleared = 0
-        if self._marked:
-            cells = self._cells
-            for i in range(n):
-                letter, mark = cells[i]
-                if mark != NO_MARK:
-                    cells[i] = (letter, NO_MARK)
-                    cleared += 1
-            self._marked -= cleared
+        cleared = n - self._marks.count(NO_MARK, 0, n)
+        if cleared:
+            self._view[:n] = self._blank[:n]
         self._steps += self._head + 2 * n - 1 + cleared
         if n - 1 > self._max_head:
             self._max_head = n - 1
         self._head = n - 1
+
+    def scan_insertions(self, n: int) -> list[int]:
+        """Scan of cells 0..n-1: seek cell 0, then read each cell and move
+        right until cell n-1, where the head stays.  Returns the cells whose
+        letter is not t; costs head + n reads + (n-1) moves."""
+        if not 0 < n <= self._capacity:
+            raise TapeFault(f"scan of {n} cells on a tape of {self._capacity}")
+        if self.trace is not None:
+            cells = []
+            self.seek(0)
+            while True:
+                letter, _ = self.read()
+                if letter != "t":
+                    cells.append(self._head)
+                if self._head == n - 1:
+                    return cells
+                self.move_right()
+        letters = self._letters
+        self._steps += self._head + 2 * n - 1
+        if n - 1 > self._max_head:
+            self._max_head = n - 1
+        self._head = n - 1
+        return [i for i in range(n) if letters[i] != "t"]
+
+    def left_past_marked_ts(self, start: int) -> tuple[str, int] | None:
+        """Seek cell start, then move left and read until the cell read is
+        not a t or is an unmarked t, or cell 0 has been read.  Returns the
+        last cell read, None when start is cell 0."""
+        self.seek(start)
+        if self.trace is not None:
+            cell = None
+            while self._head > 0:
+                self.move_left()
+                cell = self.read()
+                if cell[0] != "t" or cell[1] == NO_MARK:
+                    break
+            return cell
+        if start == 0:
+            return None
+        marks = self._marks
+        stop = self._stop[start]
+        pos = start - 1
+        if pos != stop and marks[pos] != NO_MARK:  # a marked t: look further
+            pos = marks.rfind(NO_MARK, stop + 1, pos)
+            if pos < 0:
+                pos = stop if stop >= 0 else 0
+        self._steps += 2 * (start - pos)
+        self._head = pos
+        return (self._letters[pos], marks[pos])
+
+    def left_to_star(self) -> int:
+        """Move left and read until a STAR is read or cell 0 has been read.
+        Returns the starred cell, or -1 when there is none."""
+        if self.trace is not None:
+            while self._head > 0:
+                self.move_left()
+                if self.read()[1] == STAR:
+                    return self._head
+            return -1
+        head = self._head
+        pos = self._marks.rfind(STAR, 0, head)
+        self._steps += 2 * (head - pos if pos >= 0 else head)
+        self._head = pos if pos >= 0 else 0
+        return pos
+
+    def star_t_run(self) -> int:
+        """Move left and read until a letter other than t is read or cell 0
+        has been read, writing STAR on every t read.  Returns the number of
+        t's starred."""
+        if self.trace is not None:
+            starred = 0
+            while self._head > 0:
+                self.move_left()
+                if self.read()[0] != "t":
+                    break
+                self.write_mark(STAR)
+                starred += 1
+            return starred
+        head = self._head
+        stop = self._stop[head]
+        run = head - stop - 1
+        self._steps += 2 * (head - stop if stop >= 0 else head) + run
+        self._head = stop if stop >= 0 else 0
+        if run:
+            self._view[stop + 1:head] = _STAR_BYTE * run
+        return run
+
+    def rewrite_left(self, start: int, lo: int, table: bytes) -> None:
+        """Seek cell start, then move left and read until the head is on
+        cell lo, writing table[mark] over every mark the table changes;
+        table is a ``bytes.maketrans`` table over the marks."""
+        if lo < 0:
+            raise TapeFault(f"rewrite scan down to cell {lo}")
+        self.seek(start)
+        if self.trace is not None:
+            while self._head > lo:
+                self.move_left()
+                _, mark = self.read()
+                if table[mark] != mark:
+                    self.write_mark(table[mark])
+            return
+        head = self._head
+        if head <= lo:
+            return
+        marks = self._marks
+        before = marks[lo:head]
+        after = before.translate(table)
+        written = 0
+        if after != before:
+            written = sum(map(operator.ne, before, after))
+            self._view[lo:head] = after
+        self._steps += 2 * (head - lo) + written
+        self._head = lo
+
+    def right_to_m_or_f(self, stop: int) -> tuple[str, int]:
+        """Move right and read until the head is on cell stop or the letter
+        read is m or f.  Returns the last cell read."""
+        if self.trace is not None:
+            while True:
+                self.move_right()
+                cell = self.read()
+                if self._head == stop or cell[0] in "mf":
+                    return cell
+        head = self._head
+        pos = self._next_mf[head + 1]
+        if head < stop < pos:
+            pos = stop
+        if pos == self._capacity:
+            raise TapeFault(f"head moved right past cell {self._capacity - 1}")
+        self._steps += 2 * (pos - head)
+        if pos > self._max_head:
+            self._max_head = pos
+        self._head = pos
+        return (self._letters[pos], self._marks[pos])
+
+    def _last_cell(self, last: int) -> int:
+        """The cell a rightward scan that stops on cell last can end on:
+        last itself, or the final cell when the scan cannot meet last (it
+        then faults unless something else stops it first)."""
+        return last if self._head <= last < self._capacity else self._capacity - 1
+
+    def _walked_off(self, pos: int, last: int) -> int:
+        if pos == last:
+            return pos
+        raise TapeFault(f"head moved right past cell {self._capacity - 1}")
+
+    def right_to_pair(self, last: int) -> int:
+        """Read, then move right and read, until an unmarked f has been read
+        after an unmarked m, or cell last has been read.  Returns the last
+        unmarked m read before that f, or -1 when there is none."""
+        if self.trace is not None:
+            open_m = -1
+            while True:
+                letter, mark = self.read()
+                if mark == NO_MARK:
+                    if letter == "m":
+                        open_m = self._head
+                    elif letter == "f" and open_m >= 0:
+                        return open_m
+                if self._head == last:
+                    return -1
+                self.move_right()
+        head = self._head
+        end = self._last_cell(last)
+        letters, marks, next_mf = self._letters, self._marks, self._next_mf
+        open_m = -1
+        found = -1
+        pos = next_mf[head]
+        while pos <= end:
+            if marks[pos] == NO_MARK:
+                if letters[pos] == "m":
+                    open_m = pos
+                elif open_m >= 0:
+                    found = open_m
+                    break
+            pos = next_mf[pos + 1]
+        else:
+            pos = self._walked_off(end, last)
+        self._steps += 2 * (pos - head) + 1
+        if pos > self._max_head:
+            self._max_head = pos
+        self._head = pos
+        return found
+
+    def right_to_unmarked_mft(self, last: int) -> tuple[str, int]:
+        """Read, then move right and read, until an unmarked m, f or t has
+        been read, or cell last has been read.  Returns the last cell read."""
+        if self.trace is not None:
+            while True:
+                cell = self.read()
+                if self._head == last or (cell[1] == NO_MARK and cell[0] in "mft"):
+                    return cell
+                self.move_right()
+        head = self._head
+        end = self._last_cell(last)
+        letters, marks = self._letters, self._marks
+        pos = marks.find(NO_MARK, head, end + 1)
+        while pos >= 0 and letters[pos] not in "mft":
+            pos = marks.find(NO_MARK, pos + 1, end + 1)
+        if pos < 0:
+            pos = self._walked_off(end, last)
+        self._steps += 2 * (pos - head) + 1
+        if pos > self._max_head:
+            self._max_head = pos
+        self._head = pos
+        return (letters[pos], marks[pos])
 
     def restore(self) -> None:
         """Clear the marks on the word's cells (charged scan) and verify the
@@ -215,12 +452,16 @@ class BoundedTape:
 
     def holds_input(self) -> bool:
         """True iff no cell is marked: the letters never change."""
-        return self._marked == 0
+        return self._marks == self._blank
 
     # Snapshot inspection for assertions and tests; not machine work.
 
     def marks_clear(self) -> bool:
-        return all(mark == NO_MARK for _, mark in self._cells)
+        return not any(self._marks)
+
+    def snapshot(self) -> tuple[str, bytes]:
+        """The letters (boundary blank included) and a copy of the marks."""
+        return self._letters, bytes(self._marks)
 
 
 # --- legality -------------------------------------------------------------
@@ -239,42 +480,18 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
         return False
     while True:
         tape.seek(0)
-        open_m = -1
-        pair = None
-        while True:
-            letter, mark = tape.read()
-            if mark == NO_MARK:
-                if letter == "m":
-                    open_m = tape.head
-                elif letter == "f" and open_m >= 0:
-                    pair = (open_m, tape.head)
-                    break
-            if tape.head == n - 1:
-                break
-            tape.move_right()
-        if pair is None:
+        i = tape.right_to_pair(n - 1)
+        if i < 0:
             break
-        i, j = pair
+        j = tape.head
         tape.write_mark(STAR)
         tape.seek(i)
         tape.write_mark(STAR)
         _license_span(tape, i, j)
     # final verification scan
     tape.seek(0)
-    ok = True
-    pos = 0
-    while True:
-        letter, mark = tape.read()
-        if pos == n - 1:
-            if letter != "f" or mark != NO_MARK:
-                ok = False
-            break
-        if mark == NO_MARK and letter in "mft":
-            ok = False
-            break
-        tape.move_right()
-        pos += 1
-    return ok
+    letter, mark = tape.right_to_unmarked_mft(n - 1)
+    return tape.head == n - 1 and letter == "f" and mark == NO_MARK
 
 
 def _license_span(tape: BoundedTape, i: int, j: int) -> None:
@@ -291,16 +508,8 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         letter, _ = tape.read()
         if letter == "t":
             continue
-        p = pos
-        while p > 0:
-            tape.move_left()
-            p -= 1
-            run_letter, run_mark = tape.read()
-            if run_letter != "t":
-                break
-            if run_mark == NO_MARK:
-                tape.write_mark(STAR)
-                break
+        if tape.left_past_marked_ts(pos) == ("t", NO_MARK):
+            tape.write_mark(STAR)
         tape.seek(pos)
 
 
@@ -325,87 +534,37 @@ def _stars_beat_ts(tape: BoundedTape, z: int) -> bool:
     """
     t_scan = z
     lo = z  # leftmost cell this shuttle may have marked
-    result: bool | None = None
-    while result is None:
-        tape.seek(t_scan)
-        p = t_scan
-        found_t = -1
-        boundary_star = False
-        while p > 0:
-            tape.move_left()
-            p -= 1
-            letter, mark = tape.read()
-            if letter != "t":
-                boundary_star = mark == STAR
-                break
-            if mark == NO_MARK:
-                found_t = p
-                break
-        if found_t < 0:
+    while True:
+        cell = tape.left_past_marked_ts(t_scan)
+        if cell != ("t", NO_MARK):
             # run exhausted: stars win iff an unmatched star remains
-            if boundary_star:
-                result = True
-                break
-            result = False
-            while p > 0:
-                tape.move_left()
-                p -= 1
-                _, mark = tape.read()
-                if mark == STAR:
-                    result = True
-                    break
+            result = cell is not None and cell[0] != "t" and cell[1] == STAR
+            if not result:
+                result = tape.left_to_star() >= 0
             break
         tape.write_mark(DAGGER)
-        if found_t < lo:
-            lo = found_t
-        t_scan = found_t
-        q = found_t
-        found_s = -1
-        while q > 0:
-            tape.move_left()
-            q -= 1
-            _, mark = tape.read()
-            if mark == STAR:
-                found_s = q
-                break
+        t_scan = tape.head
+        if t_scan < lo:
+            lo = t_scan
+        found_s = tape.left_to_star()
         if found_s < 0:
             result = False
-        else:
-            tape.write_mark(DOUBLE_STAR)
-            if found_s < lo:
-                lo = found_s
+            break
+        tape.write_mark(DOUBLE_STAR)
+        if found_s < lo:
+            lo = found_s
     # undo shuttle marks: daggers cleared, double stars back to stars
-    tape.seek(z)
-    p = z
-    while p > lo:
-        tape.move_left()
-        p -= 1
-        _, mark = tape.read()
-        if mark == DAGGER:
-            tape.write_mark(NO_MARK)
-        elif mark == DOUBLE_STAR:
-            tape.write_mark(STAR)
+    tape.rewrite_left(z, lo, _UNDO_SHUTTLE)
     tape.seek(z)
     return result
 
 
 def _drop_rightmost_star(tape: BoundedTape, z: int) -> bool:
     """Clear the star nearest to the left of z; report whether stars remain."""
-    p = z
-    cleared = False
-    remain = False
-    while p > 0:
-        tape.move_left()
-        p -= 1
-        _, mark = tape.read()
-        if mark == STAR:
-            if cleared:
-                remain = True
-                break
-            tape.write_mark(NO_MARK)
-            cleared = True
-    if not cleared:
+    if tape.left_to_star() < 0:
         raise TapeFault("asked to drop a star but none exists")
+    tape.write_mark(NO_MARK)
+    remain = tape.left_to_star() >= 0
     tape.seek(z)
     return remain
 
@@ -422,37 +581,24 @@ def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
     """
     tape.seek(x_pos)
     x_letter, _ = tape.read()
-    have_stars = False
-    if x_letter in "rm":
+    x_starred = x_letter in "rm"
+    if x_starred:
         tape.write_mark(STAR)
-        have_stars = True
-    p = x_pos
-    while p > 0:
-        tape.move_left()
-        p -= 1
-        letter, _ = tape.read()
-        if letter != "t":
-            break
-        tape.write_mark(STAR)
-        have_stars = True
-    if not have_stars:
+    if not tape.star_t_run() and not x_starred:
         return PairOrder.ASCENDING
     tape.seek(x_pos)
-    pos = x_pos
     while True:
-        tape.move_right()
-        pos += 1
-        letter, _ = tape.read()
+        letter, _ = tape.right_to_m_or_f(y_pos)
+        pos = tape.head
         if pos == y_pos:
             beat = _stars_beat_ts(tape, pos)
             return PairOrder.DESCENDING if beat else PairOrder.ASCENDING
         if letter == "m":
             if _stars_beat_ts(tape, pos):
                 tape.write_mark(STAR)
-        elif letter == "f":
-            if _stars_beat_ts(tape, pos):
-                if not _drop_rightmost_star(tape, pos):
-                    return PairOrder.ASCENDING
+        elif _stars_beat_ts(tape, pos):  # an f
+            if not _drop_rightmost_star(tape, pos):
+                return PairOrder.ASCENDING
 
 
 def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> TapeRun:
@@ -478,19 +624,6 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
 
 # --- pattern avoidance -----------------------------------------------------
 
-def _insertion_cells(tape: BoundedTape, n: int) -> list[int]:
-    cells = []
-    tape.seek(0)
-    while True:
-        letter, _ = tape.read()
-        if letter != "t":
-            cells.append(tape.head)
-        if tape.head == n - 1:
-            break
-        tape.move_right()
-    return cells
-
-
 def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool:
     """Legality check, then a depth-first search for an occurrence.
 
@@ -508,7 +641,7 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
     if not legal:
         return False
     k = len(pattern)
-    cells = _insertion_cells(tape, n)
+    cells = tape.scan_insertions(n)
     if k > len(cells):
         return True
     place = [0] * k  # place[r]: position of value rank r+1 in the pattern
@@ -584,12 +717,7 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
                     divides = True
                     break
             # clear this round's marks walking back to the start
-            while pos > 0:
-                tape.move_left()
-                pos -= 1
-                _, mark = tape.read()
-                if mark != NO_MARK:
-                    tape.write_mark(NO_MARK)
+            tape.rewrite_left(pos, 0, _CLEAR)
             if divides:
                 verdict = False
                 break

@@ -11,6 +11,7 @@ from permlang.permutations import Basis, Permutation, avoids_basis
 from permlang.tape import (
     BoundedTape,
     DAGGER,
+    DOUBLE_STAR,
     NO_MARK,
     PairOrder,
     STAR,
@@ -138,8 +139,8 @@ class TestBoundedTape:
         assert (t.head, t.steps) == (2, 2)
 
     def test_counts_match_snapshot_reference(self):
-        # holds_input() is kept by counting; marks_clear() rescans the
-        # cells, so random programs of seeks, reads, mark writes and
+        # holds_input() compares the marks with a blank copy; marks_clear()
+        # rescans them, so random programs of seeks, reads, mark writes and
         # clearing scans must keep the two equal and every letter as input
         rng = random.Random(20261018)
         for _ in range(300):
@@ -155,7 +156,7 @@ class TestBoundedTape:
                 else:
                     t.clear_marks(rng.randint(1, len(word) + 1))
                 assert t.holds_input() == t.marks_clear(), word
-                assert [letter for letter, _ in t._cells] == list(word + tape.BLANK)
+                assert t.snapshot()[0] == word + tape.BLANK
 
     def test_clear_marks_closed_form_matches_primitive_scan(self):
         rng = random.Random(5)
@@ -174,10 +175,90 @@ class TestBoundedTape:
                 t.seek(head)
                 t.clear_marks(n)
                 ends.append(
-                    (t.head, t.steps, t.max_cells_touched, t._cells, t.holds_input())
+                    (t.head, t.steps, t.max_cells_touched, t.snapshot(), t.holds_input())
                 )
             assert ends[0] == ends[1], (word, n, head, marks)
             assert ends[0][0] == n - 1
+
+    # Each scan program with arguments drawn for a tape of `cap` cells,
+    # sometimes outside it, so that both tape ends are reached.
+    PROGRAMS = {
+        "scan_insertions": lambda rng, cap: (rng.randint(0, cap + 1),),
+        "left_past_marked_ts": lambda rng, cap: (rng.randrange(cap),),
+        "left_to_star": lambda rng, cap: (),
+        "star_t_run": lambda rng, cap: (),
+        "rewrite_left": lambda rng, cap: (
+            rng.randrange(cap),
+            rng.randint(-1, cap),
+            rng.choice([tape._UNDO_SHUTTLE, tape._CLEAR]),
+        ),
+        "right_to_m_or_f": lambda rng, cap: (rng.randint(0, cap + 1),),
+        "right_to_pair": lambda rng, cap: (rng.randint(0, cap + 1),),
+        "right_to_unmarked_mft": lambda rng, cap: (rng.randint(0, cap + 1),),
+    }
+
+    @staticmethod
+    def run_program(word, marks, head, name, args, trace):
+        """The program's outcome on a prepared tape: its return value and
+        the tape's head, counters, contents and restoration flag, or
+        TapeFault."""
+        t = BoundedTape(word, trace)
+        for i, mark in marks:
+            t.seek(i)
+            t.write_mark(mark)
+        t.seek(head)
+        try:
+            value = getattr(t, name)(*args)
+        except TapeFault:
+            return TapeFault
+        return (value, t.head, t.steps, t.max_cells_touched, t.snapshot(), t.holds_input())
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_scan_program_closed_form_matches_primitive_loop(self, name):
+        rng = random.Random(name)
+        outcomes = set()
+        for _ in range(400):
+            word = "".join(rng.choice(codec.ALPHABET) for _ in range(rng.randint(0, 9)))
+            cap = len(word) + 1
+            density = rng.random()
+            marks = [(i, rng.choice([STAR, STAR, DOUBLE_STAR, DAGGER]))
+                     for i in range(cap) if rng.random() < density]
+            head = rng.randrange(cap)
+            args = self.PROGRAMS[name](rng, cap)
+            untraced = self.run_program(word, marks, head, name, args, None)
+            lines = []
+            traced = self.run_program(word, marks, head, name, args, lines.append)
+            assert untraced == traced, (word, marks, head, args)
+            if traced is not TapeFault:
+                # the traced run wrote one line per primitive
+                assert len(lines) == traced[2], (word, marks, head, args)
+            outcomes.add(traced is TapeFault)
+        assert outcomes == ({False, True} if name in self.FAULTING else {False})
+
+    # Programs whose drawn arguments can take the head off the tape; the
+    # leftward scans stop on cell 0 by design.
+    FAULTING = {"scan_insertions", "rewrite_left", "right_to_m_or_f", "right_to_pair",
+                "right_to_unmarked_mft"}
+
+    @pytest.mark.parametrize("trace", [None, lambda _: None])
+    def test_scan_programs_fault_at_both_tape_ends(self, trace):
+        cases = [
+            ("rewrite_left", (3, -1, tape._CLEAR)),  # left end
+            ("scan_insertions", (0,)),
+            ("scan_insertions", (7,)),  # right end
+            ("right_to_m_or_f", (6,)),  # no m or f after cell 3
+            ("right_to_m_or_f", (2,)),  # stop behind the head is never met
+            ("right_to_pair", (6,)),
+            ("right_to_unmarked_mft", (6,)),
+        ]
+        for name, args in cases:
+            t = BoundedTape("mrltt", trace)
+            for i in range(5):
+                t.seek(i)
+                t.write_mark(STAR)
+            t.seek(3)
+            with pytest.raises(TapeFault):
+                getattr(t, name)(*args)
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_clear_marks_outside_the_tape_faults(self, n):
@@ -326,6 +407,22 @@ class TestCompare:
                     assert run.verdict is want, (word, cells[a], cells[b])
                     assert run.max_cells_touched <= len(word) + 1
         assert_tapes_clean(tapes)
+
+
+    def test_matches_decoded_positions_on_large_words(self):
+        # seeded words far past the exhaustive range, where t-runs and star
+        # counts run long; the traced run must agree with the untraced one
+        rng = random.Random(1985)
+        for n in range(20, 61, 5):
+            p = rng.sample(range(1, n + 1), n)
+            word = codec.encode(Permutation(p))
+            cells = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
+            for _ in range(6):
+                a, b = sorted(rng.sample(range(1, n + 1), 2))
+                want = PairOrder.ASCENDING if p.index(a) < p.index(b) else PairOrder.DESCENDING
+                run = compare(word, cells[a - 1], cells[b - 1])
+                assert run.verdict is want, (p, a, b)
+                assert compare(word, cells[a - 1], cells[b - 1], lambda _: None) == run
 
 
 class TestAcceptsAvoiding:
