@@ -369,16 +369,11 @@ class BoundedTape:
         self._head = pos
         return (self._letters[pos], self._marks[pos])
 
-    def _last_cell(self, last: int) -> int:
-        """The cell a rightward scan that stops on cell last can end on:
-        last itself, or the final cell when the scan cannot meet last (it
-        then faults unless something else stops it first)."""
+    def _scan_end(self, last: int) -> int:
+        """Last cell a rightward scan from the head that stops on cell last
+        can read: last itself, or the final cell when the scan can never
+        meet last (then it faults there unless something else stops it)."""
         return last if self._head <= last < self._capacity else self._capacity - 1
-
-    def _walked_off(self, pos: int, last: int) -> int:
-        if pos == last:
-            return pos
-        raise TapeFault(f"head moved right past cell {self._capacity - 1}")
 
     def right_to_pair(self, last: int) -> int:
         """Read, then move right and read, until an unmarked f has been read
@@ -397,7 +392,7 @@ class BoundedTape:
                     return -1
                 self.move_right()
         head = self._head
-        end = self._last_cell(last)
+        end = self._scan_end(last)
         letters, marks, next_mf = self._letters, self._marks, self._next_mf
         open_m = -1
         found = -1
@@ -411,7 +406,9 @@ class BoundedTape:
                     break
             pos = next_mf[pos + 1]
         else:
-            pos = self._walked_off(end, last)
+            if end != last:
+                raise TapeFault(f"head moved right past cell {end}")
+            pos = last
         self._steps += 2 * (pos - head) + 1
         if pos > self._max_head:
             self._max_head = pos
@@ -428,13 +425,15 @@ class BoundedTape:
                     return cell
                 self.move_right()
         head = self._head
-        end = self._last_cell(last)
+        end = self._scan_end(last)
         letters, marks = self._letters, self._marks
         pos = marks.find(NO_MARK, head, end + 1)
         while pos >= 0 and letters[pos] not in "mft":
             pos = marks.find(NO_MARK, pos + 1, end + 1)
         if pos < 0:
-            pos = self._walked_off(end, last)
+            if end != last:
+                raise TapeFault(f"head moved right past cell {end}")
+            pos = last
         self._steps += 2 * (pos - head) + 1
         if pos > self._max_head:
             self._max_head = pos
@@ -447,7 +446,7 @@ class BoundedTape:
         never visits, faults."""
         if self._capacity > 1:
             self.clear_marks(self._capacity - 1)
-        if not self.holds_input():
+        if self._marks != self._blank:
             raise TapeFault("tape does not hold the unmarked input word")
 
     def holds_input(self) -> bool:
