@@ -262,7 +262,8 @@ class BoundedTape:
         """Seek cell start, then move left and read until the cell read is
         not a t or is an unmarked t, or cell 0 has been read.  Returns the
         last cell read, None when start is cell 0."""
-        self.seek(start)
+        if start != self._head:
+            self.seek(start)
         if self.trace is not None:
             cell = None
             while self._head > 0:
@@ -553,7 +554,8 @@ def _stars_beat_ts(tape: BoundedTape, z: int) -> bool:
         if found_s < lo:
             lo = found_s
     # undo shuttle marks: daggers cleared, double stars back to stars
-    tape.rewrite_left(z, lo, _UNDO_SHUTTLE)
+    if lo < z:
+        tape.rewrite_left(z, lo, _UNDO_SHUTTLE)
     tape.seek(z)
     return result
 
