@@ -110,24 +110,22 @@ class BoundedTape:
 
     def __init__(self, word: str, trace: TraceFn | None = None) -> None:
         self._letters = letters = word + BLANK
-        self._marks = bytearray(len(letters))
-        self._view = memoryview(self._marks)  # fixed-size slice writes
-        self._blank = bytes(len(letters))
+        self._capacity = cap = len(letters)
+        self._marks = bytearray(cap)
+        self._view = memoryview(self._marks)  # slice writes without resizing
+        self._blank = bytes(cap)
         # stop[i]: nearest cell left of i whose letter is not t, else -1;
         # next_mf[i]: nearest cell at or right of i holding m or f, else
         # the capacity (so next_mf has one entry past the last cell)
-        stop = []
+        self._stop = stop = []
         last = -1
         for i, letter in enumerate(letters):
             stop.append(last)
             if letter != "t":
                 last = i
-        next_mf = [len(letters)] * (len(letters) + 1)
-        for i in range(len(letters) - 1, -1, -1):
+        self._next_mf = next_mf = [cap] * (cap + 1)
+        for i in range(cap - 1, -1, -1):
             next_mf[i] = i if letters[i] in "mf" else next_mf[i + 1]
-        self._stop = stop
-        self._next_mf = next_mf
-        self._capacity = len(self._letters)
         self._head = 0
         self._steps = 0
         self._max_head = 0
