@@ -83,15 +83,19 @@ class BoundedTape:
     bookkeeping of the simulator, not tape contents the procedures read.
 
     The methods after the primitives are head-movement programs built from
-    them: ``seek``, ``clear_marks``, ``scan_insertions``,
-    ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
-    ``rewrite_left``, ``right_to_m_or_f``, ``right_to_pair`` and
-    ``right_to_unmarked_mft``.  With a trace attached they run primitive by
-    primitive, one trace line each.  Without one they charge the same
-    steps, leave the same head, high-water mark and marks, and return the
-    same value in closed form, using the tables and C-level ``bytearray``
-    searches, counts and translations; they raise TapeFault wherever the
-    primitive loop would.
+    them: ``seek``, ``scan_insertions``, ``left_past_marked_ts``,
+    ``left_to_star``, ``star_t_run``, ``rewrite_left``, ``right_to_m_or_f``,
+    ``right_to_pair``, ``right_to_unmarked_mft`` and ``restore`` (the
+    clearing scan).  ``scan_insertions``, ``right_to_pair`` and
+    ``right_to_unmarked_mft`` take no range: each stops on the word's last
+    cell.  With a trace attached they run primitive by primitive, one
+    trace line each.  Without one they charge the same steps, leave the
+    same head, high-water mark and marks, and return the same value in
+    closed form, using the tables and C-level ``bytearray`` searches,
+    counts and translations; they raise TapeFault wherever the primitive
+    loop would.  ``scan_insertions`` and ``right_to_unmarked_mft`` run
+    primitive by primitive even untraced: each runs once per pass, where a
+    closed form does not pay.
     """
 
     __slots__ = (
@@ -209,52 +213,20 @@ class BoundedTape:
             self._steps += head - pos
             self._head = pos
 
-    def clear_marks(self, n: int) -> None:
-        """Clearing scan of cells 0..n-1: seek cell 0, then read each cell,
-        write NO_MARK over a mark, and move right until cell n-1, where the
-        head stays.  Costs head + n reads + (n-1) moves + one write per
-        cleared mark."""
-        if not 0 < n <= self._capacity:
-            raise TapeFault(f"scan of {n} cells on a tape of {self._capacity}")
-        if self.trace is not None:
-            self.seek(0)
-            while True:
-                _, mark = self.read()
-                if mark != NO_MARK:
-                    self.write_mark(NO_MARK)
-                if self._head == n - 1:
-                    return
-                self.move_right()
-        cleared = n - self._marks.count(NO_MARK, 0, n)
-        if cleared:
-            self._view[:n] = self._blank[:n]
-        self._steps += self._head + 2 * n - 1 + cleared
-        if n - 1 > self._max_head:
-            self._max_head = n - 1
-        self._head = n - 1
-
-    def scan_insertions(self, n: int) -> list[int]:
-        """Scan of cells 0..n-1: seek cell 0, then read each cell and move
-        right until cell n-1, where the head stays.  Returns the cells whose
-        letter is not t; costs head + n reads + (n-1) moves."""
-        if not 0 < n <= self._capacity:
-            raise TapeFault(f"scan of {n} cells on a tape of {self._capacity}")
-        if self.trace is not None:
-            cells = []
-            self.seek(0)
-            while True:
-                letter, _ = self.read()
-                if letter != "t":
-                    cells.append(self._head)
-                if self._head == n - 1:
-                    return cells
-                self.move_right()
-        letters = self._letters
-        self._steps += self._head + 2 * n - 1
-        if n - 1 > self._max_head:
-            self._max_head = n - 1
-        self._head = n - 1
-        return [i for i in range(n) if letters[i] != "t"]
+    def scan_insertions(self) -> list[int]:
+        """Seek cell 0, then read each cell and move right until the word's
+        last cell, where the head stays.  Returns the cells whose letter is
+        not t."""
+        last = self._capacity - 2
+        cells = []
+        self.seek(0)
+        while True:
+            letter, _ = self.read()
+            if letter != "t":
+                cells.append(self._head)
+            if self._head == last:
+                return cells
+            self.move_right()
 
     def left_past_marked_ts(self, start: int) -> tuple[str, int] | None:
         """Seek cell start, then move left and read until the cell read is
@@ -368,16 +340,11 @@ class BoundedTape:
         self._head = pos
         return (self._letters[pos], self._marks[pos])
 
-    def _scan_end(self, last: int) -> int:
-        """Last cell a rightward scan from the head that stops on cell last
-        can read: last itself, or the final cell when the scan can never
-        meet last (then it faults there unless something else stops it)."""
-        return last if self._head <= last < self._capacity else self._capacity - 1
-
-    def right_to_pair(self, last: int) -> int:
+    def right_to_pair(self) -> int:
         """Read, then move right and read, until an unmarked f has been read
-        after an unmarked m, or cell last has been read.  Returns the last
-        unmarked m read before that f, or -1 when there is none."""
+        after an unmarked m, or the word's last cell has been read.  Returns
+        the last unmarked m read before that f, or -1 when there is none."""
+        last = self._capacity - 2
         if self.trace is not None:
             open_m = -1
             while True:
@@ -391,12 +358,13 @@ class BoundedTape:
                     return -1
                 self.move_right()
         head = self._head
-        end = self._scan_end(last)
+        if head > last:  # on the boundary cell: the loop moves off the tape
+            raise TapeFault(f"head moved right past cell {last + 1}")
         letters, marks, next_mf = self._letters, self._marks, self._next_mf
         open_m = -1
         found = -1
         pos = next_mf[head]
-        while pos <= end:
+        while pos <= last:
             if marks[pos] == NO_MARK:
                 if letters[pos] == "m":
                     open_m = pos
@@ -405,8 +373,6 @@ class BoundedTape:
                     break
             pos = next_mf[pos + 1]
         else:
-            if end != last:
-                raise TapeFault(f"head moved right past cell {end}")
             pos = last
         self._steps += 2 * (pos - head) + 1
         if pos > self._max_head:
@@ -414,37 +380,40 @@ class BoundedTape:
         self._head = pos
         return found
 
-    def right_to_unmarked_mft(self, last: int) -> tuple[str, int]:
+    def right_to_unmarked_mft(self) -> tuple[str, int]:
         """Read, then move right and read, until an unmarked m, f or t has
-        been read, or cell last has been read.  Returns the last cell read."""
-        if self.trace is not None:
-            while True:
-                cell = self.read()
-                if self._head == last or (cell[1] == NO_MARK and cell[0] in "mft"):
-                    return cell
-                self.move_right()
-        head = self._head
-        end = self._scan_end(last)
-        letters, marks = self._letters, self._marks
-        pos = marks.find(NO_MARK, head, end + 1)
-        while pos >= 0 and letters[pos] not in "mft":
-            pos = marks.find(NO_MARK, pos + 1, end + 1)
-        if pos < 0:
-            if end != last:
-                raise TapeFault(f"head moved right past cell {end}")
-            pos = last
-        self._steps += 2 * (pos - head) + 1
-        if pos > self._max_head:
-            self._max_head = pos
-        self._head = pos
-        return (letters[pos], marks[pos])
+        been read, or the word's last cell has been read.  Returns the last
+        cell read."""
+        last = self._capacity - 2
+        while True:
+            cell = self.read()
+            if self._head == last or (cell[1] == NO_MARK and cell[0] in "mft"):
+                return cell
+            self.move_right()
 
     def restore(self) -> None:
-        """Clear the marks on the word's cells (charged scan) and verify the
-        tape holds its input; a mark on the boundary cell, which the scan
-        never visits, faults."""
-        if self._capacity > 1:
-            self.clear_marks(self._capacity - 1)
+        """Clearing scan, then verify the tape holds its input.  The scan
+        seeks cell 0, then reads each of the word's n cells, writes NO_MARK
+        over a mark and moves right until the last letter, where the head
+        stays: head + n reads + (n-1) moves + one write per cleared mark.
+        A mark on the boundary cell, which the scan never visits, faults."""
+        n = self._capacity - 1
+        if n and self.trace is not None:
+            self.seek(0)
+            while True:
+                if self.read()[1] != NO_MARK:
+                    self.write_mark(NO_MARK)
+                if self._head == n - 1:
+                    break
+                self.move_right()
+        elif n:
+            cleared = n - self._marks.count(NO_MARK, 0, n)
+            if cleared:
+                self._view[:n] = self._blank[:n]
+            self._steps += self._head + 2 * n - 1 + cleared
+            if n - 1 > self._max_head:
+                self._max_head = n - 1
+            self._head = n - 1
         if self._marks != self._blank:
             raise TapeFault("tape does not hold the unmarked input word")
 
@@ -453,9 +422,6 @@ class BoundedTape:
         return self._marks == self._blank
 
     # Snapshot inspection for assertions and tests; not machine work.
-
-    def marks_clear(self) -> bool:
-        return not any(self._marks)
 
     def snapshot(self) -> tuple[str, bytes]:
         """The letters (boundary blank included) and a copy of the marks."""
@@ -478,7 +444,7 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
         return False
     while True:
         tape.seek(0)
-        i = tape.right_to_pair(n - 1)
+        i = tape.right_to_pair()
         if i < 0:
             break
         j = tape.head
@@ -488,7 +454,7 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
         _license_span(tape, i, j)
     # final verification scan
     tape.seek(0)
-    letter, mark = tape.right_to_unmarked_mft(n - 1)
+    letter, mark = tape.right_to_unmarked_mft()
     return tape.head == n - 1 and letter == "f" and mark == NO_MARK
 
 
@@ -640,7 +606,7 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
     if not legal:
         return False
     k = len(pattern)
-    cells = tape.scan_insertions(n)
+    cells = tape.scan_insertions()
     if k > len(cells):
         return True
     place = [0] * k  # place[r]: position of value rank r+1 in the pattern

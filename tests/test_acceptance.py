@@ -123,13 +123,13 @@ def test_criterion_07_tape_restoration():
             t = tape.BoundedTape(word)
             assert tape._check_legal_on_tape(t, len(word))
             t.restore()
-            assert t.marks_clear()
+            assert t.holds_input()
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             for x, y in itertools.combinations(cells, 2):
                 t = tape.BoundedTape(word)
                 tape._compare_on_tape(t, x, y)
                 t.restore()
-                assert t.marks_clear(), (word, x, y)
+                assert t.holds_input(), (word, x, y)
                 checked += 1
     print(f"ACCEPTANCE 07 tape restoration over {checked} owned compare tapes: PASS")
 
