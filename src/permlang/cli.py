@@ -112,9 +112,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     patterns = []
-    if args.pattern:
+    if args.pattern is not None:
         patterns.append(_parse_pattern(args.pattern))
-    if args.basis:
+    if args.basis is not None:
         patterns.extend(_parse_basis(args.basis))
     if not patterns:
         raise ValueError("check needs --pattern and/or --basis")

@@ -117,6 +117,11 @@ class TestCheck:
         assert code == 2
         assert "pattern" in err
 
+    @pytest.mark.parametrize("option", ["--pattern", "--basis"])
+    @pytest.mark.parametrize("value", ["", " "])
+    def test_empty_pattern_given(self, option, value):
+        assert run_cli("check", option, value, "--perm", "1") == (2, "", "error: empty pattern\n")
+
     @pytest.mark.parametrize(
         "option, value, named",
         [
