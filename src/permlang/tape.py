@@ -596,10 +596,16 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
     to right holds the values 1..k of a candidate occurrence.  The search
     extends a tuple of cell indices in lexicographic order: level j tries
     each cell y after the one chosen at level j-1 (while k-j cells remain)
-    and compares it with the chosen cells in order; the first pair whose
-    order disagrees with the pattern prunes y and everything below it.  A
-    full k-tuple is an occurrence.  Control state is the pattern's inverse
-    and the chosen cell indices; every compare is followed by a restore.
+    and compares it with at most two chosen cells, its positional
+    neighbours in the pattern: first the left one (the chosen level whose
+    rank stands nearest before rank j+1 in the pattern, so y's entry must
+    lie to its right: ascending), then the right one (nearest after:
+    descending).  The chosen entries already stand in the pattern's
+    positional order, so y agrees with every chosen cell exactly when it
+    agrees with those two; a disagreement prunes y and everything below
+    it.  A full k-tuple is an occurrence.  Control state is the pattern's
+    neighbour table and the chosen cell indices; every compare is followed
+    by a restore.
     """
     legal = _check_legal_on_tape(tape, n)
     tape.restore()
@@ -612,6 +618,18 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
     place = [0] * k  # place[r]: position of value rank r+1 in the pattern
     for position, rank in enumerate(pattern):
         place[rank - 1] = position
+    # nbrs[j]: level j's left, then right, positional neighbour among
+    # levels 0..j-1, as (level a, whether y's entry must lie left of a's)
+    nbrs: list[list[tuple[int, bool]]] = []
+    for j in range(k):
+        before = [a for a in range(j) if place[a] < place[j]]
+        after = [a for a in range(j) if place[a] > place[j]]
+        pair = []
+        if before:
+            pair.append((max(before, key=place.__getitem__), False))
+        if after:
+            pair.append((min(after, key=place.__getitem__), True))
+        nbrs.append(pair)
     chosen: list[int] = []
     i = 0
     while True:
@@ -622,11 +640,10 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
             i = chosen.pop() + 1
             continue
         y = cells[i]
-        for a in range(j):
+        for a, desc in nbrs[j]:
             order = _compare_on_tape(tape, cells[chosen[a]], y)
             tape.restore()
-            # y's entry lies left of chosen[a]'s iff rank j+1 precedes rank a+1
-            if (order is PairOrder.DESCENDING) != (place[j] < place[a]):
+            if (order is PairOrder.DESCENDING) != desc:
                 break
         else:
             if j + 1 == k:

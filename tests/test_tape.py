@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from conftest import built_avoider
@@ -56,6 +57,36 @@ def compares(monkeypatch):
     return made
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """Record every compare of the occurrence search as (prefix, x_pos,
+    y_pos), where prefix is the tuple of cells chosen when the compare is
+    made, read from the search's control state: a run of equal (prefix,
+    y_pos) is one candidate of one level."""
+    made = []
+    inner = tape._compare_on_tape
+
+    def recording(t, x_pos, y_pos):
+        search = sys._getframe(1).f_locals
+        cells = search["cells"]
+        made.append((tuple(cells[c] for c in search["chosen"]), x_pos, y_pos))
+        return inner(t, x_pos, y_pos)
+
+    monkeypatch.setattr(tape, "_compare_on_tape", recording)
+    return made
+
+
+def candidates(log):
+    """Group a ``searched`` log into [(prefix, y_pos, [x_pos, ...])], one
+    entry per candidate the search compared."""
+    grouped = []
+    for prefix, x, y in log:
+        if not grouped or grouped[-1][:2] != (prefix, y):
+            grouped.append((prefix, y, []))
+        grouped[-1][2].append(x)
+    return grouped
+
+
 def first_occurrence(p, q):
     """The lexicographically first value tuple v1 < ... < vk of p whose
     positions spell q, or None if p avoids q."""
@@ -65,6 +96,43 @@ def first_occurrence(p, q):
         if positions == sorted(positions):
             return values
     return None
+
+
+def positional_neighbours(q, j):
+    """Of the ranks 1..j, the one nearest before rank j+1 in q, then the
+    one nearest after it; either may be missing."""
+    at = q.index(j + 1)
+    before = [r for r in q[:at] if r <= j]
+    after = [r for r in q[at + 1 :] if r <= j]
+    return before[-1:] + after[:1]
+
+
+def search_by_all_pairs(word, q):
+    """Reference for the tape's occurrence search, on positions read from
+    decode: the same depth-first search over insertion cells, but each
+    candidate is checked against every chosen cell.  Returns whether the
+    word avoids q and the (prefix, y_pos) of every candidate tried below
+    level 0, in order."""
+    p = decode(word)
+    n, k = len(p), len(q)
+    cell = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
+    where = {value: position for position, value in enumerate(p)}
+    place = [q.index(rank) for rank in range(1, k + 1)]
+    tried = []
+
+    def extend(chosen, first):
+        j = len(chosen)
+        for v in range(first, n - k + j + 2):  # leave k-j-1 values after v
+            if j:
+                tried.append((tuple(cell[c - 1] for c in chosen), cell[v - 1]))
+            agree = all(
+                (where[v] < where[c]) == (place[j] < place[a]) for a, c in enumerate(chosen)
+            )
+            if agree and (j + 1 == k or extend(chosen + [v], v + 1)):
+                return True
+        return False
+
+    return not extend([], 1), tried
 
 
 def assert_tapes_clean(tapes):
@@ -474,10 +542,70 @@ class TestAcceptsAvoiding:
             compares.clear()
             assert accepts_basis(word, Basis([q])).verdict is False
             # the last compares extend the first occurrence's (k-1)-prefix
-            # by its last cell, one pair per chosen cell in order
+            # by its last cell: against its left, then its right, positional
+            # neighbour among the prefix, the ranks beside k in q
             last = cell[first[-1] - 1]
-            assert compares[1 - k:] == [(cell[v - 1], last) for v in first[:-1]]
+            beside = positional_neighbours(q, k - 1)
+            assert compares[-len(beside):] == [(cell[first[r - 1] - 1], last) for r in beside]
             checked += 1
+
+
+class TestOccurrenceSearch:
+    """The occurrence search compares each candidate with at most its two
+    positional neighbours among the chosen cells, and visits the same
+    candidates in the same order as comparing with every chosen cell."""
+
+    @staticmethod
+    def seeded_pairs(seed, count):
+        """(word, q) with n = 9..12 and |q| = 3..6, half built avoiders."""
+        rng = random.Random(seed)
+        for i in range(count):
+            n, k = rng.randint(9, 12), rng.randint(3, 6)
+            q = rng.sample(range(1, k + 1), k)
+            p = built_avoider(rng, n, q) if i % 2 else rng.sample(range(1, n + 1), n)
+            yield codec.encode(Permutation(p)), q
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_increasing_pattern_makes_one_compare_per_level(self, k, compares):
+        # 1..8 with 12...k: the first k cells are an occurrence, and each
+        # level's one positional neighbour is the level before it, so the
+        # search makes k-1 compares, not the C(k, 2) of every chosen cell
+        word = "l" * 7 + "f"
+        assert accepts_basis(word, Basis([list(range(1, k + 1))])).verdict is False
+        assert compares == [(j - 1, j) for j in range(1, k)]
+
+    def test_each_candidate_meets_only_its_positional_neighbours(self, searched):
+        tried = 0
+        for word, q in self.seeded_pairs(2010, 60):
+            searched.clear()
+            accepts_basis(word, Basis([q]))
+            for prefix, y, xs in candidates(searched):
+                # prefix[r-1] holds rank r, and y is a candidate for the next
+                beside = [prefix[r - 1] for r in positional_neighbours(q, len(prefix))]
+                assert 1 <= len(xs) <= 2, (word, q, prefix, y)
+                assert xs == beside[: len(xs)], (word, q, prefix, y)
+                tried += 1
+        assert tried > 1000
+
+    def test_matches_all_pairs_search_on_small_words(self, searched):
+        patterns = [list(q) for k in range(1, 5) for q in itertools.permutations(range(1, k + 1))]
+        for n in range(1, 6):
+            for word in codewords_with_insertions(n):
+                for q in patterns:
+                    searched.clear()
+                    verdict = accepts_basis(word, Basis([q])).verdict
+                    tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
+                    assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
+
+    def test_matches_all_pairs_search_on_random_larger_words(self, searched):
+        verdicts = set()
+        for word, q in self.seeded_pairs(2011, 80):
+            searched.clear()
+            verdict = accepts_basis(word, Basis([q])).verdict
+            tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
+            assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestAcceptsBasis:
