@@ -35,7 +35,6 @@ _MARK_TEXT = {NO_MARK: "", STAR: "*", DOUBLE_STAR: "**", DAGGER: "+"}
 
 BLANK = " "
 
-_STAR_BYTE = bytes([STAR])
 # Rewrites for BoundedTape.rewrite_left: undo a shuttle's daggers and
 # double stars, and clear every mark.
 _UNDO_SHUTTLE = bytes.maketrans(bytes([DAGGER, DOUBLE_STAR]), bytes([NO_MARK, STAR]))
@@ -89,13 +88,18 @@ class BoundedTape:
     clearing scan).  ``scan_insertions``, ``right_to_pair`` and
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
     cell.  With a trace attached they run primitive by primitive, one
-    trace line each.  Without one they charge the same steps, leave the
-    same head, high-water mark and marks, and return the same value in
-    closed form, using the tables and C-level ``bytearray`` searches,
-    counts and translations; they raise TapeFault wherever the primitive
-    loop would.  ``scan_insertions`` and ``right_to_unmarked_mft`` run
-    primitive by primitive even untraced: each runs once per pass, where a
-    closed form does not pay.
+    trace line each.  Without one, five of them (``seek``,
+    ``left_past_marked_ts``, ``rewrite_left``, ``right_to_pair`` and
+    ``restore``) charge the same steps, leave the same head, high-water
+    mark and marks, and return the same value in closed form, using the
+    tables and C-level ``bytearray`` searches, counts and translations;
+    they raise TapeFault wherever the primitive loop would.  The others
+    always run primitive by primitive.  ``scan_insertions`` and
+    ``right_to_unmarked_mft`` run once per pass, where a closed form does
+    not pay.  ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f``
+    serve only the positional compare, which untraced is one closed form
+    over a stack of its stars (``_compare_closed_form``), so they run only
+    when traced.
     """
 
     __slots__ = (
@@ -190,7 +194,7 @@ class BoundedTape:
         else:
             self._marks[head] = mark
 
-    # Head-movement programs with closed-form charges when untraced.
+    # Head-movement programs, five with closed-form charges when untraced.
 
     def seek(self, pos: int) -> None:
         """Move the head to cell pos: |pos - head| moves."""
@@ -258,39 +262,24 @@ class BoundedTape:
     def left_to_star(self) -> int:
         """Move left and read until a STAR is read or cell 0 has been read.
         Returns the starred cell, or -1 when there is none."""
-        if self.trace is not None:
-            while self._head > 0:
-                self.move_left()
-                if self.read()[1] == STAR:
-                    return self._head
-            return -1
-        head = self._head
-        pos = self._marks.rfind(STAR, 0, head)
-        self._steps += 2 * (head - pos if pos >= 0 else head)
-        self._head = pos if pos >= 0 else 0
-        return pos
+        while self._head > 0:
+            self.move_left()
+            if self.read()[1] == STAR:
+                return self._head
+        return -1
 
     def star_t_run(self) -> int:
         """Move left and read until a letter other than t is read or cell 0
         has been read, writing STAR on every t read.  Returns the number of
         t's starred."""
-        if self.trace is not None:
-            starred = 0
-            while self._head > 0:
-                self.move_left()
-                if self.read()[0] != "t":
-                    break
-                self.write_mark(STAR)
-                starred += 1
-            return starred
-        head = self._head
-        stop = self._stop[head]
-        run = head - stop - 1
-        self._steps += 2 * (head - stop if stop >= 0 else head) + run
-        self._head = stop if stop >= 0 else 0
-        if run:
-            self._view[stop + 1:head] = _STAR_BYTE * run
-        return run
+        starred = 0
+        while self._head > 0:
+            self.move_left()
+            if self.read()[0] != "t":
+                break
+            self.write_mark(STAR)
+            starred += 1
+        return starred
 
     def rewrite_left(self, start: int, lo: int, table: bytes) -> None:
         """Seek cell start, then move left and read until the head is on
@@ -322,23 +311,11 @@ class BoundedTape:
     def right_to_m_or_f(self, stop: int) -> tuple[str, int]:
         """Move right and read until the head is on cell stop or the letter
         read is m or f.  Returns the last cell read."""
-        if self.trace is not None:
-            while True:
-                self.move_right()
-                cell = self.read()
-                if self._head == stop or cell[0] in "mf":
-                    return cell
-        head = self._head
-        pos = self._next_mf[head + 1]
-        if head < stop < pos:
-            pos = stop
-        if pos == self._capacity:
-            raise TapeFault(f"head moved right past cell {self._capacity - 1}")
-        self._steps += 2 * (pos - head)
-        if pos > self._max_head:
-            self._max_head = pos
-        self._head = pos
-        return (self._letters[pos], self._marks[pos])
+        while True:
+            self.move_right()
+            cell = self.read()
+            if self._head == stop or cell[0] in "mf":
+                return cell
 
     def right_to_pair(self) -> int:
         """Read, then move right and read, until an unmarked f has been read
@@ -543,7 +520,20 @@ def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
     and bumps the count up or down.  If the stars ever run out, x's entry
     has no open slot to its left and the answer is ascending.  At y, stars
     strictly exceeding y's t-run means y inserts left of x: descending.
+
+    It starts on an unmarked tape, with x_pos < y_pos inside the word and
+    x_pos not a t, and faults otherwise.  With a trace attached it runs the
+    programs and shuttles above primitive by primitive; without one,
+    ``_compare_closed_form`` charges the same steps and leaves the same
+    head, high-water mark and marks.  The marks are the stars, which the
+    caller's restore clears.
     """
+    if not tape.holds_input():
+        raise TapeFault("compare started on a tape that does not hold its input")
+    if not 0 <= x_pos < y_pos < tape._capacity - 1 or tape._letters[x_pos] == "t":
+        raise TapeFault(f"compare of cells {x_pos}, {y_pos}: need x < y in the word, x not a t")
+    if tape.trace is None:
+        return _compare_closed_form(tape, x_pos, y_pos)
     tape.seek(x_pos)
     x_letter, _ = tape.read()
     x_starred = x_letter in "rm"
@@ -564,6 +554,80 @@ def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
         elif _stars_beat_ts(tape, pos):  # an f
             if not _drop_rightmost_star(tape, pos):
                 return PairOrder.ASCENDING
+
+
+def _compare_closed_form(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
+    """``_compare_on_tape`` without a trace, over a stack of the starred
+    cells: the same verdict, steps, head, high-water mark and marks.
+
+    The tape starts unmarked, so its only marks are the stars, and they
+    change only at their right end: the start pushes x's t-run (and x when
+    it is r or m), a won shuttle at an m pushes the m, one at an f pops.
+    Every star lies left of the shuttled cell z, and z's t-run lies right
+    of x, unmarked.  The shuttle pairs the t's z-1, ..., z-r with the stars
+    S[-1], ..., S[-r], so it wins iff len(S) > r, and its steps are sums of
+    the distances between paired cells.  The walk right from x visits only
+    the m and f cells before y.  The stars are written once, at the end.
+    """
+    letters, stop, next_mf = tape._letters, tape._stop, tape._next_mf
+    head = tape._head
+    # seek x, read it, star it when r or m, then star_t_run
+    steps = tape._steps + abs(x_pos - head) + 1
+    x_starred = letters[x_pos] in "rm"
+    run_stop = stop[x_pos]
+    run = x_pos - run_stop - 1
+    head = run_stop if run_stop >= 0 else 0
+    steps += x_starred + 2 * (x_pos - head) + run
+    stars = list(range(run_stop + 1, x_pos + x_starred))
+    order = PairOrder.ASCENDING
+    if stars:
+        steps += x_pos - head  # seek x
+        z = x_pos
+        while True:
+            pos = next_mf[z + 1]
+            if pos > y_pos:
+                pos = y_pos
+            steps += 2 * (pos - z)  # right_to_m_or_f
+            z = pos
+            # the shuttle at z pairs the t on z-k with the star S[-k] for
+            # k = 1, 2, ...: 4 steps per pair plus 3 times the sum of their
+            # distances (paired), then the walk on to the next star or to
+            # cell 0, and the undo scan down to the leftmost paired cell;
+            # the terms are summed from the loops of _stars_beat_ts
+            r = z - stop[z] - 1
+            s = len(stars)
+            if s > r:  # won: r pairs, and S[-r-1] is left over
+                steps += 3 * (z - stars[-r - 1])
+                if r:
+                    paired = r * z - r * (r + 1) // 2 - sum(stars[-r:])
+                    steps += 4 * r + 3 * paired + 3 * (z - stars[-r])
+                beat = True
+            else:  # lost: s pairs, then a dagger on z-s-1 unless s == r
+                paired = s * z - s * (s + 1) // 2 - sum(stars)
+                steps += 4 * s + 3 * paired + 6 * z - 3 * stars[0] + (2 if s < r else 0)
+                beat = False
+            if z == y_pos:
+                if beat:
+                    order = PairOrder.DESCENDING
+                break
+            if beat:
+                if letters[z] == "m":
+                    stars.append(z)
+                    steps += 1
+                else:  # drop the rightmost star: walk to it, clear it,
+                    stars.pop()  # then walk to the next one and back to z
+                    steps += 3 * (z - (stars[-1] if stars else 0)) + 1
+                    if not stars:
+                        break
+        head = z
+    tape._steps = steps
+    tape._head = head
+    if x_pos > tape._max_head or head > tape._max_head:
+        tape._max_head = max(x_pos, head)
+    marks = tape._marks
+    for cell in stars:
+        marks[cell] = STAR
+    return order
 
 
 def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> TapeRun:

@@ -234,14 +234,11 @@ class TestBoundedTape:
     # `cap` cells, sometimes outside it, so that both tape ends are reached.
     PROGRAMS = {
         "left_past_marked_ts": lambda rng, cap: (rng.randrange(cap),),
-        "left_to_star": lambda rng, cap: (),
-        "star_t_run": lambda rng, cap: (),
         "rewrite_left": lambda rng, cap: (
             rng.randrange(cap),
             rng.randint(-1, cap),
             rng.choice([tape._UNDO_SHUTTLE, tape._CLEAR]),
         ),
-        "right_to_m_or_f": lambda rng, cap: (rng.randint(0, cap + 1),),
         "right_to_pair": lambda rng, cap: (),
         "restore": lambda rng, cap: (),
     }
@@ -287,7 +284,7 @@ class TestBoundedTape:
     # Programs that fault on some drawn tapes: a drawn argument or a head on
     # the boundary cell takes the head off the tape, and restore finds a
     # marked boundary cell.  The leftward scans stop on cell 0 by design.
-    FAULTING = {"restore", "rewrite_left", "right_to_m_or_f", "right_to_pair"}
+    FAULTING = {"restore", "rewrite_left", "right_to_pair"}
 
     @pytest.mark.parametrize("trace", [None, lambda _: None])
     def test_scan_programs_fault_at_both_tape_ends(self, trace):
@@ -452,6 +449,55 @@ class TestCompare:
                     assert run.max_cells_touched <= len(word) + 1
         assert_tapes_clean(tapes)
 
+
+    @staticmethod
+    def compare_outcome(word, x_pos, y_pos, head, trace):
+        """``_compare_on_tape`` from a head on cell head: its verdict, the
+        tape it leaves, and the steps after the restore that follows."""
+        t = BoundedTape(word, trace)
+        t.seek(head)
+        order = tape._compare_on_tape(t, x_pos, y_pos)
+        left = (order, t.steps, t.max_cells_touched, t.head, t.snapshot())
+        t.restore()
+        return left, t.steps
+
+    def test_closed_form_matches_primitive_composition(self):
+        # every insertion-cell pair of every codeword with n <= 6, then
+        # seeded pairs on longer words, where t-runs and stacks run long
+        rng = random.Random(2005)
+        cases = []
+        for n in range(1, 7):
+            for word in codewords_with_insertions(n):
+                cells = [i for i, ch in enumerate(word) if ch != "t"]
+                cases += [(word, x, y) for x, y in itertools.combinations(cells, 2)]
+        for _ in range(300):
+            n = rng.randint(8, 40)
+            word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
+            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            cases.append((word, *sorted(rng.sample(cells, 2))))
+        for word, x, y in cases:
+            head = rng.randrange(len(word) + 1)
+            untraced = self.compare_outcome(word, x, y, head, None)
+            traced = self.compare_outcome(word, x, y, head, lambda _: None)
+            assert untraced == traced, (word, x, y, head)
+
+    @pytest.mark.parametrize("trace", [None, lambda _: None])
+    def test_compare_on_a_marked_tape_faults(self, trace):
+        t = BoundedTape("mrlff", trace)
+        t.seek(3)
+        t.write_mark(STAR)
+        with pytest.raises(TapeFault, match="does not hold its input"):
+            tape._compare_on_tape(t, 0, 1)
+        assert (t.head, t.steps) == (3, 4)
+
+    @pytest.mark.parametrize("x, y", [(1, 0), (1, 1), (0, 7), (2, 5)])
+    @pytest.mark.parametrize("trace", [None, lambda _: None])
+    def test_compare_outside_its_cells_faults(self, x, y, trace):
+        # x after y, x on y, y on the boundary cell, x on a t
+        t = BoundedTape("mrtltff", trace)
+        with pytest.raises(TapeFault, match="need x < y"):
+            tape._compare_on_tape(t, x, y)
+        assert (t.head, t.steps) == (0, 0)
 
     def test_matches_decoded_positions_on_large_words(self):
         # seeded words far past the exhaustive range, where t-runs and star
