@@ -449,7 +449,6 @@ class TestCompare:
                     assert run.max_cells_touched <= len(word) + 1
         assert_tapes_clean(tapes)
 
-
     @staticmethod
     def compare_outcome(word, x_pos, y_pos, head, trace):
         """``_compare_on_tape`` from a head on cell head: its verdict, the
