@@ -157,11 +157,15 @@ def _cmd_bivariate(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     trace = _stderr_trace if args.trace else None
     if args.machine == "primes":
+        if args.word is not None:
+            raise ValueError("--word is only for --machine partitions")
         if args.n is None:
             raise ValueError("--machine primes needs --n")
         _check_cap("--n", args.n, args.cap)
         ok = bool(tape.is_prime(args.n, trace=trace).verdict)
     else:
+        if args.n is not None:
+            raise ValueError("--n is only for --machine primes")
         if args.word is None:
             raise ValueError("--machine partitions needs --word")
         ok = stackmachine.accepts_partition_language(args.word, trace=trace)

@@ -88,18 +88,21 @@ class BoundedTape:
     clearing scan).  ``scan_insertions``, ``right_to_pair`` and
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
     cell.  With a trace attached they run primitive by primitive, one
-    trace line each.  Without one, five of them (``seek``,
-    ``left_past_marked_ts``, ``rewrite_left``, ``right_to_pair`` and
-    ``restore``) charge the same steps, leave the same head, high-water
-    mark and marks, and return the same value in closed form, using the
-    tables and C-level ``bytearray`` searches, counts and translations;
-    they raise TapeFault wherever the primitive loop would.  The others
-    always run primitive by primitive.  ``scan_insertions`` and
-    ``right_to_unmarked_mft`` run once per pass, where a closed form does
-    not pay.  ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f``
-    serve only the positional compare, which untraced is one closed form
-    over a stack of its stars (``_compare_closed_form``), so they run only
-    when traced.
+    trace line each.  Without one, three of them (``seek``,
+    ``rewrite_left`` and ``restore``) charge the same steps, leave the same
+    head, high-water mark and marks, and return the same value in closed
+    form, using C-level ``bytearray`` counts and translations; they raise
+    TapeFault wherever the primitive loop would.  ``seek`` and ``restore``
+    run around every compare, and ``rewrite_left`` clears each round of
+    ``is_prime``'s sieve, Θ(n²) steps that its loop walks about ten times
+    slower.  The others always run primitive by primitive:
+    ``scan_insertions`` and ``right_to_unmarked_mft`` run once per pass,
+    and ``right_to_pair`` and ``left_past_marked_ts`` once per pair and
+    per licence of the legality check, where a closed form does not pay.
+    ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f`` serve only the
+    positional compare, which untraced is the fourth closed form, over a
+    stack of its stars (``_compare_closed_form``, which reads the two
+    tables), so they run only when traced.
     """
 
     __slots__ = (
@@ -194,7 +197,8 @@ class BoundedTape:
         else:
             self._marks[head] = mark
 
-    # Head-movement programs, five with closed-form charges when untraced.
+    # Head-movement programs; seek, rewrite_left and restore take closed-form
+    # charges when untraced, the others always run their primitive loops.
 
     def seek(self, pos: int) -> None:
         """Move the head to cell pos: |pos - head| moves."""
@@ -235,29 +239,16 @@ class BoundedTape:
     def left_past_marked_ts(self, start: int) -> tuple[str, int] | None:
         """Seek cell start, then move left and read until the cell read is
         not a t or is an unmarked t, or cell 0 has been read.  Returns the
-        last cell read, None when start is cell 0."""
-        if start != self._head:
-            self.seek(start)
-        if self.trace is not None:
-            cell = None
-            while self._head > 0:
-                self.move_left()
-                cell = self.read()
-                if cell[0] != "t" or cell[1] == NO_MARK:
-                    break
-            return cell
-        if start == 0:
-            return None
-        marks = self._marks
-        stop = self._stop[start]
-        pos = start - 1
-        if pos != stop and marks[pos] != NO_MARK:  # a marked t: look further
-            pos = marks.rfind(NO_MARK, stop + 1, pos)
-            if pos < 0:
-                pos = stop if stop >= 0 else 0
-        self._steps += 2 * (start - pos)
-        self._head = pos
-        return (self._letters[pos], marks[pos])
+        last cell read, None when start is cell 0.  One body, traced or
+        not: untraced it serves only legality's licence scan."""
+        self.seek(start)
+        cell = None
+        while self._head > 0:
+            self.move_left()
+            cell = self.read()
+            if cell[0] != "t" or cell[1] == NO_MARK:
+                break
+        return cell
 
     def left_to_star(self) -> int:
         """Move left and read until a STAR is read or cell 0 has been read.
@@ -320,42 +311,20 @@ class BoundedTape:
     def right_to_pair(self) -> int:
         """Read, then move right and read, until an unmarked f has been read
         after an unmarked m, or the word's last cell has been read.  Returns
-        the last unmarked m read before that f, or -1 when there is none."""
+        the last unmarked m read before that f, or -1 when there is none.
+        One body, traced or not: legality calls it once per pair it stars."""
         last = self._capacity - 2
-        if self.trace is not None:
-            open_m = -1
-            while True:
-                letter, mark = self.read()
-                if mark == NO_MARK:
-                    if letter == "m":
-                        open_m = self._head
-                    elif letter == "f" and open_m >= 0:
-                        return open_m
-                if self._head == last:
-                    return -1
-                self.move_right()
-        head = self._head
-        if head > last:  # on the boundary cell: the loop moves off the tape
-            raise TapeFault(f"head moved right past cell {last + 1}")
-        letters, marks, next_mf = self._letters, self._marks, self._next_mf
         open_m = -1
-        found = -1
-        pos = next_mf[head]
-        while pos <= last:
-            if marks[pos] == NO_MARK:
-                if letters[pos] == "m":
-                    open_m = pos
-                elif open_m >= 0:
-                    found = open_m
-                    break
-            pos = next_mf[pos + 1]
-        else:
-            pos = last
-        self._steps += 2 * (pos - head) + 1
-        if pos > self._max_head:
-            self._max_head = pos
-        self._head = pos
-        return found
+        while True:
+            letter, mark = self.read()
+            if mark == NO_MARK:
+                if letter == "m":
+                    open_m = self._head
+                elif letter == "f" and open_m >= 0:
+                    return open_m
+            if self._head == last:
+                return -1
+            self.move_right()
 
     def right_to_unmarked_mft(self) -> tuple[str, int]:
         """Read, then move right and read, until an unmarked m, f or t has

@@ -201,6 +201,20 @@ class TestSimulate:
     def test_missing_argument(self):
         assert run_cli("simulate", "--machine", "primes")[0] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--machine", "primes", "--n", "7", "--word", "zz"),
+         "error: --word is only for --machine partitions\n"),
+        (("--machine", "partitions", "--word", "ab", "--n", "5"),
+         "error: --n is only for --machine primes\n"),
+        # refused before the other machine's missing option is reported
+        (("--machine", "primes", "--word", "ab"),
+         "error: --word is only for --machine partitions\n"),
+        (("--machine", "partitions", "--n", "5"),
+         "error: --n is only for --machine primes\n"),
+    ])
+    def test_other_machines_option_is_refused(self, argv, message):
+        assert run_cli("simulate", *argv) == (2, "", message)
+
     def test_cap_guard(self):
         # one past the default cap; 5001 = 3 * 1667, so even uncapped it is quick
         code, out, err = run_cli("simulate", "--machine", "primes", "--n", "5001")

@@ -233,13 +233,12 @@ class TestBoundedTape:
     # Each program with a closed form, with arguments drawn for a tape of
     # `cap` cells, sometimes outside it, so that both tape ends are reached.
     PROGRAMS = {
-        "left_past_marked_ts": lambda rng, cap: (rng.randrange(cap),),
+        "seek": lambda rng, cap: (rng.randint(-1, cap),),
         "rewrite_left": lambda rng, cap: (
             rng.randrange(cap),
             rng.randint(-1, cap),
             rng.choice([tape._UNDO_SHUTTLE, tape._CLEAR]),
         ),
-        "right_to_pair": lambda rng, cap: (),
         "restore": lambda rng, cap: (),
     }
 
@@ -281,10 +280,10 @@ class TestBoundedTape:
             outcomes.add(traced is TapeFault)
         assert outcomes == ({False, True} if name in self.FAULTING else {False})
 
-    # Programs that fault on some drawn tapes: a drawn argument or a head on
-    # the boundary cell takes the head off the tape, and restore finds a
-    # marked boundary cell.  The leftward scans stop on cell 0 by design.
-    FAULTING = {"restore", "rewrite_left", "right_to_pair"}
+    # Programs that fault on some drawn tapes: a drawn cell outside the tape
+    # takes seek's or rewrite_left's head off it, and restore finds a marked
+    # boundary cell.
+    FAULTING = {"restore", "rewrite_left", "seek"}
 
     @pytest.mark.parametrize("trace", [None, lambda _: None])
     def test_scan_programs_fault_at_both_tape_ends(self, trace):
