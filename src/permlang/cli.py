@@ -32,6 +32,7 @@ EXIT_USAGE = 2
 # bench size (legality and compare cost Θ(size²) steps per word).
 DEFAULT_PRIMES_CAP = 5000
 DEFAULT_BENCH_CAP = 100
+DEFAULT_AVOID_PATTERN = "21"
 
 
 def _parse_pattern(text: str) -> Permutation:
@@ -91,6 +92,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    if args.trace and args.machine == "direct":
+        raise ValueError("--trace is only for --machine lba or stack")
     trace = _stderr_trace if args.trace else None
     verdict = None
     if args.machine == "lba":
@@ -161,11 +164,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--word is only for --machine partitions")
         if args.n is None:
             raise ValueError("--machine primes needs --n")
-        _check_cap("--n", args.n, args.cap)
+        _check_cap("--n", args.n, DEFAULT_PRIMES_CAP if args.cap is None else args.cap)
         ok = bool(tape.is_prime(args.n, trace=trace).verdict)
     else:
         if args.n is not None:
             raise ValueError("--n is only for --machine primes")
+        if args.cap is not None:
+            raise ValueError("--cap is only for --machine primes")
         if args.word is None:
             raise ValueError("--machine partitions needs --word")
         ok = stackmachine.accepts_partition_language(args.word, trace=trace)
@@ -201,7 +206,9 @@ def _avoid_size_cap(cap: int, k: int) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    pattern = _parse_pattern(args.pattern)
+    if args.pattern is not None and args.suite != "avoid":
+        raise ValueError("--pattern is only for --suite avoid")
+    pattern = _parse_pattern(DEFAULT_AVOID_PATTERN if args.pattern is None else args.pattern)
     sizes = _parse_sizes(args.sizes)
     _check_cap("size", sizes[-1], args.cap)
     if args.suite == "compare" and sizes[0] < 2:
@@ -270,14 +277,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", choices=("primes", "partitions"), required=True)
     p.add_argument("--n", type=_POSITIVE, help="tape length for the primes machine")
     p.add_argument("--word", help="input for the partitions machine")
-    p.add_argument("--cap", type=_COUNT, default=DEFAULT_PRIMES_CAP, help="largest --n")
+    p.add_argument("--cap", type=_COUNT, help=f"largest --n (default {DEFAULT_PRIMES_CAP})")
     p.add_argument("--trace", action="store_true", help="machine trace on stderr")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bench", help="steps and cells touched per input size")
     p.add_argument("--suite", choices=("legality", "compare", "avoid"), required=True)
     p.add_argument("--sizes", required=True, help="inclusive range, e.g. 10..40")
-    p.add_argument("--pattern", default="21", help="pattern for the avoid suite")
+    p.add_argument(
+        "--pattern", help=f"pattern for the avoid suite (default {DEFAULT_AVOID_PATTERN})"
+    )
     p.add_argument(
         "--cap",
         type=_COUNT,
@@ -303,7 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, CapExceededError, counting.CountMismatchError) as exc:
+    except (ValueError, counting.CountMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -129,7 +129,7 @@ def partition_count(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > PARTITION_LIMIT:
-        raise ValueError(f"n={n} exceeds supported limit {PARTITION_LIMIT}")
+        raise CapExceededError(f"n={n} exceeds supported limit {PARTITION_LIMIT}")
     while len(_partition_cache) <= n:
         m = len(_partition_cache)
         total = 0

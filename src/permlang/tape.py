@@ -76,11 +76,6 @@ class BoundedTape:
     (the head only moves one cell at a time from cell 0, so that is max
     head index + 1).
 
-    The tape also keeps two tables over its letters: for each cell, the
-    nearest cell to its left whose letter is not t, and the nearest cell at
-    or to its right holding m or f.  Like the step counter they are
-    bookkeeping of the simulator, not tape contents the procedures read.
-
     The methods after the primitives are head-movement programs built from
     them: ``seek``, ``scan_insertions``, ``left_past_marked_ts``,
     ``left_to_star``, ``star_t_run``, ``rewrite_left``, ``right_to_m_or_f``,
@@ -92,8 +87,9 @@ class BoundedTape:
     ``rewrite_left`` and ``restore``) charge the same steps, leave the same
     head, high-water mark and marks, and return the same value in closed
     form, using C-level ``bytearray`` counts and translations; they raise
-    TapeFault wherever the primitive loop would.  ``seek`` and ``restore``
-    run around every compare, and ``rewrite_left`` clears each round of
+    TapeFault wherever the primitive loop would.  ``restore`` runs after
+    every compare, ``seek`` serves legality, ``scan_insertions`` and the
+    sieve's strides, and ``rewrite_left`` clears each round of
     ``is_prime``'s sieve, Θ(n²) steps that its loop walks about ten times
     slower.  The others always run primitive by primitive:
     ``scan_insertions`` and ``right_to_unmarked_mft`` run once per pass,
@@ -101,8 +97,8 @@ class BoundedTape:
     per licence of the legality check, where a closed form does not pay.
     ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f`` serve only the
     positional compare, which untraced is the fourth closed form, over a
-    stack of its stars (``_compare_closed_form``, which reads the two
-    tables), so they run only when traced.
+    stack of its stars and the insertion cells its caller scanned
+    (``_compare_closed_form``), so they run only when traced.
     """
 
     __slots__ = (
@@ -110,8 +106,6 @@ class BoundedTape:
         "_marks",
         "_view",
         "_blank",
-        "_stop",
-        "_next_mf",
         "_capacity",
         "_head",
         "_steps",
@@ -120,23 +114,11 @@ class BoundedTape:
     )
 
     def __init__(self, word: str, trace: TraceFn | None = None) -> None:
-        self._letters = letters = word + BLANK
-        self._capacity = cap = len(letters)
+        self._letters = word + BLANK
+        self._capacity = cap = len(word) + 1
         self._marks = bytearray(cap)
         self._view = memoryview(self._marks)  # slice writes without resizing
         self._blank = bytes(cap)
-        # stop[i]: nearest cell left of i whose letter is not t, else -1;
-        # next_mf[i]: nearest cell at or right of i holding m or f, else
-        # the capacity (so next_mf has one entry past the last cell)
-        self._stop = stop = []
-        last = -1
-        for i, letter in enumerate(letters):
-            stop.append(last)
-            if letter != "t":
-                last = i
-        self._next_mf = next_mf = [cap] * (cap + 1)
-        for i in range(cap - 1, -1, -1):
-            next_mf[i] = i if letters[i] in "mf" else next_mf[i + 1]
         self._head = 0
         self._steps = 0
         self._max_head = 0
@@ -480,29 +462,33 @@ def _drop_rightmost_star(tape: BoundedTape, z: int) -> bool:
     return remain
 
 
-def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
-    """Positional order of the entries inserted at cells x_pos < y_pos.
+def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> PairOrder:
+    """Positional order of the entries inserted at cells[a] and cells[b].
 
-    Stars the t-run before x (plus x itself when it is r or m), so the star
-    count equals the number of open slots left of x's entry.  Walking right,
-    every m or f whose own t-run is beaten by the stars inserts left of x
-    and bumps the count up or down.  If the stars ever run out, x's entry
-    has no open slot to its left and the answer is ascending.  At y, stars
-    strictly exceeding y's t-run means y inserts left of x: descending.
+    cells holds the word's insertion cells (those whose letter is not t)
+    from left to right, as ``scan_insertions`` returns them, and a < b
+    index into it; call x = cells[a] and y = cells[b].  Stars the t-run
+    before x (plus x itself when it is r or m), so the star count equals
+    the number of open slots left of x's entry.  Walking right, every m or
+    f whose own t-run is beaten by the stars inserts left of x and bumps
+    the count up or down.  If the stars ever run out, x's entry has no open
+    slot to its left and the answer is ascending.  At y, stars strictly
+    exceeding y's t-run means y inserts left of x: descending.
 
-    It starts on an unmarked tape, with x_pos < y_pos inside the word and
-    x_pos not a t, and faults otherwise.  With a trace attached it runs the
-    programs and shuttles above primitive by primitive; without one,
+    It starts on an unmarked tape, with 0 <= a < b < len(cells), and
+    faults otherwise.  With a trace attached it runs the programs and
+    shuttles above primitive by primitive; without one,
     ``_compare_closed_form`` charges the same steps and leaves the same
     head, high-water mark and marks.  The marks are the stars, which the
     caller's restore clears.
     """
     if not tape.holds_input():
         raise TapeFault("compare started on a tape that does not hold its input")
-    if not 0 <= x_pos < y_pos < tape._capacity - 1 or tape._letters[x_pos] == "t":
-        raise TapeFault(f"compare of cells {x_pos}, {y_pos}: need x < y in the word, x not a t")
+    if not 0 <= a < b < len(cells):
+        raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
     if tape.trace is None:
-        return _compare_closed_form(tape, x_pos, y_pos)
+        return _compare_closed_form(tape, cells, a, b)
+    x_pos, y_pos = cells[a], cells[b]
     tape.seek(x_pos)
     x_letter, _ = tape.read()
     x_starred = x_letter in "rm"
@@ -525,7 +511,7 @@ def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
                 return PairOrder.ASCENDING
 
 
-def _compare_closed_form(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder:
+def _compare_closed_form(tape: BoundedTape, cells: list[int], a: int, b: int) -> PairOrder:
     """``_compare_on_tape`` without a trace, over a stack of the starred
     cells: the same verdict, steps, head, high-water mark and marks.
 
@@ -533,17 +519,22 @@ def _compare_closed_form(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder
     change only at their right end: the start pushes x's t-run (and x when
     it is r or m), a won shuttle at an m pushes the m, one at an f pops.
     Every star lies left of the shuttled cell z, and z's t-run lies right
-    of x, unmarked.  The shuttle pairs the t's z-1, ..., z-r with the stars
-    S[-1], ..., S[-r], so it wins iff len(S) > r, and its steps are sums of
-    the distances between paired cells.  The walk right from x visits only
-    the m and f cells before y.  The stars are written once, at the end.
+    of x, unmarked.  The cells between two neighbouring insertion cells
+    are t's, so x's t-run starts after cells[a-1] (or at cell 0) and z's
+    after the insertion cell before it.  The shuttle pairs the t's z-1,
+    ..., z-r with the stars S[-1], ..., S[-r], so it wins iff len(S) > r,
+    and its steps are sums of the distances between paired cells.  The
+    walk right from x passes the insertion cells cells[a+1..b] at 2 steps
+    a cell and shuttles only at an m, an f or y.  The stars are written
+    once, at the end.
     """
-    letters, stop, next_mf = tape._letters, tape._stop, tape._next_mf
+    letters = tape._letters
+    x_pos = cells[a]
     head = tape._head
     # seek x, read it, star it when r or m, then star_t_run
     steps = tape._steps + abs(x_pos - head) + 1
     x_starred = letters[x_pos] in "rm"
-    run_stop = stop[x_pos]
+    run_stop = cells[a - 1] if a else -1
     run = x_pos - run_stop - 1
     head = run_stop if run_stop >= 0 else 0
     steps += x_starred + 2 * (x_pos - head) + run
@@ -552,10 +543,10 @@ def _compare_closed_form(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder
     if stars:
         steps += x_pos - head  # seek x
         z = x_pos
-        while True:
-            pos = next_mf[z + 1]
-            if pos > y_pos:
-                pos = y_pos
+        for c in range(a + 1, b + 1):
+            pos = cells[c]
+            if c < b and letters[pos] not in "mf":
+                continue  # an l or r: right_to_m_or_f passes it
             steps += 2 * (pos - z)  # right_to_m_or_f
             z = pos
             # the shuttle at z pairs the t on z-k with the star S[-k] for
@@ -563,7 +554,7 @@ def _compare_closed_form(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder
             # distances (paired), then the walk on to the next star or to
             # cell 0, and the undo scan down to the leftmost paired cell;
             # the terms are summed from the loops of _stars_beat_ts
-            r = z - stop[z] - 1
+            r = z - cells[c - 1] - 1
             s = len(stars)
             if s > r:  # won: r pairs, and S[-r-1] is left over
                 steps += 3 * (z - stars[-r - 1])
@@ -575,7 +566,7 @@ def _compare_closed_form(tape: BoundedTape, x_pos: int, y_pos: int) -> PairOrder
                 paired = s * z - s * (s + 1) // 2 - sum(stars)
                 steps += 4 * s + 3 * paired + 6 * z - 3 * stars[0] + (2 if s < r else 0)
                 beat = False
-            if z == y_pos:
+            if c == b:
                 if beat:
                     order = PairOrder.DESCENDING
                 break
@@ -614,8 +605,11 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
         raise ValueError("compared cells must hold insertion letters, not t")
     if not verdict:
         raise ValueError(f"compare requires a legal codeword: {verdict.reason}")
+    # the insertion cells, as bookkeeping of the simulator like the step
+    # counter: the occurrence search scans them on the tape instead
+    cells = [i for i, letter in enumerate(word) if letter != "t"]
     tape = BoundedTape(word, trace)
-    order = _compare_on_tape(tape, x_pos, y_pos)
+    order = _compare_on_tape(tape, cells, cells.index(x_pos), cells.index(y_pos))
     tape.restore()
     return TapeRun(order, tape.steps, tape.max_cells_touched)
 
@@ -672,9 +666,8 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
                 return True
             i = chosen.pop() + 1
             continue
-        y = cells[i]
         for a, desc in nbrs[j]:
-            order = _compare_on_tape(tape, cells[chosen[a]], y)
+            order = _compare_on_tape(tape, cells, chosen[a], i)
             tape.restore()
             if (order is PairOrder.DESCENDING) != desc:
                 break

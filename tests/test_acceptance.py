@@ -125,11 +125,11 @@ def test_criterion_07_tape_restoration():
             t.restore()
             assert t.holds_input()
             cells = [i for i, ch in enumerate(word) if ch != "t"]
-            for x, y in itertools.combinations(cells, 2):
+            for a, b in itertools.combinations(range(len(cells)), 2):
                 t = tape.BoundedTape(word)
-                tape._compare_on_tape(t, x, y)
+                tape._compare_on_tape(t, cells, a, b)
                 t.restore()
-                assert t.holds_input(), (word, x, y)
+                assert t.holds_input(), (word, cells[a], cells[b])
                 checked += 1
     print(f"ACCEPTANCE 07 tape restoration over {checked} owned compare tapes: PASS")
 

@@ -85,6 +85,16 @@ class TestValidate:
         assert out == "true\n"
         assert "read" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("mf", "--trace"),
+        ("mf", "--trace", "--machine", "direct"),
+        # refused before the word is read
+        ("mxf", "--trace"),
+    ])
+    def test_trace_without_a_machine_is_refused(self, argv):
+        message = "error: --trace is only for --machine lba or stack\n"
+        assert run_cli("validate", *argv) == (2, "", message)
+
 
 class TestCheck:
     def test_codeword_contains(self):
@@ -211,6 +221,10 @@ class TestSimulate:
          "error: --word is only for --machine partitions\n"),
         (("--machine", "partitions", "--n", "5"),
          "error: --n is only for --machine primes\n"),
+        (("--machine", "partitions", "--word", "abb", "--cap", "1"),
+         "error: --cap is only for --machine primes\n"),
+        (("--machine", "partitions", "--cap", "5000"),
+         "error: --cap is only for --machine primes\n"),
     ])
     def test_other_machines_option_is_refused(self, argv, message):
         assert run_cli("simulate", *argv) == (2, "", message)
@@ -303,6 +317,21 @@ class TestBench:
         # --cap 10: C(8, 4) = 70 <= C(10, 3) = 120 < C(9, 4) = 126
         assert run_cli(*avoid, "8..8", "--pattern", "1234", "--cap", "10")[0] == 0
         assert run_cli(*avoid, "9..9", "--pattern", "1234", "--cap", "10")[:2] == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "legality", "--sizes", "3..4", "--pattern", "4231"),
+        ("--suite", "compare", "--sizes", "3..4", "--pattern", "21"),
+        # refused before the sizes or the pattern are read
+        ("--suite", "legality", "--sizes", "abc", "--pattern", "1x"),
+    ])
+    def test_pattern_outside_the_avoid_suite_is_refused(self, argv):
+        message = "error: --pattern is only for --suite avoid\n"
+        assert run_cli("bench", *argv) == (2, "", message)
+
+    def test_avoid_suite_defaults_to_pattern_21(self):
+        avoid = ("bench", "--suite", "avoid", "--sizes", "3..6")
+        assert run_cli(*avoid) == run_cli(*avoid, "--pattern", "21")
+        assert run_cli(*avoid)[0] == 0
 
     def test_compare_suite_needs_two_insertion_cells(self):
         # bench_word(1) is "f", with no second cell to compare: refused

@@ -147,5 +147,5 @@ class TestPartitionCount:
     def test_bounds(self):
         with pytest.raises(ValueError):
             partition_count(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError, match="10000"):
             partition_count(10001)

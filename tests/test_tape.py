@@ -49,9 +49,9 @@ def compares(monkeypatch):
     made = []
     inner = tape._compare_on_tape
 
-    def counting(t, x_pos, y_pos):
-        made.append((x_pos, y_pos))
-        return inner(t, x_pos, y_pos)
+    def counting(t, cells, a, b):
+        made.append((cells[a], cells[b]))
+        return inner(t, cells, a, b)
 
     monkeypatch.setattr(tape, "_compare_on_tape", counting)
     return made
@@ -66,11 +66,10 @@ def searched(monkeypatch):
     made = []
     inner = tape._compare_on_tape
 
-    def recording(t, x_pos, y_pos):
-        search = sys._getframe(1).f_locals
-        cells = search["cells"]
-        made.append((tuple(cells[c] for c in search["chosen"]), x_pos, y_pos))
-        return inner(t, x_pos, y_pos)
+    def recording(t, cells, a, b):
+        chosen = sys._getframe(1).f_locals["chosen"]
+        made.append((tuple(cells[c] for c in chosen), cells[a], cells[b]))
+        return inner(t, cells, a, b)
 
     monkeypatch.setattr(tape, "_compare_on_tape", recording)
     return made
@@ -449,12 +448,14 @@ class TestCompare:
         assert_tapes_clean(tapes)
 
     @staticmethod
-    def compare_outcome(word, x_pos, y_pos, head, trace):
-        """``_compare_on_tape`` from a head on cell head: its verdict, the
-        tape it leaves, and the steps after the restore that follows."""
+    def compare_outcome(word, a, b, head, trace):
+        """``_compare_on_tape`` on the insertion cells a < b, from a head on
+        cell head: its verdict, the tape it leaves, and the steps after the
+        restore that follows."""
+        cells = [i for i, ch in enumerate(word) if ch != "t"]
         t = BoundedTape(word, trace)
         t.seek(head)
-        order = tape._compare_on_tape(t, x_pos, y_pos)
+        order = tape._compare_on_tape(t, cells, a, b)
         left = (order, t.steps, t.max_cells_touched, t.head, t.snapshot())
         t.restore()
         return left, t.steps
@@ -466,18 +467,16 @@ class TestCompare:
         cases = []
         for n in range(1, 7):
             for word in codewords_with_insertions(n):
-                cells = [i for i, ch in enumerate(word) if ch != "t"]
-                cases += [(word, x, y) for x, y in itertools.combinations(cells, 2)]
+                cases += [(word, a, b) for a, b in itertools.combinations(range(n), 2)]
         for _ in range(300):
             n = rng.randint(8, 40)
             word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
-            cells = [i for i, ch in enumerate(word) if ch != "t"]
-            cases.append((word, *sorted(rng.sample(cells, 2))))
-        for word, x, y in cases:
+            cases.append((word, *sorted(rng.sample(range(n), 2))))
+        for word, a, b in cases:
             head = rng.randrange(len(word) + 1)
-            untraced = self.compare_outcome(word, x, y, head, None)
-            traced = self.compare_outcome(word, x, y, head, lambda _: None)
-            assert untraced == traced, (word, x, y, head)
+            untraced = self.compare_outcome(word, a, b, head, None)
+            traced = self.compare_outcome(word, a, b, head, lambda _: None)
+            assert untraced == traced, (word, a, b, head)
 
     @pytest.mark.parametrize("trace", [None, lambda _: None])
     def test_compare_on_a_marked_tape_faults(self, trace):
@@ -485,16 +484,16 @@ class TestCompare:
         t.seek(3)
         t.write_mark(STAR)
         with pytest.raises(TapeFault, match="does not hold its input"):
-            tape._compare_on_tape(t, 0, 1)
+            tape._compare_on_tape(t, [0, 1, 2, 3, 4], 0, 1)
         assert (t.head, t.steps) == (3, 4)
 
-    @pytest.mark.parametrize("x, y", [(1, 0), (1, 1), (0, 7), (2, 5)])
+    @pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (0, 7), (-1, 2)])
     @pytest.mark.parametrize("trace", [None, lambda _: None])
-    def test_compare_outside_its_cells_faults(self, x, y, trace):
-        # x after y, x on y, y on the boundary cell, x on a t
-        t = BoundedTape("mrtltff", trace)
-        with pytest.raises(TapeFault, match="need x < y"):
-            tape._compare_on_tape(t, x, y)
+    def test_compare_outside_its_cells_faults(self, a, b, trace):
+        # a after b, a on b, b one past the last insertion cell, a negative a
+        t = BoundedTape("mrlmfff", trace)
+        with pytest.raises(TapeFault, match="need 0 <= a < b < 7"):
+            tape._compare_on_tape(t, list(range(7)), a, b)
         assert (t.head, t.steps) == (0, 0)
 
     def test_matches_decoded_positions_on_large_words(self):
