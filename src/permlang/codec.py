@@ -17,12 +17,14 @@ and slots == 0 precisely at the end of the word.
 
 A codeword for a permutation of size n has n insertion letters but up to
 Θ(n²) t letters, so every reader here and in ``stackmachine`` takes a word
-in tokens (see ``tokens``): one per insertion letter, with its t-run.
+in tokens (see ``tokens``): one per insertion letter, with its t-run.  The
+readers do their Python work per token; the t's are handled only inside
+C-level passes over the whole word (``check_letters``, ``tokens``).
 """
 
 from __future__ import annotations
 
-import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -74,8 +76,13 @@ class IllegalCodewordError(ValueError):
 
 def check_letters(word: str, alphabet: str = ALPHABET) -> None:
     """Reject strings containing characters outside the alphabet (the
-    codeword alphabet unless given), naming the first one."""
-    if not word.strip(alphabet):
+    codeword alphabet unless given), naming the first one.
+
+    An ASCII word passes if deleting the alphabet's bytes leaves nothing,
+    a C pass over the whole word; any other word is walked letter by
+    letter to name the first foreign one.
+    """
+    if word.isascii() and not word.encode().translate(None, alphabet.encode()):
         return
     for i, ch in enumerate(word):
         if ch not in alphabet:
@@ -84,32 +91,26 @@ def check_letters(word: str, alphabet: str = ALPHABET) -> None:
             )
 
 
-_INSERTION = re.compile("[lrmf]")
+# every insertion letter becomes "|", so the word splits into its t-runs
+_RUN_ENDS = bytes.maketrans(b"lrmf", b"||||")
 
 
 def tokens(word: str) -> Iterator[tuple[int, str]]:
-    """Lazily read a word as ``(run, letter)``: one token per insertion
-    letter, ``run`` being the number of t's right in front of it, plus
+    """Read a word as ``(run, letter)``: one token per insertion letter,
+    ``run`` being the number of t's right in front of it, plus
     ``(run, "")`` if the word ends in a bare run of t's: ``mrtltff``
     reads ``(0, "m"), (0, "r"), (1, "l"), (1, "f"), (0, "f")``.
 
-    Only a t-run costs a search; the letters are assumed checked
-    (``check_letters``).
+    The runs and the letters come from two byte passes over the whole
+    word (split at the insertion letters; delete the t's), so a t costs
+    no Python work; the letters are assumed checked (``check_letters``).
     """
-    start, end = 0, len(word)
-    while start < end:
-        letter = word[start]
-        if letter != "t":
-            yield 0, letter
-            start += 1
-            continue
-        found = _INSERTION.search(word, start)
-        if found is None:
-            yield end - start, ""
-            return
-        stop = found.start()
-        yield stop - start, word[stop]
-        start = stop + 1
+    data = word.encode()
+    runs = data.translate(_RUN_ENDS).split(b"|")
+    letters = data.translate(None, b"t").decode()
+    if runs[-1]:  # the bare run after the last insertion letter
+        return zip(map(len, runs), [*letters, ""])
+    return zip(map(len, runs), letters)
 
 
 def validate(word: str) -> Legality:
@@ -136,42 +137,36 @@ def validate(word: str) -> Legality:
 
 
 def decode(word: str) -> Permutation:
-    """Build the permutation a legal codeword describes, in O(|w|).
+    """Build the permutation a legal codeword describes.
 
     Raises IllegalCodewordError (carrying the validate reason) otherwise.
     The result's length equals the number of non-t letters.
 
     The entries form a linked list, ``after[v]`` being the entry right of
-    value v and ``after[0]`` the leftmost.  The open slots form a second
-    linked list, left to right from the head slot 0; slot s sits just
-    right of entry ``anchor[s]`` (0 at the left end), so every insertion
-    links its value in right after its slot's anchor.  Walking to slot
-    j+1 takes the j steps of the token's t-run.
+    value v and ``after[0]`` the leftmost.  The open slots are the list
+    ``slots`` of the entries they follow, left to right (0 at the left
+    end), so a token's slot is ``slots[run]`` and its value is linked in
+    right after that entry: l moves the slot past the value, m opens a new
+    slot after it, f closes the slot.  A t costs no Python work; only the
+    list shifts of m and f grow with the number of open slots.
     """
     verdict = validate(word)
     if not verdict:
         raise IllegalCodewordError(word, verdict.reason or "illegal")
     after = [0] * (len(word) - word.count("t") + 1)
-    anchor = [0, 0]
-    next_slot = [1, 0]
+    slots = [0]
     value = 0
     for run, letter in tokens(word):
-        prev = 0
-        for _ in range(run):
-            prev = next_slot[prev]
-        slot = next_slot[prev]
         value += 1
-        left = anchor[slot]
+        left = slots[run]
         after[value] = after[left]
         after[left] = value
         if letter == "l":
-            anchor[slot] = value
+            slots[run] = value
         elif letter == "m":
-            next_slot.append(next_slot[slot])
-            next_slot[slot] = len(anchor)
-            anchor.append(value)
+            slots.insert(run + 1, value)
         elif letter == "f":
-            next_slot[prev] = next_slot[slot]
+            del slots[run]
     items = []
     value = after[0]
     while value:
@@ -186,9 +181,9 @@ def encode(perm: Permutation) -> str:
     Works on the not-yet-filled cells 1..n of the target, between two filled
     sentinel cells 0 and n+1: their maximal runs are exactly the open slots,
     left to right.  The entry at cell pos is encoded by one t per open run
-    ending before pos (each such end is an unfilled cell followed by a
-    filled one), then f/l/r/m according to whether pos is its run's only
-    cell, its left end, its right end, or interior.
+    ending before pos, then f/l/r/m according to whether pos is its run's
+    only cell, its left end, its right end, or interior.  The runs' right
+    ends are kept sorted, so that count is one ``bisect``.
     """
     n = len(perm)
     if n == 0:
@@ -198,13 +193,23 @@ def encode(perm: Permutation) -> str:
         cell[value - 1] = pos
     filled = bytearray(n + 2)
     filled[0] = filled[n + 1] = 1
+    ends = [n]  # the right ends of the open runs, left to right
     out: list[str] = []
     for pos in cell:
-        out.append("t" * filled.count(b"\x00\x01", 0, pos))
+        run = bisect_left(ends, pos)  # ends[run] closes pos's own run
+        out.append("t" * run)
         if filled[pos - 1]:
-            out.append("f" if filled[pos + 1] else "l")
+            if filled[pos + 1]:
+                out.append("f")
+                del ends[run]
+            else:
+                out.append("l")
+        elif filled[pos + 1]:
+            out.append("r")
+            ends[run] = pos - 1
         else:
-            out.append("r" if filled[pos + 1] else "m")
+            out.append("m")
+            ends.insert(run, pos - 1)
         filled[pos] = 1
     return "".join(out)
 

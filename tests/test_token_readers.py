@@ -6,16 +6,18 @@ The plain per-letter readers below are the references.  On long seeded
 codewords, on copies with one letter changed, and on copies whose t-run
 to the root is one letter longer, the token readers must give the same
 reason, the same permutation, and the same stack verdict, counters and
-trace.
+trace.  ``encode_by_cells`` is the plain reference for ``codec.encode``,
+and the tokeniser itself must give back every word it reads.
 """
 
+import itertools
 import random
 
 import pytest
 
-from permlang import codec, stackmachine
+from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
-from permlang.permutations import Permutation
+from permlang.permutations import Basis, Permutation, all_permutations
 from permlang.stackmachine import ACCEPT, FAIL, START, StackMachine
 
 SEED = 2005
@@ -69,6 +71,26 @@ def decode_by_letters(word: str) -> Permutation:
         next_entry += 1
         next_slot = 1
     return Permutation(items)
+
+
+def encode_by_cells(perm: Permutation) -> str:
+    """Encode by counting, for each entry, the open runs of unfilled cells
+    that end before its cell (an unfilled cell followed by a filled one)."""
+    n = len(perm)
+    cell = [0] * n  # cell[v - 1]: the cell of value v
+    for pos, value in enumerate(perm.ranks, 1):
+        cell[value - 1] = pos
+    filled = bytearray(n + 2)
+    filled[0] = filled[n + 1] = 1
+    out: list[str] = []
+    for pos in cell:
+        out.append("t" * filled.count(b"\x00\x01", 0, pos))
+        if filled[pos - 1]:
+            out.append("f" if filled[pos + 1] else "l")
+        else:
+            out.append("r" if filled[pos + 1] else "m")
+        filled[pos] = 1
+    return "".join(out)
 
 
 def accepts_by_letters(word: str, trace) -> tuple[bool, StackMachine]:
@@ -177,3 +199,70 @@ def test_stack_acceptor_matches_letter_run(index, machines):
 
     assert len(machines) == 2  # the untraced and the traced run
     assert [counters(m) for m in machines] == [counters(reference)] * 2
+
+
+def rebuilt(word: str) -> str:
+    return "".join("t" * run + letter for run, letter in codec.tokens(word))
+
+
+def test_tokens_give_back_every_short_word():
+    for length in range(8):
+        for letters in itertools.product(ALPHABET, repeat=length):
+            word = "".join(letters)
+            assert rebuilt(word) == word
+
+
+@pytest.mark.parametrize("word", ["", "t", "ttt", "tf", "ftt", *CASES])
+def test_tokens_give_back_the_word(word):
+    assert rebuilt(word) == word
+
+
+def test_tokens_of_a_bare_trailing_run():
+    assert list(codec.tokens("mrtltff")) == [
+        (0, "m"), (0, "r"), (1, "l"), (1, "f"), (0, "f")
+    ]
+    assert list(codec.tokens("ftt")) == [(0, "f"), (2, "")]
+    assert list(codec.tokens("ttt")) == [(3, "")]
+    assert list(codec.tokens("")) == []
+
+
+FOREIGN = [
+    # "|" and "\0" are bytes a byte-level letter test could take for its own
+    ("l|f", "'|' at position 1"),
+    ("m\x00f", "'\\x00' at position 1"),
+    ("lF", "'F' at position 1"),
+    ("\uff46", "'\uff46' at position 0"),  # fullwidth f
+    ("l\u00e9", "'\u00e9' at position 1"),
+    ("r\u0661f", "'\u0661' at position 1"),  # Arabic-Indic digit one
+    ("l\ud800f", "'\\ud800' at position 1"),  # a lone surrogate has no UTF-8
+]
+
+READERS = {
+    "validate": codec.validate,
+    "decode": codec.decode,
+    "accepts_codewords": stackmachine.accepts_codewords,
+    "check_legal": tape.check_legal,
+    "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]])),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("word, where", FOREIGN)
+def test_foreign_letters_are_named(reader, word, where):
+    with pytest.raises(ValueError) as err:
+        READERS[reader](word)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"letter {where} is not one of 'lrmft'"
+
+
+@pytest.mark.parametrize("index", range(0, len(CASES), 3))
+def test_encode_matches_cell_counts_on_seeded_permutations(index):
+    perm = decode_by_letters(CASES[index])
+    assert len(perm) >= 100
+    assert codec.encode(perm) == encode_by_cells(perm)
+
+
+def test_encode_matches_cell_counts_up_to_seven():
+    for n in range(1, 8):
+        for perm in all_permutations(n):
+            assert codec.encode(perm) == encode_by_cells(perm)
