@@ -217,7 +217,7 @@ def test_tokens_give_back_the_word(word):
     assert rebuilt(word) == word
 
 
-def test_tokens_of_a_bare_trailing_run():
+def test_tokens_name_each_run_and_letter():
     assert list(codec.tokens("mrtltff")) == [
         (0, "m"), (0, "r"), (1, "l"), (1, "f"), (0, "f")
     ]
