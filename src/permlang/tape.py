@@ -39,6 +39,7 @@ BLANK = " "
 # double stars, and clear every mark.
 _UNDO_SHUTTLE = bytes.maketrans(bytes([DAGGER, DOUBLE_STAR]), bytes([NO_MARK, STAR]))
 _CLEAR = bytes.maketrans(bytes([STAR, DOUBLE_STAR, DAGGER]), bytes(3))
+_ONE_STAR = bytes([STAR])
 
 TraceFn = Callable[[str], None]
 
@@ -88,17 +89,17 @@ class BoundedTape:
     head, high-water mark and marks, and return the same value in closed
     form, using C-level ``bytearray`` counts and translations; they raise
     TapeFault wherever the primitive loop would.  ``restore`` runs after
-    every compare, ``seek`` serves legality, ``scan_insertions`` and the
-    sieve's strides, and ``rewrite_left`` clears each round of
-    ``is_prime``'s sieve, Θ(n²) steps that its loop walks about ten times
-    slower.  The others always run primitive by primitive:
-    ``scan_insertions`` and ``right_to_unmarked_mft`` run once per pass,
-    and ``right_to_pair`` and ``left_past_marked_ts`` once per pair and
-    per licence of the legality check, where a closed form does not pay.
-    ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f`` serve only the
-    positional compare, which untraced is the fourth closed form, over a
-    stack of its stars and the insertion cells its caller scanned
-    (``_compare_closed_form``), so they run only when traced.
+    every compare, ``seek`` serves ``scan_insertions`` and the sieve's
+    strides, and ``rewrite_left`` clears each round of ``is_prime``'s
+    sieve, Θ(n²) steps that its loop walks about ten times slower.
+    ``scan_insertions`` always runs primitive by primitive, once per pass.
+    The others serve only the two procedures that untraced are closed
+    forms of their own, so they run only when traced: ``right_to_pair``,
+    ``left_past_marked_ts`` and ``right_to_unmarked_mft`` serve legality
+    (``_legal_closed_form``), and ``left_past_marked_ts``,
+    ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f`` the
+    positional compare (``_compare_closed_form``, over a stack of its
+    stars and the insertion cells its caller scanned).
     """
 
     __slots__ = (
@@ -180,7 +181,7 @@ class BoundedTape:
             self._marks[head] = mark
 
     # Head-movement programs; seek, rewrite_left and restore take closed-form
-    # charges when untraced, the others always run their primitive loops.
+    # charges when untraced, the others run their primitive loops.
 
     def seek(self, pos: int) -> None:
         """Move the head to cell pos: |pos - head| moves."""
@@ -221,8 +222,7 @@ class BoundedTape:
     def left_past_marked_ts(self, start: int) -> tuple[str, int] | None:
         """Seek cell start, then move left and read until the cell read is
         not a t or is an unmarked t, or cell 0 has been read.  Returns the
-        last cell read, None when start is cell 0.  One body, traced or
-        not: untraced it serves only legality's licence scan."""
+        last cell read, None when start is cell 0."""
         self.seek(start)
         cell = None
         while self._head > 0:
@@ -293,8 +293,7 @@ class BoundedTape:
     def right_to_pair(self) -> int:
         """Read, then move right and read, until an unmarked f has been read
         after an unmarked m, or the word's last cell has been read.  Returns
-        the last unmarked m read before that f, or -1 when there is none.
-        One body, traced or not: legality calls it once per pair it stars."""
+        the last unmarked m read before that f, or -1 when there is none."""
         last = self._capacity - 2
         open_m = -1
         while True:
@@ -366,10 +365,20 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
     insertion cell inside the pair's span.  Accept iff afterwards no
     unmarked m or t remains, no unmarked f remains before the end, and the
     last cell is an unmarked f (the one that fills the initial slot).
+
+    It starts on an unmarked tape and faults otherwise, before any step.
+    With a trace attached it runs ``right_to_pair``, ``_license_span`` and
+    ``right_to_unmarked_mft`` primitive by primitive; without one,
+    ``_legal_closed_form`` charges the same steps and leaves the same head,
+    high-water mark and marks, which the caller's restore clears.
     """
+    if not tape.holds_input():
+        raise TapeFault("legality started on a tape that does not hold its input")
     if n == 0:
         tape.read()
         return False
+    if tape.trace is None:
+        return _legal_closed_form(tape, n)
     while True:
         tape.seek(0)
         i = tape.right_to_pair()
@@ -403,6 +412,72 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         if tape.left_past_marked_ts(pos) == ("t", NO_MARK):
             tape.write_mark(STAR)
         tape.seek(pos)
+
+
+def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
+    """``_check_legal_on_tape`` without a trace, for n >= 1: the same
+    verdict, steps, head, high-water mark and marks.
+
+    The loop stars exactly the bracket matching of m (open) and f (close),
+    in increasing order of the f, so one pass with a stack of open m's
+    gives every pair (i, j) in the loop's order.  A round costs the seek
+    to cell 0 from the previous head (the last j, or the start), 2j+1 for
+    ``right_to_pair``, two stars, j-i back to i and 2(j-i) for the span
+    walk.  An insertion cell inside d spans, with a t-run of r before it,
+    has its licences taken from the right of that run, so its c-th visit
+    (c = 0, 1, ...) walks past c licensed t's and pays 3c+4 while c < r,
+    and 3(r+1) after that, or 3r when the run reaches cell 0.  The end
+    pays the seek to 0, 2n-1 for the last pair scan, n-1 back to 0 and
+    2p+1 for the verification scan, which stops on p, the first unmarked
+    m, f or t, or on n-1.
+    """
+    letters = tape._letters
+    marks = tape._marks
+    cells = [pos for pos, letter in enumerate(letters) if letter in "lrmf"]
+    opened: list[int] = []  # indices into cells of the m's still open
+    spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
+    stop = n - 1  # the verification scan's stop
+    head = tape._head
+    steps = tape._steps + 3 * n - 1
+    for c, pos in enumerate(cells):
+        letter = letters[pos]
+        if letter == "m":
+            opened.append(c)
+        elif letter == "f":
+            if opened:
+                a = opened.pop()
+                i = cells[a]
+                steps += head + 3 + 2 * pos + 3 * (pos - i)
+                head = pos
+                marks[i] = marks[pos] = STAR
+                spans[a + 1] += 1
+                spans[c + 1] -= 1
+            elif pos < stop:
+                stop = pos
+    if opened and cells[opened[0]] < stop:
+        stop = cells[opened[0]]
+    steps += head  # the seek before the last pair scan
+    depth = 0
+    prev = -1
+    for c, pos in enumerate(cells):
+        depth += spans[c]
+        run = pos - prev - 1
+        licensed = depth if depth < run else run
+        if depth:
+            steps += licensed * (3 * licensed + 5) // 2
+            steps += 3 * (depth - licensed) * (pos - (prev if prev > 0 else 0))
+            if licensed:
+                marks[pos - licensed : pos] = _ONE_STAR * licensed
+        if licensed < run and prev + 1 < stop:
+            stop = prev + 1
+        prev = pos
+    if prev + 1 < stop:  # a bare run of t's ends the word
+        stop = prev + 1
+    tape._steps = steps + 2 * stop
+    tape._head = stop
+    if n - 1 > tape._max_head:
+        tape._max_head = n - 1
+    return stop == n - 1 and letters[stop] == "f" and marks[stop] == NO_MARK
 
 
 def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:

@@ -118,9 +118,9 @@ def test_golden_counters_unchanged():
 
 
 def test_traced_runs_match_untraced():
-    # Seeks, rewrite scans, restore scans and the positional compare take
-    # closed-form charges only when untraced, so the traced
-    # primitive-by-primitive path must count the same.
+    # Seeks, rewrite scans, restore scans, legality's marking procedure and
+    # the positional compare take closed-form charges only when untraced,
+    # so the traced primitive-by-primitive path must count the same.
     assert collect(trace=lambda _: None) == collect()
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 from conftest import built_avoider
 
-from permlang import codec, tape
+from permlang import codec, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
 from permlang.permutations import Basis, Permutation, avoids_basis
 from permlang.tape import (
@@ -362,6 +362,71 @@ class TestCheckLegal:
                 assert run.verdict == bool(validate(word)), word
                 assert run.max_cells_touched <= len(word) + 1
         assert_tapes_clean(tapes)
+
+    @staticmethod
+    def legal_outcome(word, head, trace):
+        """``_check_legal_on_tape`` from a head on cell head: its verdict,
+        the tape it leaves, and the steps after the restore that follows."""
+        t = BoundedTape(word, trace)
+        t.seek(head)
+        verdict = tape._check_legal_on_tape(t, len(word))
+        left = (verdict, t.steps, t.head, t.max_cells_touched, t.snapshot())
+        t.restore()
+        return left, t.steps
+
+    def test_closed_form_matches_primitive_composition(self):
+        # every word of length <= 6, legal or not, then seeded codewords and
+        # random words, where nesting, t-runs and licences run long
+        rng = random.Random(1997)
+        words = [
+            "".join(tup) for n in range(7) for tup in itertools.product(codec.ALPHABET, repeat=n)
+        ]
+        for _ in range(300):
+            n = rng.randint(8, 40)
+            words.append(codec.encode(Permutation(rng.sample(range(1, n + 1), n))))
+        for _ in range(300):
+            words.append("".join(rng.choices(codec.ALPHABET, k=rng.randint(1, 60))))
+        for word in words:
+            head = rng.randrange(len(word) + 1)
+            untraced = self.legal_outcome(word, head, None)
+            traced = self.legal_outcome(word, head, lambda _: None)
+            assert untraced == traced, (word, head)
+
+    @pytest.mark.parametrize("word, cell", [("mrlff", 3), ("", 0)])
+    @pytest.mark.parametrize("trace", [None, lambda _: None])
+    def test_legality_on_a_marked_tape_faults(self, word, cell, trace):
+        # the empty word's only cell is the boundary
+        t = BoundedTape(word, trace)
+        t.seek(cell)
+        t.write_mark(STAR)
+        with pytest.raises(TapeFault, match="does not hold its input"):
+            tape._check_legal_on_tape(t, len(word))
+        assert (t.head, t.steps) == (cell, cell + 1)
+
+    def test_agrees_with_validate_and_stack_beyond_n_8(self):
+        # seeded codewords with n = 50..200, and copies with an insertion
+        # letter substituted, deleted or given a letter in front, which are
+        # mostly illegal (a t added or dropped inside a run mostly is not)
+        rng = random.Random(2004)
+        words = []
+        for _ in range(20):
+            n = rng.randint(50, 200)
+            word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
+            words.append(word)
+            cells = [i for i, letter in enumerate(word) if letter != "t"]
+            for _ in range(4):
+                pos = rng.choice(cells)
+                letter = rng.choice(codec.ALPHABET.replace(word[pos], ""))
+                words.append(word[:pos] + letter + word[pos + 1 :])
+                words.append(word[:pos] + rng.choice(codec.ALPHABET) + word[pos:])
+                words.append(word[:pos] + word[pos + 1 :])
+        verdicts = []
+        for word in words:
+            direct = bool(validate(word))
+            assert check_legal(word).verdict is direct, word
+            assert stackmachine.accepts_codewords(word) is direct, word
+            verdicts.append(direct)
+        assert 0 < verdicts.count(True) < len(words) // 2
 
     def test_counters_small_word(self):
         run = check_legal("f")
