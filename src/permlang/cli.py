@@ -28,8 +28,10 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 
-# Largest --n for the primes machine (Θ(n²) steps on a prime n) and largest
-# bench size (legality and compare cost Θ(size²) steps per word).
+# Largest --n for the primes machine, which bounds the step count and the
+# Θ(n²) lines of a --trace on a prime n (the untraced sieve is a closed
+# form), and largest bench size (legality and compare cost Θ(size²) steps
+# per word).
 DEFAULT_PRIMES_CAP = 5000
 DEFAULT_BENCH_CAP = 100
 DEFAULT_AVOID_PATTERN = "21"

@@ -18,7 +18,6 @@ procedure, never an input condition.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -83,29 +82,26 @@ class BoundedTape:
     ``right_to_pair``, ``right_to_unmarked_mft`` and ``restore`` (the
     clearing scan).  ``scan_insertions``, ``right_to_pair`` and
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
-    cell.  With a trace attached they run primitive by primitive, one
-    trace line each.  Without one, three of them (``seek``,
-    ``rewrite_left`` and ``restore``) charge the same steps, leave the same
-    head, high-water mark and marks, and return the same value in closed
-    form, using C-level ``bytearray`` counts and translations; they raise
-    TapeFault wherever the primitive loop would.  ``restore`` runs after
-    every compare, ``seek`` serves ``scan_insertions`` and the sieve's
-    strides, and ``rewrite_left`` clears each round of ``is_prime``'s
-    sieve, Θ(n²) steps that its loop walks about ten times slower.
-    ``scan_insertions`` always runs primitive by primitive, once per pass.
-    The others serve only the two procedures that untraced are closed
-    forms of their own, so they run only when traced: ``right_to_pair``,
-    ``left_past_marked_ts`` and ``right_to_unmarked_mft`` serve legality
-    (``_legal_closed_form``), and ``left_past_marked_ts``,
-    ``left_to_star``, ``star_t_run`` and ``right_to_m_or_f`` the
-    positional compare (``_compare_closed_form``, over a stack of its
-    stars and the insertion cells its caller scanned).
+    cell.  Every program but ``restore`` always runs primitive by
+    primitive, one trace line a primitive when traced.  ``restore`` is the
+    one program with a closed form: untraced it charges the same steps,
+    leaves the same head, high-water mark and marks, and raises TapeFault
+    where its loop would, using a C-level ``bytearray`` count; it runs
+    after every legality check and every compare.  Untraced, ``scan_insertions`` (with its ``seek``) is
+    the only other program that runs, once per pass.  The rest serve the
+    three procedures that untraced are closed forms of their own, so they
+    run only when traced: ``right_to_pair``, ``left_past_marked_ts`` and
+    ``right_to_unmarked_mft`` serve legality (``_legal_closed_form``);
+    ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
+    ``rewrite_left`` and ``right_to_m_or_f`` the positional compare
+    (``_compare_closed_form``, over a stack of its stars and the insertion
+    cells its caller scanned); and ``rewrite_left`` the sieve of
+    ``is_prime`` (``_sieve_closed_form``).
     """
 
     __slots__ = (
         "_letters",
         "_marks",
-        "_view",
         "_blank",
         "_capacity",
         "_head",
@@ -118,7 +114,6 @@ class BoundedTape:
         self._letters = word + BLANK
         self._capacity = cap = len(word) + 1
         self._marks = bytearray(cap)
-        self._view = memoryview(self._marks)  # slice writes without resizing
         self._blank = bytes(cap)
         self._head = 0
         self._steps = 0
@@ -180,29 +175,17 @@ class BoundedTape:
         else:
             self._marks[head] = mark
 
-    # Head-movement programs; seek, rewrite_left and restore take closed-form
-    # charges when untraced, the others run their primitive loops.
+    # Head-movement programs; restore takes a closed-form charge when
+    # untraced, the others always run their primitive loops.
 
     def seek(self, pos: int) -> None:
         """Move the head to cell pos: |pos - head| moves."""
-        head = self._head
-        if pos == head:
-            return
         if not 0 <= pos < self._capacity:
             raise TapeFault(f"seek to cell {pos} outside 0..{self._capacity - 1}")
-        if self.trace is not None:
-            while self._head < pos:
-                self.move_right()
-            while self._head > pos:
-                self.move_left()
-        elif pos > head:
-            self._steps += pos - head
-            if pos > self._max_head:
-                self._max_head = pos
-            self._head = pos
-        else:
-            self._steps += head - pos
-            self._head = pos
+        while self._head < pos:
+            self.move_right()
+        while self._head > pos:
+            self.move_left()
 
     def scan_insertions(self) -> list[int]:
         """Seek cell 0, then read each cell and move right until the word's
@@ -261,25 +244,11 @@ class BoundedTape:
         if lo < 0:
             raise TapeFault(f"rewrite scan down to cell {lo}")
         self.seek(start)
-        if self.trace is not None:
-            while self._head > lo:
-                self.move_left()
-                _, mark = self.read()
-                if table[mark] != mark:
-                    self.write_mark(table[mark])
-            return
-        head = self._head
-        if head <= lo:
-            return
-        marks = self._marks
-        before = marks[lo:head]
-        after = before.translate(table)
-        written = 0
-        if after != before:
-            written = sum(map(operator.ne, before, after))
-            self._view[lo:head] = after
-        self._steps += 2 * (head - lo) + written
-        self._head = lo
+        while self._head > lo:
+            self.move_left()
+            _, mark = self.read()
+            if table[mark] != mark:
+                self.write_mark(table[mark])
 
     def right_to_m_or_f(self, stop: int) -> tuple[str, int]:
         """Move right and read until the head is on cell stop or the letter
@@ -336,7 +305,7 @@ class BoundedTape:
         elif n:
             cleared = n - self._marks.count(NO_MARK, 0, n)
             if cleared:
-                self._view[:n] = self._blank[:n]
+                self._marks[:n] = self._blank[:n]
             self._steps += self._head + 2 * n - 1 + cleared
             if n - 1 > self._max_head:
                 self._max_head = n - 1
@@ -768,21 +737,54 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
 
 # --- primality by sieve strides --------------------------------------------
 
+def _sieve_closed_form(tape: BoundedTape, n: int) -> bool:
+    """The sieve of ``is_prime`` without a trace, for n >= 2: the same
+    verdict, steps, head, high-water mark and marks.
+
+    Round i starts on cell 0 and daggers the d = n//i - 1 stride cells
+    below n.  When i does not divide n it costs 3n + 3d + 3: i-1 moves to
+    the star, the star, n-i+1 moves to the blank cell n with a read on each
+    stride cell and on cell n, d daggers, and the clearing walk back to
+    cell 0, two steps a cell plus one write per mark.  The first i that divides
+    n ends its strides on cell n-1 and walks back from there, leaving that
+    dagger for the final restore: 3n + 3d - 2.
+    """
+    steps = tape._steps
+    top = tape._max_head
+    for i in range(2, n):
+        d = n // i - 1
+        if n % i == 0:
+            tape._marks[n - 1] = DAGGER
+            tape._steps = steps + 3 * (n + d) - 2
+            tape._max_head = max(top, n - 1)
+            return False
+        steps += 3 * (n + d + 1)
+        top = n
+    tape._steps = steps
+    tape._max_head = top
+    return True
+
+
 def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
     """Sieve on a tape of n cells: for each i in 2..n-1, stride i cells at a
     time from cell i; landing exactly on the last cell means i divides n.
 
     Accepts iff no i divides n, with n = 1 rejected outright.  Uses at most
-    n + 1 cells (the word plus its blank boundary).
+    n + 1 cells (the word plus its blank boundary).  With a trace attached
+    the sieve runs primitive by primitive, Θ(n²) trace lines for a prime n;
+    without one, ``_sieve_closed_form`` charges the same steps and leaves
+    the same high-water mark and marks, which the final restore clears.
     """
     if n < 1:
         raise ValueError("n must be positive")
     tape = BoundedTape("a" * n, trace)
-    verdict = True
     if n == 1:
         tape.read()
         verdict = False
+    elif trace is None:
+        verdict = _sieve_closed_form(tape, n)
     else:
+        verdict = True
         for i in range(2, n):
             tape.seek(i - 1)
             tape.write_mark(STAR)

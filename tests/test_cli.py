@@ -117,6 +117,32 @@ class TestCheck:
                 oracle = run_cli("check", "--pattern", pattern, "--oracle", word)
                 assert machine == oracle, (word, pattern)
 
+    def test_perm_oracle_contains(self):
+        assert run_cli("check", "--pattern", "12", "--perm", "1 2", "--oracle") == (
+            1, "contain\n", "")
+
+    def test_perm_oracle_and_tape_paths_agree(self, monkeypatch):
+        runs = []
+        accepts_basis = cli.tape.accepts_basis
+        monkeypatch.setattr(cli.tape, "accepts_basis",
+                            lambda *args: runs.append(args) or accepts_basis(*args))
+        verdicts = set()
+        for perm in ("1", "1 2", "2 1", "3 4 2 1 5", "2 4 1 3", "5 2 1 3 4"):
+            for pattern in ("12", "21", "123", "231"):
+                oracle = run_cli("check", "--pattern", pattern, "--perm", perm, "--oracle")
+                assert not runs
+                machine = run_cli("check", "--pattern", pattern, "--perm", perm)
+                assert len(runs) == 1
+                runs.clear()
+                assert machine == oracle, (perm, pattern)
+                verdicts.add(oracle)
+        assert verdicts == {(0, "avoid\n", ""), (1, "contain\n", "")}
+
+    def test_empty_perm_takes_the_oracle_path(self, monkeypatch):
+        # the empty permutation has no codeword, so the tape never runs
+        monkeypatch.setattr(cli.tape, "accepts_basis", None)
+        assert run_cli("check", "--pattern", "12", "--perm", "") == (0, "avoid\n", "")
+
     def test_illegal_codeword_is_input_error(self):
         code, _, err = run_cli("check", "--pattern", "12", "tf")
         assert code == 2
@@ -209,7 +235,9 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 3
 
     def test_missing_argument(self):
-        assert run_cli("simulate", "--machine", "primes")[0] == 2
+        for machine, option in (("primes", "--n"), ("partitions", "--word")):
+            message = f"error: --machine {machine} needs {option}\n"
+            assert run_cli("simulate", "--machine", machine) == (2, "", message)
 
     @pytest.mark.parametrize("argv, message", [
         (("--machine", "primes", "--n", "7", "--word", "zz"),

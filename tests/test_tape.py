@@ -229,8 +229,11 @@ class TestBoundedTape:
                 assert t.holds_input() == (not any(t.snapshot()[1])), word
                 assert t.snapshot()[0] == word + tape.BLANK
 
-    # Each program with a closed form, with arguments drawn for a tape of
-    # `cap` cells, sometimes outside it, so that both tape ends are reached.
+    # restore, the one program with a closed form, plus seek and
+    # rewrite_left, which always run their primitive loops but must still
+    # fault alike traced or not and write one trace line per step; each
+    # with arguments drawn for a tape of `cap` cells, sometimes outside it,
+    # so that both tape ends are reached.
     PROGRAMS = {
         "seek": lambda rng, cap: (rng.randint(-1, cap),),
         "rewrite_left": lambda rng, cap: (
@@ -800,13 +803,35 @@ class TestIsPrime:
         assert is_prime(3).verdict is True
 
     def test_against_trial_division(self):
+        # untraced, the sieve is a closed form that divides by construction,
+        # so the traced primitive composition is the independent side
         def trial(n):
             return n >= 2 and all(n % i for i in range(2, int(n**0.5) + 1))
 
-        for n in range(1, 120):
-            run = is_prime(n)
-            assert bool(run.verdict) is trial(n), n
-            assert run.max_cells_touched <= n + 1
+        for trace in (None, lambda _: None):
+            for n in range(1, 120):
+                run = is_prime(n, trace)
+                assert bool(run.verdict) is trial(n), n
+                assert run.max_cells_touched <= n + 1
+
+    def test_closed_form_matches_primitive_composition(self):
+        # every n to 150, then the shapes whose rounds end differently: a
+        # prime square's first divisor is its root, a power of two and 2p
+        # stop in round 2 on a tape no non-dividing round has widened
+        primes = [p for p in range(2, 200) if all(p % i for i in range(2, p))]
+        ns = set(range(1, 151))
+        ns.update(p * p for p in primes if p * p <= 400)
+        ns.update(2**e for e in range(1, 9))
+        ns.update(2 * p for p in primes)
+        for n in sorted(ns):
+            lines = []
+            traced = is_prime(n, lines.append)
+            assert is_prime(n) == traced, n
+            assert len(lines) == traced.steps, n
+
+    def test_pinned_counters_at_the_cli_cap(self):
+        assert is_prime(4999) == TapeRun(True, 75_065_074, 5000)
+        assert is_prime(5000) == TapeRun(False, 32_495, 5000)
 
     def test_space_bound_at_fifty(self):
         assert is_prime(50).max_cells_touched <= 51
