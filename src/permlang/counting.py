@@ -2,17 +2,18 @@
 
 The brute-force route filters all permutations of a given length with the
 direct containment oracle; the codeword route filters all legal codewords
-with the bounded-tape acceptor.  The two totals must agree, and a table
-construction that sees a mismatch fails loudly instead of recording it.
-The module also counts legal codewords by their number of t letters and
-provides an exact integer-partition counter used to cross-check the stack
-automaton's partition-word language.
+with the bounded-tape acceptor.  The fields of ``CountRow`` after ``n`` are
+the list of routes: the two totals must agree, and a row whose routes
+disagree cannot be built, so a mismatch fails loudly instead of being
+recorded.  The module also counts legal codewords by their number of t
+letters and provides an exact integer-partition counter used to
+cross-check the stack automaton's partition-word language.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from . import tape
 from .codec import codewords_with_insertions
@@ -25,50 +26,44 @@ _partition_cache = [1]
 
 
 class CountMismatchError(RuntimeError):
-    """The two counting routes disagreed; carries the offending row."""
+    """The counting routes disagreed; carries the offending row as ``row``."""
 
-    def __init__(self, n: int, brute: int, codeword: int) -> None:
-        super().__init__(
-            f"count mismatch at n={n}: brute-force {brute} != codeword {codeword}"
-        )
-        self.n = n
-        self.brute = brute
-        self.codeword = codeword
+    def __init__(self, row: CountRow) -> None:
+        counts = " != ".join(f"{f.name} {getattr(row, f.name)}" for f in fields(row)[1:])
+        super().__init__(f"count mismatch at n={row.n}: {counts}")
+        self.row = row
 
 
 @dataclass(frozen=True)
 class CountRow:
+    """The number of length-n avoiders, once per route: each field after
+    ``n`` is a route, and construction refuses routes that disagree."""
+
     n: int
     brute: int
     codeword: int
 
+    def __post_init__(self) -> None:
+        if len(set(astuple(self)[1:])) > 1:
+            raise CountMismatchError(self)
+
 
 @dataclass(frozen=True)
 class CountTable:
-    """Rows of (length, brute-force count, codeword-route count).
-
-    Equality of the two count columns is enforced at construction.
-    """
+    """Rows for n = 0, 1, ..., one column per ``CountRow`` field."""
 
     rows: tuple[CountRow, ...]
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if row.brute != row.codeword:
-                raise CountMismatchError(row.n, row.brute, row.codeword)
 
     def counts(self) -> tuple[int, ...]:
         return tuple(row.brute for row in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["n,brute,codeword"]
-        lines.extend(f"{r.n},{r.brute},{r.codeword}" for r in self.rows)
+        lines = [",".join(f.name for f in fields(CountRow))]
+        lines.extend(",".join(map(str, astuple(row))) for row in self.rows)
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"rows": [{"n": r.n, "brute": r.brute, "codeword": r.codeword} for r in self.rows]}
-        )
+        return json.dumps({"rows": [asdict(row) for row in self.rows]})
 
 
 def _check_size(n: int, cap: int) -> None:
@@ -78,22 +73,25 @@ def _check_size(n: int, cap: int) -> None:
         raise CapExceededError(f"n={n} exceeds counting cap {cap}")
 
 
-def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> tuple[int, int]:
+def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> CountRow:
     """Count length-n avoiders of the basis along both routes.
 
-    Returns (brute_force, via_codewords); n = 0 is (1, 1) by convention,
-    the empty permutation avoiding every nonempty pattern.
+    Raises ``CountMismatchError`` when the routes disagree.  n = 0 counts 1
+    on each route by convention, the empty permutation avoiding every
+    nonempty pattern.
     """
     _check_size(n, cap)
     if n == 0:
-        return (1, 1)
-    brute = sum(1 for p in all_permutations(n, cap=cap) if avoids_basis(p, basis))
-    via_codewords = sum(
-        1
-        for w in codewords_with_insertions(n, cap=cap)
-        if tape.accepts_basis(w, basis).verdict
+        return CountRow(0, 1, 1)
+    return CountRow(
+        n,
+        brute=sum(1 for p in all_permutations(n, cap=cap) if avoids_basis(p, basis)),
+        codeword=sum(
+            1
+            for w in codewords_with_insertions(n, cap=cap)
+            if tape.accepts_basis(w, basis).verdict
+        ),
     )
-    return (brute, via_codewords)
 
 
 def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTable:
@@ -102,11 +100,7 @@ def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTab
     n_max is checked against the cap before any row is computed.
     """
     _check_size(n_max, cap)
-    rows = []
-    for n in range(n_max + 1):
-        brute, via = count_avoiders(n, basis, cap=cap)
-        rows.append(CountRow(n, brute, via))
-    return CountTable(tuple(rows))
+    return CountTable(tuple(count_avoiders(n, basis, cap=cap) for n in range(n_max + 1)))
 
 
 def count_codewords_bivariate(

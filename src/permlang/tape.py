@@ -96,7 +96,8 @@ class BoundedTape:
     ``rewrite_left`` and ``right_to_m_or_f`` the positional compare
     (``_compare_closed_form``, over a stack of its stars and the insertion
     cells its caller scanned); and ``rewrite_left`` the sieve of
-    ``is_prime`` (``_sieve_closed_form``).
+    ``is_prime`` (``_sieve_closed_form``).  Each of the four closed forms
+    charges its steps, head and high-water mark through ``_charge``.
     """
 
     __slots__ = (
@@ -131,6 +132,14 @@ class BoundedTape:
     @property
     def max_cells_touched(self) -> int:
         return self._max_head + 1
+
+    def _charge(self, steps: int, head: int, reach: int) -> None:
+        """A closed form's bookkeeping: add steps, put the head on a cell and
+        raise the high-water mark to reach."""
+        self._steps += steps
+        self._head = head
+        if reach > self._max_head:
+            self._max_head = reach
 
     def _emit(self, primitive: str, before: tuple[str, int], after: tuple[str, int]) -> None:
         bt = before[0] + _MARK_TEXT[before[1]]
@@ -306,10 +315,7 @@ class BoundedTape:
             cleared = n - self._marks.count(NO_MARK, 0, n)
             if cleared:
                 self._marks[:n] = self._blank[:n]
-            self._steps += self._head + 2 * n - 1 + cleared
-            if n - 1 > self._max_head:
-                self._max_head = n - 1
-            self._head = n - 1
+            self._charge(self._head + 2 * n - 1 + cleared, n - 1, n - 1)
         if self._marks != self._blank:
             raise TapeFault("tape does not hold the unmarked input word")
 
@@ -407,7 +413,7 @@ def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
     spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
     stop = n - 1  # the verification scan's stop
     head = tape._head
-    steps = tape._steps + 3 * n - 1
+    steps = 3 * n - 1
     for c, pos in enumerate(cells):
         letter = letters[pos]
         if letter == "m":
@@ -442,10 +448,7 @@ def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
         prev = pos
     if prev + 1 < stop:  # a bare run of t's ends the word
         stop = prev + 1
-    tape._steps = steps + 2 * stop
-    tape._head = stop
-    if n - 1 > tape._max_head:
-        tape._max_head = n - 1
+    tape._charge(steps + 2 * stop, stop, n - 1)
     return stop == n - 1 and letters[stop] == "f" and marks[stop] == NO_MARK
 
 
@@ -576,7 +579,7 @@ def _compare_closed_form(tape: BoundedTape, cells: list[int], a: int, b: int) ->
     x_pos = cells[a]
     head = tape._head
     # seek x, read it, star it when r or m, then star_t_run
-    steps = tape._steps + abs(x_pos - head) + 1
+    steps = abs(x_pos - head) + 1
     x_starred = letters[x_pos] in "rm"
     run_stop = cells[a - 1] if a else -1
     run = x_pos - run_stop - 1
@@ -624,10 +627,7 @@ def _compare_closed_form(tape: BoundedTape, cells: list[int], a: int, b: int) ->
                     if not stars:
                         break
         head = z
-    tape._steps = steps
-    tape._head = head
-    if x_pos > tape._max_head or head > tape._max_head:
-        tape._max_head = max(x_pos, head)
+    tape._charge(steps, head, max(x_pos, head))
     marks = tape._marks
     for cell in stars:
         marks[cell] = STAR
@@ -749,19 +749,17 @@ def _sieve_closed_form(tape: BoundedTape, n: int) -> bool:
     n ends its strides on cell n-1 and walks back from there, leaving that
     dagger for the final restore: 3n + 3d - 2.
     """
-    steps = tape._steps
-    top = tape._max_head
+    steps = 0
+    reach = 0
     for i in range(2, n):
         d = n // i - 1
         if n % i == 0:
             tape._marks[n - 1] = DAGGER
-            tape._steps = steps + 3 * (n + d) - 2
-            tape._max_head = max(top, n - 1)
+            tape._charge(steps + 3 * (n + d) - 2, 0, max(reach, n - 1))
             return False
         steps += 3 * (n + d + 1)
-        top = n
-    tape._steps = steps
-    tape._max_head = top
+        reach = n
+    tape._charge(steps, 0, reach)
     return True
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from permlang import cli, codec
+from permlang import cli, codec, counting
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,6 +192,35 @@ class TestEnumerate:
         code, out, _ = run_cli("enumerate", "--basis", "21", "--n-max", "2", "--json")
         assert code == 0
         assert json.loads(out)["rows"][-1] == {"n": 2, "brute": 1, "codeword": 1}
+
+    def test_csv_bytes(self):
+        assert run_cli("enumerate", "--basis", "123,3142", "--n-max", "5") == (
+            0,
+            "n,brute,codeword\n0,1,1\n1,1,1\n2,2,2\n3,5,5\n4,13,13\n5,34,34\n",
+            "",
+        )
+
+    def test_json_bytes(self):
+        assert run_cli("enumerate", "--basis", "123", "--n-max", "6", "--json") == (
+            0,
+            '{"rows": [{"n": 0, "brute": 1, "codeword": 1}, '
+            '{"n": 1, "brute": 1, "codeword": 1}, '
+            '{"n": 2, "brute": 2, "codeword": 2}, '
+            '{"n": 3, "brute": 5, "codeword": 5}, '
+            '{"n": 4, "brute": 14, "codeword": 14}, '
+            '{"n": 5, "brute": 42, "codeword": 42}, '
+            '{"n": 6, "brute": 132, "codeword": 132}]}\n',
+            "",
+        )
+
+    def test_route_mismatch_is_an_error(self, monkeypatch):
+        # only a bug can reach this: an oracle that rejects everything
+        monkeypatch.setattr(counting, "avoids_basis", lambda p, basis: False)
+        assert run_cli("enumerate", "--basis", "12", "--n-max", "2") == (
+            2,
+            "",
+            "error: count mismatch at n=1: brute 0 != codeword 1\n",
+        )
 
     def test_negative_n_max(self):
         code, out, err = run_cli("enumerate", "--basis", "12", "--n-max", "-1")
@@ -376,6 +405,10 @@ class TestBench:
 
         for size in range(1, 50):
             assert validate(cli.bench_word(size)), size
+
+    def test_bench_word_needs_a_positive_size(self):
+        with pytest.raises(ValueError, match="positive"):
+            cli.bench_word(0)
 
 
 class TestHarness:

@@ -22,24 +22,32 @@ from permlang.permutations import (
 
 class TestCountAvoiders:
     def test_examples(self):
-        assert count_avoiders(3, Basis([[1, 2, 3]])) == (5, 5)
-        assert count_avoiders(0, Basis([[1, 2]])) == (1, 1)
-        assert count_avoiders(5, Basis([[1, 2, 3, 4]])) == (103, 103)
+        assert count_avoiders(3, Basis([[1, 2, 3]])) == CountRow(3, 5, 5)
+        assert count_avoiders(0, Basis([[1, 2]])) == CountRow(0, 1, 1)
+        assert count_avoiders(5, Basis([[1, 2, 3, 4]])) == CountRow(5, 103, 103)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
             count_avoiders(9, Basis([[1, 2]]))
-        assert count_avoiders(3, Basis([[2, 1]]), cap=3) == (1, 1)
+        assert count_avoiders(3, Basis([[2, 1]]), cap=3) == CountRow(3, 1, 1)
 
     def test_single_entry_pattern_kills_everything(self):
         for n in range(1, 5):
-            assert count_avoiders(n, Basis([[1]])) == (0, 0)
+            assert count_avoiders(n, Basis([[1]])) == CountRow(n, 0, 0)
+
+    def test_routes_that_disagree_raise_with_the_row(self, monkeypatch):
+        # only a bug can reach this: an oracle that rejects everything
+        monkeypatch.setattr(counting, "avoids_basis", lambda p, basis: False)
+        with pytest.raises(CountMismatchError) as err:
+            count_avoiders(1, Basis([[1, 2]]))
+        row = err.value.row
+        assert (row.n, row.brute, row.codeword) == (1, 0, 1)
 
     def test_subset_monotonicity(self):
         small = Basis([[1, 3, 2]])
         large = Basis([[1, 3, 2], [2, 1]])
         for n in range(0, 6):
-            assert count_avoiders(n, large)[0] <= count_avoiders(n, small)[0]
+            assert count_avoiders(n, large).brute <= count_avoiders(n, small).brute
 
 
 class TestSequence:
@@ -81,8 +89,21 @@ class TestSequence:
 
     def test_mismatch_fails_loudly(self):
         with pytest.raises(CountMismatchError) as err:
-            CountTable((CountRow(3, 5, 4),))
-        assert err.value.n == 3
+            CountRow(3, 5, 4)
+        assert err.value.row.n == 3
+        assert str(err.value) == "count mismatch at n=3: brute 5 != codeword 4"
+
+    def test_table_is_built_from_count_avoiders_rows(self, monkeypatch):
+        calls = []
+
+        def row(n, basis, cap):
+            calls.append(n)
+            return CountRow(n, 7, 7)
+
+        monkeypatch.setattr(counting, "count_avoiders", row)
+        table = sequence(Basis([[1, 2]]), 3)
+        assert calls == [0, 1, 2, 3]
+        assert table == CountTable(tuple(CountRow(n, 7, 7) for n in range(4)))
 
 
 class TestBivariate:

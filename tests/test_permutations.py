@@ -144,6 +144,11 @@ def test_all_permutations_count_uniqueness_and_order():
     assert [p.ranks for p in seen] == sorted(p.ranks for p in seen)
 
 
+def test_all_permutations_rejects_negative_n():
+    with pytest.raises(ValueError, match="nonnegative"):
+        all_permutations(-1)
+
+
 def test_all_permutations_cap():
     with pytest.raises(CapExceededError):
         all_permutations(11)

@@ -68,6 +68,15 @@ class TestStackMachine:
             m.pop()
         assert m.pops <= m.pushes
 
+    def test_push_below_the_top_raises_in_place(self):
+        m = StackMachine()
+        m.push()
+        m.push()
+        m.cursor_down()
+        with pytest.raises(StackDisciplineError):
+            m.push()
+        assert (m.height, m.cursor_depth, m.pushes) == (2, 1, 2)
+
 
 class TestAcceptsCodewords:
     @pytest.mark.parametrize(
