@@ -14,6 +14,12 @@ outside the tape; all work that touches the tape is charged through the
 primitives.  The space bound is enforced, not just measured: any primitive
 stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
+
+Traced, every procedure runs primitive by primitive.  Untraced, only
+closed forms run, with the same steps, head, high-water mark and marks:
+``restore``, legality, the compare (one walk from x gives its whole row)
+and the sieve; the occurrence search reads each compare and its restore
+from a table of those rows and charges its pass once.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ _CLEAR = bytes.maketrans(bytes([STAR, DOUBLE_STAR, DAGGER]), bytes(3))
 _ONE_STAR = bytes([STAR])
 
 TraceFn = Callable[[str], None]
+# A row of compares of one insertion cell: (descending, steps) per later cell
+Row = list[tuple[bool, int]]
 
 
 class TapeFault(RuntimeError):
@@ -86,18 +94,17 @@ class BoundedTape:
     primitive, one trace line a primitive when traced.  ``restore`` is the
     one program with a closed form: untraced it charges the same steps,
     leaves the same head, high-water mark and marks, and raises TapeFault
-    where its loop would, using a C-level ``bytearray`` count; it runs
-    after every legality check and every compare.  Untraced, ``scan_insertions`` (with its ``seek``) is
-    the only other program that runs, once per pass.  The rest serve the
-    three procedures that untraced are closed forms of their own, so they
-    run only when traced: ``right_to_pair``, ``left_past_marked_ts`` and
-    ``right_to_unmarked_mft`` serve legality (``_legal_closed_form``);
-    ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
-    ``rewrite_left`` and ``right_to_m_or_f`` the positional compare
-    (``_compare_closed_form``, over a stack of its stars and the insertion
-    cells its caller scanned); and ``rewrite_left`` the sieve of
-    ``is_prime`` (``_sieve_closed_form``).  Each of the four closed forms
-    charges its steps, head and high-water mark through ``_charge``.
+    where its loop would, using a C-level ``bytearray`` count.  Untraced,
+    no other program runs.  The others serve the four procedures that
+    untraced are closed forms of their own: ``right_to_pair``,
+    ``left_past_marked_ts`` and ``right_to_unmarked_mft`` serve legality
+    (``_legal_closed_form``); ``left_past_marked_ts``, ``left_to_star``,
+    ``star_t_run``, ``rewrite_left`` and ``right_to_m_or_f`` the
+    positional compare (``_compare_row``); ``scan_insertions`` the
+    occurrence search, which untraced reads its compares from a table of
+    rows; and ``rewrite_left`` the sieve (``_sieve_closed_form``).  The
+    closed forms charge their steps, head and high-water mark through
+    ``_charge``, the occurrence search once per pass.
     """
 
     __slots__ = (
@@ -524,17 +531,26 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
 
     It starts on an unmarked tape, with 0 <= a < b < len(cells), and
     faults otherwise.  With a trace attached it runs the programs and
-    shuttles above primitive by primitive; without one,
-    ``_compare_closed_form`` charges the same steps and leaves the same
-    head, high-water mark and marks.  The marks are the stars, which the
-    caller's restore clears.
+    shuttles above primitive by primitive; without one, ``_compare_row``
+    walks the row from x to y, and the compare charges the same steps and
+    leaves the same head, high-water mark and marks.  The marks are the
+    stars, which the caller's restore clears.
     """
     if not tape.holds_input():
         raise TapeFault("compare started on a tape that does not hold its input")
     if not 0 <= a < b < len(cells):
         raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
     if tape.trace is None:
-        return _compare_closed_form(tape, cells, a, b)
+        row, head, stars = _compare_row(tape, cells, a, b, tape._head)
+        descending, steps = row[-1]
+        # the entry includes the restore after the compare: head, 2n-1 and
+        # one write per star
+        steps -= head + 2 * tape._capacity - 3 + len(stars)
+        tape._charge(steps, head, max(cells[a], head))
+        marks = tape._marks
+        for cell in stars:
+            marks[cell] = STAR
+        return PairOrder.DESCENDING if descending else PairOrder.ASCENDING
     x_pos, y_pos = cells[a], cells[b]
     tape.seek(x_pos)
     x_letter, _ = tape.read()
@@ -558,26 +574,33 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
                 return PairOrder.ASCENDING
 
 
-def _compare_closed_form(tape: BoundedTape, cells: list[int], a: int, b: int) -> PairOrder:
-    """``_compare_on_tape`` without a trace, over a stack of the starred
-    cells: the same verdict, steps, head, high-water mark and marks.
+def _compare_row(
+    tape: BoundedTape, cells: list[int], a: int, last: int, head: int
+) -> tuple[Row, int, list[int]]:
+    """The compare's closed form, reading the tape only: the row of
+    ``_compare_on_tape`` of a with each c = a+1..last, from a head on cell
+    head of an unmarked tape.  Entry c-a-1 is (whether it is descending,
+    its steps plus those of the restore after it: the head it leaves, 2n-1
+    and a write per star).  Also returns the head and stars that the
+    compare of a and last leaves.
 
-    The tape starts unmarked, so its only marks are the stars, and they
-    change only at their right end: the start pushes x's t-run (and x when
-    it is r or m), a won shuttle at an m pushes the m, one at an f pops.
+    The compare's only marks are its stars, which change only at their
+    right end: the start pushes x's t-run (and x when it is r or m), a won
+    shuttle at an m pushes the m, one at an f pops.  The walk right from x
+    is the same for every y up to y, so one walk gives the row: at cell c
+    the shuttle at c is entry c, and only an m or f moves the walk on.
     Every star lies left of the shuttled cell z, and z's t-run lies right
     of x, unmarked.  The cells between two neighbouring insertion cells
     are t's, so x's t-run starts after cells[a-1] (or at cell 0) and z's
     after the insertion cell before it.  The shuttle pairs the t's z-1,
     ..., z-r with the stars S[-1], ..., S[-r], so it wins iff len(S) > r,
     and its steps are sums of the distances between paired cells.  The
-    walk right from x passes the insertion cells cells[a+1..b] at 2 steps
-    a cell and shuttles only at an m, an f or y.  The stars are written
-    once, at the end.
+    walk passes each insertion cell at 2 steps.  Once the stars run out,
+    every later compare is ascending with the same steps.
     """
     letters = tape._letters
+    restore = 2 * tape._capacity - 3  # the restore's 2n-1
     x_pos = cells[a]
-    head = tape._head
     # seek x, read it, star it when r or m, then star_t_run
     steps = abs(x_pos - head) + 1
     x_starred = letters[x_pos] in "rm"
@@ -586,39 +609,42 @@ def _compare_closed_form(tape: BoundedTape, cells: list[int], a: int, b: int) ->
     head = run_stop if run_stop >= 0 else 0
     steps += x_starred + 2 * (x_pos - head) + run
     stars = list(range(run_stop + 1, x_pos + x_starred))
-    order = PairOrder.ASCENDING
+    row: Row = []
     if stars:
         steps += x_pos - head  # seek x
-        z = x_pos
-        for c in range(a + 1, b + 1):
-            pos = cells[c]
-            if c < b and letters[pos] not in "mf":
-                continue  # an l or r: right_to_m_or_f passes it
-            steps += 2 * (pos - z)  # right_to_m_or_f
-            z = pos
-            # the shuttle at z pairs the t on z-k with the star S[-k] for
-            # k = 1, 2, ...: 4 steps per pair plus 3 times the sum of their
-            # distances (paired), then the walk on to the next star or to
-            # cell 0, and the undo scan down to the leftmost paired cell;
-            # the terms are summed from the loops of _stars_beat_ts
+        head = x_pos
+        for c in range(a + 1, last + 1):
+            z = cells[c]
+            # right_to_m_or_f to z, then the shuttle at z: it pairs the t
+            # on z-k with the star S[-k] for k = 1, 2, ...: 4 steps per
+            # pair plus 3 times the sum of their distances (paired), then
+            # the walk on to the next star or to cell 0, and the undo scan
+            # down to the leftmost paired cell; the terms are summed from
+            # the loops of _stars_beat_ts
+            here = steps + 2 * (z - head)
             r = z - cells[c - 1] - 1
             s = len(stars)
             if s > r:  # won: r pairs, and S[-r-1] is left over
-                steps += 3 * (z - stars[-r - 1])
+                here += 3 * (z - stars[-r - 1])
                 if r:
                     paired = r * z - r * (r + 1) // 2 - sum(stars[-r:])
-                    steps += 4 * r + 3 * paired + 3 * (z - stars[-r])
+                    here += 4 * r + 3 * paired + 3 * (z - stars[-r])
                 beat = True
             else:  # lost: s pairs, then a dagger on z-s-1 unless s == r
                 paired = s * z - s * (s + 1) // 2 - sum(stars)
-                steps += 4 * s + 3 * paired + 6 * z - 3 * stars[0] + (2 if s < r else 0)
+                here += 4 * s + 3 * paired + 6 * z - 3 * stars[0] + (2 if s < r else 0)
                 beat = False
-            if c == b:
-                if beat:
-                    order = PairOrder.DESCENDING
+            row.append((beat, here + z + restore + s))
+            if c == last:
+                head = z
                 break
+            letter = letters[z]
+            if letter not in "mf":
+                continue  # right_to_m_or_f passes an l or r
+            steps = here
+            head = z
             if beat:
-                if letters[z] == "m":
+                if letter == "m":
                     stars.append(z)
                     steps += 1
                 else:  # drop the rightmost star: walk to it, clear it,
@@ -626,12 +652,8 @@ def _compare_closed_form(tape: BoundedTape, cells: list[int], a: int, b: int) ->
                     steps += 3 * (z - (stars[-1] if stars else 0)) + 1
                     if not stars:
                         break
-        head = z
-    tape._charge(steps, head, max(x_pos, head))
-    marks = tape._marks
-    for cell in stars:
-        marks[cell] = STAR
-    return order
+    row += [(False, steps + head + restore)] * (last - a - len(row))
+    return row, head, stars
 
 
 def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> TapeRun:
@@ -660,7 +682,9 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
 
 # --- pattern avoidance -----------------------------------------------------
 
-def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool:
+def _avoids_on_tape(
+    tape: BoundedTape, n: int, pattern: tuple[int, ...], rows: list[Row | None]
+) -> bool:
     """Legality check, then a depth-first search for an occurrence.
 
     The insertion cells are in value order, so a tuple of cells taken left
@@ -675,17 +699,29 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
     positional order, so y agrees with every chosen cell exactly when it
     agrees with those two; a disagreement prunes y and everything below
     it.  A full k-tuple is an occurrence.  Control state is the pattern's
-    neighbour table and the chosen cell indices; every compare is followed
-    by a restore.
+    neighbour table and the chosen cell indices.
+
+    Traced, ``scan_insertions`` lists the insertion cells and every
+    compare runs on the tape, followed by a restore.  Untraced, every
+    compare starts on an unmarked tape with the head and high-water mark
+    on cell n-1, where the scan and every restore leave them, so a compare
+    and its restore depend on the word and the two cells alone.  The
+    search lists the cells from the letters, reads each compare from rows,
+    the caller's table of ``_compare_row`` rows (row a is built the first
+    time cells[a] is compared), and charges the scan's head + 2n - 1 steps
+    and every compare's at the end, once.
     """
     legal = _check_legal_on_tape(tape, n)
     tape.restore()
     if not legal:
         return False
+    untraced = tape.trace is None
+    if untraced:
+        cells = [pos for pos, letter in enumerate(tape._letters) if letter in "lrmf"]
+        steps = tape._head + 2 * n - 1  # scan_insertions
+    else:
+        cells = tape.scan_insertions()
     k = len(pattern)
-    cells = tape.scan_insertions()
-    if k > len(cells):
-        return True
     place = [0] * k  # place[r]: position of value rank r+1 in the pattern
     for position, rank in enumerate(pattern):
         place[rank - 1] = position
@@ -701,25 +737,39 @@ def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool
         if after:
             pair.append((min(after, key=place.__getitem__), True))
         nbrs.append(pair)
+    slack = len(cells) - k
     chosen: list[int] = []
     i = 0
     while True:
         j = len(chosen)
-        if i > len(cells) - k + j:  # fewer than k-j cells left: back up
+        if i > slack + j:  # fewer than k-j cells left: back up
             if j == 0:
-                return True
+                avoids = True
+                break
             i = chosen.pop() + 1
             continue
         for a, desc in nbrs[j]:
-            order = _compare_on_tape(tape, cells, chosen[a], i)
-            tape.restore()
-            if (order is PairOrder.DESCENDING) != desc:
+            x = chosen[a]
+            if untraced:
+                row = rows[x]
+                if row is None:
+                    row = rows[x] = _compare_row(tape, cells, x, len(cells) - 1, n - 1)[0]
+                descending, cost = row[i - x - 1]
+                steps += cost
+            else:
+                descending = _compare_on_tape(tape, cells, x, i) is PairOrder.DESCENDING
+                tape.restore()
+            if descending != desc:
                 break
         else:
             if j + 1 == k:
-                return False
+                avoids = False
+                break
             chosen.append(i)
         i += 1
+    if untraced:
+        tape._charge(steps, n - 1, n - 1)
+    return avoids
 
 
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
@@ -727,11 +777,14 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     pattern in the basis; a single pattern p is ``Basis([p])``.
 
     Runs the single-pattern procedure once per pattern on the same tape;
-    each run leaves the codeword unmarked for the next.
+    each run leaves the codeword unmarked for the next.  Untraced, they
+    share one table of compare rows, simulator bookkeeping like the step
+    counter.
     """
     check_letters(word)
     tape = BoundedTape(word, trace)
-    ok = all(_avoids_on_tape(tape, len(word), pattern.ranks) for pattern in basis)
+    rows: list[Row | None] = [None] * len(word)
+    ok = all(_avoids_on_tape(tape, len(word), pattern.ranks, rows) for pattern in basis)
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
 
 

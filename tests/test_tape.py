@@ -43,9 +43,16 @@ def tapes(monkeypatch):
     return made
 
 
+def no_trace(line):
+    """A trace that drops its lines.  Untraced, the occurrence search reads
+    each compare from its pair table, so the tests that spy on
+    ``_compare_on_tape`` pass this to run every compare on the tape."""
+
+
 @pytest.fixture
 def compares(monkeypatch):
-    """Record the (x_pos, y_pos) of every compare the tape procedures make."""
+    """Record the (x_pos, y_pos) of every compare the tape procedures make
+    on a traced tape."""
     made = []
     inner = tape._compare_on_tape
 
@@ -59,10 +66,10 @@ def compares(monkeypatch):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """Record every compare of the occurrence search as (prefix, x_pos,
-    y_pos), where prefix is the tuple of cells chosen when the compare is
-    made, read from the search's control state: a run of equal (prefix,
-    y_pos) is one candidate of one level."""
+    """Record every compare of a traced occurrence search as (prefix,
+    x_pos, y_pos), where prefix is the tuple of cells chosen when the
+    compare is made, read from the search's control state: a run of equal
+    (prefix, y_pos) is one candidate of one level."""
     made = []
     inner = tape._compare_on_tape
 
@@ -546,6 +553,37 @@ class TestCompare:
             traced = self.compare_outcome(word, a, b, head, lambda _: None)
             assert untraced == traced, (word, a, b, head)
 
+    def test_row_entries_match_traced_compare_and_restore(self):
+        # every row of every codeword with n <= 6, then one row of each of
+        # 24 seeded codewords up to n = 40: entry b is the compare of a and b
+        # from a head on cell n-1, where the occurrence search makes it,
+        # plus the restore after it, which leaves the head and high-water
+        # mark on n-1
+        rng = random.Random(2026)
+        rows = []
+        for n in range(2, 7):
+            for word in codewords_with_insertions(n):
+                rows += [(word, a) for a in range(n - 1)]
+        for _ in range(24):
+            n = rng.randint(7, 40)
+            word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
+            rows.append((word, rng.randrange(n - 1)))
+        for word, a in rows:
+            n = len(word)
+            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            t = BoundedTape(word)
+            row, _, _ = tape._compare_row(t, cells, a, len(cells) - 1, n - 1)
+            assert (t.steps, t.head, t.holds_input()) == (0, 0, True), word  # only read
+            assert len(row) == len(cells) - a - 1, (word, a)
+            for b in range(a + 1, len(cells)):
+                t = BoundedTape(word, no_trace)
+                t.seek(n - 1)
+                order = tape._compare_on_tape(t, cells, a, b)
+                t.restore()
+                assert (t.head, t.max_cells_touched) == (n - 1, n), (word, a, b)
+                want = (order is PairOrder.DESCENDING, t.steps - (n - 1))
+                assert row[b - a - 1] == want, (word, a, b)
+
     @pytest.mark.parametrize("trace", [None, lambda _: None])
     def test_compare_on_a_marked_tape_faults(self, trace):
         t = BoundedTape("mrlff", trace)
@@ -618,7 +656,7 @@ class TestAcceptsAvoiding:
         # m..1: every pair is descending, so every pair is a full 12-tuple
         # that fails only on its one compare
         word = "r" * (m - 1) + "f"
-        assert accepts_basis(word, Basis([[1, 2]])).verdict is True
+        assert accepts_basis(word, Basis([[1, 2]]), no_trace).verdict is True
         assert len(compares) == math.comb(m, 2)
 
     @pytest.mark.parametrize("m", [4, 5, 8])
@@ -626,7 +664,7 @@ class TestAcceptsAvoiding:
         # every level-1 pair is descending and prunes its subtree; all
         # C(m, 3) triples at C(3, 2) compares each would be 3 * C(m, 3)
         word = "r" * (m - 1) + "f"
-        assert accepts_basis(word, Basis([[1, 2, 3]])).verdict is True
+        assert accepts_basis(word, Basis([[1, 2, 3]]), no_trace).verdict is True
         assert len(compares) == math.comb(m - 1, 2) < 3 * math.comb(m, 3)
 
     @pytest.mark.parametrize("m", [3, 5, 8])
@@ -635,7 +673,7 @@ class TestAcceptsAvoiding:
         # values 1 and 2; at level 2, y against the first cell is ascending,
         # not descending, so y's second compare is never made
         word = "l" * (m - 1) + "f"
-        assert accepts_basis(word, Basis([[3, 1, 2]])).verdict is True
+        assert accepts_basis(word, Basis([[3, 1, 2]]), no_trace).verdict is True
         assert len(compares) == math.comb(m - 1, 2) + math.comb(m, 3)
 
     def test_search_stops_at_the_lexicographically_first_occurrence(self, compares):
@@ -651,7 +689,7 @@ class TestAcceptsAvoiding:
             word = codec.encode(Permutation(p))
             cell = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
             compares.clear()
-            assert accepts_basis(word, Basis([q])).verdict is False
+            assert accepts_basis(word, Basis([q]), no_trace).verdict is False
             # the last compares extend the first occurrence's (k-1)-prefix
             # by its last cell: against its left, then its right, positional
             # neighbour among the prefix, the ranks beside k in q
@@ -682,14 +720,14 @@ class TestOccurrenceSearch:
         # level's one positional neighbour is the level before it, so the
         # search makes k-1 compares, not the C(k, 2) of every chosen cell
         word = "l" * 7 + "f"
-        assert accepts_basis(word, Basis([list(range(1, k + 1))])).verdict is False
+        assert accepts_basis(word, Basis([list(range(1, k + 1))]), no_trace).verdict is False
         assert compares == [(j - 1, j) for j in range(1, k)]
 
     def test_each_candidate_meets_only_its_positional_neighbours(self, searched):
         tried = 0
         for word, q in self.seeded_pairs(2010, 60):
             searched.clear()
-            accepts_basis(word, Basis([q]))
+            accepts_basis(word, Basis([q]), no_trace)
             for prefix, y, xs in candidates(searched):
                 # prefix[r-1] holds rank r, and y is a candidate for the next
                 beside = [prefix[r - 1] for r in positional_neighbours(q, len(prefix))]
@@ -704,7 +742,7 @@ class TestOccurrenceSearch:
             for word in codewords_with_insertions(n):
                 for q in patterns:
                     searched.clear()
-                    verdict = accepts_basis(word, Basis([q])).verdict
+                    verdict = accepts_basis(word, Basis([q]), no_trace).verdict
                     tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
                     assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
 
@@ -712,7 +750,7 @@ class TestOccurrenceSearch:
         verdicts = set()
         for word, q in self.seeded_pairs(2011, 80):
             searched.clear()
-            verdict = accepts_basis(word, Basis([q])).verdict
+            verdict = accepts_basis(word, Basis([q]), no_trace).verdict
             tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
             assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
             verdicts.add(verdict)
@@ -750,6 +788,36 @@ class TestAcceptsBasis:
                     want = avoids_basis(perm, basis)
                     assert want or not built, (p, q)
                     assert accepts_basis(codec.encode(perm), basis).verdict is want, (p, q)
+
+    def test_untraced_matches_traced(self):
+        # untraced, the search reads its compares from a pair table that the
+        # basis's patterns share; traced, every compare runs on the tape.
+        # Every codeword with n <= 5 against every pattern with k <= 4, then
+        # seeded bases of two and three patterns, where a later pattern
+        # reads rows an earlier one built
+        patterns = [list(q) for k in range(1, 5) for q in itertools.permutations(range(1, k + 1))]
+        cases = [
+            (word, Basis([q]))
+            for n in range(1, 6)
+            for word in codewords_with_insertions(n)
+            for q in patterns
+        ]
+        rng = random.Random(2027)
+        for n in [6] * 30 + list(range(9, 15)) * 5:
+            lengths = rng.choices((3, 4, 5), k=rng.randint(2, 3))
+            basis = [rng.sample(range(1, k + 1), k) for k in lengths]
+            if rng.random() < 0.5:  # an avoider of one of the patterns
+                p = built_avoider(rng, n, rng.choice(basis))
+            else:
+                p = rng.sample(range(1, n + 1), n)
+            cases.append((codec.encode(Permutation(p)), Basis(basis)))
+        verdicts = set()
+        for word, basis in cases:
+            run = accepts_basis(word, basis)
+            assert run == accepts_basis(word, basis, no_trace), (word, basis)
+            if len(basis) > 1:
+                verdicts.add(run.verdict)
+        assert verdicts == {True, False}
 
     def test_cumulative_counters_cover_all_patterns(self):
         single = accepts_basis("rrf", Basis([[1, 2, 3]]))
