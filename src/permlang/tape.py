@@ -6,8 +6,7 @@ a BoundedTape of |w|+1 cells.  Four primitives exist — move-left,
 move-right, read, write-mark — and each costs exactly one step.  The
 letters are read-only and marks are an overlay channel over them, so
 "return the original string on the tape" means clearing marks; every
-public procedure restores the tape before returning and verifies that it
-did.
+procedure ends on a restored tape.
 
 Loop counters and selected cell indices are held in ordinary control state
 outside the tape; all work that touches the tape is charged through the
@@ -15,11 +14,13 @@ primitives.  The space bound is enforced, not just measured: any primitive
 stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
 
-Traced, every procedure runs primitive by primitive.  Untraced, only
-closed forms run, with the same steps, head, high-water mark and marks:
-``restore``, legality, the compare (one walk from x gives its whole row)
-and the sieve; the occurrence search reads each compare and its restore
-from a table of those rows and charges its pass once.
+Traced, every procedure runs primitive by primitive and ends in
+``restore``, the clearing scan, which verifies the tape.  Untraced, each
+procedure is one closed form that charges the same steps and high-water
+mark, its restore included, and writes no mark: legality, the compare
+(one walk from x gives its whole row) and the sieve; the occurrence search
+reads each compare from a table of those rows and charges its pass once.
+Either way the procedure leaves the head on the word's last cell.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ BLANK = " "
 # double stars, and clear every mark.
 _UNDO_SHUTTLE = bytes.maketrans(bytes([DAGGER, DOUBLE_STAR]), bytes([NO_MARK, STAR]))
 _CLEAR = bytes.maketrans(bytes([STAR, DOUBLE_STAR, DAGGER]), bytes(3))
-_ONE_STAR = bytes([STAR])
 
 TraceFn = Callable[[str], None]
 # A row of compares of one insertion cell: (descending, steps) per later cell
@@ -90,20 +90,17 @@ class BoundedTape:
     ``right_to_pair``, ``right_to_unmarked_mft`` and ``restore`` (the
     clearing scan).  ``scan_insertions``, ``right_to_pair`` and
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
-    cell.  Every program but ``restore`` always runs primitive by
-    primitive, one trace line a primitive when traced.  ``restore`` is the
-    one program with a closed form: untraced it charges the same steps,
-    leaves the same head, high-water mark and marks, and raises TapeFault
-    where its loop would, using a C-level ``bytearray`` count.  Untraced,
-    no other program runs.  The others serve the four procedures that
-    untraced are closed forms of their own: ``right_to_pair``,
-    ``left_past_marked_ts`` and ``right_to_unmarked_mft`` serve legality
-    (``_legal_closed_form``); ``left_past_marked_ts``, ``left_to_star``,
-    ``star_t_run``, ``rewrite_left`` and ``right_to_m_or_f`` the
-    positional compare (``_compare_row``); ``scan_insertions`` the
-    occurrence search, which untraced reads its compares from a table of
-    rows; and ``rewrite_left`` the sieve (``_sieve_closed_form``).  The
-    closed forms charge their steps, head and high-water mark through
+    cell.  Every program runs primitive by primitive, one trace line a
+    primitive when traced, and none has a closed form.  They serve the
+    four procedures, which untraced are closed forms of their own and run
+    no program: ``right_to_pair``, ``left_past_marked_ts`` and
+    ``right_to_unmarked_mft`` serve legality (``_legal_closed_form``);
+    ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
+    ``rewrite_left`` and ``right_to_m_or_f`` the positional compare
+    (``_compare_row``); ``scan_insertions`` the occurrence search, which
+    untraced reads its compares from a table of rows; ``rewrite_left`` the
+    sieve (``_sieve_closed_form``); and ``restore`` ends each of them.  The
+    closed forms charge their steps and high-water mark through
     ``_charge``, the occurrence search once per pass.
     """
 
@@ -140,11 +137,12 @@ class BoundedTape:
     def max_cells_touched(self) -> int:
         return self._max_head + 1
 
-    def _charge(self, steps: int, head: int, reach: int) -> None:
-        """A closed form's bookkeeping: add steps, put the head on a cell and
+    def _charge(self, steps: int, reach: int) -> None:
+        """A closed form's bookkeeping: add steps, put the head on the word's
+        last cell, where the restore that ends every procedure leaves it, and
         raise the high-water mark to reach."""
         self._steps += steps
-        self._head = head
+        self._head = self._capacity - 2
         if reach > self._max_head:
             self._max_head = reach
 
@@ -191,8 +189,7 @@ class BoundedTape:
         else:
             self._marks[head] = mark
 
-    # Head-movement programs; restore takes a closed-form charge when
-    # untraced, the others always run their primitive loops.
+    # Head-movement programs, each a primitive loop.
 
     def seek(self, pos: int) -> None:
         """Move the head to cell pos: |pos - head| moves."""
@@ -308,21 +305,17 @@ class BoundedTape:
         seeks cell 0, then reads each of the word's n cells, writes NO_MARK
         over a mark and moves right until the last letter, where the head
         stays: head + n reads + (n-1) moves + one write per cleared mark.
-        A mark on the boundary cell, which the scan never visits, faults."""
-        n = self._capacity - 1
-        if n and self.trace is not None:
+        A mark on the boundary cell, which the scan never visits, faults.
+        The closed forms charge this cost as their last term."""
+        last = self._capacity - 2
+        if last >= 0:
             self.seek(0)
             while True:
                 if self.read()[1] != NO_MARK:
                     self.write_mark(NO_MARK)
-                if self._head == n - 1:
+                if self._head == last:
                     break
                 self.move_right()
-        elif n:
-            cleared = n - self._marks.count(NO_MARK, 0, n)
-            if cleared:
-                self._marks[:n] = self._blank[:n]
-            self._charge(self._head + 2 * n - 1 + cleared, n - 1, n - 1)
         if self._marks != self._blank:
             raise TapeFault("tape does not hold the unmarked input word")
 
@@ -348,11 +341,12 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
     unmarked m or t remains, no unmarked f remains before the end, and the
     last cell is an unmarked f (the one that fills the initial slot).
 
-    It starts on an unmarked tape and faults otherwise, before any step.
-    With a trace attached it runs ``right_to_pair``, ``_license_span`` and
-    ``right_to_unmarked_mft`` primitive by primitive; without one,
-    ``_legal_closed_form`` charges the same steps and leaves the same head,
-    high-water mark and marks, which the caller's restore clears.
+    It starts on an unmarked tape and faults otherwise, before any step,
+    and ends restored with the head on cell n-1 (the empty word's run is
+    its one read).  With a trace attached it runs ``right_to_pair``,
+    ``_license_span`` and ``right_to_unmarked_mft`` primitive by primitive,
+    then ``restore``; without one, ``_legal_closed_form`` charges the same
+    steps and high-water mark and writes no mark.
     """
     if not tape.holds_input():
         raise TapeFault("legality started on a tape that does not hold its input")
@@ -374,7 +368,9 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
     # final verification scan
     tape.seek(0)
     letter, mark = tape.right_to_unmarked_mft()
-    return tape.head == n - 1 and letter == "f" and mark == NO_MARK
+    legal = tape.head == n - 1 and letter == "f" and mark == NO_MARK
+    tape.restore()
+    return legal
 
 
 def _license_span(tape: BoundedTape, i: int, j: int) -> None:
@@ -398,7 +394,7 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
 
 def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
     """``_check_legal_on_tape`` without a trace, for n >= 1: the same
-    verdict, steps, head, high-water mark and marks.
+    verdict, steps, head and high-water mark, on a tape it never marks.
 
     The loop stars exactly the bracket matching of m (open) and f (close),
     in increasing order of the f, so one pass with a stack of open m's
@@ -411,16 +407,17 @@ def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
     and 3(r+1) after that, or 3r when the run reaches cell 0.  The end
     pays the seek to 0, 2n-1 for the last pair scan, n-1 back to 0 and
     2p+1 for the verification scan, which stops on p, the first unmarked
-    m, f or t, or on n-1.
+    m, f or t, or on n-1.  The restore from p pays p + 2n-1 and a write
+    per star: two a pair and one a licence.  The verdict's f on n-1 is
+    unmarked unless it closed a pair: a licence only ever marks a t.
     """
     letters = tape._letters
-    marks = tape._marks
     cells = [pos for pos, letter in enumerate(letters) if letter in "lrmf"]
     opened: list[int] = []  # indices into cells of the m's still open
     spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
     stop = n - 1  # the verification scan's stop
-    head = tape._head
-    steps = 3 * n - 1
+    paired = -1  # the last f paired
+    steps = tape._head + 3 * n - 1
     for c, pos in enumerate(cells):
         letter = letters[pos]
         if letter == "m":
@@ -429,42 +426,40 @@ def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
             if opened:
                 a = opened.pop()
                 i = cells[a]
-                steps += head + 3 + 2 * pos + 3 * (pos - i)
-                head = pos
-                marks[i] = marks[pos] = STAR
+                # the round, the seek to 0 from pos after it, and the
+                # restore's two writes over the pair's stars
+                steps += 5 + 3 * pos + 3 * (pos - i)
+                paired = pos
                 spans[a + 1] += 1
                 spans[c + 1] -= 1
             elif pos < stop:
                 stop = pos
     if opened and cells[opened[0]] < stop:
         stop = cells[opened[0]]
-    steps += head  # the seek before the last pair scan
     depth = 0
     prev = -1
     for c, pos in enumerate(cells):
         depth += spans[c]
         run = pos - prev - 1
         licensed = depth if depth < run else run
-        if depth:
-            steps += licensed * (3 * licensed + 5) // 2
+        if depth:  # the visits, and the restore's write over each licence
+            steps += licensed * (3 * licensed + 7) // 2
             steps += 3 * (depth - licensed) * (pos - (prev if prev > 0 else 0))
-            if licensed:
-                marks[pos - licensed : pos] = _ONE_STAR * licensed
         if licensed < run and prev + 1 < stop:
             stop = prev + 1
         prev = pos
     if prev + 1 < stop:  # a bare run of t's ends the word
         stop = prev + 1
-    tape._charge(steps + 2 * stop, stop, n - 1)
-    return stop == n - 1 and letters[stop] == "f" and marks[stop] == NO_MARK
+    # the verification scan to stop, then the restore from there
+    tape._charge(steps + 3 * stop + 2 * n - 1, n - 1)
+    return stop == n - 1 and letters[stop] == "f" and paired != stop
 
 
 def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
-    """Decide legality on a bounded tape, restoring the word afterwards."""
+    """Decide legality on a bounded tape, which ends holding the word."""
     check_letters(word)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
-    tape.restore()
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
 
 
@@ -530,26 +525,19 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
     exceeding y's t-run means y inserts left of x: descending.
 
     It starts on an unmarked tape, with 0 <= a < b < len(cells), and
-    faults otherwise.  With a trace attached it runs the programs and
-    shuttles above primitive by primitive; without one, ``_compare_row``
-    walks the row from x to y, and the compare charges the same steps and
-    leaves the same head, high-water mark and marks.  The marks are the
-    stars, which the caller's restore clears.
+    faults otherwise, and ends restored with the head on the word's last
+    cell.  With a trace attached it runs the programs and shuttles above
+    primitive by primitive, then ``restore``, which clears the stars;
+    without one, it charges the last entry of ``_compare_row``'s walk from
+    x to y, whose steps include that restore, and writes no mark.
     """
     if not tape.holds_input():
         raise TapeFault("compare started on a tape that does not hold its input")
     if not 0 <= a < b < len(cells):
         raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
     if tape.trace is None:
-        row, head, stars = _compare_row(tape, cells, a, b, tape._head)
-        descending, steps = row[-1]
-        # the entry includes the restore after the compare: head, 2n-1 and
-        # one write per star
-        steps -= head + 2 * tape._capacity - 3 + len(stars)
-        tape._charge(steps, head, max(cells[a], head))
-        marks = tape._marks
-        for cell in stars:
-            marks[cell] = STAR
+        descending, steps = _compare_row(tape, cells, a, b, tape._head)[-1]
+        tape._charge(steps, tape._capacity - 2)
         return PairOrder.DESCENDING if descending else PairOrder.ASCENDING
     x_pos, y_pos = cells[a], cells[b]
     tape.seek(x_pos)
@@ -557,32 +545,32 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
     x_starred = x_letter in "rm"
     if x_starred:
         tape.write_mark(STAR)
-    if not tape.star_t_run() and not x_starred:
-        return PairOrder.ASCENDING
-    tape.seek(x_pos)
-    while True:
-        letter, _ = tape.right_to_m_or_f(y_pos)
-        pos = tape.head
-        if pos == y_pos:
-            beat = _stars_beat_ts(tape, pos)
-            return PairOrder.DESCENDING if beat else PairOrder.ASCENDING
-        if letter == "m":
-            if _stars_beat_ts(tape, pos):
-                tape.write_mark(STAR)
-        elif _stars_beat_ts(tape, pos):  # an f
-            if not _drop_rightmost_star(tape, pos):
-                return PairOrder.ASCENDING
+    descending = False
+    if tape.star_t_run() or x_starred:
+        tape.seek(x_pos)
+        while True:
+            letter, _ = tape.right_to_m_or_f(y_pos)
+            pos = tape.head
+            if pos == y_pos:
+                descending = _stars_beat_ts(tape, pos)
+                break
+            if letter == "m":
+                if _stars_beat_ts(tape, pos):
+                    tape.write_mark(STAR)
+            # an f: a won shuttle drops a star, and with none left x's entry
+            # has no open slot to its left
+            elif _stars_beat_ts(tape, pos) and not _drop_rightmost_star(tape, pos):
+                break
+    tape.restore()
+    return PairOrder.DESCENDING if descending else PairOrder.ASCENDING
 
 
-def _compare_row(
-    tape: BoundedTape, cells: list[int], a: int, last: int, head: int
-) -> tuple[Row, int, list[int]]:
+def _compare_row(tape: BoundedTape, cells: list[int], a: int, last: int, head: int) -> Row:
     """The compare's closed form, reading the tape only: the row of
     ``_compare_on_tape`` of a with each c = a+1..last, from a head on cell
     head of an unmarked tape.  Entry c-a-1 is (whether it is descending,
-    its steps plus those of the restore after it: the head it leaves, 2n-1
-    and a write per star).  Also returns the head and stars that the
-    compare of a and last leaves.
+    its steps, the closing restore's included: the head the walk leaves,
+    2n-1 and a write per star).
 
     The compare's only marks are its stars, which change only at their
     right end: the start pushes x's t-run (and x when it is r or m), a won
@@ -636,7 +624,6 @@ def _compare_row(
                 beat = False
             row.append((beat, here + z + restore + s))
             if c == last:
-                head = z
                 break
             letter = letters[z]
             if letter not in "mf":
@@ -653,12 +640,12 @@ def _compare_row(
                     if not stars:
                         break
     row += [(False, steps + head + restore)] * (last - a - len(row))
-    return row, head, stars
+    return row
 
 
 def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> TapeRun:
     """Decide whether the entry inserted at x_pos lands before or after the
-    one inserted at y_pos, on a bounded tape, restoring the word afterwards.
+    one inserted at y_pos, on a bounded tape, which ends holding the word.
 
     Preconditions (violations raise ValueError): x_pos < y_pos, both cells
     hold insertion letters, and the word is a legal codeword.
@@ -676,7 +663,6 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     cells = [i for i, letter in enumerate(word) if letter != "t"]
     tape = BoundedTape(word, trace)
     order = _compare_on_tape(tape, cells, cells.index(x_pos), cells.index(y_pos))
-    tape.restore()
     return TapeRun(order, tape.steps, tape.max_cells_touched)
 
 
@@ -701,19 +687,18 @@ def _avoids_on_tape(
     it.  A full k-tuple is an occurrence.  Control state is the pattern's
     neighbour table and the chosen cell indices.
 
-    Traced, ``scan_insertions`` lists the insertion cells and every
-    compare runs on the tape, followed by a restore.  Untraced, every
+    Legality and every compare end restored with the head on cell n-1,
+    so the search does too.  Traced, ``scan_insertions`` lists the
+    insertion cells and every compare runs on the tape.  Untraced, every
     compare starts on an unmarked tape with the head and high-water mark
-    on cell n-1, where the scan and every restore leave them, so a compare
-    and its restore depend on the word and the two cells alone.  The
-    search lists the cells from the letters, reads each compare from rows,
-    the caller's table of ``_compare_row`` rows (row a is built the first
-    time cells[a] is compared), and charges the scan's head + 2n - 1 steps
-    and every compare's at the end, once.
+    on cell n-1, where legality, the scan and every compare leave them, so
+    a compare depends on the word and the two cells alone.  The search
+    lists the cells from the letters, reads each compare from rows, the
+    caller's table of ``_compare_row`` rows (row a is built the first time
+    cells[a] is compared), and charges the scan's head + 2n - 1 steps and
+    every compare's at the end, once.
     """
-    legal = _check_legal_on_tape(tape, n)
-    tape.restore()
-    if not legal:
+    if not _check_legal_on_tape(tape, n):
         return False
     untraced = tape.trace is None
     if untraced:
@@ -753,12 +738,11 @@ def _avoids_on_tape(
             if untraced:
                 row = rows[x]
                 if row is None:
-                    row = rows[x] = _compare_row(tape, cells, x, len(cells) - 1, n - 1)[0]
+                    row = rows[x] = _compare_row(tape, cells, x, len(cells) - 1, n - 1)
                 descending, cost = row[i - x - 1]
                 steps += cost
             else:
                 descending = _compare_on_tape(tape, cells, x, i) is PairOrder.DESCENDING
-                tape.restore()
             if descending != desc:
                 break
         else:
@@ -768,7 +752,7 @@ def _avoids_on_tape(
             chosen.append(i)
         i += 1
     if untraced:
-        tape._charge(steps, n - 1, n - 1)
+        tape._charge(steps, n - 1)
     return avoids
 
 
@@ -791,8 +775,9 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
 # --- primality by sieve strides --------------------------------------------
 
 def _sieve_closed_form(tape: BoundedTape, n: int) -> bool:
-    """The sieve of ``is_prime`` without a trace, for n >= 2: the same
-    verdict, steps, head, high-water mark and marks.
+    """The sieve of ``is_prime`` without a trace, for n >= 2, with the
+    final restore: the same verdict, steps, head and high-water mark, on a
+    tape it never marks.
 
     Round i starts on cell 0 and daggers the d = n//i - 1 stride cells
     below n.  When i does not divide n it costs 3n + 3d + 3: i-1 moves to
@@ -800,19 +785,19 @@ def _sieve_closed_form(tape: BoundedTape, n: int) -> bool:
     stride cell and on cell n, d daggers, and the clearing walk back to
     cell 0, two steps a cell plus one write per mark.  The first i that divides
     n ends its strides on cell n-1 and walks back from there, leaving that
-    dagger for the final restore: 3n + 3d - 2.
+    dagger for the final restore: 3n + 3d - 2.  The restore from cell 0
+    pays 2n-1, plus one write when a dagger is left.
     """
-    steps = 0
-    reach = 0
+    steps = 2 * n - 1  # the final restore from cell 0
+    reach = n - 1
     for i in range(2, n):
         d = n // i - 1
-        if n % i == 0:
-            tape._marks[n - 1] = DAGGER
-            tape._charge(steps + 3 * (n + d) - 2, 0, max(reach, n - 1))
+        if n % i == 0:  # plus the restore's write over the dagger on n-1
+            tape._charge(steps + 3 * (n + d) - 1, reach)
             return False
         steps += 3 * (n + d + 1)
         reach = n
-    tape._charge(steps, 0, reach)
+    tape._charge(steps, reach)
     return True
 
 
@@ -822,40 +807,37 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
 
     Accepts iff no i divides n, with n = 1 rejected outright.  Uses at most
     n + 1 cells (the word plus its blank boundary).  With a trace attached
-    the sieve runs primitive by primitive, Θ(n²) trace lines for a prime n;
-    without one, ``_sieve_closed_form`` charges the same steps and leaves
-    the same high-water mark and marks, which the final restore clears.
+    the sieve runs primitive by primitive, Θ(n²) trace lines for a prime n,
+    then the final restore; without one, ``_sieve_closed_form`` charges the
+    same steps and high-water mark, that restore included, and writes no
+    mark.
     """
     if n < 1:
         raise ValueError("n must be positive")
     tape = BoundedTape("a" * n, trace)
+    if n > 1 and trace is None:
+        return TapeRun(_sieve_closed_form(tape, n), tape.steps, tape.max_cells_touched)
     if n == 1:
         tape.read()
-        verdict = False
-    elif trace is None:
-        verdict = _sieve_closed_form(tape, n)
-    else:
-        verdict = True
-        for i in range(2, n):
-            tape.seek(i - 1)
-            tape.write_mark(STAR)
-            pos = i - 1
-            divides = False
-            while True:
-                hop = min(i, n - pos)
-                pos += hop
-                tape.seek(pos)
-                letter, _ = tape.read()
-                if letter == BLANK or hop < i:
-                    break
-                tape.write_mark(DAGGER)
-                if pos == n - 1:
-                    divides = True
-                    break
-            # clear this round's marks walking back to the start
-            tape.rewrite_left(pos, 0, _CLEAR)
-            if divides:
+    verdict = n > 1
+    for i in range(2, n):
+        tape.seek(i - 1)
+        tape.write_mark(STAR)
+        pos = i - 1
+        while True:
+            hop = min(i, n - pos)
+            pos += hop
+            tape.seek(pos)
+            letter, _ = tape.read()
+            if letter == BLANK or hop < i:
+                break
+            tape.write_mark(DAGGER)
+            if pos == n - 1:  # i divides n
                 verdict = False
                 break
+        # clear this round's marks walking back to the start
+        tape.rewrite_left(pos, 0, _CLEAR)
+        if not verdict:
+            break
     tape.restore()
     return TapeRun(verdict, tape.steps, tape.max_cells_touched)

@@ -112,26 +112,29 @@ def test_criterion_06_space_bound():
 
 
 def test_criterion_07_tape_restoration():
-    # Every public procedure ends in BoundedTape.restore, which raises
-    # TapeFault unless the tape holds the unmarked word, so criteria 3-5
-    # already ran that check.  Here the procedures run on tapes this test
-    # owns: the letters are read-only, and the clearing scan removes every
-    # mark they leave.
+    # Every tape procedure ends restored.  Traced, it ends in
+    # BoundedTape.restore, which raises TapeFault unless the tape holds the
+    # unmarked word; untraced, it is one closed form that writes no mark.
+    # Here legality and the compare run on tapes this test owns, untraced
+    # and with a trace that drops its lines, and each tape must hold its
+    # input straight after the procedure, with no restore of the test's.
     checked = 0
     for n in range(1, 5):
         for word in codewords_with_insertions(n):
-            t = tape.BoundedTape(word)
-            assert tape._check_legal_on_tape(t, len(word))
-            t.restore()
-            assert t.holds_input()
             cells = [i for i, ch in enumerate(word) if ch != "t"]
-            for a, b in itertools.combinations(range(len(cells)), 2):
-                t = tape.BoundedTape(word)
-                tape._compare_on_tape(t, cells, a, b)
-                t.restore()
-                assert t.holds_input(), (word, cells[a], cells[b])
-                checked += 1
-    print(f"ACCEPTANCE 07 tape restoration over {checked} owned compare tapes: PASS")
+            for trace in (None, lambda _: None):
+                t = tape.BoundedTape(word, trace)
+                assert tape._check_legal_on_tape(t, len(word))
+                assert t.holds_input(), word
+                for a, b in itertools.combinations(range(len(cells)), 2):
+                    t = tape.BoundedTape(word, trace)
+                    tape._compare_on_tape(t, cells, a, b)
+                    assert t.holds_input(), (word, cells[a], cells[b], trace)
+                    checked += 1
+    print(
+        f"ACCEPTANCE 07 tape restoration over {checked} owned compare tapes, "
+        "untraced and traced: PASS"
+    )
 
 
 def test_criterion_08_complexity_slopes():

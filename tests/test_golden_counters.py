@@ -118,9 +118,10 @@ def test_golden_counters_unchanged():
 
 
 def test_traced_runs_match_untraced():
-    # Restore scans, legality's marking procedure, the positional compare
-    # and the sieve take closed-form charges only when untraced, so the
-    # traced primitive-by-primitive path must count the same.
+    # Untraced, legality's marking procedure, the positional compare, the
+    # occurrence search and the sieve are closed forms that charge their
+    # restore too, so the traced primitive-by-primitive path, which ends in
+    # the restore's loop, must count the same.
     assert collect(trace=lambda _: None) == collect()
 
 

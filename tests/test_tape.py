@@ -44,9 +44,10 @@ def tapes(monkeypatch):
 
 
 def no_trace(line):
-    """A trace that drops its lines.  Untraced, the occurrence search reads
-    each compare from its pair table, so the tests that spy on
-    ``_compare_on_tape`` pass this to run every compare on the tape."""
+    """A trace that drops its lines.  Untraced, every procedure is a closed
+    form and the occurrence search reads each compare from its pair table,
+    so the tests that spy on ``_compare_on_tape`` or on the primitives pass
+    this to run every compare, restore included, on the tape."""
 
 
 @pytest.fixture
@@ -236,11 +237,10 @@ class TestBoundedTape:
                 assert t.holds_input() == (not any(t.snapshot()[1])), word
                 assert t.snapshot()[0] == word + tape.BLANK
 
-    # restore, the one program with a closed form, plus seek and
-    # rewrite_left, which always run their primitive loops but must still
-    # fault alike traced or not and write one trace line per step; each
-    # with arguments drawn for a tape of `cap` cells, sometimes outside it,
-    # so that both tape ends are reached.
+    # seek, rewrite_left and restore, which run their primitive loops
+    # traced or not, must fault alike either way and write one trace line
+    # per step; each with arguments drawn for a tape of `cap` cells,
+    # sometimes outside it, so that both tape ends are reached.
     PROGRAMS = {
         "seek": lambda rng, cap: (rng.randint(-1, cap),),
         "rewrite_left": lambda rng, cap: (
@@ -268,7 +268,7 @@ class TestBoundedTape:
         return (value, t.head, t.steps, t.max_cells_touched, t.snapshot(), t.holds_input())
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_scan_program_closed_form_matches_primitive_loop(self, name):
+    def test_scan_program_faults_alike_and_traces_each_step(self, name):
         rng = random.Random(name)
         outcomes = set()
         for _ in range(400):
@@ -375,14 +375,12 @@ class TestCheckLegal:
 
     @staticmethod
     def legal_outcome(word, head, trace):
-        """``_check_legal_on_tape`` from a head on cell head: its verdict,
-        the tape it leaves, and the steps after the restore that follows."""
+        """``_check_legal_on_tape`` from a head on cell head: its verdict
+        and the tape it leaves, restored."""
         t = BoundedTape(word, trace)
         t.seek(head)
         verdict = tape._check_legal_on_tape(t, len(word))
-        left = (verdict, t.steps, t.head, t.max_cells_touched, t.snapshot())
-        t.restore()
-        return left, t.steps
+        return verdict, t.steps, t.head, t.max_cells_touched, t.snapshot()
 
     def test_closed_form_matches_primitive_composition(self):
         # every word of length <= 6, legal or not, then seeded codewords and
@@ -525,15 +523,12 @@ class TestCompare:
     @staticmethod
     def compare_outcome(word, a, b, head, trace):
         """``_compare_on_tape`` on the insertion cells a < b, from a head on
-        cell head: its verdict, the tape it leaves, and the steps after the
-        restore that follows."""
+        cell head: its verdict and the tape it leaves, restored."""
         cells = [i for i, ch in enumerate(word) if ch != "t"]
         t = BoundedTape(word, trace)
         t.seek(head)
         order = tape._compare_on_tape(t, cells, a, b)
-        left = (order, t.steps, t.max_cells_touched, t.head, t.snapshot())
-        t.restore()
-        return left, t.steps
+        return order, t.steps, t.max_cells_touched, t.head, t.snapshot()
 
     def test_closed_form_matches_primitive_composition(self):
         # every insertion-cell pair of every codeword with n <= 6, then
@@ -557,8 +552,7 @@ class TestCompare:
         # every row of every codeword with n <= 6, then one row of each of
         # 24 seeded codewords up to n = 40: entry b is the compare of a and b
         # from a head on cell n-1, where the occurrence search makes it,
-        # plus the restore after it, which leaves the head and high-water
-        # mark on n-1
+        # restore included, which leaves the head and high-water mark on n-1
         rng = random.Random(2026)
         rows = []
         for n in range(2, 7):
@@ -572,14 +566,14 @@ class TestCompare:
             n = len(word)
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             t = BoundedTape(word)
-            row, _, _ = tape._compare_row(t, cells, a, len(cells) - 1, n - 1)
+            row = tape._compare_row(t, cells, a, len(cells) - 1, n - 1)
             assert (t.steps, t.head, t.holds_input()) == (0, 0, True), word  # only read
             assert len(row) == len(cells) - a - 1, (word, a)
             for b in range(a + 1, len(cells)):
                 t = BoundedTape(word, no_trace)
                 t.seek(n - 1)
                 order = tape._compare_on_tape(t, cells, a, b)
-                t.restore()
+                assert t.holds_input(), (word, a, b)
                 assert (t.head, t.max_cells_touched) == (n - 1, n), (word, a, b)
                 want = (order is PairOrder.DESCENDING, t.steps - (n - 1))
                 assert row[b - a - 1] == want, (word, a, b)
@@ -923,3 +917,32 @@ def test_taperun_is_frozen():
     assert isinstance(run, TapeRun)
     with pytest.raises(AttributeError):
         run.steps = 0
+
+
+def test_untraced_procedures_run_no_primitive(monkeypatch):
+    # untraced, every procedure is one closed form that charges its steps,
+    # restore included, so no primitive runs; the closed-form ledger in
+    # ROADMAP.md times whole passes on this premise
+    calls = []
+    for name in ("move_left", "move_right", "read", "write_mark"):
+
+        def spy(self, *args, inner=getattr(BoundedTape, name), name=name):
+            calls.append(name)
+            return inner(self, *args)
+
+        monkeypatch.setattr(BoundedTape, name, spy)
+    basis = Basis([[1, 3, 2], [2, 4, 1, 3]])
+    for n in range(1, 6):
+        for letters in itertools.product(codec.ALPHABET, repeat=n):
+            check_legal("".join(letters))
+        for word in codewords_with_insertions(n):
+            accepts_basis(word, basis)
+            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            for x, y in itertools.combinations(cells, 2):
+                compare(word, x, y)
+    for n in range(2, 60):
+        is_prime(n)
+    assert calls == []
+    # the spies see a traced run
+    check_legal("f", no_trace)
+    assert calls
