@@ -14,13 +14,14 @@ primitives.  The space bound is enforced, not just measured: any primitive
 stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
 
-Traced, every procedure runs primitive by primitive and ends in
-``restore``, the clearing scan, which verifies the tape.  Untraced, each
-procedure is one closed form that charges the same steps and high-water
-mark, its restore included, and writes no mark: legality, the compare
-(one walk from x gives its whole row) and the sieve; the occurrence search
-reads each compare from a table of those rows and charges its pass once.
-Either way the procedure leaves the head on the word's last cell.
+Traced, every procedure runs primitive by primitive on a BoundedTape and
+ends in ``restore``, the clearing scan, which verifies the tape and leaves
+the head on the word's last cell.  Untraced, no tape is built: legality,
+the compare (one walk from x gives its whole row) and the sieve are
+functions of the word and a start head that return the traced run's
+verdict and steps, its restore included, and the occurrence search reads
+each compare from a table of those rows.  Every word procedure reaches
+the word's last cell and no further, so its high-water mark is |w| cells.
 """
 
 from __future__ import annotations
@@ -92,16 +93,12 @@ class BoundedTape:
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
     cell.  Every program runs primitive by primitive, one trace line a
     primitive when traced, and none has a closed form.  They serve the
-    four procedures, which untraced are closed forms of their own and run
-    no program: ``right_to_pair``, ``left_past_marked_ts`` and
-    ``right_to_unmarked_mft`` serve legality (``_legal_closed_form``);
+    four procedures, which build a tape only when traced: ``right_to_pair``,
+    ``left_past_marked_ts`` and ``right_to_unmarked_mft`` serve legality;
     ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
-    ``rewrite_left`` and ``right_to_m_or_f`` the positional compare
-    (``_compare_row``); ``scan_insertions`` the occurrence search, which
-    untraced reads its compares from a table of rows; ``rewrite_left`` the
-    sieve (``_sieve_closed_form``); and ``restore`` ends each of them.  The
-    closed forms charge their steps and high-water mark through
-    ``_charge``, the occurrence search once per pass.
+    ``rewrite_left`` and ``right_to_m_or_f`` the positional compare;
+    ``scan_insertions`` the occurrence search; ``rewrite_left`` the sieve;
+    and ``restore`` ends each of them.
     """
 
     __slots__ = (
@@ -136,15 +133,6 @@ class BoundedTape:
     @property
     def max_cells_touched(self) -> int:
         return self._max_head + 1
-
-    def _charge(self, steps: int, reach: int) -> None:
-        """A closed form's bookkeeping: add steps, put the head on the word's
-        last cell, where the restore that ends every procedure leaves it, and
-        raise the high-water mark to reach."""
-        self._steps += steps
-        self._head = self._capacity - 2
-        if reach > self._max_head:
-            self._max_head = reach
 
     def _emit(self, primitive: str, before: tuple[str, int], after: tuple[str, int]) -> None:
         bt = before[0] + _MARK_TEXT[before[1]]
@@ -343,18 +331,15 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
 
     It starts on an unmarked tape and faults otherwise, before any step,
     and ends restored with the head on cell n-1 (the empty word's run is
-    its one read).  With a trace attached it runs ``right_to_pair``,
-    ``_license_span`` and ``right_to_unmarked_mft`` primitive by primitive,
-    then ``restore``; without one, ``_legal_closed_form`` charges the same
-    steps and high-water mark and writes no mark.
+    its one read).  It runs ``right_to_pair``, ``_license_span`` and
+    ``right_to_unmarked_mft`` primitive by primitive, then ``restore``;
+    ``_legal_closed_form`` gives its verdict and steps without a tape.
     """
     if not tape.holds_input():
         raise TapeFault("legality started on a tape that does not hold its input")
     if n == 0:
         tape.read()
         return False
-    if tape.trace is None:
-        return _legal_closed_form(tape, n)
     while True:
         tape.seek(0)
         i = tape.right_to_pair()
@@ -392,34 +377,37 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         tape.seek(pos)
 
 
-def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
-    """``_check_legal_on_tape`` without a trace, for n >= 1: the same
-    verdict, steps, head and high-water mark, on a tape it never marks.
+def _legal_closed_form(word: str, head: int) -> tuple[bool, int]:
+    """The verdict and steps of ``_check_legal_on_tape`` on the word from a
+    head on cell head of an unmarked tape, restore included.
 
-    The loop stars exactly the bracket matching of m (open) and f (close),
-    in increasing order of the f, so one pass with a stack of open m's
-    gives every pair (i, j) in the loop's order.  A round costs the seek
-    to cell 0 from the previous head (the last j, or the start), 2j+1 for
-    ``right_to_pair``, two stars, j-i back to i and 2(j-i) for the span
-    walk.  An insertion cell inside d spans, with a t-run of r before it,
-    has its licences taken from the right of that run, so its c-th visit
-    (c = 0, 1, ...) walks past c licensed t's and pays 3c+4 while c < r,
-    and 3(r+1) after that, or 3r when the run reaches cell 0.  The end
-    pays the seek to 0, 2n-1 for the last pair scan, n-1 back to 0 and
-    2p+1 for the verification scan, which stops on p, the first unmarked
-    m, f or t, or on n-1.  The restore from p pays p + 2n-1 and a write
-    per star: two a pair and one a licence.  The verdict's f on n-1 is
-    unmarked unless it closed a pair: a licence only ever marks a t.
+    The empty word's run is one read.  Otherwise the loop stars exactly the
+    bracket matching of m (open) and f (close), in increasing order of the
+    f, so one pass with a stack of open m's gives every pair (i, j) in the
+    loop's order.  A round costs the seek to cell 0 from the previous head
+    (the last j, or the start), 2j+1 for ``right_to_pair``, two stars, j-i
+    back to i and 2(j-i) for the span walk.  An insertion cell inside d
+    spans, with a t-run of r before it, has its licences taken from the
+    right of that run, so its c-th visit (c = 0, 1, ...) walks past c
+    licensed t's and pays 3c+4 while c < r, and 3(r+1) after that, or 3r
+    when the run reaches cell 0.  The end pays the seek to 0, 2n-1 for the
+    last pair scan, n-1 back to 0 and 2p+1 for the verification scan, which
+    stops on p, the first unmarked m, f or t, or on n-1.  The restore from
+    p pays p + 2n-1 and a write per star: two a pair and one a licence.
+    The verdict's f on n-1 is unmarked unless it closed a pair: a licence
+    only ever marks a t.
     """
-    letters = tape._letters
-    cells = [pos for pos, letter in enumerate(letters) if letter in "lrmf"]
+    n = len(word)
+    if n == 0:
+        return False, 1
+    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
     opened: list[int] = []  # indices into cells of the m's still open
     spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
     stop = n - 1  # the verification scan's stop
     paired = -1  # the last f paired
-    steps = tape._head + 3 * n - 1
+    steps = head + 3 * n - 1
     for c, pos in enumerate(cells):
-        letter = letters[pos]
+        letter = word[pos]
         if letter == "m":
             opened.append(c)
         elif letter == "f":
@@ -451,13 +439,15 @@ def _legal_closed_form(tape: BoundedTape, n: int) -> bool:
     if prev + 1 < stop:  # a bare run of t's ends the word
         stop = prev + 1
     # the verification scan to stop, then the restore from there
-    tape._charge(steps + 3 * stop + 2 * n - 1, n - 1)
-    return stop == n - 1 and letters[stop] == "f" and paired != stop
+    legal = stop == n - 1 and word[stop] == "f" and paired != stop
+    return legal, steps + 3 * stop + 2 * n - 1
 
 
 def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     """Decide legality on a bounded tape, which ends holding the word."""
     check_letters(word)
+    if trace is None:
+        return TapeRun(*_legal_closed_form(word, 0), len(word) or 1)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
@@ -526,19 +516,15 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
 
     It starts on an unmarked tape, with 0 <= a < b < len(cells), and
     faults otherwise, and ends restored with the head on the word's last
-    cell.  With a trace attached it runs the programs and shuttles above
-    primitive by primitive, then ``restore``, which clears the stars;
-    without one, it charges the last entry of ``_compare_row``'s walk from
-    x to y, whose steps include that restore, and writes no mark.
+    cell.  It runs the programs and shuttles above primitive by primitive,
+    then ``restore``, which clears the stars; the last entry of
+    ``_compare_row``'s walk from x to y gives its verdict and steps
+    without a tape.
     """
     if not tape.holds_input():
         raise TapeFault("compare started on a tape that does not hold its input")
     if not 0 <= a < b < len(cells):
         raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
-    if tape.trace is None:
-        descending, steps = _compare_row(tape, cells, a, b, tape._head)[-1]
-        tape._charge(steps, tape._capacity - 2)
-        return PairOrder.DESCENDING if descending else PairOrder.ASCENDING
     x_pos, y_pos = cells[a], cells[b]
     tape.seek(x_pos)
     x_letter, _ = tape.read()
@@ -565,12 +551,12 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
     return PairOrder.DESCENDING if descending else PairOrder.ASCENDING
 
 
-def _compare_row(tape: BoundedTape, cells: list[int], a: int, last: int, head: int) -> Row:
-    """The compare's closed form, reading the tape only: the row of
-    ``_compare_on_tape`` of a with each c = a+1..last, from a head on cell
-    head of an unmarked tape.  Entry c-a-1 is (whether it is descending,
-    its steps, the closing restore's included: the head the walk leaves,
-    2n-1 and a write per star).
+def _compare_row(word: str, cells: list[int], a: int, last: int, head: int) -> Row:
+    """The compare's closed form: the row of ``_compare_on_tape`` of a with
+    each c = a+1..last on the word, from a head on cell head of an unmarked
+    tape.  Entry c-a-1 is (whether it is descending, its steps, the closing
+    restore's included: the head the walk leaves, 2n-1 and a write per
+    star).
 
     The compare's only marks are its stars, which change only at their
     right end: the start pushes x's t-run (and x when it is r or m), a won
@@ -586,12 +572,11 @@ def _compare_row(tape: BoundedTape, cells: list[int], a: int, last: int, head: i
     walk passes each insertion cell at 2 steps.  Once the stars run out,
     every later compare is ascending with the same steps.
     """
-    letters = tape._letters
-    restore = 2 * tape._capacity - 3  # the restore's 2n-1
+    restore = 2 * len(word) - 1
     x_pos = cells[a]
     # seek x, read it, star it when r or m, then star_t_run
     steps = abs(x_pos - head) + 1
-    x_starred = letters[x_pos] in "rm"
+    x_starred = word[x_pos] in "rm"
     run_stop = cells[a - 1] if a else -1
     run = x_pos - run_stop - 1
     head = run_stop if run_stop >= 0 else 0
@@ -625,7 +610,7 @@ def _compare_row(tape: BoundedTape, cells: list[int], a: int, last: int, head: i
             row.append((beat, here + z + restore + s))
             if c == last:
                 break
-            letter = letters[z]
+            letter = word[z]
             if letter not in "mf":
                 continue  # right_to_m_or_f passes an l or r
             steps = here
@@ -661,17 +646,22 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     # the insertion cells, as bookkeeping of the simulator like the step
     # counter: the occurrence search scans them on the tape instead
     cells = [i for i, letter in enumerate(word) if letter != "t"]
+    a, b = cells.index(x_pos), cells.index(y_pos)
+    if trace is None:
+        descending, steps = _compare_row(word, cells, a, b, 0)[-1]
+        order = PairOrder.DESCENDING if descending else PairOrder.ASCENDING
+        return TapeRun(order, steps, n)
     tape = BoundedTape(word, trace)
-    order = _compare_on_tape(tape, cells, cells.index(x_pos), cells.index(y_pos))
+    order = _compare_on_tape(tape, cells, a, b)
     return TapeRun(order, tape.steps, tape.max_cells_touched)
 
 
 # --- pattern avoidance -----------------------------------------------------
 
-def _avoids_on_tape(
-    tape: BoundedTape, n: int, pattern: tuple[int, ...], rows: list[Row | None]
+def _avoids(
+    cells: list[int], pattern: tuple[int, ...], descending: Callable[[list[int], int, int], bool]
 ) -> bool:
-    """Legality check, then a depth-first search for an occurrence.
+    """Depth-first search for an occurrence of the pattern; True iff none.
 
     The insertion cells are in value order, so a tuple of cells taken left
     to right holds the values 1..k of a candidate occurrence.  The search
@@ -687,25 +677,10 @@ def _avoids_on_tape(
     it.  A full k-tuple is an occurrence.  Control state is the pattern's
     neighbour table and the chosen cell indices.
 
-    Legality and every compare end restored with the head on cell n-1,
-    so the search does too.  Traced, ``scan_insertions`` lists the
-    insertion cells and every compare runs on the tape.  Untraced, every
-    compare starts on an unmarked tape with the head and high-water mark
-    on cell n-1, where legality, the scan and every compare leave them, so
-    a compare depends on the word and the two cells alone.  The search
-    lists the cells from the letters, reads each compare from rows, the
-    caller's table of ``_compare_row`` rows (row a is built the first time
-    cells[a] is compared), and charges the scan's head + 2n - 1 steps and
-    every compare's at the end, once.
+    ``descending(chosen, a, y)`` makes the compare of the cell chosen at
+    level a with the candidate y, both indices into cells, and says
+    whether it is descending.
     """
-    if not _check_legal_on_tape(tape, n):
-        return False
-    untraced = tape.trace is None
-    if untraced:
-        cells = [pos for pos, letter in enumerate(tape._letters) if letter in "lrmf"]
-        steps = tape._head + 2 * n - 1  # scan_insertions
-    else:
-        cells = tape.scan_insertions()
     k = len(pattern)
     place = [0] * k  # place[r]: position of value rank r+1 in the pattern
     for position, rank in enumerate(pattern):
@@ -729,31 +704,27 @@ def _avoids_on_tape(
         j = len(chosen)
         if i > slack + j:  # fewer than k-j cells left: back up
             if j == 0:
-                avoids = True
-                break
+                return True
             i = chosen.pop() + 1
             continue
         for a, desc in nbrs[j]:
-            x = chosen[a]
-            if untraced:
-                row = rows[x]
-                if row is None:
-                    row = rows[x] = _compare_row(tape, cells, x, len(cells) - 1, n - 1)
-                descending, cost = row[i - x - 1]
-                steps += cost
-            else:
-                descending = _compare_on_tape(tape, cells, x, i) is PairOrder.DESCENDING
-            if descending != desc:
+            if descending(chosen, a, i) != desc:
                 break
         else:
             if j + 1 == k:
-                avoids = False
-                break
+                return False
             chosen.append(i)
         i += 1
-    if untraced:
-        tape._charge(steps, n - 1)
-    return avoids
+
+
+def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool:
+    """One pattern pass on the tape: legality, ``scan_insertions``, then the
+    search with every compare on the tape; each ends on cell n-1."""
+    if not _check_legal_on_tape(tape, n):
+        return False
+    cells = tape.scan_insertions()
+    return _avoids(cells, pattern, lambda chosen, a, y: (
+        _compare_on_tape(tape, cells, chosen[a], y) is PairOrder.DESCENDING))
 
 
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
@@ -761,44 +732,72 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     pattern in the basis; a single pattern p is ``Basis([p])``.
 
     Runs the single-pattern procedure once per pattern on the same tape;
-    each run leaves the codeword unmarked for the next.  Untraced, they
-    share one table of compare rows, simulator bookkeeping like the step
-    counter.
+    each run leaves the codeword unmarked for the next.  Untraced, every
+    compare starts on an unmarked tape with the head on cell n-1, where
+    legality, the scan and every compare leave it, so it depends on the
+    word and its two cells alone: the search reads it from a table of
+    ``_compare_row`` rows, one per x, built the first time x is compared
+    and shared by the basis's patterns.
     """
     check_letters(word)
-    tape = BoundedTape(word, trace)
-    rows: list[Row | None] = [None] * len(word)
-    ok = all(_avoids_on_tape(tape, len(word), pattern.ranks, rows) for pattern in basis)
-    return TapeRun(ok, tape.steps, tape.max_cells_touched)
+    n = len(word)
+    if trace is not None:
+        tape = BoundedTape(word, trace)
+        ok = all(_avoids_on_tape(tape, n, pattern.ranks) for pattern in basis)
+        return TapeRun(ok, tape.steps, tape.max_cells_touched)
+    legal, legality = _legal_closed_form(word, 0)
+    if not legal:
+        return TapeRun(False, legality, n or 1)
+    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
+    rows: list[Row | None] = [None] * len(cells)
+
+    def descending(chosen: list[int], a: int, y: int) -> bool:
+        nonlocal steps
+        x = chosen[a]
+        row = rows[x]
+        if row is None:
+            row = rows[x] = _compare_row(word, cells, x, len(cells) - 1, n - 1)
+        verdict, cost = row[y - x - 1]
+        steps += cost
+        return verdict
+
+    steps = 1 - n  # the first pass starts on cell 0, not n-1
+    for pattern in basis:
+        # legality from n-1 (its head counts only in its seek to cell 0),
+        # then scan_insertions from n-1: head + 2n - 1
+        steps += n - 1 + legality + 3 * n - 2
+        if not _avoids(cells, pattern.ranks, descending):
+            return TapeRun(False, steps, n)
+    return TapeRun(True, steps, n)
 
 
 # --- primality by sieve strides --------------------------------------------
 
-def _sieve_closed_form(tape: BoundedTape, n: int) -> bool:
-    """The sieve of ``is_prime`` without a trace, for n >= 2, with the
-    final restore: the same verdict, steps, head and high-water mark, on a
-    tape it never marks.
+def _sieve_closed_form(n: int) -> tuple[bool, int, int]:
+    """The verdict, steps and cells touched of ``is_prime``'s sieve with the
+    final restore, from a head on cell 0 of an unmarked tape of n cells.
 
-    Round i starts on cell 0 and daggers the d = n//i - 1 stride cells
-    below n.  When i does not divide n it costs 3n + 3d + 3: i-1 moves to
-    the star, the star, n-i+1 moves to the blank cell n with a read on each
-    stride cell and on cell n, d daggers, and the clearing walk back to
-    cell 0, two steps a cell plus one write per mark.  The first i that divides
-    n ends its strides on cell n-1 and walks back from there, leaving that
+    n = 1 is rejected with one read and a one-cell restore.  Round i
+    starts on cell 0 and daggers the d = n//i - 1 stride cells below n.
+    When i does not divide n it costs 3n + 3d + 3: i-1 moves to the star,
+    the star, n-i+1 moves to the blank cell n with a read on each stride
+    cell and on cell n, d daggers, and the clearing walk back to cell 0,
+    two steps a cell plus one write per mark.  The first i that divides n
+    ends its strides on cell n-1 and walks back from there, leaving that
     dagger for the final restore: 3n + 3d - 2.  The restore from cell 0
     pays 2n-1, plus one write when a dagger is left.
     """
+    if n == 1:
+        return False, 2, 1
     steps = 2 * n - 1  # the final restore from cell 0
-    reach = n - 1
+    cells = n
     for i in range(2, n):
         d = n // i - 1
         if n % i == 0:  # plus the restore's write over the dagger on n-1
-            tape._charge(steps + 3 * (n + d) - 1, reach)
-            return False
+            return False, steps + 3 * (n + d) - 1, cells
         steps += 3 * (n + d + 1)
-        reach = n
-    tape._charge(steps, reach)
-    return True
+        cells = n + 1
+    return True, steps, cells
 
 
 def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
@@ -808,15 +807,14 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
     Accepts iff no i divides n, with n = 1 rejected outright.  Uses at most
     n + 1 cells (the word plus its blank boundary).  With a trace attached
     the sieve runs primitive by primitive, Θ(n²) trace lines for a prime n,
-    then the final restore; without one, ``_sieve_closed_form`` charges the
-    same steps and high-water mark, that restore included, and writes no
-    mark.
+    then the final restore; without one, ``_sieve_closed_form`` gives the
+    same verdict and counters without a tape.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if trace is None:
+        return TapeRun(*_sieve_closed_form(n))
     tape = BoundedTape("a" * n, trace)
-    if n > 1 and trace is None:
-        return TapeRun(_sieve_closed_form(tape, n), tape.steps, tape.max_cells_touched)
     if n == 1:
         tape.read()
     verdict = n > 1

@@ -112,12 +112,12 @@ def test_criterion_06_space_bound():
 
 
 def test_criterion_07_tape_restoration():
-    # Every tape procedure ends restored.  Traced, it ends in
-    # BoundedTape.restore, which raises TapeFault unless the tape holds the
-    # unmarked word; untraced, it is one closed form that writes no mark.
-    # Here legality and the compare run on tapes this test owns, untraced
-    # and with a trace that drops its lines, and each tape must hold its
-    # input straight after the procedure, with no restore of the test's.
+    # Every tape procedure ends restored: it ends in BoundedTape.restore,
+    # which raises TapeFault unless the tape holds the unmarked word (the
+    # public procedures build a tape only when traced).  Here legality and
+    # the compare run on tapes this test owns, without a trace and with one
+    # that drops its lines, and each tape must hold its input straight
+    # after the procedure, with no restore of the test's.
     checked = 0
     for n in range(1, 5):
         for word in codewords_with_insertions(n):

@@ -2,7 +2,6 @@ import contextlib
 import itertools
 import math
 import random
-import sys
 
 import pytest
 from conftest import built_avoider
@@ -29,7 +28,8 @@ from permlang.tape import (
 @pytest.fixture
 def tapes(monkeypatch):
     """Record every (word, tape) pair the procedures create, so a test can
-    inspect the tape a public procedure left behind."""
+    inspect the tape a public procedure left behind; only traced runs
+    build a tape."""
     made = []
 
     class RecordingTape(BoundedTape):
@@ -44,10 +44,10 @@ def tapes(monkeypatch):
 
 
 def no_trace(line):
-    """A trace that drops its lines.  Untraced, every procedure is a closed
-    form and the occurrence search reads each compare from its pair table,
-    so the tests that spy on ``_compare_on_tape`` or on the primitives pass
-    this to run every compare, restore included, on the tape."""
+    """A trace that drops its lines.  Untraced, no procedure builds a tape
+    and the occurrence search reads each compare from its pair table, so
+    the tests that spy on ``_compare_on_tape`` or inspect a procedure's
+    tape pass this to run every step, restore included, on a tape."""
 
 
 @pytest.fixture
@@ -67,19 +67,21 @@ def compares(monkeypatch):
 
 @pytest.fixture
 def searched(monkeypatch):
-    """Record every compare of a traced occurrence search as (prefix,
-    x_pos, y_pos), where prefix is the tuple of cells chosen when the
-    compare is made, read from the search's control state: a run of equal
-    (prefix, y_pos) is one candidate of one level."""
+    """Record every compare of an occurrence search as (prefix, x_pos,
+    y_pos), where prefix is the tuple of cells chosen when the compare is
+    made, as the search hands its control state to its compare: a run of
+    equal (prefix, y_pos) is one candidate of one level."""
     made = []
-    inner = tape._compare_on_tape
+    inner = tape._avoids
 
-    def recording(t, cells, a, b):
-        chosen = sys._getframe(1).f_locals["chosen"]
-        made.append((tuple(cells[c] for c in chosen), cells[a], cells[b]))
-        return inner(t, cells, a, b)
+    def recording(cells, pattern, descending):
+        def watched(chosen, a, y):
+            made.append((tuple(cells[c] for c in chosen), cells[chosen[a]], cells[y]))
+            return descending(chosen, a, y)
 
-    monkeypatch.setattr(tape, "_compare_on_tape", recording)
+        return inner(cells, pattern, watched)
+
+    monkeypatch.setattr(tape, "_avoids", recording)
     return made
 
 
@@ -362,6 +364,7 @@ class TestCheckLegal:
     def test_verdicts(self, word, expected, tapes):
         run = check_legal(word)
         assert run.verdict is expected
+        assert check_legal(word, no_trace) == run
         assert_tapes_clean(tapes)
 
     def test_agrees_with_direct_validate_exhaustively(self, tapes):
@@ -371,16 +374,22 @@ class TestCheckLegal:
                 run = check_legal(word)
                 assert run.verdict == bool(validate(word)), word
                 assert run.max_cells_touched <= len(word) + 1
+                assert check_legal(word, no_trace) == run, word
         assert_tapes_clean(tapes)
 
     @staticmethod
-    def legal_outcome(word, head, trace):
-        """``_check_legal_on_tape`` from a head on cell head: its verdict
-        and the tape it leaves, restored."""
-        t = BoundedTape(word, trace)
+    def traced_legality(word, head):
+        """``_check_legal_on_tape`` on a traced tape from a head on cell
+        head: its verdict and steps from there.  The tape must end restored
+        with the head on cell n-1, having reached no further than n-1 or
+        the start head."""
+        n = len(word)
+        t = BoundedTape(word, no_trace)
         t.seek(head)
-        verdict = tape._check_legal_on_tape(t, len(word))
-        return verdict, t.steps, t.head, t.max_cells_touched, t.snapshot()
+        verdict = tape._check_legal_on_tape(t, n)
+        assert t.holds_input(), (word, head)
+        assert (t.head, t.max_cells_touched) == (max(n - 1, 0), max(head + 1, n)), (word, head)
+        return verdict, t.steps - head
 
     def test_closed_form_matches_primitive_composition(self):
         # every word of length <= 6, legal or not, then seeded codewords and
@@ -396,9 +405,8 @@ class TestCheckLegal:
             words.append("".join(rng.choices(codec.ALPHABET, k=rng.randint(1, 60))))
         for word in words:
             head = rng.randrange(len(word) + 1)
-            untraced = self.legal_outcome(word, head, None)
-            traced = self.legal_outcome(word, head, lambda _: None)
-            assert untraced == traced, (word, head)
+            traced = self.traced_legality(word, head)
+            assert tape._legal_closed_form(word, head) == traced, (word, head)
 
     @pytest.mark.parametrize("word, cell", [("mrlff", 3), ("", 0)])
     @pytest.mark.parametrize("trace", [None, lambda _: None])
@@ -468,6 +476,7 @@ class TestCompare:
     def test_examples(self, word, x, y, expected, tapes):
         run = compare(word, x, y)
         assert run.verdict is expected
+        assert compare(word, x, y, no_trace) == run
         assert_tapes_clean(tapes)
 
     def test_letters_checked_once(self, monkeypatch):
@@ -518,17 +527,22 @@ class TestCompare:
                     run = compare(word, cells[a], cells[b])
                     assert run.verdict is want, (word, cells[a], cells[b])
                     assert run.max_cells_touched <= len(word) + 1
+                    assert compare(word, cells[a], cells[b], no_trace) == run
         assert_tapes_clean(tapes)
 
     @staticmethod
-    def compare_outcome(word, a, b, head, trace):
-        """``_compare_on_tape`` on the insertion cells a < b, from a head on
-        cell head: its verdict and the tape it leaves, restored."""
-        cells = [i for i, ch in enumerate(word) if ch != "t"]
-        t = BoundedTape(word, trace)
+    def traced_compare(word, cells, a, b, head):
+        """``_compare_on_tape`` of the insertion cells a < b on a traced
+        tape from a head on cell head: whether it is descending, and its
+        steps from there.  The tape must end restored with the head on cell
+        n-1, having reached no further than n-1 or the start head."""
+        n = len(word)
+        t = BoundedTape(word, no_trace)
         t.seek(head)
         order = tape._compare_on_tape(t, cells, a, b)
-        return order, t.steps, t.max_cells_touched, t.head, t.snapshot()
+        assert t.holds_input(), (word, a, b, head)
+        assert (t.head, t.max_cells_touched) == (n - 1, max(head + 1, n)), (word, a, b, head)
+        return order is PairOrder.DESCENDING, t.steps - head
 
     def test_closed_form_matches_primitive_composition(self):
         # every insertion-cell pair of every codeword with n <= 6, then
@@ -544,9 +558,9 @@ class TestCompare:
             cases.append((word, *sorted(rng.sample(range(n), 2))))
         for word, a, b in cases:
             head = rng.randrange(len(word) + 1)
-            untraced = self.compare_outcome(word, a, b, head, None)
-            traced = self.compare_outcome(word, a, b, head, lambda _: None)
-            assert untraced == traced, (word, a, b, head)
+            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            traced = self.traced_compare(word, cells, a, b, head)
+            assert tape._compare_row(word, cells, a, b, head)[-1] == traced, (word, a, b, head)
 
     def test_row_entries_match_traced_compare_and_restore(self):
         # every row of every codeword with n <= 6, then one row of each of
@@ -565,17 +579,10 @@ class TestCompare:
         for word, a in rows:
             n = len(word)
             cells = [i for i, ch in enumerate(word) if ch != "t"]
-            t = BoundedTape(word)
-            row = tape._compare_row(t, cells, a, len(cells) - 1, n - 1)
-            assert (t.steps, t.head, t.holds_input()) == (0, 0, True), word  # only read
+            row = tape._compare_row(word, cells, a, len(cells) - 1, n - 1)
             assert len(row) == len(cells) - a - 1, (word, a)
             for b in range(a + 1, len(cells)):
-                t = BoundedTape(word, no_trace)
-                t.seek(n - 1)
-                order = tape._compare_on_tape(t, cells, a, b)
-                assert t.holds_input(), (word, a, b)
-                assert (t.head, t.max_cells_touched) == (n - 1, n), (word, a, b)
-                want = (order is PairOrder.DESCENDING, t.steps - (n - 1))
+                want = self.traced_compare(word, cells, a, b, n - 1)
                 assert row[b - a - 1] == want, (word, a, b)
 
     @pytest.mark.parametrize("trace", [None, lambda _: None])
@@ -876,7 +883,7 @@ class TestIsPrime:
                 assert bool(run.verdict) is trial(n), n
                 assert run.max_cells_touched <= n + 1
 
-    def test_closed_form_matches_primitive_composition(self):
+    def test_closed_form_matches_primitive_composition(self, tapes):
         # every n to 150, then the shapes whose rounds end differently: a
         # prime square's first divisor is its root, a power of two and 2p
         # stop in round 2 on a tape no non-dividing round has widened
@@ -887,9 +894,13 @@ class TestIsPrime:
         ns.update(2 * p for p in primes)
         for n in sorted(ns):
             lines = []
+            tapes.clear()
             traced = is_prime(n, lines.append)
-            assert is_prime(n) == traced, n
+            want = (traced.verdict, traced.steps, traced.max_cells_touched)
+            assert tape._sieve_closed_form(n) == want, n
             assert len(lines) == traced.steps, n
+            [(_, t)] = tapes
+            assert (t.head, t.holds_input()) == (n - 1, True), n
 
     def test_pinned_counters_at_the_cli_cap(self):
         assert is_prime(4999) == TapeRun(True, 75_065_074, 5000)
@@ -920,29 +931,41 @@ def test_taperun_is_frozen():
 
 
 def test_untraced_procedures_run_no_primitive(monkeypatch):
-    # untraced, every procedure is one closed form that charges its steps,
-    # restore included, so no primitive runs; the closed-form ledger in
-    # ROADMAP.md times whole passes on this premise
-    calls = []
-    for name in ("move_left", "move_right", "read", "write_mark"):
+    # untraced, no procedure builds a tape, so no primitive runs: each
+    # returns its verdict and counters from functions of the word (or of
+    # n), restore included; the closed-form ledger in ROADMAP.md times
+    # whole passes on this premise
+    built = []
+    inner = BoundedTape.__init__
 
-        def spy(self, *args, inner=getattr(BoundedTape, name), name=name):
-            calls.append(name)
-            return inner(self, *args)
+    def spy(self, word, trace=None):
+        built.append(word)
+        inner(self, word, trace)
 
-        monkeypatch.setattr(BoundedTape, name, spy)
-    basis = Basis([[1, 3, 2], [2, 4, 1, 3]])
-    for n in range(1, 6):
+    monkeypatch.setattr(BoundedTape, "__init__", spy)
+    bases = [Basis([[2, 1, 3]]), Basis([[1, 3, 2], [2, 4, 1, 3]])]
+    pinned = [
+        (check_legal, ("",), TapeRun(False, 1, 1)),
+        (is_prime, (1,), TapeRun(False, 2, 1)),
+        (accepts_basis, ("", Basis([[1], [2, 1]])), TapeRun(False, 1, 1)),
+    ]
+    for n in range(0, 6):
         for letters in itertools.product(codec.ALPHABET, repeat=n):
-            check_legal("".join(letters))
+            word = "".join(letters)
+            check_legal(word)
+            for basis in bases:
+                accepts_basis(word, basis)
+    for n in range(1, 6):
         for word in codewords_with_insertions(n):
-            accepts_basis(word, basis)
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             for x, y in itertools.combinations(cells, 2):
                 compare(word, x, y)
-    for n in range(2, 60):
+    for n in range(1, 60):
         is_prime(n)
-    assert calls == []
-    # the spies see a traced run
-    check_legal("f", no_trace)
-    assert calls
+    for procedure, args, run in pinned:
+        assert procedure(*args) == run, procedure
+    assert built == []
+    # the spy sees a traced run, and the traced runs pin the same counters
+    for procedure, args, run in pinned:
+        assert procedure(*args, no_trace) == run, procedure
+    assert built == ["", "a", ""]
