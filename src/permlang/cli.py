@@ -134,7 +134,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         else:
             ok = bool(tape.accepts_basis(codec.encode(perm), basis).verdict)
     elif args.oracle:
-        # decode validates, raising IllegalCodewordError (a ValueError)
+        # decode checks the word while decoding it, raising
+        # IllegalCodewordError (a ValueError) with the validate reason
         ok = avoids_basis(codec.decode(args.codeword), basis)
     else:
         verdict = codec.validate(args.codeword)

@@ -139,27 +139,33 @@ def validate(word: str) -> Legality:
 def decode(word: str) -> Permutation:
     """Build the permutation a legal codeword describes.
 
-    Raises IllegalCodewordError (carrying the validate reason) otherwise.
-    The result's length equals the number of non-t letters.
+    Raises IllegalCodewordError, carrying the reason validate would give,
+    otherwise.  The result's length equals the number of non-t letters.
 
     The entries form a linked list, ``after[v]`` being the entry right of
     value v and ``after[0]`` the leftmost.  The open slots are the list
     ``slots`` of the entries they follow, left to right (0 at the left
     end), so a token's slot is ``slots[run]`` and its value is linked in
     right after that entry: l moves the slot past the value, m opens a new
-    slot after it, f closes the slot.  A t costs no Python work; only the
-    list shifts of m and f grow with the number of open slots.
+    slot after it, f closes the slot.  ``len(slots)`` is validate's slot
+    count, so the same pass makes validate's checks in validate's order.
+    A t costs no Python work; only the list shifts of m and f grow with
+    the number of open slots.
     """
-    verdict = validate(word)
-    if not verdict:
-        raise IllegalCodewordError(word, verdict.reason or "illegal")
-    after = [0] * (len(word) - word.count("t") + 1)
+    check_letters(word)
+    if not word:
+        raise IllegalCodewordError(word, REASON_EMPTY)
+    after = [0]
     slots = [0]
-    value = 0
     for run, letter in tokens(word):
-        value += 1
+        if run >= len(slots):
+            reason = REASON_T_OVERFLOW if slots else REASON_EXHAUSTED
+            raise IllegalCodewordError(word, reason)
+        if not letter:  # the bare run of t's that ends the word
+            break
+        value = len(after)
         left = slots[run]
-        after[value] = after[left]
+        after.append(after[left])
         after[left] = value
         if letter == "l":
             slots[run] = value
@@ -167,12 +173,17 @@ def decode(word: str) -> Permutation:
             slots.insert(run + 1, value)
         elif letter == "f":
             del slots[run]
+    if word[-1] != "f":
+        raise IllegalCodewordError(word, REASON_TRAILING)
+    if slots:
+        raise IllegalCodewordError(word, REASON_UNFILLED)
     items = []
     value = after[0]
     while value:
         items.append(value)
         value = after[value]
-    return Permutation(items)
+    # the walk visits each of 1..n once
+    return Permutation.of_ranks(tuple(items))
 
 
 def encode(perm: Permutation) -> str:

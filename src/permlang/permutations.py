@@ -86,7 +86,19 @@ class Permutation:
             raise ValueError(
                 f"entries {line.strip()!r} are not a permutation of 1..{len(entries)}"
             )
-        return cls(entries)
+        return cls.of_ranks(tuple(entries))
+
+    @classmethod
+    def of_ranks(cls, ranks: tuple[int, ...]) -> "Permutation":
+        """The permutation with exactly these ranks, taken as they are.
+
+        The caller guarantees a tuple holding each of 1..n once; nothing is
+        checked or re-ranked.  Callers that build 1..n by construction use
+        this instead of the rank-normalizing constructor.
+        """
+        perm = object.__new__(cls)
+        perm._ranks = ranks
+        return perm
 
 
 class Basis:
@@ -195,4 +207,4 @@ def all_permutations(
         raise ValueError("n must be nonnegative")
     if n > cap:
         raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
-    return (Permutation(tup) for tup in itertools.permutations(range(1, n + 1)))
+    return map(Permutation.of_ranks, itertools.permutations(range(1, n + 1)))

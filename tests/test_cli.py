@@ -497,18 +497,19 @@ class TestParserReuse:
 
 
 class TestValidateCalls:
-    """codec.validate runs once per command; decode's own call counts."""
+    """Each command judges the word's legality once: one codec.validate or
+    codec.decode call, since decode makes validate's checks as it decodes."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         words = []
-        validate = codec.validate
+        for name in ("validate", "decode"):
 
-        def counted(word):
-            words.append(word)
-            return validate(word)
+            def counted(word, reader=getattr(codec, name)):
+                words.append(word)
+                return reader(word)
 
-        monkeypatch.setattr(codec, "validate", counted)
+            monkeypatch.setattr(codec, name, counted)
         return words
 
     @pytest.mark.parametrize(

@@ -39,6 +39,22 @@ def test_text_roundtrip():
             Permutation.from_text(line)
 
 
+def test_of_ranks_matches_the_constructor():
+    for n in range(5):
+        for ranks in itertools.permutations(range(1, n + 1)):
+            trusted, built = Permutation.of_ranks(ranks), Permutation(list(ranks))
+            assert trusted == built
+            assert hash(trusted) == hash(built)
+            assert repr(trusted) == repr(built)
+
+
+def test_from_text_keeps_its_int_tuple():
+    ranks = Permutation.from_text("3 1 2").ranks
+    assert ranks == (3, 1, 2)
+    assert type(ranks) is tuple
+    assert all(type(r) is int for r in ranks)
+
+
 def test_order_isomorphic_examples():
     assert order_isomorphic(Permutation([2, 7, 5]), Permutation([1, 3, 2]))
     assert not order_isomorphic(Permutation([1, 2]), Permutation([2, 1]))
@@ -162,3 +178,17 @@ def test_all_permutations_streams_are_independent():
     next(first)
     assert list(second) != list(first)
     assert len(list(all_permutations(3))) == 6
+
+
+def test_all_permutations_streams_interleave():
+    # the second stream is read two at a time, so the two never line up
+    first, second = all_permutations(4), all_permutations(4)
+    seen_first, seen_second = [], []
+    for _ in range(12):
+        seen_first.append(next(first).ranks)
+        seen_second.append(next(second).ranks)
+        seen_second.append(next(second).ranks)
+    seen_first.extend(p.ranks for p in first)
+    seen_second.extend(p.ranks for p in second)
+    expected = list(itertools.permutations(range(1, 5)))
+    assert seen_first == seen_second == expected

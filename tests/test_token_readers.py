@@ -186,6 +186,20 @@ def test_decode_matches_list_splicing(index):
         assert err.value.reason == reason
 
 
+def test_decode_gives_validate_reason_on_every_short_word():
+    # decode makes validate's checks in its own pass: same reason, same order
+    for length in range(8):
+        for letters in itertools.product(ALPHABET, repeat=length):
+            word = "".join(letters)
+            try:
+                perm = codec.decode(word)
+            except IllegalCodewordError as err:
+                assert err.reason == codec.validate(word).reason, word
+            else:
+                assert codec.validate(word), word
+                assert perm == decode_by_letters(word), word
+
+
 @pytest.mark.parametrize("index", range(len(CASES)))
 def test_stack_acceptor_matches_letter_run(index, machines):
     word = CASES[index]
