@@ -26,6 +26,7 @@ the word's last cell and no further, so its high-water mark is |w| cells.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -377,9 +378,10 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         tape.seek(pos)
 
 
-def _legal_closed_form(word: str, head: int) -> tuple[bool, int]:
+def _legal_closed_form(word: str, cells: list[int], head: int) -> tuple[bool, int]:
     """The verdict and steps of ``_check_legal_on_tape`` on the word from a
-    head on cell head of an unmarked tape, restore included.
+    head on cell head of an unmarked tape, restore included; cells holds
+    the word's insertion cells (those whose letter is not t), left to right.
 
     The empty word's run is one read.  Otherwise the loop stars exactly the
     bracket matching of m (open) and f (close), in increasing order of the
@@ -400,7 +402,6 @@ def _legal_closed_form(word: str, head: int) -> tuple[bool, int]:
     n = len(word)
     if n == 0:
         return False, 1
-    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
     opened: list[int] = []  # indices into cells of the m's still open
     spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
     stop = n - 1  # the verification scan's stop
@@ -447,7 +448,8 @@ def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     """Decide legality on a bounded tape, which ends holding the word."""
     check_letters(word)
     if trace is None:
-        return TapeRun(*_legal_closed_form(word, 0), len(word) or 1)
+        cells = [pos for pos, letter in enumerate(word) if letter != "t"]
+        return TapeRun(*_legal_closed_form(word, cells, 0), len(word) or 1)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
@@ -658,6 +660,35 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
 
 # --- pattern avoidance -----------------------------------------------------
 
+# Occurrence-search plans kept at once, like ``re``'s compiled-pattern
+# cache: far more than the patterns of any one basis or benchmark pass.
+_PLAN_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _neighbours(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """The occurrence search's plan for the pattern: entry j holds level
+    j's left, then right, positional neighbour among levels 0..j-1, as
+    (level a, whether the new cell's entry must lie left of a's), either
+    one missing when no chosen rank stands on that side.  It depends on
+    the pattern alone, so it is built once and cached."""
+    k = len(pattern)
+    place = [0] * k  # place[r]: position of value rank r+1 in the pattern
+    for position, rank in enumerate(pattern):
+        place[rank - 1] = position
+    plan = []
+    for j in range(k):
+        before = [a for a in range(j) if place[a] < place[j]]
+        after = [a for a in range(j) if place[a] > place[j]]
+        pair = []
+        if before:
+            pair.append((max(before, key=place.__getitem__), False))
+        if after:
+            pair.append((min(after, key=place.__getitem__), True))
+        plan.append(tuple(pair))
+    return tuple(plan)
+
+
 def _avoids(
     cells: list[int], pattern: tuple[int, ...], descending: Callable[[list[int], int, int], bool]
 ) -> bool:
@@ -674,29 +705,16 @@ def _avoids(
     descending).  The chosen entries already stand in the pattern's
     positional order, so y agrees with every chosen cell exactly when it
     agrees with those two; a disagreement prunes y and everything below
-    it.  A full k-tuple is an occurrence.  Control state is the pattern's
-    neighbour table and the chosen cell indices.
+    it.  A full k-tuple is an occurrence.  Control state is the chosen
+    cell indices and the pattern's neighbour table, ``_neighbours``,
+    which is built once per pattern, not once per word.
 
     ``descending(chosen, a, y)`` makes the compare of the cell chosen at
     level a with the candidate y, both indices into cells, and says
     whether it is descending.
     """
+    nbrs = _neighbours(pattern)
     k = len(pattern)
-    place = [0] * k  # place[r]: position of value rank r+1 in the pattern
-    for position, rank in enumerate(pattern):
-        place[rank - 1] = position
-    # nbrs[j]: level j's left, then right, positional neighbour among
-    # levels 0..j-1, as (level a, whether y's entry must lie left of a's)
-    nbrs: list[list[tuple[int, bool]]] = []
-    for j in range(k):
-        before = [a for a in range(j) if place[a] < place[j]]
-        after = [a for a in range(j) if place[a] > place[j]]
-        pair = []
-        if before:
-            pair.append((max(before, key=place.__getitem__), False))
-        if after:
-            pair.append((min(after, key=place.__getitem__), True))
-        nbrs.append(pair)
     slack = len(cells) - k
     chosen: list[int] = []
     i = 0
@@ -737,7 +755,8 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     legality, the scan and every compare leave it, so it depends on the
     word and its two cells alone: the search reads it from a table of
     ``_compare_row`` rows, one per x, built the first time x is compared
-    and shared by the basis's patterns.
+    and shared by the basis's patterns.  The insertion cells are listed
+    once, for legality and the search alike.
     """
     check_letters(word)
     n = len(word)
@@ -745,10 +764,10 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
         tape = BoundedTape(word, trace)
         ok = all(_avoids_on_tape(tape, n, pattern.ranks) for pattern in basis)
         return TapeRun(ok, tape.steps, tape.max_cells_touched)
-    legal, legality = _legal_closed_form(word, 0)
+    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
+    legal, legality = _legal_closed_form(word, cells, 0)
     if not legal:
         return TapeRun(False, legality, n or 1)
-    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
     rows: list[Row | None] = [None] * len(cells)
 
     def descending(chosen: list[int], a: int, y: int) -> bool:

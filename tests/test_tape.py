@@ -6,7 +6,7 @@ import random
 import pytest
 from conftest import built_avoider
 
-from permlang import codec, stackmachine, tape
+from permlang import codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
 from permlang.permutations import Basis, Permutation, avoids_basis
 from permlang.tape import (
@@ -406,7 +406,8 @@ class TestCheckLegal:
         for word in words:
             head = rng.randrange(len(word) + 1)
             traced = self.traced_legality(word, head)
-            assert tape._legal_closed_form(word, head) == traced, (word, head)
+            cells = [pos for pos, letter in enumerate(word) if letter != "t"]
+            assert tape._legal_closed_form(word, cells, head) == traced, (word, head)
 
     @pytest.mark.parametrize("word, cell", [("mrlff", 3), ("", 0)])
     @pytest.mark.parametrize("trace", [None, lambda _: None])
@@ -723,6 +724,24 @@ class TestOccurrenceSearch:
         word = "l" * 7 + "f"
         assert accepts_basis(word, Basis([list(range(1, k + 1))]), no_trace).verdict is False
         assert compares == [(j - 1, j) for j in range(1, k)]
+
+    def test_plan_holds_each_levels_positional_neighbours(self):
+        for k in range(1, 7):
+            for q in itertools.permutations(range(1, k + 1)):
+                plan = tape._neighbours(q)
+                assert len(plan) == k, q
+                for j in range(k):
+                    # rank r is chosen at level r-1, and y's entry lies left
+                    # of its right neighbour's: that compare is descending
+                    expected = tuple(
+                        (r - 1, q.index(r) > q.index(j + 1)) for r in positional_neighbours(q, j)
+                    )
+                    assert plan[j] == expected, (q, j)
+        # a bounded cache, built once per pattern however many words meet it
+        assert isinstance(tape._neighbours.cache_info().maxsize, int)
+        tape._neighbours.cache_clear()
+        counting.sequence(Basis([[1, 3, 2], [2, 4, 1, 3]]), 6)
+        assert tape._neighbours.cache_info().misses == 2
 
     def test_each_candidate_meets_only_its_positional_neighbours(self, searched):
         tried = 0
