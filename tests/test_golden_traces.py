@@ -19,6 +19,8 @@ GOLDEN = Path(__file__).with_name("golden_traces.txt")
 
 RUNS = (
     ("check_legal mrtltff", lambda trace: tape.check_legal("mrtltff", trace)),
+    # the empty word: legality's one read
+    ('check_legal ""', lambda trace: tape.check_legal("", trace)),
     ("compare mrtltff 0 6", lambda trace: tape.compare("mrtltff", 0, 6, trace)),
     (
         "accepts_basis 132,21 mrtltff",
@@ -28,6 +30,10 @@ RUNS = (
         "accepts_basis 123 mmtlff",
         lambda trace: tape.accepts_basis("mmtlff", Basis([[1, 2, 3]]), trace),
     ),
+    # legality rejects, so no occurrence search runs
+    ("accepts_basis 12 tf", lambda trace: tape.accepts_basis("tf", Basis([[1, 2]]), trace)),
+    # a read, then the one-cell restore
+    ("is_prime 1", lambda trace: tape.is_prime(1, trace)),
     ("is_prime 12", lambda trace: tape.is_prime(12, trace)),
 )
 # encode(9 1 10 3 8 12 2 7 6 11 5 4): three t-runs walk to the root exactly
