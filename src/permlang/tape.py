@@ -14,14 +14,15 @@ primitives.  The space bound is enforced, not just measured: any primitive
 stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
 
-Traced, every procedure runs primitive by primitive on a BoundedTape and
-ends in ``restore``, the clearing scan, which verifies the tape and leaves
-the head on the word's last cell.  Untraced, no tape is built: legality,
-the compare (one walk from x gives its whole row) and the sieve are
-functions of the word and a start head that return the traced run's
-verdict and steps, its restore included, and the occurrence search reads
-each compare from a table of those rows.  Every word procedure reaches
-the word's last cell and no further, so its high-water mark is |w| cells.
+A BoundedTape exists only for traced runs, where every procedure runs
+primitive by primitive and ends in ``restore``, the clearing scan, which
+verifies the tape and leaves the head on the word's last cell.  Untraced,
+no tape is built: legality and the sieve are functions of the word from
+cell 0, and the compare (one walk from x gives its whole row) of the word
+and a start head; each returns the traced run's verdict and steps, its
+restore included, and the occurrence search reads each compare from a
+table of those rows.  Every word procedure reaches the word's last cell
+and no further, so its high-water mark is |w| cells.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ class BoundedTape:
     clearing scan).  ``scan_insertions``, ``right_to_pair`` and
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
     cell.  Every program runs primitive by primitive, one trace line a
-    primitive when traced, and none has a closed form.  They serve the
-    four procedures, which build a tape only when traced: ``right_to_pair``,
-    ``left_past_marked_ts`` and ``right_to_unmarked_mft`` serve legality;
+    primitive, and none has a closed form.  They serve the traced runs of
+    the four procedures: ``right_to_pair``, ``left_past_marked_ts`` and
+    ``right_to_unmarked_mft`` serve legality;
     ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
     ``rewrite_left`` and ``right_to_m_or_f`` the positional compare;
     ``scan_insertions`` the occurrence search; ``rewrite_left`` the sieve;
@@ -113,7 +114,7 @@ class BoundedTape:
         "trace",
     )
 
-    def __init__(self, word: str, trace: TraceFn | None = None) -> None:
+    def __init__(self, word: str, trace: TraceFn) -> None:
         self._letters = word + BLANK
         self._capacity = cap = len(word) + 1
         self._marks = bytearray(cap)
@@ -138,7 +139,7 @@ class BoundedTape:
     def _emit(self, primitive: str, before: tuple[str, int], after: tuple[str, int]) -> None:
         bt = before[0] + _MARK_TEXT[before[1]]
         at = after[0] + _MARK_TEXT[after[1]]
-        self.trace(f"{self._steps}\t{self._head}\t{primitive}\t{bt} -> {at}")  # type: ignore[misc]
+        self.trace(f"{self._steps}\t{self._head}\t{primitive}\t{bt} -> {at}")
 
     def move_right(self) -> None:
         if self._head + 1 >= self._capacity:
@@ -147,36 +148,29 @@ class BoundedTape:
         self._steps += 1
         if self._head > self._max_head:
             self._max_head = self._head
-        if self.trace is not None:
-            cell = (self._letters[self._head], self._marks[self._head])
-            self._emit("move-right", cell, cell)
+        cell = (self._letters[self._head], self._marks[self._head])
+        self._emit("move-right", cell, cell)
 
     def move_left(self) -> None:
         if self._head == 0:
             raise TapeFault("head moved left past cell 0")
         self._head -= 1
         self._steps += 1
-        if self.trace is not None:
-            cell = (self._letters[self._head], self._marks[self._head])
-            self._emit("move-left", cell, cell)
+        cell = (self._letters[self._head], self._marks[self._head])
+        self._emit("move-left", cell, cell)
 
     def read(self) -> tuple[str, int]:
         self._steps += 1
         cell = (self._letters[self._head], self._marks[self._head])
-        if self.trace is not None:
-            self._emit("read", cell, cell)
+        self._emit("read", cell, cell)
         return cell
 
     def write_mark(self, mark: int) -> None:
         self._steps += 1
-        head = self._head
-        if self.trace is not None:
-            letter = self._letters[head]
-            before = self._marks[head]
-            self._marks[head] = mark
-            self._emit("write-mark", (letter, before), (letter, mark))
-        else:
-            self._marks[head] = mark
+        letter = self._letters[self._head]
+        before = self._marks[self._head]
+        self._marks[self._head] = mark
+        self._emit("write-mark", (letter, before), (letter, mark))
 
     # Head-movement programs, each a primitive loop.
 
@@ -305,7 +299,7 @@ class BoundedTape:
                 if self._head == last:
                     break
                 self.move_right()
-        if self._marks != self._blank:
+        if not self.holds_input():
             raise TapeFault("tape does not hold the unmarked input word")
 
     def holds_input(self) -> bool:
@@ -378,17 +372,17 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         tape.seek(pos)
 
 
-def _legal_closed_form(word: str, cells: list[int], head: int) -> tuple[bool, int]:
-    """The verdict and steps of ``_check_legal_on_tape`` on the word from a
-    head on cell head of an unmarked tape, restore included; cells holds
-    the word's insertion cells (those whose letter is not t), left to right.
+def _legal_closed_form(word: str, cells: list[int]) -> tuple[bool, int]:
+    """The verdict and steps of ``_check_legal_on_tape`` on the word from
+    cell 0 of an unmarked tape, restore included; cells holds the word's
+    insertion cells (those whose letter is not t), left to right.
 
     The empty word's run is one read.  Otherwise the loop stars exactly the
     bracket matching of m (open) and f (close), in increasing order of the
     f, so one pass with a stack of open m's gives every pair (i, j) in the
-    loop's order.  A round costs the seek to cell 0 from the previous head
-    (the last j, or the start), 2j+1 for ``right_to_pair``, two stars, j-i
-    back to i and 2(j-i) for the span walk.  An insertion cell inside d
+    loop's order.  A round costs the seek to cell 0 from the last j (none
+    for the first round), 2j+1 for ``right_to_pair``, two stars, j-i back
+    to i and 2(j-i) for the span walk.  An insertion cell inside d
     spans, with a t-run of r before it, has its licences taken from the
     right of that run, so its c-th visit (c = 0, 1, ...) walks past c
     licensed t's and pays 3c+4 while c < r, and 3(r+1) after that, or 3r
@@ -406,7 +400,7 @@ def _legal_closed_form(word: str, cells: list[int], head: int) -> tuple[bool, in
     spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
     stop = n - 1  # the verification scan's stop
     paired = -1  # the last f paired
-    steps = head + 3 * n - 1
+    steps = 3 * n - 1
     for c, pos in enumerate(cells):
         letter = word[pos]
         if letter == "m":
@@ -449,7 +443,7 @@ def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     check_letters(word)
     if trace is None:
         cells = [pos for pos, letter in enumerate(word) if letter != "t"]
-        return TapeRun(*_legal_closed_form(word, cells, 0), len(word) or 1)
+        return TapeRun(*_legal_closed_form(word, cells), len(word) or 1)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
@@ -765,7 +759,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
         ok = all(_avoids_on_tape(tape, n, pattern.ranks) for pattern in basis)
         return TapeRun(ok, tape.steps, tape.max_cells_touched)
     cells = [pos for pos, letter in enumerate(word) if letter != "t"]
-    legal, legality = _legal_closed_form(word, cells, 0)
+    legal, legality = _legal_closed_form(word, cells)
     if not legal:
         return TapeRun(False, legality, n or 1)
     rows: list[Row | None] = [None] * len(cells)

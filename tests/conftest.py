@@ -24,6 +24,12 @@ def machines(monkeypatch):
     return record_machines(monkeypatch)
 
 
+def no_trace(line):
+    """A trace sink that drops its lines.  Every tape a test builds gets
+    it, and a public procedure given it runs every step, restore included,
+    on a tape: untraced, none builds one."""
+
+
 def longest_increasing(seq):
     best = []
     for i, v in enumerate(seq):

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from conftest import built_avoider
+from conftest import built_avoider, no_trace
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
@@ -35,19 +35,12 @@ def tapes(monkeypatch):
     class RecordingTape(BoundedTape):
         __slots__ = ()
 
-        def __init__(self, word, trace=None):
+        def __init__(self, word, trace):
             super().__init__(word, trace)
             made.append((word, self))
 
     monkeypatch.setattr(tape, "BoundedTape", RecordingTape)
     return made
-
-
-def no_trace(line):
-    """A trace that drops its lines.  Untraced, no procedure builds a tape
-    and the occurrence search reads each compare from its pair table, so
-    the tests that spy on ``_compare_on_tape`` or inspect a procedure's
-    tape pass this to run every step, restore included, on a tape."""
 
 
 @pytest.fixture
@@ -155,7 +148,7 @@ def assert_tapes_clean(tapes):
 
 class TestBoundedTape:
     def test_each_primitive_costs_one_step(self):
-        t = BoundedTape("lf")
+        t = BoundedTape("lf", no_trace)
         assert t.steps == 0
         t.read()
         assert t.steps == 1
@@ -168,7 +161,7 @@ class TestBoundedTape:
         assert t.read() == ("l", NO_MARK)
 
     def test_capacity_is_word_plus_one(self):
-        t = BoundedTape("lf")
+        t = BoundedTape("lf", no_trace)
         t.move_right()
         t.move_right()  # the blank boundary cell
         assert t.read() == (tape.BLANK, NO_MARK)
@@ -176,12 +169,12 @@ class TestBoundedTape:
             t.move_right()
 
     def test_left_edge_faults(self):
-        t = BoundedTape("f")
+        t = BoundedTape("f", no_trace)
         with pytest.raises(TapeFault):
             t.move_left()
 
     def test_max_cells_touched_tracks_head_high_water(self):
-        t = BoundedTape("mrlff")
+        t = BoundedTape("mrlff", no_trace)
         assert t.max_cells_touched == 1
         t.move_right()
         t.move_right()
@@ -189,7 +182,7 @@ class TestBoundedTape:
         assert t.max_cells_touched == 3
 
     def test_marks_are_an_overlay(self):
-        t = BoundedTape("mf")
+        t = BoundedTape("mf", no_trace)
         t.write_mark(STAR)
         assert t.read() == ("m", STAR)
         t.write_mark(NO_MARK)
@@ -197,19 +190,17 @@ class TestBoundedTape:
         assert t.holds_input()
 
     def test_seek_charges_one_step_per_cell(self):
-        for trace in (None, [].append):
-            t = BoundedTape("mrlff", trace)
-            t.seek(4)
-            assert (t.head, t.steps, t.max_cells_touched) == (4, 4, 5)
-            t.seek(1)
-            assert (t.head, t.steps, t.max_cells_touched) == (1, 7, 5)
-            t.seek(1)
-            assert t.steps == 7
+        t = BoundedTape("mrlff", no_trace)
+        t.seek(4)
+        assert (t.head, t.steps, t.max_cells_touched) == (4, 4, 5)
+        t.seek(1)
+        assert (t.head, t.steps, t.max_cells_touched) == (1, 7, 5)
+        t.seek(1)
+        assert t.steps == 7
 
     @pytest.mark.parametrize("pos", [-1, 6, 100])
-    @pytest.mark.parametrize("trace", [None, lambda _: None])
-    def test_seek_outside_the_tape_faults(self, pos, trace):
-        t = BoundedTape("mrlff", trace)
+    def test_seek_outside_the_tape_faults(self, pos):
+        t = BoundedTape("mrlff", no_trace)
         t.seek(2)
         with pytest.raises(TapeFault):
             t.seek(pos)
@@ -223,7 +214,7 @@ class TestBoundedTape:
         rng = random.Random(20261018)
         for _ in range(300):
             word = "".join(rng.choice(codec.ALPHABET) for _ in range(rng.randint(0, 6)))
-            t = BoundedTape(word)
+            t = BoundedTape(word, no_trace)
             for _ in range(rng.randint(1, 20)):
                 t.seek(rng.randrange(len(word) + 1))
                 step = rng.random()
@@ -239,10 +230,10 @@ class TestBoundedTape:
                 assert t.holds_input() == (not any(t.snapshot()[1])), word
                 assert t.snapshot()[0] == word + tape.BLANK
 
-    # seek, rewrite_left and restore, which run their primitive loops
-    # traced or not, must fault alike either way and write one trace line
-    # per step; each with arguments drawn for a tape of `cap` cells,
-    # sometimes outside it, so that both tape ends are reached.
+    # seek, rewrite_left and restore, which run their primitive loops, must
+    # write one trace line per step; each with arguments drawn for a tape
+    # of `cap` cells, sometimes outside it, so that both tape ends are
+    # reached.
     PROGRAMS = {
         "seek": lambda rng, cap: (rng.randint(-1, cap),),
         "rewrite_left": lambda rng, cap: (
@@ -253,22 +244,6 @@ class TestBoundedTape:
         "restore": lambda rng, cap: (),
     }
 
-    @staticmethod
-    def run_program(word, marks, head, name, args, trace):
-        """The program's outcome on a prepared tape: its return value and
-        the tape's head, counters, contents and restoration flag, or
-        TapeFault."""
-        t = BoundedTape(word, trace)
-        for i, mark in marks:
-            t.seek(i)
-            t.write_mark(mark)
-        t.seek(head)
-        try:
-            value = getattr(t, name)(*args)
-        except TapeFault:
-            return TapeFault
-        return (value, t.head, t.steps, t.max_cells_touched, t.snapshot(), t.holds_input())
-
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_scan_program_faults_alike_and_traces_each_step(self, name):
         rng = random.Random(name)
@@ -277,18 +252,22 @@ class TestBoundedTape:
             word = "".join(rng.choice(codec.ALPHABET) for _ in range(rng.randint(0, 9)))
             cap = len(word) + 1
             density = rng.random()
-            marks = [(i, rng.choice([STAR, STAR, DOUBLE_STAR, DAGGER]))
-                     for i in range(cap) if rng.random() < density]
-            head = rng.randrange(cap)
-            args = self.PROGRAMS[name](rng, cap)
-            untraced = self.run_program(word, marks, head, name, args, None)
             lines = []
-            traced = self.run_program(word, marks, head, name, args, lines.append)
-            assert untraced == traced, (word, marks, head, args)
-            if traced is not TapeFault:
-                # the traced run wrote one line per primitive
-                assert len(lines) == traced[2], (word, marks, head, args)
-            outcomes.add(traced is TapeFault)
+            t = BoundedTape(word, lines.append)
+            for i in range(cap):
+                if rng.random() < density:
+                    t.seek(i)
+                    t.write_mark(rng.choice([STAR, STAR, DOUBLE_STAR, DAGGER]))
+            t.seek(rng.randrange(cap))
+            args = self.PROGRAMS[name](rng, cap)
+            try:
+                getattr(t, name)(*args)
+            except TapeFault:
+                outcomes.add(True)
+                continue
+            outcomes.add(False)
+            # one line per primitive, the tape's preparation included
+            assert len(lines) == t.steps, (word, t.snapshot(), args)
         assert outcomes == ({False, True} if name in self.FAULTING else {False})
 
     # Programs that fault on some drawn tapes: a drawn cell outside the tape
@@ -296,8 +275,7 @@ class TestBoundedTape:
     # boundary cell.
     FAULTING = {"restore", "rewrite_left", "seek"}
 
-    @pytest.mark.parametrize("trace", [None, lambda _: None])
-    def test_scan_programs_fault_at_both_tape_ends(self, trace):
+    def test_scan_programs_fault_at_both_tape_ends(self):
         cases = [
             ("mrltt", 3, "rewrite_left", (3, -1, tape._CLEAR)),  # left end
             ("mrltt", 3, "right_to_m_or_f", (6,)),  # no m or f after cell 3
@@ -310,7 +288,7 @@ class TestBoundedTape:
             ("", 0, "scan_insertions", ()),  # the empty word has no last cell
         ]
         for word, head, name, args in cases:
-            t = BoundedTape(word, trace)
+            t = BoundedTape(word, no_trace)
             for i in range(len(word)):
                 t.seek(i)
                 t.write_mark(STAR)
@@ -332,7 +310,7 @@ class TestBoundedTape:
 
 class TestRestore:
     def test_clears_a_mark_left_mid_word(self):
-        t = BoundedTape("mrlff")
+        t = BoundedTape("mrlff", no_trace)
         t.move_right()
         t.move_right()
         t.write_mark(STAR)
@@ -341,7 +319,7 @@ class TestRestore:
 
     def test_mark_on_the_boundary_cell_faults(self):
         # the clearing scan stops at the last letter and never visits it
-        t = BoundedTape("lf")
+        t = BoundedTape("lf", no_trace)
         t.move_right()
         t.move_right()
         t.write_mark(STAR)
@@ -407,13 +385,14 @@ class TestCheckLegal:
             head = rng.randrange(len(word) + 1)
             traced = self.traced_legality(word, head)
             cells = [pos for pos, letter in enumerate(word) if letter != "t"]
-            assert tape._legal_closed_form(word, cells, head) == traced, (word, head)
+            legal, steps = tape._legal_closed_form(word, cells)
+            # from cell 0; a later start head pays its seek back to cell 0
+            assert (legal, steps + head) == traced, (word, head)
 
     @pytest.mark.parametrize("word, cell", [("mrlff", 3), ("", 0)])
-    @pytest.mark.parametrize("trace", [None, lambda _: None])
-    def test_legality_on_a_marked_tape_faults(self, word, cell, trace):
+    def test_legality_on_a_marked_tape_faults(self, word, cell):
         # the empty word's only cell is the boundary
-        t = BoundedTape(word, trace)
+        t = BoundedTape(word, no_trace)
         t.seek(cell)
         t.write_mark(STAR)
         with pytest.raises(TapeFault, match="does not hold its input"):
@@ -586,9 +565,8 @@ class TestCompare:
                 want = self.traced_compare(word, cells, a, b, n - 1)
                 assert row[b - a - 1] == want, (word, a, b)
 
-    @pytest.mark.parametrize("trace", [None, lambda _: None])
-    def test_compare_on_a_marked_tape_faults(self, trace):
-        t = BoundedTape("mrlff", trace)
+    def test_compare_on_a_marked_tape_faults(self):
+        t = BoundedTape("mrlff", no_trace)
         t.seek(3)
         t.write_mark(STAR)
         with pytest.raises(TapeFault, match="does not hold its input"):
@@ -596,10 +574,9 @@ class TestCompare:
         assert (t.head, t.steps) == (3, 4)
 
     @pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (0, 7), (-1, 2)])
-    @pytest.mark.parametrize("trace", [None, lambda _: None])
-    def test_compare_outside_its_cells_faults(self, a, b, trace):
+    def test_compare_outside_its_cells_faults(self, a, b):
         # a after b, a on b, b one past the last insertion cell, a negative a
-        t = BoundedTape("mrlmfff", trace)
+        t = BoundedTape("mrlmfff", no_trace)
         with pytest.raises(TapeFault, match="need 0 <= a < b < 7"):
             tape._compare_on_tape(t, list(range(7)), a, b)
         assert (t.head, t.steps) == (0, 0)
@@ -617,7 +594,7 @@ class TestCompare:
                 want = PairOrder.ASCENDING if p.index(a) < p.index(b) else PairOrder.DESCENDING
                 run = compare(word, cells[a - 1], cells[b - 1])
                 assert run.verdict is want, (p, a, b)
-                assert compare(word, cells[a - 1], cells[b - 1], lambda _: None) == run
+                assert compare(word, cells[a - 1], cells[b - 1], no_trace) == run
 
 
 class TestAcceptsAvoiding:
@@ -942,6 +919,27 @@ def test_trace_is_deterministic():
     assert len(first) == check_legal("mrtltff").steps
 
 
+def test_trace_lines_number_the_steps():
+    # a traced run writes one line a step, and line i starts with step i
+    runs = [
+        (check_legal, ("".join(letters),))
+        for n in range(6)
+        for letters in itertools.product(codec.ALPHABET, repeat=n)
+    ]
+    basis = Basis([[1, 3, 2], [2, 4, 1, 3]])
+    for n in range(1, 5):
+        for word in codewords_with_insertions(n):
+            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            runs += [(compare, (word, x, y)) for x, y in itertools.combinations(cells, 2)]
+            runs.append((accepts_basis, (word, basis)))
+    for procedure, args in runs:
+        lines = []
+        run = procedure(*args, lines.append)
+        assert len(lines) == run.steps, (procedure, args)
+        for i, line in enumerate(lines, 1):
+            assert line.startswith(f"{i}\t"), (procedure, args, i, line)
+
+
 def test_taperun_is_frozen():
     run = check_legal("f")
     assert isinstance(run, TapeRun)
@@ -957,7 +955,7 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
     built = []
     inner = BoundedTape.__init__
 
-    def spy(self, word, trace=None):
+    def spy(self, word, trace):
         built.append(word)
         inner(self, word, trace)
 
