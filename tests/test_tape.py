@@ -307,6 +307,51 @@ class TestBoundedTape:
         assert "write-mark" in lines[1] and "t -> t*" in lines[1]
         assert "move-right" in lines[2]
 
+    # Every way a tape run faults, each as (word, marked cells, start head,
+    # the faulting call).  A primitive checks its move before it counts or
+    # emits, so the trace of a faulted run stops at the last counted step.
+    FAULTS = {
+        "move-right-past-boundary": ("lf", (), 2, lambda t: t.move_right()),
+        "move-left-past-cell-0": ("f", (), 0, lambda t: t.move_left()),
+        "seek-left-of-cell-0": ("mrlff", (), 2, lambda t: t.seek(-1)),
+        "seek-past-boundary": ("mrlff", (), 2, lambda t: t.seek(6)),
+        "rewrite-below-cell-0": (
+            "mrltt", range(5), 3, lambda t: t.rewrite_left(3, -1, tape._CLEAR),
+        ),
+        "right-to-m-or-f-off-the-end": ("mrltt", range(5), 3, lambda t: t.right_to_m_or_f(6)),
+        "right-to-pair-from-boundary": ("mrltt", range(5), 5, lambda t: t.right_to_pair()),
+        "scan-insertions-of-empty-word": ("", (), 0, lambda t: t.scan_insertions()),
+        "restore-with-boundary-mark": ("lf", (2,), 2, lambda t: t.restore()),
+        "legality-on-marked-tape": (
+            "mrlff", (3,), 3, lambda t: tape._check_legal_on_tape(t, 5),
+        ),
+        "compare-on-marked-tape": (
+            "mrlff", (3,), 3, lambda t: tape._compare_on_tape(t, [0, 1, 2, 3, 4], 0, 1),
+        ),
+        "compare-outside-its-cells": (
+            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 1, 0),
+        ),
+        "drop-star-with-none-left": ("mrlff", (), 4, lambda t: tape._drop_rightmost_star(t, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_a_faulted_run_traces_each_step_up_to_the_fault(self, name):
+        word, marked, head, call = self.FAULTS[name]
+        lines = []
+        t = BoundedTape(word, lines.append)
+        for i in marked:
+            t.seek(i)
+            t.write_mark(STAR)
+        t.seek(head)
+        with pytest.raises(TapeFault):
+            call(t)
+        # one numbered line per counted step, the last on the head's cell
+        assert len(lines) == t.steps, name
+        for i, line in enumerate(lines, 1):
+            assert line.startswith(f"{i}\t"), (name, i, line)
+        if lines:
+            assert lines[-1].split("\t")[1] == str(t.head), name
+
 
 class TestRestore:
     def test_clears_a_mark_left_mid_word(self):
