@@ -30,6 +30,11 @@ RUNS = (
         "accepts_basis 123 mmtlff",
         lambda trace: tape.accepts_basis("mmtlff", Basis([[1, 2, 3]]), trace),
     ),
+    # 21 is avoided, so the search reaches its second pattern, 123
+    (
+        "accepts_basis 21,123 llf",
+        lambda trace: tape.accepts_basis("llf", Basis([[2, 1], [1, 2, 3]]), trace),
+    ),
     # legality rejects, so no occurrence search runs
     ("accepts_basis 12 tf", lambda trace: tape.accepts_basis("tf", Basis([[1, 2]]), trace)),
     # a read, then the one-cell restore
