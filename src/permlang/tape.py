@@ -497,8 +497,9 @@ def _drop_rightmost_star(tape: BoundedTape, z: int) -> bool:
     return remain
 
 
-def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> PairOrder:
-    """Positional order of the entries inserted at cells[a] and cells[b].
+def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> bool:
+    """Whether the entry inserted at cells[b] lands left of the one
+    inserted at cells[a] (descending) or right of it (ascending).
 
     cells holds the word's insertion cells (those whose letter is not t)
     from left to right, as ``scan_insertions`` returns them, and a < b
@@ -544,7 +545,7 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> Pai
             elif _stars_beat_ts(tape, pos) and not _drop_rightmost_star(tape, pos):
                 break
     tape.restore()
-    return PairOrder.DESCENDING if descending else PairOrder.ASCENDING
+    return descending
 
 
 def _compare_row(word: str, cells: list[int], a: int, last: int, head: int) -> Row:
@@ -645,11 +646,13 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     a, b = cells.index(x_pos), cells.index(y_pos)
     if trace is None:
         descending, steps = _compare_row(word, cells, a, b, 0)[-1]
-        order = PairOrder.DESCENDING if descending else PairOrder.ASCENDING
-        return TapeRun(order, steps, n)
-    tape = BoundedTape(word, trace)
-    order = _compare_on_tape(tape, cells, a, b)
-    return TapeRun(order, tape.steps, tape.max_cells_touched)
+        cells_touched = n
+    else:
+        tape = BoundedTape(word, trace)
+        descending = _compare_on_tape(tape, cells, a, b)
+        steps, cells_touched = tape.steps, tape.max_cells_touched
+    order = PairOrder.DESCENDING if descending else PairOrder.ASCENDING
+    return TapeRun(order, steps, cells_touched)
 
 
 # --- pattern avoidance -----------------------------------------------------
@@ -729,25 +732,16 @@ def _avoids(
         i += 1
 
 
-def _avoids_on_tape(tape: BoundedTape, n: int, pattern: tuple[int, ...]) -> bool:
-    """One pattern pass on the tape: legality, ``scan_insertions``, then the
-    search with every compare on the tape; each ends on cell n-1."""
-    if not _check_legal_on_tape(tape, n):
-        return False
-    cells = tape.scan_insertions()
-    return _avoids(cells, pattern, lambda chosen, a, y: (
-        _compare_on_tape(tape, cells, chosen[a], y) is PairOrder.DESCENDING))
-
-
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
     """Accept iff the word is a legal codeword whose permutation avoids every
     pattern in the basis; a single pattern p is ``Basis([p])``.
 
-    Runs the single-pattern procedure once per pattern on the same tape;
-    each run leaves the codeword unmarked for the next.  Untraced, every
-    compare starts on an unmarked tape with the head on cell n-1, where
-    legality, the scan and every compare leave it, so it depends on the
-    word and its two cells alone: the search reads it from a table of
+    Legality is a property of the word, so it runs once, from cell 0, and
+    ``scan_insertions`` once after it; then the occurrence search runs for
+    each pattern in turn until one is contained.  Each ends on cell n-1
+    with the tape unmarked.  Untraced, every compare therefore starts on an
+    unmarked tape with the head on cell n-1, so it depends on the word and
+    its two cells alone: the search reads it from a table of
     ``_compare_row`` rows, one per x, built the first time x is compared
     and shared by the basis's patterns.  The insertion cells are listed
     once, for legality and the search alike.
@@ -756,12 +750,17 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     n = len(word)
     if trace is not None:
         tape = BoundedTape(word, trace)
-        ok = all(_avoids_on_tape(tape, n, pattern.ranks) for pattern in basis)
+        ok = _check_legal_on_tape(tape, n)
+        if ok:
+            cells = tape.scan_insertions()
+            ok = all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
+                _compare_on_tape(tape, cells, chosen[a], y))) for pattern in basis)
         return TapeRun(ok, tape.steps, tape.max_cells_touched)
     cells = [pos for pos, letter in enumerate(word) if letter != "t"]
-    legal, legality = _legal_closed_form(word, cells)
+    legal, steps = _legal_closed_form(word, cells)
     if not legal:
-        return TapeRun(False, legality, n or 1)
+        return TapeRun(False, steps, n or 1)
+    steps += 3 * n - 2  # scan_insertions from cell n-1: head + 2n - 1
     rows: list[Row | None] = [None] * len(cells)
 
     def descending(chosen: list[int], a: int, y: int) -> bool:
@@ -774,11 +773,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
         steps += cost
         return verdict
 
-    steps = 1 - n  # the first pass starts on cell 0, not n-1
     for pattern in basis:
-        # legality from n-1 (its head counts only in its seek to cell 0),
-        # then scan_insertions from n-1: head + 2n - 1
-        steps += n - 1 + legality + 3 * n - 2
         if not _avoids(cells, pattern.ranks, descending):
             return TapeRun(False, steps, n)
     return TapeRun(True, steps, n)

@@ -564,10 +564,10 @@ class TestCompare:
         n = len(word)
         t = BoundedTape(word, no_trace)
         t.seek(head)
-        order = tape._compare_on_tape(t, cells, a, b)
+        descending = tape._compare_on_tape(t, cells, a, b)
         assert t.holds_input(), (word, a, b, head)
         assert (t.head, t.max_cells_touched) == (n - 1, max(head + 1, n)), (word, a, b, head)
-        return order is PairOrder.DESCENDING, t.steps - head
+        return descending, t.steps - head
 
     def test_closed_form_matches_primitive_composition(self):
         # every insertion-cell pair of every codeword with n <= 6, then
@@ -862,9 +862,57 @@ class TestAcceptsBasis:
         assert verdicts == {True, False}
 
     def test_cumulative_counters_cover_all_patterns(self):
-        single = accepts_basis("rrf", Basis([[1, 2, 3]]))
-        double = accepts_basis("rrf", Basis([[1, 2, 3], [2, 1, 3]]))
-        assert double.steps > single.steps
+        # legality and scan_insertions run once per word, not once per
+        # pattern: a basis run is the single-pattern runs of the s patterns
+        # it searches (up to and including the first one contained), less
+        # the legality pass and the scan from cell n-1 (3n-2 steps) of each
+        # of the s-1 runs after the first.  An illegal word pays legality
+        # alone.  Every word with n <= 5 against three fixed
+        # bases, every word of at most three letters (most of them
+        # illegal), then seeded bases of two and three patterns on n =
+        # 9..12, half of the words built avoiders of one pattern
+        fixed = [Basis([[1, 3, 2], [4, 3, 2, 1]]), Basis([[2, 1], [1, 2, 3]]),
+                 Basis([[1, 2, 3], [2, 4, 1, 3]])]
+        cases = [
+            (word, basis)
+            for n in range(1, 6)
+            for word in codewords_with_insertions(n)
+            for basis in fixed
+        ]
+        cases += [
+            ("".join(letters), fixed[1])
+            for n in range(4)
+            for letters in itertools.product(codec.ALPHABET, repeat=n)
+        ]
+        rng = random.Random(2031)
+        for n in list(range(9, 13)) * 4:
+            lengths = rng.choices((3, 4, 5), k=rng.randint(2, 3))
+            basis = [rng.sample(range(1, k + 1), k) for k in lengths]
+            if rng.random() < 0.5:
+                p = built_avoider(rng, n, rng.choice(basis))
+            else:
+                p = rng.sample(range(1, n + 1), n)
+            cases.append((codec.encode(Permutation(p)), Basis(basis)))
+        searched = set()
+        for trace in (None, no_trace):
+            for word, basis in cases:
+                n = len(word)
+                run = accepts_basis(word, basis, trace)
+                legality = check_legal(word, trace)
+                if not legality.verdict:
+                    assert run == TapeRun(False, legality.steps, n or 1), (word, basis)
+                    continue
+                singles = []
+                for pattern in basis:
+                    singles.append(accepts_basis(word, Basis([pattern]), trace))
+                    if not singles[-1].verdict:
+                        break
+                s = len(singles)
+                searched.add(s)
+                want = sum(single.steps for single in singles) - (s - 1) * (
+                    legality.steps + 3 * n - 2)
+                assert run == TapeRun(singles[-1].verdict, want, n), (word, basis)
+        assert searched == {1, 2, 3}
 
 
 class TestSymmetries:
