@@ -867,10 +867,10 @@ class TestAcceptsBasis:
         # it searches (up to and including the first one contained), less
         # the legality pass and the scan from cell n-1 (3n-2 steps) of each
         # of the s-1 runs after the first.  An illegal word pays legality
-        # alone.  Every word with n <= 5 against three fixed
-        # bases, every word of at most three letters (most of them
-        # illegal), then seeded bases of two and three patterns on n =
-        # 9..12, half of the words built avoiders of one pattern
+        # alone.  Every word with n <= 5 against three fixed bases, every
+        # word of at most three letters (most of them illegal), then seeded
+        # bases of two and three patterns on n = 9..12, about half of the
+        # words built avoiders of one pattern
         fixed = [Basis([[1, 3, 2], [4, 3, 2, 1]]), Basis([[2, 1], [1, 2, 3]]),
                  Basis([[1, 2, 3], [2, 4, 1, 3]])]
         cases = [
