@@ -1,6 +1,11 @@
+import itertools
+import random
+
 import pytest
 
 from permlang import stackmachine
+from permlang.codec import ALPHABET, codewords_with_insertions, encode
+from permlang.permutations import Basis, Permutation
 
 
 def record_machines(monkeypatch) -> list:
@@ -51,3 +56,39 @@ def built_avoider(rng, n, q):
         for run in range(runs)
     ]
     return [pools[label].pop(0) for label in labels]
+
+
+def seeded_bases(seed, sizes):
+    """(codeword, basis) for each n in sizes: a basis of two or three
+    patterns of length 3-5, and a word that avoids one of them about half
+    the time."""
+    rng = random.Random(seed)
+    for n in sizes:
+        lengths = rng.choices((3, 4, 5), k=rng.randint(2, 3))
+        basis = [rng.sample(range(1, k + 1), k) for k in lengths]
+        if rng.random() < 0.5:
+            p = built_avoider(rng, n, rng.choice(basis))
+        else:
+            p = rng.sample(range(1, n + 1), n)
+        yield encode(Permutation(p)), Basis(basis)
+
+
+def basis_sum_cases():
+    """(word, basis) pairs whose basis run is checked against its
+    single-pattern runs: every codeword with n <= 5 against three fixed
+    bases, every word of at most three letters (most of them illegal)
+    against one of them, then seeded bases on n = 9..12."""
+    fixed = [Basis([[1, 3, 2], [4, 3, 2, 1]]), Basis([[2, 1], [1, 2, 3]]),
+             Basis([[1, 2, 3], [2, 4, 1, 3]])]
+    cases = [
+        (word, basis)
+        for n in range(1, 6)
+        for word in codewords_with_insertions(n)
+        for basis in fixed
+    ]
+    cases += [
+        ("".join(letters), fixed[1])
+        for n in range(4)
+        for letters in itertools.product(ALPHABET, repeat=n)
+    ]
+    return cases + list(seeded_bases(2031, list(range(9, 13)) * 4))

@@ -50,48 +50,48 @@ def long_words() -> list[tuple[tuple[int, ...], str]]:
     return pairs
 
 
-def collect(trace: tape.TraceFn | None = None) -> dict[str, dict[str, list]]:
+def runs():
+    """(section, key, procedure, args) of every run the file freezes, in
+    the file's order."""
     long = long_words()
-    legal = {}
     for n in range(6):
         for letters in itertools.product(ALPHABET, repeat=n):
             word = "".join(letters)
-            legal[word] = _row(tape.check_legal(word, trace))
+            yield "check_legal", word, tape.check_legal, (word,)
     for size in range(10, 41):
         word = bench_word(size)
-        legal[word] = _row(tape.check_legal(word, trace))
+        yield "check_legal", word, tape.check_legal, (word,)
 
-    compare = {}
     for n in range(1, 5):
         for word in codewords_with_insertions(n):
             cells = [i for i, ch in enumerate(word) if ch != "t"]
             for x, y in itertools.combinations(cells, 2):
-                compare[f"{word} {x} {y}"] = _row(tape.compare(word, x, y, trace))
+                yield "compare", f"{word} {x} {y}", tape.compare, (word, x, y)
     rng = random.Random(2027)
     for _, word in long:
         cells = [i for i, ch in enumerate(word) if ch != "t"]
         for _ in range(LONG_PAIRS):
             x, y = sorted(rng.sample(cells, 2))
-            compare[f"{word} {x} {y}"] = _row(tape.compare(word, x, y, trace))
+            yield "compare", f"{word} {x} {y}", tape.compare, (word, x, y)
 
-    avoid = {}
     for text in BASES:
         basis = Basis([int(d) for d in item] for item in text.split(","))
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
-                avoid[f"{text} {word}"] = _row(tape.accepts_basis(word, basis, trace))
+                yield "accepts_basis", f"{text} {word}", tape.accepts_basis, (word, basis)
     for q, word in long:
         text = "".join(map(str, q))
-        avoid[f"{text} {word}"] = _row(tape.accepts_basis(word, Basis([q]), trace))
+        yield "accepts_basis", f"{text} {word}", tape.accepts_basis, (word, Basis([q]))
 
-    primes = {str(n): _row(tape.is_prime(n, trace)) for n in range(1, 61)}
+    for n in range(1, 61):
+        yield "is_prime", str(n), tape.is_prime, (n,)
 
-    return {
-        "check_legal": legal,
-        "compare": compare,
-        "accepts_basis": avoid,
-        "is_prime": primes,
-    }
+
+def collect() -> dict[str, dict[str, list]]:
+    table: dict[str, dict[str, list]] = {}
+    for section, key, procedure, args in runs():
+        table.setdefault(section, {})[key] = _row(procedure(*args))
+    return table
 
 
 def render(table: dict[str, dict[str, list]]) -> str:
@@ -115,14 +115,6 @@ def test_golden_counters_unchanged():
         ]
         assert not changed, f"{name}: {len(changed)} runs changed, e.g. {changed[:5]}"
         assert sorted(actual[name]) == sorted(rows), name
-
-
-def test_traced_runs_match_untraced():
-    # Untraced, legality's marking procedure, the positional compare, the
-    # occurrence search and the sieve are closed forms that charge their
-    # restore too, so the traced primitive-by-primitive path, which ends in
-    # the restore's loop, must count the same.
-    assert collect(trace=lambda _: None) == collect()
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from conftest import built_avoider, no_trace
+from conftest import basis_sum_cases, built_avoider, no_trace
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
@@ -23,24 +23,6 @@ from permlang.tape import (
     compare,
     is_prime,
 )
-
-
-@pytest.fixture
-def tapes(monkeypatch):
-    """Record every (word, tape) pair the procedures create, so a test can
-    inspect the tape a public procedure left behind; only traced runs
-    build a tape."""
-    made = []
-
-    class RecordingTape(BoundedTape):
-        __slots__ = ()
-
-        def __init__(self, word, trace):
-            super().__init__(word, trace)
-            made.append((word, self))
-
-    monkeypatch.setattr(tape, "BoundedTape", RecordingTape)
-    return made
 
 
 @pytest.fixture
@@ -135,15 +117,6 @@ def search_by_all_pairs(word, q):
         return False
 
     return not extend([], 1), tried
-
-
-def assert_tapes_clean(tapes):
-    """Every recorded tape is left with no marks, so restoring it again does
-    not fault."""
-    assert tapes
-    for word, t in tapes:
-        assert t.holds_input(), word
-        t.restore()
 
 
 class TestBoundedTape:
@@ -384,55 +357,16 @@ class TestCheckLegal:
             ("", False),
         ],
     )
-    def test_verdicts(self, word, expected, tapes):
-        run = check_legal(word)
-        assert run.verdict is expected
-        assert check_legal(word, no_trace) == run
-        assert_tapes_clean(tapes)
+    def test_verdicts(self, word, expected):
+        assert check_legal(word).verdict is expected
 
-    def test_agrees_with_direct_validate_exhaustively(self, tapes):
+    def test_agrees_with_direct_validate_exhaustively(self):
         for n in range(0, 7):
             for tup in itertools.product(codec.ALPHABET, repeat=n):
                 word = "".join(tup)
                 run = check_legal(word)
                 assert run.verdict == bool(validate(word)), word
                 assert run.max_cells_touched <= len(word) + 1
-                assert check_legal(word, no_trace) == run, word
-        assert_tapes_clean(tapes)
-
-    @staticmethod
-    def traced_legality(word, head):
-        """``_check_legal_on_tape`` on a traced tape from a head on cell
-        head: its verdict and steps from there.  The tape must end restored
-        with the head on cell n-1, having reached no further than n-1 or
-        the start head."""
-        n = len(word)
-        t = BoundedTape(word, no_trace)
-        t.seek(head)
-        verdict = tape._check_legal_on_tape(t, n)
-        assert t.holds_input(), (word, head)
-        assert (t.head, t.max_cells_touched) == (max(n - 1, 0), max(head + 1, n)), (word, head)
-        return verdict, t.steps - head
-
-    def test_closed_form_matches_primitive_composition(self):
-        # every word of length <= 6, legal or not, then seeded codewords and
-        # random words, where nesting, t-runs and licences run long
-        rng = random.Random(1997)
-        words = [
-            "".join(tup) for n in range(7) for tup in itertools.product(codec.ALPHABET, repeat=n)
-        ]
-        for _ in range(300):
-            n = rng.randint(8, 40)
-            words.append(codec.encode(Permutation(rng.sample(range(1, n + 1), n))))
-        for _ in range(300):
-            words.append("".join(rng.choices(codec.ALPHABET, k=rng.randint(1, 60))))
-        for word in words:
-            head = rng.randrange(len(word) + 1)
-            traced = self.traced_legality(word, head)
-            cells = [pos for pos, letter in enumerate(word) if letter != "t"]
-            legal, steps = tape._legal_closed_form(word, cells)
-            # from cell 0; a later start head pays its seek back to cell 0
-            assert (legal, steps + head) == traced, (word, head)
 
     @pytest.mark.parametrize("word, cell", [("mrlff", 3), ("", 0)])
     def test_legality_on_a_marked_tape_faults(self, word, cell):
@@ -469,11 +403,6 @@ class TestCheckLegal:
             verdicts.append(direct)
         assert 0 < verdicts.count(True) < len(words) // 2
 
-    def test_counters_small_word(self):
-        run = check_legal("f")
-        assert run.steps >= 1
-        assert run.max_cells_touched <= 2
-
     def test_steps_quadratic_calibrated_then_verified(self):
         # calibrate the constant on |w| <= 10, then check words up to 40
         from permlang.cli import bench_word
@@ -498,11 +427,8 @@ class TestCompare:
             ("rf", 0, 1, PairOrder.DESCENDING),
         ],
     )
-    def test_examples(self, word, x, y, expected, tapes):
-        run = compare(word, x, y)
-        assert run.verdict is expected
-        assert compare(word, x, y, no_trace) == run
-        assert_tapes_clean(tapes)
+    def test_examples(self, word, x, y, expected):
+        assert compare(word, x, y).verdict is expected
 
     def test_letters_checked_once(self, monkeypatch):
         real = codec.check_letters
@@ -536,7 +462,7 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare("tf", 0, 1)  # illegal word
 
-    def test_matches_decoded_positions_exhaustively(self, tapes):
+    def test_matches_decoded_positions_exhaustively(self):
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 perm = decode(word)
@@ -552,63 +478,6 @@ class TestCompare:
                     run = compare(word, cells[a], cells[b])
                     assert run.verdict is want, (word, cells[a], cells[b])
                     assert run.max_cells_touched <= len(word) + 1
-                    assert compare(word, cells[a], cells[b], no_trace) == run
-        assert_tapes_clean(tapes)
-
-    @staticmethod
-    def traced_compare(word, cells, a, b, head):
-        """``_compare_on_tape`` of the insertion cells a < b on a traced
-        tape from a head on cell head: whether it is descending, and its
-        steps from there.  The tape must end restored with the head on cell
-        n-1, having reached no further than n-1 or the start head."""
-        n = len(word)
-        t = BoundedTape(word, no_trace)
-        t.seek(head)
-        descending = tape._compare_on_tape(t, cells, a, b)
-        assert t.holds_input(), (word, a, b, head)
-        assert (t.head, t.max_cells_touched) == (n - 1, max(head + 1, n)), (word, a, b, head)
-        return descending, t.steps - head
-
-    def test_closed_form_matches_primitive_composition(self):
-        # every insertion-cell pair of every codeword with n <= 6, then
-        # seeded pairs on longer words, where t-runs and stacks run long
-        rng = random.Random(2005)
-        cases = []
-        for n in range(1, 7):
-            for word in codewords_with_insertions(n):
-                cases += [(word, a, b) for a, b in itertools.combinations(range(n), 2)]
-        for _ in range(300):
-            n = rng.randint(8, 40)
-            word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
-            cases.append((word, *sorted(rng.sample(range(n), 2))))
-        for word, a, b in cases:
-            head = rng.randrange(len(word) + 1)
-            cells = [i for i, ch in enumerate(word) if ch != "t"]
-            traced = self.traced_compare(word, cells, a, b, head)
-            assert tape._compare_row(word, cells, a, b, head)[-1] == traced, (word, a, b, head)
-
-    def test_row_entries_match_traced_compare_and_restore(self):
-        # every row of every codeword with n <= 6, then one row of each of
-        # 24 seeded codewords up to n = 40: entry b is the compare of a and b
-        # from a head on cell n-1, where the occurrence search makes it,
-        # restore included, which leaves the head and high-water mark on n-1
-        rng = random.Random(2026)
-        rows = []
-        for n in range(2, 7):
-            for word in codewords_with_insertions(n):
-                rows += [(word, a) for a in range(n - 1)]
-        for _ in range(24):
-            n = rng.randint(7, 40)
-            word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
-            rows.append((word, rng.randrange(n - 1)))
-        for word, a in rows:
-            n = len(word)
-            cells = [i for i, ch in enumerate(word) if ch != "t"]
-            row = tape._compare_row(word, cells, a, len(cells) - 1, n - 1)
-            assert len(row) == len(cells) - a - 1, (word, a)
-            for b in range(a + 1, len(cells)):
-                want = self.traced_compare(word, cells, a, b, n - 1)
-                assert row[b - a - 1] == want, (word, a, b)
 
     def test_compare_on_a_marked_tape_faults(self):
         t = BoundedTape("mrlff", no_trace)
@@ -628,7 +497,7 @@ class TestCompare:
 
     def test_matches_decoded_positions_on_large_words(self):
         # seeded words far past the exhaustive range, where t-runs and star
-        # counts run long; the traced run must agree with the untraced one
+        # counts run long
         rng = random.Random(1985)
         for n in range(20, 61, 5):
             p = rng.sample(range(1, n + 1), n)
@@ -639,7 +508,6 @@ class TestCompare:
                 want = PairOrder.ASCENDING if p.index(a) < p.index(b) else PairOrder.DESCENDING
                 run = compare(word, cells[a - 1], cells[b - 1])
                 assert run.verdict is want, (p, a, b)
-                assert compare(word, cells[a - 1], cells[b - 1], no_trace) == run
 
 
 class TestAcceptsAvoiding:
@@ -784,7 +652,7 @@ class TestOccurrenceSearch:
             for word in codewords_with_insertions(n):
                 for q in patterns:
                     searched.clear()
-                    verdict = accepts_basis(word, Basis([q]), no_trace).verdict
+                    verdict = accepts_basis(word, Basis([q])).verdict
                     tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
                     assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
 
@@ -831,87 +699,31 @@ class TestAcceptsBasis:
                     assert want or not built, (p, q)
                     assert accepts_basis(codec.encode(perm), basis).verdict is want, (p, q)
 
-    def test_untraced_matches_traced(self):
-        # untraced, the search reads its compares from a pair table that the
-        # basis's patterns share; traced, every compare runs on the tape.
-        # Every codeword with n <= 5 against every pattern with k <= 4, then
-        # seeded bases of two and three patterns, where a later pattern
-        # reads rows an earlier one built
-        patterns = [list(q) for k in range(1, 5) for q in itertools.permutations(range(1, k + 1))]
-        cases = [
-            (word, Basis([q]))
-            for n in range(1, 6)
-            for word in codewords_with_insertions(n)
-            for q in patterns
-        ]
-        rng = random.Random(2027)
-        for n in [6] * 30 + list(range(9, 15)) * 5:
-            lengths = rng.choices((3, 4, 5), k=rng.randint(2, 3))
-            basis = [rng.sample(range(1, k + 1), k) for k in lengths]
-            if rng.random() < 0.5:  # an avoider of one of the patterns
-                p = built_avoider(rng, n, rng.choice(basis))
-            else:
-                p = rng.sample(range(1, n + 1), n)
-            cases.append((codec.encode(Permutation(p)), Basis(basis)))
-        verdicts = set()
-        for word, basis in cases:
-            run = accepts_basis(word, basis)
-            assert run == accepts_basis(word, basis, no_trace), (word, basis)
-            if len(basis) > 1:
-                verdicts.add(run.verdict)
-        assert verdicts == {True, False}
-
     def test_cumulative_counters_cover_all_patterns(self):
         # legality and scan_insertions run once per word, not once per
         # pattern: a basis run is the single-pattern runs of the s patterns
         # it searches (up to and including the first one contained), less
         # the legality pass and the scan from cell n-1 (3n-2 steps) of each
         # of the s-1 runs after the first.  An illegal word pays legality
-        # alone.  Every word with n <= 5 against three fixed bases, every
-        # word of at most three letters (most of them illegal), then seeded
-        # bases of two and three patterns on n = 9..12, about half of the
-        # words built avoiders of one pattern
-        fixed = [Basis([[1, 3, 2], [4, 3, 2, 1]]), Basis([[2, 1], [1, 2, 3]]),
-                 Basis([[1, 2, 3], [2, 4, 1, 3]])]
-        cases = [
-            (word, basis)
-            for n in range(1, 6)
-            for word in codewords_with_insertions(n)
-            for basis in fixed
-        ]
-        cases += [
-            ("".join(letters), fixed[1])
-            for n in range(4)
-            for letters in itertools.product(codec.ALPHABET, repeat=n)
-        ]
-        rng = random.Random(2031)
-        for n in list(range(9, 13)) * 4:
-            lengths = rng.choices((3, 4, 5), k=rng.randint(2, 3))
-            basis = [rng.sample(range(1, k + 1), k) for k in lengths]
-            if rng.random() < 0.5:
-                p = built_avoider(rng, n, rng.choice(basis))
-            else:
-                p = rng.sample(range(1, n + 1), n)
-            cases.append((codec.encode(Permutation(p)), Basis(basis)))
+        # alone.
         searched = set()
-        for trace in (None, no_trace):
-            for word, basis in cases:
-                n = len(word)
-                run = accepts_basis(word, basis, trace)
-                legality = check_legal(word, trace)
-                if not legality.verdict:
-                    assert run == TapeRun(False, legality.steps, n or 1), (word, basis)
-                    continue
-                singles = []
-                for pattern in basis:
-                    singles.append(accepts_basis(word, Basis([pattern]), trace))
-                    if not singles[-1].verdict:
-                        break
-                s = len(singles)
-                searched.add(s)
-                want = sum(single.steps for single in singles) - (s - 1) * (
-                    legality.steps + 3 * n - 2)
-                assert run == TapeRun(singles[-1].verdict, want, n), (word, basis)
+        for word, basis in basis_sum_cases():
+            n = len(word)
+            run = accepts_basis(word, basis)
+            legality = check_legal(word)
+            if not legality.verdict:
+                assert run == TapeRun(False, legality.steps, n or 1), (word, basis)
+                continue
+            singles = []
+            for pattern in basis:
+                singles.append(accepts_basis(word, Basis([pattern])))
+                if not singles[-1].verdict:
+                    break
+            s = len(singles)
+            searched.add(s)
+            want = sum(single.steps for single in singles) - (s - 1) * (
+                legality.steps + 3 * n - 2)
+            assert run == TapeRun(singles[-1].verdict, want, n), (word, basis)
         assert searched == {1, 2, 3}
 
 
@@ -961,76 +773,21 @@ class TestIsPrime:
         assert is_prime(3).verdict is True
 
     def test_against_trial_division(self):
-        # untraced, the sieve is a closed form that divides by construction,
-        # so the traced primitive composition is the independent side
         def trial(n):
             return n >= 2 and all(n % i for i in range(2, int(n**0.5) + 1))
 
-        for trace in (None, lambda _: None):
-            for n in range(1, 120):
-                run = is_prime(n, trace)
-                assert bool(run.verdict) is trial(n), n
-                assert run.max_cells_touched <= n + 1
-
-    def test_closed_form_matches_primitive_composition(self, tapes):
-        # every n to 150, then the shapes whose rounds end differently: a
-        # prime square's first divisor is its root, a power of two and 2p
-        # stop in round 2 on a tape no non-dividing round has widened
-        primes = [p for p in range(2, 200) if all(p % i for i in range(2, p))]
-        ns = set(range(1, 151))
-        ns.update(p * p for p in primes if p * p <= 400)
-        ns.update(2**e for e in range(1, 9))
-        ns.update(2 * p for p in primes)
-        for n in sorted(ns):
-            lines = []
-            tapes.clear()
-            traced = is_prime(n, lines.append)
-            want = (traced.verdict, traced.steps, traced.max_cells_touched)
-            assert tape._sieve_closed_form(n) == want, n
-            assert len(lines) == traced.steps, n
-            [(_, t)] = tapes
-            assert (t.head, t.holds_input()) == (n - 1, True), n
+        for n in range(1, 120):
+            run = is_prime(n)
+            assert bool(run.verdict) is trial(n), n
+            assert run.max_cells_touched <= n + 1
 
     def test_pinned_counters_at_the_cli_cap(self):
         assert is_prime(4999) == TapeRun(True, 75_065_074, 5000)
         assert is_prime(5000) == TapeRun(False, 32_495, 5000)
 
-    def test_space_bound_at_fifty(self):
-        assert is_prime(50).max_cells_touched <= 51
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             is_prime(0)
-
-
-def test_trace_is_deterministic():
-    first: list[str] = []
-    second: list[str] = []
-    check_legal("mrtltff", trace=first.append)
-    check_legal("mrtltff", trace=second.append)
-    assert first == second
-    assert len(first) == check_legal("mrtltff").steps
-
-
-def test_trace_lines_number_the_steps():
-    # a traced run writes one line a step, and line i starts with step i
-    runs = [
-        (check_legal, ("".join(letters),))
-        for n in range(6)
-        for letters in itertools.product(codec.ALPHABET, repeat=n)
-    ]
-    basis = Basis([[1, 3, 2], [2, 4, 1, 3]])
-    for n in range(1, 5):
-        for word in codewords_with_insertions(n):
-            cells = [i for i, ch in enumerate(word) if ch != "t"]
-            runs += [(compare, (word, x, y)) for x, y in itertools.combinations(cells, 2)]
-            runs.append((accepts_basis, (word, basis)))
-    for procedure, args in runs:
-        lines = []
-        run = procedure(*args, lines.append)
-        assert len(lines) == run.steps, (procedure, args)
-        for i, line in enumerate(lines, 1):
-            assert line.startswith(f"{i}\t"), (procedure, args, i, line)
 
 
 def test_taperun_is_frozen():
