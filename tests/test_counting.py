@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 
 import pytest
 
@@ -18,6 +20,28 @@ from permlang.permutations import (
     CapExceededError,
     all_permutations,
 )
+
+
+def longest_increasing_at_most(n, k):
+    """How many permutations of length n have no increasing subsequence
+    longer than k: the sum of f_lambda squared over the partitions lambda
+    of n whose first row is at most k (Schensted 1961), with f_lambda from
+    the hook-length formula (Frame, Robinson and Thrall 1954)."""
+
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for part in range(min(m, largest), 0, -1):
+            yield from ((part, *rest) for rest in partitions(m - part, part))
+
+    total = 0
+    for shape in partitions(n, k):
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):  # arm + leg + 1
+                hooks *= row - j + sum(1 for below in shape[i + 1 :] if below > j)
+        total += (math.factorial(n) // hooks) ** 2
+    return total
 
 
 class TestCountAvoiders:
@@ -60,6 +84,24 @@ class TestSequence:
 
     def test_av_1234_prefix(self):
         assert sequence(Basis([[1, 2, 3, 4]]), 6).counts() == (1, 1, 2, 6, 23, 103, 513)
+
+    def test_pinned_counts_to_seven(self):
+        # both routes, which sequence checks against each other, at
+        # n = 0..7 against counts computed from published formulas
+        ns = range(8)
+        catalan = tuple(math.comb(2 * n, n) // (n + 1) for n in ns)
+        for q in itertools.permutations((1, 2, 3)):  # Simion and Schmidt (1985)
+            assert sequence(Basis([q]), 7).counts() == catalan, q
+        # 2^(n-1) from n = 1 (Simion and Schmidt)
+        assert sequence(Basis([[3, 1, 2], [3, 2, 1]]), 7).counts() == tuple(
+            2 ** (n - 1) if n else 1 for n in ns
+        )
+        assert sequence(Basis([[1, 2, 3], [3, 4, 1, 2]]), 7).counts() == tuple(
+            2 ** (n + 1) - math.comb(n + 1, 3) - 2 * n - 1 for n in ns
+        )
+        assert sequence(Basis([[1, 2, 3, 4, 5]]), 7).counts() == tuple(
+            longest_increasing_at_most(n, 4) for n in ns
+        )
 
     def test_size_checked_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):
