@@ -157,9 +157,23 @@ ROWS = {
 }
 
 
-@pytest.mark.parametrize("name", list(ROWS))
-def test_untraced_matches_traced(name, monkeypatch):
-    inputs, untraced, traced, count = ROWS[name]
+class Traced:
+    """A row's traced runs, one per distinct input, and what each left."""
+
+    def __init__(self, name, keys):
+        self.name = name
+        self.keys = keys
+        self.runs = {}  # key -> TapeRun
+        self.ends = {}  # key -> (holds its input, head, last cell)
+        self.lines = {}  # key -> (trace lines, whether line i starts with step i)
+
+
+@pytest.fixture(scope="module", params=list(ROWS))
+def traced_row(request):
+    """Runs every distinct input of one row traced, once for all of the
+    row's checks."""
+    name = request.param
+    inputs, _, traced, _ = ROWS[name]
     built = []
 
     class RecordedTape(BoundedTape):
@@ -169,21 +183,38 @@ def test_untraced_matches_traced(name, monkeypatch):
             super().__init__(word, trace)
             built.append(self)
 
-    monkeypatch.setattr(tape, "BoundedTape", RecordedTape)
-    keys = list(dict.fromkeys(inputs()))
-    assert len(keys) == count
+    row = Traced(name, list(dict.fromkeys(inputs())))
     prefixes = []  # "1\t", "2\t", ...: how trace lines 1, 2, ... start
-    verdicts = set()
-    for key in keys:
-        lines = []
-        run = traced(*key, lines.append)
-        assert untraced(*key) == run, (name, key)
-        verdicts.add(run.verdict)
-        [t] = built
-        built.clear()
-        n = len(t.snapshot()[0]) - 1
-        assert (t.holds_input(), t.head) == (True, max(n - 1, 0)), (name, key)
-        prefixes += [f"{i}\t" for i in range(len(prefixes) + 1, run.steps + 1)]
-        assert len(lines) == run.steps, (name, key)
-        assert all(map(str.startswith, lines, prefixes)), (name, key)
-    assert verdicts == {True, False}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tape, "BoundedTape", RecordedTape)
+        for key in row.keys:
+            lines = []
+            run = row.runs[key] = traced(*key, lines.append)
+            [t] = built
+            built.clear()
+            n = len(t.snapshot()[0]) - 1
+            row.ends[key] = (t.holds_input(), t.head, max(n - 1, 0))
+            prefixes += [f"{i}\t" for i in range(len(prefixes) + 1, run.steps + 1)]
+            row.lines[key] = (len(lines), all(map(str.startswith, lines, prefixes)))
+    return row
+
+
+def test_distinct_inputs(traced_row):
+    assert len(traced_row.keys) == ROWS[traced_row.name][3]
+
+
+def test_untraced_matches_traced(traced_row):
+    untraced = ROWS[traced_row.name][1]
+    for key, run in traced_row.runs.items():
+        assert untraced(*key) == run, (traced_row.name, key)
+    assert {run.verdict for run in traced_row.runs.values()} == {True, False}
+
+
+def test_tape_ends_restored(traced_row):
+    for key, (holds_input, head, last) in traced_row.ends.items():
+        assert (holds_input, head) == (True, last), (traced_row.name, key)
+
+
+def test_trace_lines_number_the_steps(traced_row):
+    for key, run in traced_row.runs.items():
+        assert traced_row.lines[key] == (run.steps, True), (traced_row.name, key)
