@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,27 @@ def record_machines(monkeypatch) -> list:
 def machines(monkeypatch):
     """Every StackMachine created during the test, in order."""
     return record_machines(monkeypatch)
+
+
+def assert_golden(golden: Path, rendered: str) -> None:
+    """Fail unless the golden file holds exactly the bytes of rendered,
+    naming the first line that differs and how many lines differ."""
+    want = golden.read_bytes()
+    got = rendered.encode()
+    if got == want:
+        return
+    want_lines = want.splitlines(keepends=True)
+    got_lines = got.splitlines(keepends=True)
+    differ = [
+        i
+        for i in range(max(len(want_lines), len(got_lines)))
+        if want_lines[i : i + 1] != got_lines[i : i + 1]
+    ]
+    first = differ[0]
+    raise AssertionError(
+        f"{golden.name}: {len(differ)} lines differ, the first is line {first + 1}: "
+        f"want {want_lines[first : first + 1]}, got {got_lines[first : first + 1]}"
+    )
 
 
 def no_trace(line):

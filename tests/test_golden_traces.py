@@ -1,8 +1,8 @@
 """Golden machine traces: the full text trace of a few fixed machine runs.
 
 ``golden_traces.txt`` freezes, line for line, what the tape procedures and
-the stack acceptor emit through their ``trace`` callback on a small fixed input set, each run under
-a ``# <procedure> <arguments>`` header.  A change that claims the same
+the two stack acceptors emit through their ``trace`` callback on a small
+fixed input set, each run under a ``# <procedure> <arguments>`` header.  A change that claims the same
 machine behaviour must leave the file untouched; a change that alters the
 traces on purpose regenerates it and states the delta:
 
@@ -49,6 +49,15 @@ RUNS += tuple(
         lambda trace, word=word: stackmachine.accepts_codewords(word, trace),
     )
     for word in STACK_WORDS
+)
+# two accepted, one rejected at its first letter, one at a short block
+PARTITION_WORDS = ("abb", "ba", "aab", "aabbb")
+RUNS += tuple(
+    (
+        f"accepts_partition_language {word}",
+        lambda trace, word=word: stackmachine.accepts_partition_language(word, trace),
+    )
+    for word in PARTITION_WORDS
 )
 
 
