@@ -41,6 +41,7 @@ class StackMachine:
         self.pushes = 0
         self.pops = 0
 
+    # read-only: an acceptor moves the stack only by the operations below
     @property
     def height(self) -> int:
         return self._height
@@ -49,38 +50,25 @@ class StackMachine:
     def cursor_depth(self) -> int:
         return self._cursor
 
-    @property
-    def at_root(self) -> bool:
-        return self._cursor == 0
-
-    @property
-    def at_top(self) -> bool:
-        return self._cursor == self._height
-
     def cursor_to_top(self) -> None:
         self._cursor = self._height
 
-    def cursor_down(self) -> None:
-        if self._cursor == 0:
-            raise StackDisciplineError("cursor cannot descend below the root")
-        self._cursor -= 1
-
-    def cursor_down_by(self, j: int) -> None:
-        """j calls of cursor_down at once: raises, leaving the cursor where
-        it was, exactly when one of them would."""
+    def cursor_down(self, j: int = 1) -> None:
+        """Walk the cursor down j tokens; raises, leaving the cursor where
+        it was, unless 0 <= j <= cursor_depth."""
         if not 0 <= j <= self._cursor:
             raise StackDisciplineError("cursor cannot descend below the root")
         self._cursor -= j
 
     def push(self) -> None:
-        if not self.at_top:
+        if self._cursor != self._height:
             raise StackDisciplineError("push requires the cursor at the top")
         self._height += 1
         self._cursor = self._height
         self.pushes += 1
 
     def pop(self) -> None:
-        if not self.at_top:
+        if self._cursor != self._height:
             raise StackDisciplineError("pop requires the cursor at the top")
         if self._height == 0:
             raise StackDisciplineError("the root token is never popped")
@@ -103,7 +91,7 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     where it accepts iff it is the last letter.
 
     The word is read a t-run at a time (``codec.tokens``).  A t-run never
-    pushes or pops, so it is charged at once by ``cursor_down_by``; a
+    pushes or pops, so it is charged at once by ``cursor_down(run)``; a
     trace still gets one line per t, the state after that letter.
     """
     check_letters(word)
@@ -113,7 +101,7 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     for run, letter in tokens(word):
         if run:
             depth = machine.cursor_depth
-            machine.cursor_down_by(min(run, depth))
+            machine.cursor_down(min(run, depth))
             if run > depth:
                 machine.state = FAIL
             if trace is not None:
@@ -173,11 +161,11 @@ def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
             if pushing:
                 machine.cursor_to_top()
                 machine.push()
-            elif machine.at_root:
+            elif machine.cursor_depth == 0:
                 machine.state = FAIL  # walking down from the root: block 1 must be a's
             else:
                 machine.cursor_down()
-                if machine.at_root:
+                if machine.cursor_depth == 0:
                     pushing = True
         if trace is not None:
             trace(

@@ -514,9 +514,9 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
     It starts on an unmarked tape, with 0 <= a < b < len(cells), and
     faults otherwise, and ends restored with the head on the word's last
     cell.  It runs the programs and shuttles above primitive by primitive,
-    then ``restore``, which clears the stars; the last entry of
-    ``_compare_row``'s walk from x to y gives its verdict and steps
-    without a tape.
+    then ``restore``, which clears the stars; entry b-a-1 of
+    ``_compare_row``'s walk from x gives its verdict and steps without a
+    tape.
     """
     if not tape.holds_input():
         raise TapeFault("compare started on a tape that does not hold its input")
@@ -548,12 +548,12 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
     return descending
 
 
-def _compare_row(word: str, cells: list[int], a: int, last: int, head: int) -> Row:
+def _compare_row(word: str, cells: list[int], a: int, head: int) -> Row:
     """The compare's closed form: the row of ``_compare_on_tape`` of a with
-    each c = a+1..last on the word, from a head on cell head of an unmarked
-    tape.  Entry c-a-1 is (whether it is descending, its steps, the closing
-    restore's included: the head the walk leaves, 2n-1 and a write per
-    star).
+    each later insertion cell c on the word, from a head on cell head of an
+    unmarked tape.  Entry c-a-1 is (whether it is descending, its steps,
+    the closing restore's included: the head the walk leaves, 2n-1 and a
+    write per star).
 
     The compare's only marks are its stars, which change only at their
     right end: the start pushes x's t-run (and x when it is r or m), a won
@@ -583,7 +583,7 @@ def _compare_row(word: str, cells: list[int], a: int, last: int, head: int) -> R
     if stars:
         steps += x_pos - head  # seek x
         head = x_pos
-        for c in range(a + 1, last + 1):
+        for c in range(a + 1, len(cells)):
             z = cells[c]
             # right_to_m_or_f to z, then the shuttle at z: it pairs the t
             # on z-k with the star S[-k] for k = 1, 2, ...: 4 steps per
@@ -605,8 +605,6 @@ def _compare_row(word: str, cells: list[int], a: int, last: int, head: int) -> R
                 here += 4 * s + 3 * paired + 6 * z - 3 * stars[0] + (2 if s < r else 0)
                 beat = False
             row.append((beat, here + z + restore + s))
-            if c == last:
-                break
             letter = word[z]
             if letter not in "mf":
                 continue  # right_to_m_or_f passes an l or r
@@ -621,7 +619,7 @@ def _compare_row(word: str, cells: list[int], a: int, last: int, head: int) -> R
                     steps += 3 * (z - (stars[-1] if stars else 0)) + 1
                     if not stars:
                         break
-    row += [(False, steps + head + restore)] * (last - a - len(row))
+    row += [(False, steps + head + restore)] * (len(cells) - 1 - a - len(row))
     return row
 
 
@@ -645,7 +643,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     cells = [i for i, letter in enumerate(word) if letter != "t"]
     a, b = cells.index(x_pos), cells.index(y_pos)
     if trace is None:
-        descending, steps = _compare_row(word, cells, a, b, 0)[-1]
+        descending, steps = _compare_row(word, cells, a, 0)[b - a - 1]
         cells_touched = n
     else:
         tape = BoundedTape(word, trace)
@@ -768,7 +766,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
         x = chosen[a]
         row = rows[x]
         if row is None:
-            row = rows[x] = _compare_row(word, cells, x, len(cells) - 1, n - 1)
+            row = rows[x] = _compare_row(word, cells, x, n - 1)
         verdict, cost = row[y - x - 1]
         steps += cost
         return verdict

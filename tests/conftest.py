@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -55,6 +56,28 @@ def no_trace(line):
     """A trace sink that drops its lines.  Every tape a test builds gets
     it, and a public procedure given it runs every step, restore included,
     on a tape: untraced, none builds one."""
+
+
+def longest_increasing_at_most(n, k):
+    """How many permutations of length n have no increasing subsequence
+    longer than k: the sum of f_lambda squared over the partitions lambda
+    of n whose first row is at most k (Schensted 1961), with f_lambda from
+    the hook-length formula (Frame, Robinson and Thrall 1954)."""
+
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+        for part in range(min(m, largest), 0, -1):
+            yield from ((part, *rest) for rest in partitions(m - part, part))
+
+    total = 0
+    for shape in partitions(n, k):
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):  # arm + leg + 1
+                hooks *= row - j + sum(1 for below in shape[i + 1 :] if below > j)
+        total += (math.factorial(n) // hooks) ** 2
+    return total
 
 
 def longest_increasing(seq):

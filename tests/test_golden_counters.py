@@ -14,7 +14,7 @@ import random
 import sys
 from pathlib import Path
 
-from conftest import built_avoider
+from conftest import assert_golden, built_avoider
 
 from permlang import tape
 from permlang.cli import bench_word
@@ -104,17 +104,7 @@ def render(table: dict[str, dict[str, list]]) -> str:
 
 
 def test_golden_counters_unchanged():
-    golden = json.loads(GOLDEN.read_text())
-    actual = collect()
-    assert sorted(actual) == sorted(golden)
-    for name, rows in golden.items():
-        changed = [
-            (key, want, actual[name].get(key))
-            for key, want in rows.items()
-            if actual[name].get(key) != want
-        ]
-        assert not changed, f"{name}: {len(changed)} runs changed, e.g. {changed[:5]}"
-        assert sorted(actual[name]) == sorted(rows), name
+    assert_golden(GOLDEN, render(collect()))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import record_machines
+from conftest import assert_golden, record_machines
 
 from permlang import codec, stackmachine
 from permlang.codec import ALPHABET, encode, validate
@@ -88,11 +88,7 @@ def render(rows: dict[str, list]) -> str:
 
 
 def test_golden_stack_unchanged(machines):
-    golden = json.loads(GOLDEN.read_text())
-    actual = collect(machines)
-    assert sorted(actual) == sorted(golden)
-    changed = [(k, want, actual[k]) for k, want in golden.items() if actual[k] != want]
-    assert not changed, f"{len(changed)} runs changed, e.g. {changed[:5]}"
+    assert_golden(GOLDEN, render(collect(machines)))
 
 
 def test_long_words_cover_every_reason():

@@ -12,6 +12,8 @@ traces on purpose regenerates it and states the delta:
 import sys
 from pathlib import Path
 
+from conftest import assert_golden
+
 from permlang import stackmachine, tape
 from permlang.permutations import Basis
 
@@ -70,16 +72,7 @@ def render() -> str:
 
 
 def test_golden_traces_unchanged():
-    want = GOLDEN.read_text().splitlines()
-    got = render().splitlines()
-    first = next(
-        (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
-        min(len(want), len(got)),
-    )
-    assert got == want, (
-        f"trace differs from line {first + 1}: "
-        f"want {want[first:first + 1]}, got {got[first:first + 1]}"
-    )
+    assert_golden(GOLDEN, render())
 
 
 if __name__ == "__main__":

@@ -17,47 +17,47 @@ class TestStackMachine:
         m = StackMachine()
         m.push()
         m.push()
-        assert m.height == 2 and m.at_top
+        assert m.height == m.cursor_depth == 2
         m.cursor_down()
-        assert m.cursor_depth == 1 and not m.at_top
+        assert m.cursor_depth == 1
         with pytest.raises(StackDisciplineError):
             m.pop()  # cursor not at top
         m.cursor_to_top()
         m.pop()
         m.pop()
-        assert m.height == 0 and m.at_root
+        assert m.height == m.cursor_depth == 0
         with pytest.raises(StackDisciplineError):
             m.pop()  # never pop the root
         with pytest.raises(StackDisciplineError):
             m.cursor_down()
 
-    def test_cursor_down_by_zero_does_nothing(self):
+    def test_cursor_down_zero_does_nothing(self):
         m = StackMachine()
-        m.cursor_down_by(0)  # at the root: zero steps never descend
+        m.cursor_down(0)  # at the root: zero steps never descend
         m.push()
         m.push()
-        m.cursor_down_by(0)
+        m.cursor_down(0)
         assert (m.cursor_depth, m.height, m.pushes, m.pops) == (2, 2, 2, 0)
 
-    def test_cursor_down_by_walks_j_tokens(self):
+    def test_cursor_down_walks_j_tokens(self):
         m = StackMachine()
         for _ in range(3):
             m.push()
-        m.cursor_down_by(2)
+        m.cursor_down(2)
         assert m.cursor_depth == 1
-        m.cursor_down_by(1)  # exactly to the root
-        assert m.at_root and m.height == 3
+        m.cursor_down()  # one token by default: exactly to the root
+        assert (m.cursor_depth, m.height) == (0, 3)
 
     @pytest.mark.parametrize("depth, j", [(0, 1), (2, 3), (3, 7)])
-    def test_cursor_down_by_past_the_root_raises_in_place(self, depth, j):
+    def test_cursor_down_past_the_root_raises_in_place(self, depth, j):
         m = StackMachine()
         for _ in range(depth):
             m.push()
         with pytest.raises(StackDisciplineError):
-            m.cursor_down_by(j)
-        assert m.cursor_depth == depth and m.at_top
+            m.cursor_down(j)
+        assert m.cursor_depth == m.height == depth
         with pytest.raises(StackDisciplineError):
-            m.cursor_down_by(-1)
+            m.cursor_down(-1)
         assert m.cursor_depth == depth
 
     def test_pop_count_never_exceeds_push_count(self):

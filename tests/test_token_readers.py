@@ -110,7 +110,7 @@ def accepts_by_letters(word: str, trace) -> tuple[bool, StackMachine]:
             else:
                 machine.pop()
         else:  # t
-            if machine.at_root:
+            if machine.cursor_depth == 0:
                 machine.state = FAIL
             else:
                 machine.cursor_down()
