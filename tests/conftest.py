@@ -47,7 +47,7 @@ def assert_golden(golden: Path, rendered: str) -> None:
     ]
     first = differ[0]
     raise AssertionError(
-        f"{golden.name}: {len(differ)} lines differ, the first is line {first + 1}: "
+        f"{golden.name}: {len(differ)} line(s) differ, the first is line {first + 1}: "
         f"want {want_lines[first : first + 1]}, got {got_lines[first : first + 1]}"
     )
 
