@@ -75,8 +75,6 @@ class StackMachine:
         self._height -= 1
         self._cursor = self._height
         self.pops += 1
-        if self.pops > self.pushes:
-            raise StackDisciplineError("more pops than pushes")
 
 
 def _trace_line(idx: int, letter: str, state: str, cursor: int, height: int) -> str:

@@ -40,7 +40,7 @@ STAR = 1
 DOUBLE_STAR = 2
 DAGGER = 3
 
-_MARK_TEXT = {NO_MARK: "", STAR: "*", DOUBLE_STAR: "**", DAGGER: "+"}
+_MARK_TEXT = ("", "*", "**", "+")  # indexed by mark
 
 BLANK = " "
 
@@ -136,10 +136,12 @@ class BoundedTape:
     def max_cells_touched(self) -> int:
         return self._max_head + 1
 
-    def _emit(self, primitive: str, before: tuple[str, int], after: tuple[str, int]) -> None:
-        bt = before[0] + _MARK_TEXT[before[1]]
-        at = after[0] + _MARK_TEXT[after[1]]
-        self.trace(f"{self._steps}\t{self._head}\t{primitive}\t{bt} -> {at}")
+    def _emit(self, primitive: str, before: str | None = None) -> None:
+        """Trace the step just taken: the head's cell as it is now, and
+        before it when a write changed it."""
+        head = self._head
+        at = self._letters[head] + _MARK_TEXT[self._marks[head]]
+        self.trace(f"{self._steps}\t{head}\t{primitive}\t{before or at} -> {at}")
 
     def move_right(self) -> None:
         if self._head + 1 >= self._capacity:
@@ -148,29 +150,25 @@ class BoundedTape:
         self._steps += 1
         if self._head > self._max_head:
             self._max_head = self._head
-        cell = (self._letters[self._head], self._marks[self._head])
-        self._emit("move-right", cell, cell)
+        self._emit("move-right")
 
     def move_left(self) -> None:
         if self._head == 0:
             raise TapeFault("head moved left past cell 0")
         self._head -= 1
         self._steps += 1
-        cell = (self._letters[self._head], self._marks[self._head])
-        self._emit("move-left", cell, cell)
+        self._emit("move-left")
 
     def read(self) -> tuple[str, int]:
         self._steps += 1
-        cell = (self._letters[self._head], self._marks[self._head])
-        self._emit("read", cell, cell)
-        return cell
+        self._emit("read")
+        return self._letters[self._head], self._marks[self._head]
 
     def write_mark(self, mark: int) -> None:
         self._steps += 1
-        letter = self._letters[self._head]
-        before = self._marks[self._head]
+        before = self._letters[self._head] + _MARK_TEXT[self._marks[self._head]]
         self._marks[self._head] = mark
-        self._emit("write-mark", (letter, before), (letter, mark))
+        self._emit("write-mark", before)
 
     # Head-movement programs, each a primitive loop.
 

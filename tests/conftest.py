@@ -103,6 +103,42 @@ def built_avoider(rng, n, q):
     return [pools[label].pop(0) for label in labels]
 
 
+def reverse(ranks):
+    return ranks[::-1]
+
+
+def complement(ranks):
+    return [len(ranks) + 1 - v for v in ranks]
+
+
+def inverse(ranks):
+    inv = [0] * len(ranks)
+    for position, value in enumerate(ranks, 1):
+        inv[value - 1] = position
+    return inv
+
+
+def square_symmetries(patterns):
+    """The patterns under each of the eight symmetries of the square, one
+    list per symmetry: the identity, reverse, complement and both, then
+    each of those after inverse."""
+    images = []
+    for turned in (patterns, [inverse(q) for q in patterns]):
+        for flipped in (turned, [reverse(q) for q in turned]):
+            images += [flipped, [complement(q) for q in flipped]]
+    return images
+
+
+def symmetry_bases():
+    """Four seeded bases of one or two patterns of length 3 or 4, as lists
+    of rank lists."""
+    rng = random.Random(1983)
+    return [
+        [rng.sample(range(1, k + 1), k) for k in rng.choices((3, 4), k=rng.randint(1, 2))]
+        for _ in range(4)
+    ]
+
+
 def seeded_bases(seed, sizes):
     """(codeword, basis) for each n in sizes: a basis of two or three
     patterns of length 3-5, and a word that avoids one of them about half

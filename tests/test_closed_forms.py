@@ -19,7 +19,7 @@ import random
 
 import pytest
 from conftest import basis_sum_cases, seeded_bases
-from test_golden_counters import runs
+from test_golden import counter_runs
 
 from permlang import tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode
@@ -33,7 +33,7 @@ def insertion_cells(word):
 
 def golden(section):
     """The arguments of the golden counters' runs of one section."""
-    return [args for name, _, _, args in runs() if name == section]
+    return [args for name, _, _, args in counter_runs() if name == section]
 
 
 def random_codeword(rng, lo, hi):

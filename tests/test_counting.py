@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from conftest import longest_increasing_at_most
+from conftest import longest_increasing_at_most, square_symmetries, symmetry_bases
 
 from permlang import counting
 from permlang.codec import encode
@@ -83,6 +83,15 @@ class TestSequence:
         assert sequence(Basis([[1, 2, 3, 4, 5]]), 7).counts() == tuple(
             longest_increasing_at_most(n, 4) for n in ns
         )
+
+    def test_symmetries_preserve_counts(self):
+        # a symmetry of the square maps the avoiders of B one to one onto
+        # those of its image, so both routes count the same at every n
+        for patterns in symmetry_bases():
+            basis = Basis(patterns)
+            want = sequence(basis, 6)
+            for image in {Basis(image) for image in square_symmetries(patterns)} - {basis}:
+                assert sequence(image, 6) == want, (basis, image)
 
     def test_size_checked_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from conftest import basis_sum_cases, built_avoider, no_trace
+from conftest import basis_sum_cases, built_avoider, complement, inverse, no_trace, reverse
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
@@ -733,24 +733,8 @@ class TestSymmetries:
     encode(p) against q must be its verdict on the transformed pair; no
     oracle is consulted."""
 
-    @staticmethod
-    def reverse(ranks):
-        return ranks[::-1]
-
-    @staticmethod
-    def complement(ranks):
-        return [len(ranks) + 1 - v for v in ranks]
-
-    @staticmethod
-    def inverse(ranks):
-        inv = [0] * len(ranks)
-        for position, value in enumerate(ranks, 1):
-            inv[value - 1] = position
-        return inv
-
-    @pytest.mark.parametrize("sigma", ["reverse", "complement", "inverse"])
-    def test_verdict_is_invariant(self, sigma):
-        move = getattr(self, sigma)
+    @pytest.mark.parametrize("move", [reverse, complement, inverse], ids=lambda f: f.__name__)
+    def test_verdict_is_invariant(self, move):
         rng = random.Random(1995)
         verdicts = set()
         for built in (True, False) * 10:
