@@ -52,6 +52,22 @@ def assert_golden(golden: Path, rendered: str) -> None:
     )
 
 
+def insertion_cells(word):
+    """The cells of word whose letter is not t: value v's insertion is at
+    cell v-1 of the list."""
+    return [i for i, letter in enumerate(word) if letter != "t"]
+
+
+def partitions_of(n, largest=None):
+    """The number of partitions of n into parts of at most largest (at most
+    n when omitted), counted by direct recursion."""
+    if n == 0:
+        return 1
+    if largest is None:
+        largest = n
+    return sum(partitions_of(n - part, part) for part in range(min(largest, n), 0, -1))
+
+
 def no_trace(line):
     """A trace sink that drops its lines.  Every tape a test builds gets
     it, and a public procedure given it runs every step, restore included,

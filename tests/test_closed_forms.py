@@ -18,17 +18,13 @@ import itertools
 import random
 
 import pytest
-from conftest import basis_sum_cases, seeded_bases
+from conftest import basis_sum_cases, insertion_cells, seeded_bases
 from test_golden import counter_runs
 
 from permlang import tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode
 from permlang.permutations import Basis, Permutation
 from permlang.tape import BoundedTape, TapeRun, accepts_basis, is_prime
-
-
-def insertion_cells(word):
-    return [i for i, letter in enumerate(word) if letter != "t"]
 
 
 def golden(section):

@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import assert_golden, built_avoider, record_machines
+from conftest import assert_golden, built_avoider, insertion_cells, record_machines
 
 from permlang import cli, codec, stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode, validate
@@ -79,12 +79,12 @@ def counter_runs():
 
     for n in range(1, 5):
         for word in codewords_with_insertions(n):
-            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            cells = insertion_cells(word)
             for x, y in itertools.combinations(cells, 2):
                 yield "compare", f"{word} {x} {y}", tape.compare, (word, x, y)
     rng = random.Random(2027)
     for _, word in long:
-        cells = [i for i, ch in enumerate(word) if ch != "t"]
+        cells = insertion_cells(word)
         for _ in range(LONG_PAIRS):
             x, y = sorted(rng.sample(cells, 2))
             yield "compare", f"{word} {x} {y}", tape.compare, (word, x, y)

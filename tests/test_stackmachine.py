@@ -2,8 +2,6 @@ import itertools
 
 import pytest
 
-from permlang import codec
-from permlang.counting import partition_count
 from permlang.stackmachine import (
     StackDisciplineError,
     StackMachine,
@@ -60,14 +58,6 @@ class TestStackMachine:
             m.cursor_down(-1)
         assert m.cursor_depth == depth
 
-    def test_pop_count_never_exceeds_push_count(self):
-        m = StackMachine()
-        for _ in range(3):
-            m.push()
-        for _ in range(3):
-            m.pop()
-        assert m.pops <= m.pushes
-
     def test_push_below_the_top_raises_in_place(self):
         m = StackMachine()
         m.push()
@@ -101,19 +91,6 @@ class TestAcceptsCodewords:
         with pytest.raises(ValueError, match="'x' at position 1"):
             accepts_codewords("fx")
 
-    def test_agrees_with_validate_exhaustively(self):
-        for n in range(0, 7):
-            for tup in itertools.product(codec.ALPHABET, repeat=n):
-                word = "".join(tup)
-                assert accepts_codewords(word) == bool(codec.validate(word)), word
-
-    def test_trace_lines(self):
-        lines: list[str] = []
-        accepts_codewords("mrtltff", trace=lines.append)
-        assert len(lines) == 7
-        assert all("state=" in ln and "cursor=" in ln and "height=" in ln for ln in lines)
-        assert lines[-1].split("\t")[1] == "f"
-
 
 class TestAcceptsPartitionLanguage:
     @pytest.mark.parametrize(
@@ -142,15 +119,6 @@ class TestAcceptsPartitionLanguage:
         with pytest.raises(ValueError, match="'x' at position 3"):
             accepts_partition_language("aabx")
 
-    def test_accepted_count_equals_partition_number(self):
-        for n in range(1, 15):
-            count = sum(
-                1
-                for tup in itertools.product("ab", repeat=n)
-                if accepts_partition_language("".join(tup))
-            )
-            assert count == partition_count(n), n
-
     def test_accepts_exactly_the_nondecreasing_block_words(self):
         def blocks(word):
             return [len(list(g)) for _, g in itertools.groupby(word)]
@@ -160,8 +128,3 @@ class TestAcceptsPartitionLanguage:
                 word = "".join(tup)
                 want = word.startswith("a") and blocks(word) == sorted(blocks(word))
                 assert accepts_partition_language(word) is want, word
-
-    def test_trace_lines(self):
-        lines: list[str] = []
-        accepts_partition_language("abb", trace=lines.append)
-        assert len(lines) == 3

@@ -4,7 +4,8 @@ import math
 import random
 
 import pytest
-from conftest import basis_sum_cases, built_avoider, complement, inverse, no_trace, reverse
+from conftest import (basis_sum_cases, built_avoider, complement, insertion_cells, inverse,
+                      no_trace, reverse)
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
@@ -99,7 +100,7 @@ def search_by_all_pairs(word, q):
     level 0, in order."""
     p = decode(word)
     n, k = len(p), len(q)
-    cell = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
+    cell = insertion_cells(word)
     where = {value: position for position, value in enumerate(p)}
     place = [q.index(rank) for rank in range(1, k + 1)]
     tried = []
@@ -141,11 +142,6 @@ class TestBoundedTape:
         with pytest.raises(TapeFault):
             t.move_right()
 
-    def test_left_edge_faults(self):
-        t = BoundedTape("f", no_trace)
-        with pytest.raises(TapeFault):
-            t.move_left()
-
     def test_max_cells_touched_tracks_head_high_water(self):
         t = BoundedTape("mrlff", no_trace)
         assert t.max_cells_touched == 1
@@ -170,14 +166,6 @@ class TestBoundedTape:
         assert (t.head, t.steps, t.max_cells_touched) == (1, 7, 5)
         t.seek(1)
         assert t.steps == 7
-
-    @pytest.mark.parametrize("pos", [-1, 6, 100])
-    def test_seek_outside_the_tape_faults(self, pos):
-        t = BoundedTape("mrlff", no_trace)
-        t.seek(2)
-        with pytest.raises(TapeFault):
-            t.seek(pos)
-        assert (t.head, t.steps) == (2, 2)
 
     def test_counts_match_snapshot_reference(self):
         # holds_input() compares the marks with a blank copy; the reference
@@ -248,27 +236,6 @@ class TestBoundedTape:
     # boundary cell.
     FAULTING = {"restore", "rewrite_left", "seek"}
 
-    def test_scan_programs_fault_at_both_tape_ends(self):
-        cases = [
-            ("mrltt", 3, "rewrite_left", (3, -1, tape._CLEAR)),  # left end
-            ("mrltt", 3, "right_to_m_or_f", (6,)),  # no m or f after cell 3
-            ("mrltt", 3, "right_to_m_or_f", (2,)),  # stop behind the head is never met
-            # the head on the boundary cell, past the word's last cell
-            ("mrltt", 5, "right_to_pair", ()),
-            ("mrltt", 5, "right_to_unmarked_mft", ()),
-            ("", 0, "right_to_pair", ()),
-            ("", 0, "right_to_unmarked_mft", ()),
-            ("", 0, "scan_insertions", ()),  # the empty word has no last cell
-        ]
-        for word, head, name, args in cases:
-            t = BoundedTape(word, no_trace)
-            for i in range(len(word)):
-                t.seek(i)
-                t.write_mark(STAR)
-            t.seek(head)
-            with pytest.raises(TapeFault):
-                getattr(t, name)(*args)
-
     def test_trace_lines_one_per_primitive(self):
         lines = []
         t = BoundedTape("tf", trace=lines.append)
@@ -281,43 +248,91 @@ class TestBoundedTape:
         assert "move-right" in lines[2]
 
     # Every way a tape run faults, each as (word, marked cells, start head,
-    # the faulting call).  A primitive checks its move before it counts or
-    # emits, so the trace of a faulted run stops at the last counted step.
+    # the faulting call, its message, whether it faults before the call's
+    # first step).  A primitive checks its move before it counts or emits,
+    # so the trace of a faulted run stops at the last counted step.
     FAULTS = {
-        "move-right-past-boundary": ("lf", (), 2, lambda t: t.move_right()),
-        "move-left-past-cell-0": ("f", (), 0, lambda t: t.move_left()),
-        "seek-left-of-cell-0": ("mrlff", (), 2, lambda t: t.seek(-1)),
-        "seek-past-boundary": ("mrlff", (), 2, lambda t: t.seek(6)),
+        "move-right-past-boundary": (
+            "lf", (), 2, lambda t: t.move_right(), "head moved right past cell 2", True),
+        "move-left-past-cell-0": (
+            "f", (), 0, lambda t: t.move_left(), "head moved left past cell 0", True),
+        "seek-left-of-cell-0": (
+            "mrlff", (), 2, lambda t: t.seek(-1), "seek to cell -1 outside 0..5", True),
+        "seek-past-boundary": (
+            "mrlff", (), 2, lambda t: t.seek(6), "seek to cell 6 outside 0..5", True),
+        "seek-far-past-boundary": (
+            "mrlff", (), 2, lambda t: t.seek(100), "seek to cell 100 outside 0..5", True),
         "rewrite-below-cell-0": (
             "mrltt", range(5), 3, lambda t: t.rewrite_left(3, -1, tape._CLEAR),
-        ),
-        "right-to-m-or-f-off-the-end": ("mrltt", range(5), 3, lambda t: t.right_to_m_or_f(6)),
-        "right-to-pair-from-boundary": ("mrltt", range(5), 5, lambda t: t.right_to_pair()),
-        "scan-insertions-of-empty-word": ("", (), 0, lambda t: t.scan_insertions()),
-        "restore-with-boundary-mark": ("lf", (2,), 2, lambda t: t.restore()),
+            "rewrite scan down to cell -1", True),
+        # no m or f after cell 3, and a stop behind the head is never met
+        "right-to-m-or-f-off-the-end": (
+            "mrltt", range(5), 3, lambda t: t.right_to_m_or_f(6),
+            "head moved right past cell 5", False),
+        "right-to-m-or-f-stop-behind-head": (
+            "mrltt", range(5), 3, lambda t: t.right_to_m_or_f(2),
+            "head moved right past cell 5", False),
+        # the head on the boundary cell, past the word's last cell, which the
+        # empty word does not have
+        "right-to-pair-from-boundary": (
+            "mrltt", range(5), 5, lambda t: t.right_to_pair(),
+            "head moved right past cell 5", False),
+        "right-to-unmarked-mft-from-boundary": (
+            "mrltt", range(5), 5, lambda t: t.right_to_unmarked_mft(),
+            "head moved right past cell 5", False),
+        "right-to-pair-of-empty-word": (
+            "", (), 0, lambda t: t.right_to_pair(), "head moved right past cell 0", False),
+        "right-to-unmarked-mft-of-empty-word": (
+            "", (), 0, lambda t: t.right_to_unmarked_mft(), "head moved right past cell 0", False),
+        "scan-insertions-of-empty-word": (
+            "", (), 0, lambda t: t.scan_insertions(), "head moved right past cell 0", False),
+        # the clearing scan stops at the last letter and never visits it
+        "restore-with-boundary-mark": (
+            "lf", (2,), 2, lambda t: t.restore(),
+            "tape does not hold the unmarked input word", False),
         "legality-on-marked-tape": (
             "mrlff", (3,), 3, lambda t: tape._check_legal_on_tape(t, 5),
-        ),
+            "legality started on a tape that does not hold its input", True),
+        # the empty word's only cell is the boundary
+        "legality-on-marked-empty-word": (
+            "", (0,), 0, lambda t: tape._check_legal_on_tape(t, 0),
+            "legality started on a tape that does not hold its input", True),
         "compare-on-marked-tape": (
             "mrlff", (3,), 3, lambda t: tape._compare_on_tape(t, [0, 1, 2, 3, 4], 0, 1),
-        ),
+            "compare started on a tape that does not hold its input", True),
+        # a after b, a on b, b one past the last insertion cell, a negative a
         "compare-outside-its-cells": (
             "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 1, 0),
-        ),
-        "drop-star-with-none-left": ("mrlff", (), 4, lambda t: tape._drop_rightmost_star(t, 4)),
+            "compare of insertion cells 1, 0: need 0 <= a < b < 7", True),
+        "compare-a-on-b": (
+            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 1, 1),
+            "compare of insertion cells 1, 1: need 0 <= a < b < 7", True),
+        "compare-b-past-last-cell": (
+            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 0, 7),
+            "compare of insertion cells 0, 7: need 0 <= a < b < 7", True),
+        "compare-negative-a": (
+            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), -1, 2),
+            "compare of insertion cells -1, 2: need 0 <= a < b < 7", True),
+        "drop-star-with-none-left": (
+            "mrlff", (), 4, lambda t: tape._drop_rightmost_star(t, 4),
+            "asked to drop a star but none exists", False),
     }
 
     @pytest.mark.parametrize("name", sorted(FAULTS))
     def test_a_faulted_run_traces_each_step_up_to_the_fault(self, name):
-        word, marked, head, call = self.FAULTS[name]
+        word, marked, head, call, message, precheck = self.FAULTS[name]
         lines = []
         t = BoundedTape(word, lines.append)
         for i in marked:
             t.seek(i)
             t.write_mark(STAR)
         t.seek(head)
-        with pytest.raises(TapeFault):
+        steps = t.steps
+        with pytest.raises(TapeFault) as fault:
             call(t)
+        assert str(fault.value) == message, name
+        # a precheck leaves head and steps as they were, any other fault moves them
+        assert ((t.head, t.steps) == (head, steps)) is precheck, name
         # one numbered line per counted step, the last on the head's cell
         assert len(lines) == t.steps, name
         for i, line in enumerate(lines, 1):
@@ -335,15 +350,6 @@ class TestRestore:
         t.restore()
         assert t.holds_input()
 
-    def test_mark_on_the_boundary_cell_faults(self):
-        # the clearing scan stops at the last letter and never visits it
-        t = BoundedTape("lf", no_trace)
-        t.move_right()
-        t.move_right()
-        t.write_mark(STAR)
-        with pytest.raises(TapeFault):
-            t.restore()
-
 
 class TestCheckLegal:
     @pytest.mark.parametrize(
@@ -360,24 +366,6 @@ class TestCheckLegal:
     def test_verdicts(self, word, expected):
         assert check_legal(word).verdict is expected
 
-    def test_agrees_with_direct_validate_exhaustively(self):
-        for n in range(0, 7):
-            for tup in itertools.product(codec.ALPHABET, repeat=n):
-                word = "".join(tup)
-                run = check_legal(word)
-                assert run.verdict == bool(validate(word)), word
-                assert run.max_cells_touched <= len(word) + 1
-
-    @pytest.mark.parametrize("word, cell", [("mrlff", 3), ("", 0)])
-    def test_legality_on_a_marked_tape_faults(self, word, cell):
-        # the empty word's only cell is the boundary
-        t = BoundedTape(word, no_trace)
-        t.seek(cell)
-        t.write_mark(STAR)
-        with pytest.raises(TapeFault, match="does not hold its input"):
-            tape._check_legal_on_tape(t, len(word))
-        assert (t.head, t.steps) == (cell, cell + 1)
-
     def test_agrees_with_validate_and_stack_beyond_n_8(self):
         # seeded codewords with n = 50..200, and copies with an insertion
         # letter substituted, deleted or given a letter in front, which are
@@ -388,7 +376,7 @@ class TestCheckLegal:
             n = rng.randint(50, 200)
             word = codec.encode(Permutation(rng.sample(range(1, n + 1), n)))
             words.append(word)
-            cells = [i for i, letter in enumerate(word) if letter != "t"]
+            cells = insertion_cells(word)
             for _ in range(4):
                 pos = rng.choice(cells)
                 letter = rng.choice(codec.ALPHABET.replace(word[pos], ""))
@@ -449,24 +437,18 @@ class TestCompare:
             compare("tx", 1, 0)
         with pytest.raises(ValueError, match="x_pos < y_pos"):
             compare("ttf", 1, 0)
+        with pytest.raises(ValueError, match="x_pos < y_pos"):
+            compare("mrlff", 1, 1)
         with pytest.raises(ValueError, match="not t"):
             compare("ttf", 0, 2)
         with pytest.raises(ValueError, match="legal"):
             compare("lff", 0, 2)
 
-    def test_precondition_violations_raise(self):
-        with pytest.raises(ValueError):
-            compare("mrlff", 1, 1)
-        with pytest.raises(ValueError):
-            compare("mrtltff", 0, 2)  # position 2 holds a t
-        with pytest.raises(ValueError):
-            compare("tf", 0, 1)  # illegal word
-
     def test_matches_decoded_positions_exhaustively(self):
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 perm = decode(word)
-                cells = [i for i, ch in enumerate(word) if ch != "t"]
+                cells = insertion_cells(word)
                 for a, b in itertools.combinations(range(len(cells)), 2):
                     pos_a = perm.ranks.index(a + 1)
                     pos_b = perm.ranks.index(b + 1)
@@ -479,22 +461,6 @@ class TestCompare:
                     assert run.verdict is want, (word, cells[a], cells[b])
                     assert run.max_cells_touched <= len(word) + 1
 
-    def test_compare_on_a_marked_tape_faults(self):
-        t = BoundedTape("mrlff", no_trace)
-        t.seek(3)
-        t.write_mark(STAR)
-        with pytest.raises(TapeFault, match="does not hold its input"):
-            tape._compare_on_tape(t, [0, 1, 2, 3, 4], 0, 1)
-        assert (t.head, t.steps) == (3, 4)
-
-    @pytest.mark.parametrize("a, b", [(1, 0), (1, 1), (0, 7), (-1, 2)])
-    def test_compare_outside_its_cells_faults(self, a, b):
-        # a after b, a on b, b one past the last insertion cell, a negative a
-        t = BoundedTape("mrlmfff", no_trace)
-        with pytest.raises(TapeFault, match="need 0 <= a < b < 7"):
-            tape._compare_on_tape(t, list(range(7)), a, b)
-        assert (t.head, t.steps) == (0, 0)
-
     def test_matches_decoded_positions_on_large_words(self):
         # seeded words far past the exhaustive range, where t-runs and star
         # counts run long
@@ -502,7 +468,7 @@ class TestCompare:
         for n in range(20, 61, 5):
             p = rng.sample(range(1, n + 1), n)
             word = codec.encode(Permutation(p))
-            cells = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
+            cells = insertion_cells(word)
             for _ in range(6):
                 a, b = sorted(rng.sample(range(1, n + 1), 2))
                 want = PairOrder.ASCENDING if p.index(a) < p.index(b) else PairOrder.DESCENDING
@@ -527,21 +493,6 @@ class TestAcceptsAvoiding:
     def test_illegal_words_rejected(self):
         assert accepts_basis("tf", Basis([[1, 2]])).verdict is False
         assert accepts_basis("", Basis([[1]])).verdict is False
-
-    def test_matches_oracle_on_small_words(self):
-        patterns = [
-            Permutation(p)
-            for k in range(1, 4)
-            for p in itertools.permutations(range(1, k + 1))
-        ]
-        for n in range(1, 5):
-            for word in codewords_with_insertions(n):
-                perm = decode(word)
-                for q in patterns:
-                    want = avoids_basis(perm, Basis([q]))
-                    run = accepts_basis(word, Basis([q]))
-                    assert run.verdict is want, (word, q)
-                    assert run.max_cells_touched <= len(word) + 1
 
     @pytest.mark.parametrize("m", [2, 5, 8])
     def test_nothing_to_prune_for_12_on_a_decreasing_word(self, m, compares):
@@ -579,7 +530,7 @@ class TestAcceptsAvoiding:
             if first is None:
                 continue
             word = codec.encode(Permutation(p))
-            cell = [i for i, ch in enumerate(word) if ch != "t"]  # value v at cell[v-1]
+            cell = insertion_cells(word)
             compares.clear()
             assert accepts_basis(word, Basis([q]), no_trace).verdict is False
             # the last compares extend the first occurrence's (k-1)-prefix
@@ -756,15 +707,6 @@ class TestIsPrime:
         assert is_prime(2).verdict is True
         assert is_prime(3).verdict is True
 
-    def test_against_trial_division(self):
-        def trial(n):
-            return n >= 2 and all(n % i for i in range(2, int(n**0.5) + 1))
-
-        for n in range(1, 120):
-            run = is_prime(n)
-            assert bool(run.verdict) is trial(n), n
-            assert run.max_cells_touched <= n + 1
-
     def test_pinned_counters_at_the_cli_cap(self):
         assert is_prime(4999) == TapeRun(True, 75_065_074, 5000)
         assert is_prime(5000) == TapeRun(False, 32_495, 5000)
@@ -808,7 +750,7 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
                 accepts_basis(word, basis)
     for n in range(1, 6):
         for word in codewords_with_insertions(n):
-            cells = [i for i, ch in enumerate(word) if ch != "t"]
+            cells = insertion_cells(word)
             for x, y in itertools.combinations(cells, 2):
                 compare(word, x, y)
     for n in range(1, 60):
