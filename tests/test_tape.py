@@ -318,21 +318,35 @@ class TestBoundedTape:
             "asked to drop a star but none exists", False),
     }
 
-    @pytest.mark.parametrize("name", sorted(FAULTS))
-    def test_a_faulted_run_traces_each_step_up_to_the_fault(self, name):
-        word, marked, head, call, message, precheck = self.FAULTS[name]
+    def run_fault(self, name):
+        """Prepare the entry's tape, run its call, and return the tape, the
+        fault, its trace lines and the head and steps before the call."""
+        word, marked, head, call, _, _ = self.FAULTS[name]
         lines = []
         t = BoundedTape(word, lines.append)
         for i in marked:
             t.seek(i)
             t.write_mark(STAR)
         t.seek(head)
-        steps = t.steps
+        before = (t.head, t.steps)
         with pytest.raises(TapeFault) as fault:
             call(t)
-        assert str(fault.value) == message, name
+        return t, fault.value, lines, before
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_a_fault_names_its_cause_and_keeps_the_head_on_the_tape(self, name):
+        word, _, _, _, message, precheck = self.FAULTS[name]
+        t, fault, _, before = self.run_fault(name)
+        assert str(fault) == message, name
         # a precheck leaves head and steps as they were, any other fault moves them
-        assert ((t.head, t.steps) == (head, steps)) is precheck, name
+        assert ((t.head, t.steps) == before) is precheck, name
+        # the fault fires before the head leaves the |w|+1 cells
+        assert 0 <= t.head <= len(word), name
+        assert t.max_cells_touched <= len(word) + 1, name
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_a_faulted_run_traces_each_step_up_to_the_fault(self, name):
+        t, _, lines, _ = self.run_fault(name)
         # one numbered line per counted step, the last on the head's cell
         assert len(lines) == t.steps, name
         for i, line in enumerate(lines, 1):
