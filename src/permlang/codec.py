@@ -17,9 +17,9 @@ and slots == 0 precisely at the end of the word.
 
 A codeword for a permutation of size n has n insertion letters but up to
 Θ(n²) t letters, so every reader here and in ``stackmachine`` takes a word
-in tokens (see ``tokens``): one per insertion letter, with its t-run.  The
-readers do their Python work per token; the t's are handled only inside
-C-level passes over the whole word (``check_letters``, ``tokens``).
+in tokens (see ``tokens``, which also checks the letters): one per
+insertion letter, with its t-run.  The readers do their Python work per
+token; the t's meet only ``tokens``' two byte passes over the whole word.
 """
 
 from __future__ import annotations
@@ -103,20 +103,24 @@ def tokens(word: str) -> Iterator[tuple[int, str]]:
 
     The runs and the letters come from two byte passes over the whole
     word (split at the insertion letters; delete the t's), so a t costs
-    no Python work; the letters are assumed checked (``check_letters``).
+    no Python work.  Raises, naming the first foreign letter, unless the
+    bytes left after deleting the t's are all insertion letters.
     """
+    if not word.isascii():
+        check_letters(word)  # raises: the alphabet is ASCII
     data = word.encode()
+    letters = data.translate(None, b"t")
+    if letters.translate(None, b"lrmf"):
+        check_letters(word)  # raises, naming the first foreign letter
     runs = data.translate(_RUN_ENDS).split(b"|")
-    letters = data.translate(None, b"t").decode()
     if runs[-1]:  # the bare run after the last insertion letter
-        return zip(map(len, runs), [*letters, ""])
-    return zip(map(len, runs), letters)
+        return zip(map(len, runs), [*letters.decode(), ""])
+    return zip(map(len, runs), letters.decode())
 
 
 def validate(word: str) -> Legality:
     """Left-to-right legality scan, a token at a time, with constant extra
     state; it names the same first fault as a letter-by-letter scan."""
-    check_letters(word)
     if not word:
         return _ILLEGAL[REASON_EMPTY]
     slots = 1
@@ -152,7 +156,6 @@ def decode(word: str) -> Permutation:
     A t costs no Python work; only the list shifts of m and f grow with
     the number of open slots.
     """
-    check_letters(word)
     if not word:
         raise IllegalCodewordError(word, REASON_EMPTY)
     after = [0]

@@ -88,46 +88,42 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     down one token, failing at the root; f pops, except on an empty stack,
     where it accepts iff it is the last letter.
 
-    The word is read a t-run at a time (``codec.tokens``).  A t-run never
-    pushes or pops, so it is charged at once by ``cursor_down(run)``; a
-    trace still gets one line per t, the state after that letter.
+    ``codec.tokens`` checks the letters, then reads the word a t-run at a
+    time.  A t-run never pushes or pops, so ``cursor_down(run)`` charges it
+    at once; a trace still gets one line per t, the state after that letter.
     """
-    check_letters(word)
     machine = StackMachine()
+    cursor_down, cursor_to_top = machine.cursor_down, machine.cursor_to_top
+    push, pop = machine.push, machine.pop  # bound once per word
     idx = 0  # index of the first letter of the t-run or insertion
-    last = len(word) - 1
     for run, letter in tokens(word):
         if run:
-            depth = machine.cursor_depth
-            machine.cursor_down(min(run, depth))
-            if run > depth:
-                machine.state = FAIL
-            if trace is not None:
-                # one line per t read: the run stops at the t that finds
-                # the cursor at the root
+            depth = machine._cursor
+            if trace is not None:  # one line per t read, up to a t that finds the root
                 for k in range(1, min(run, depth + 1) + 1):
-                    state = FAIL if k > depth else START
-                    cursor = max(depth - k, 0)
-                    trace(_trace_line(idx + k - 1, "t", state, cursor, machine.height))
-            if machine.state != START or not letter:
+                    state, cursor = (START, depth - k) if k <= depth else (FAIL, 0)
+                    trace(_trace_line(idx + k - 1, "t", state, cursor, machine._height))
+            if run > depth:  # the t after the depth-th finds the cursor at the root
+                cursor_down(depth)
+                machine.state = FAIL
+                break
+            cursor_down(run)
+            if not letter:
                 break
             idx += run
-        machine.cursor_to_top()
+        cursor_to_top()
         if letter == "m":
-            machine.push()
+            push()
         elif letter == "f":
-            if machine.height == 0:
-                machine.state = ACCEPT if idx == last else FAIL
-            else:
-                machine.pop()
+            if machine._height:
+                pop()
+            else:  # an f on the root ends the run
+                machine.state = ACCEPT if idx == len(word) - 1 else FAIL
+                if trace is not None:
+                    trace(_trace_line(idx, letter, machine.state, 0, 0))
+                break
         if trace is not None:
-            trace(
-                _trace_line(
-                    idx, letter, machine.state, machine.cursor_depth, machine.height
-                )
-            )
-        if machine.state != START:
-            break
+            trace(_trace_line(idx, letter, START, machine._cursor, machine._height))
         idx += 1
     return machine.state == ACCEPT
 

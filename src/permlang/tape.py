@@ -370,10 +370,14 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         tape.seek(pos)
 
 
+def _insertion_cells(word: str) -> list[int]:
+    """The cells whose letter is not t, left to right (simulator bookkeeping)."""
+    return [pos for pos, letter in enumerate(word) if letter != "t"]
+
+
 def _legal_closed_form(word: str, cells: list[int]) -> tuple[bool, int]:
     """The verdict and steps of ``_check_legal_on_tape`` on the word from
-    cell 0 of an unmarked tape, restore included; cells holds the word's
-    insertion cells (those whose letter is not t), left to right.
+    cell 0 of an unmarked tape, restore included; cells is ``_insertion_cells(word)``.
 
     The empty word's run is one read.  Otherwise the loop stars exactly the
     bracket matching of m (open) and f (close), in increasing order of the
@@ -440,8 +444,7 @@ def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     """Decide legality on a bounded tape, which ends holding the word."""
     check_letters(word)
     if trace is None:
-        cells = [pos for pos, letter in enumerate(word) if letter != "t"]
-        return TapeRun(*_legal_closed_form(word, cells), len(word) or 1)
+        return TapeRun(*_legal_closed_form(word, _insertion_cells(word)), len(word) or 1)
     tape = BoundedTape(word, trace)
     ok = _check_legal_on_tape(tape, len(word))
     return TapeRun(ok, tape.steps, tape.max_cells_touched)
@@ -636,9 +639,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
         raise ValueError("compared cells must hold insertion letters, not t")
     if not verdict:
         raise ValueError(f"compare requires a legal codeword: {verdict.reason}")
-    # the insertion cells, as bookkeeping of the simulator like the step
-    # counter: the occurrence search scans them on the tape instead
-    cells = [i for i, letter in enumerate(word) if letter != "t"]
+    cells = _insertion_cells(word)
     a, b = cells.index(x_pos), cells.index(y_pos)
     if trace is None:
         descending, steps = _compare_row(word, cells, a, 0)[b - a - 1]
@@ -752,7 +753,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
             ok = all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
                 _compare_on_tape(tape, cells, chosen[a], y))) for pattern in basis)
         return TapeRun(ok, tape.steps, tape.max_cells_touched)
-    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
+    cells = _insertion_cells(word)
     legal, steps = _legal_closed_form(word, cells)
     if not legal:
         return TapeRun(False, steps, n or 1)

@@ -10,11 +10,12 @@ from permlang.codec import ALPHABET, codewords_with_insertions, encode
 from permlang.permutations import Basis, Permutation
 
 
-def record_machines(monkeypatch) -> list:
-    """Record every StackMachine the acceptors create."""
+def record_machines(monkeypatch, base=stackmachine.StackMachine) -> list:
+    """Record every StackMachine the acceptors create, each built as base
+    (a StackMachine subclass, StackMachine itself unless given)."""
     made = []
 
-    class RecordingMachine(stackmachine.StackMachine):
+    class RecordingMachine(base):
         __slots__ = ()
 
         def __init__(self):

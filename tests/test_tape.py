@@ -433,15 +433,21 @@ class TestCompare:
         assert compare(word, x, y).verdict is expected
 
     def test_letters_checked_once(self, monkeypatch):
-        real = codec.check_letters
+        # codec.tokens checks the letters; check_letters only names a
+        # foreign one, so a legal word never reaches it
+        real = codec.tokens
         calls = []
 
-        def counting_check(word):
+        def counting_tokens(word):
             calls.append(word)
             return real(word)
 
-        monkeypatch.setattr(codec, "check_letters", counting_check)
-        monkeypatch.setattr(tape, "check_letters", counting_check)
+        def no_check(word):
+            raise AssertionError(f"check_letters({word!r})")
+
+        monkeypatch.setattr(codec, "tokens", counting_tokens)
+        monkeypatch.setattr(codec, "check_letters", no_check)
+        monkeypatch.setattr(tape, "check_letters", no_check)
         compare("mrlff", 0, 1)
         assert calls == ["mrlff"]
 

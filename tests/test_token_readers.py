@@ -6,14 +6,19 @@ The plain per-letter readers below are the references.  On long seeded
 codewords, on copies with one letter changed, and on copies whose t-run
 to the root is one letter longer, the token readers must give the same
 reason, the same permutation, and the same stack verdict, counters and
-trace.  ``encode_by_cells`` is the plain reference for ``codec.encode``,
-and the tokeniser itself must give back every word it reads.
+trace.  The stack acceptor must still make one operation call per t-run,
+insertion letter, push and pop it reads or makes.  ``encode_by_cells`` is
+the plain reference for ``codec.encode``, and the tokeniser itself must
+give back every word it reads and name a foreign letter as every reader
+does.
 """
 
 import itertools
 import random
+import re
 
 import pytest
+from conftest import record_machines
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
@@ -215,6 +220,55 @@ def test_stack_acceptor_matches_letter_run(index, machines):
     assert [counters(m) for m in machines] == [counters(reference)] * 2
 
 
+OPERATIONS = ("cursor_down", "cursor_to_top", "push", "pop")
+
+
+def counted(name: str):
+    def operation(self, *args):
+        self.calls[name] += 1
+        return getattr(StackMachine, name)(self, *args)
+
+    return operation
+
+
+class CountingMachine(StackMachine):
+    """A StackMachine that counts the calls of each stack operation."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = dict.fromkeys(OPERATIONS, 0)
+
+    cursor_down, cursor_to_top, push, pop = map(counted, OPERATIONS)
+
+
+def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
+    # every push and pop the counters show, every t-run read and every
+    # insertion letter read is one call of an operation, with its check
+    made = record_machines(monkeypatch, CountingMachine)
+    short = (
+        "".join(letters)
+        for length in range(6)
+        for letters in itertools.product(ALPHABET, repeat=length)
+    )
+    for word in itertools.chain(CASES, short):
+        lines = []
+        accepts_by_letters(word, lines.append)
+        read = "".join(line.split("\t")[1] for line in lines)
+        made.clear()
+        stackmachine.accepts_codewords(word)
+        stackmachine.accepts_codewords(word, lambda line: None)
+        assert len(made) == 2, word  # the untraced and the traced run
+        for machine in made:
+            assert machine.calls == {
+                "cursor_down": len(re.findall("t+", read)),
+                "cursor_to_top": len(read) - read.count("t"),
+                "push": machine.pushes,
+                "pop": machine.pops,
+            }, word
+
+
 def rebuilt(word: str) -> str:
     return "".join("t" * run + letter for run, letter in codec.tokens(word))
 
@@ -257,6 +311,7 @@ READERS = {
     "accepts_codewords": stackmachine.accepts_codewords,
     "check_legal": tape.check_legal,
     "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]])),
+    "tokens": codec.tokens,
 }
 
 
