@@ -20,6 +20,14 @@ A codeword for a permutation of size n has n insertion letters but up to
 in tokens (see ``tokens``, which also checks the letters): one per
 insertion letter, with its t-run.  The readers do their Python work per
 token; the t's meet only ``tokens``' two byte passes over the whole word.
+``tokens`` keeps the split of the last word it read, so validate, the
+stack acceptor and decode, run on one word in a row, split it once.  It
+keeps one entry and no more: a second entry could only serve a word read
+again after another word, which no caller does, and so would only cost
+memory.  The tape and the partition acceptor do not read words through
+``tokens``: they check the letters with ``check_letters`` and read the
+word cell by cell (``tape.compare`` only calls validate for its
+precondition).
 """
 
 from __future__ import annotations
@@ -91,8 +99,13 @@ def check_letters(word: str, alphabet: str = ALPHABET) -> None:
             )
 
 
-# every insertion letter becomes "|", so the word splits into its t-runs
-_RUN_ENDS = bytes.maketrans(b"lrmf", b"||||")
+# every insertion letter becomes 0xff, a byte no ASCII word holds, so the
+# word splits into its t-runs: one more than its insertion letters
+_RUN_ENDS = bytes.maketrans(b"lrmf", b"\xff\xff\xff\xff")
+
+# The split of the word tokens read last: (word, runs, letters), no word
+# at first.  One entry only; see tokens.
+_last: tuple = (None, None, None)
 
 
 def tokens(word: str) -> Iterator[tuple[int, str]]:
@@ -104,18 +117,30 @@ def tokens(word: str) -> Iterator[tuple[int, str]]:
     The runs and the letters come from two byte passes over the whole
     word (split at the insertion letters; delete the t's), so a t costs
     no Python work.  Raises, naming the first foreign letter, unless the
-    bytes left after deleting the t's are all insertion letters.
+    bytes left after deleting the t's are as many as the insertion letters
+    the split found, that is, all insertion letters.
+
+    The split of the last word read is kept, so a word that several
+    readers take in a row (validate, the stack acceptor, decode) is split
+    once.  Any other word replaces it: one entry cannot grow, and a word
+    that raises is never kept.  The pairing stays lazy, so a reader that
+    stops early pays nothing for the rest.
     """
-    if not word.isascii():
-        check_letters(word)  # raises: the alphabet is ASCII
-    data = word.encode()
-    letters = data.translate(None, b"t")
-    if letters.translate(None, b"lrmf"):
-        check_letters(word)  # raises, naming the first foreign letter
-    runs = data.translate(_RUN_ENDS).split(b"|")
-    if runs[-1]:  # the bare run after the last insertion letter
-        return zip(map(len, runs), [*letters.decode(), ""])
-    return zip(map(len, runs), letters.decode())
+    global _last
+    key, runs, letters = _last
+    if word is not key and word != key:
+        if not word.isascii():
+            check_letters(word)  # raises: the alphabet is ASCII
+        data = word.encode()
+        runs = data.translate(_RUN_ENDS).split(b"\xff")
+        letters = data.translate(None, b"t")
+        if len(letters) != len(runs) - 1:  # a byte neither t nor l, r, m, f
+            check_letters(word)  # raises, naming the first foreign letter
+        letters = letters.decode()
+        if runs[-1]:  # the bare run after the last insertion letter
+            letters = [*letters, ""]
+        _last = (word, runs, letters)
+    return zip(map(len, runs), letters)
 
 
 def validate(word: str) -> Legality:

@@ -10,12 +10,18 @@ trace.  The stack acceptor must still make one operation call per t-run,
 insertion letter, push and pop it reads or makes.  ``encode_by_cells`` is
 the plain reference for ``codec.encode``, and the tokeniser itself must
 give back every word it reads and name a foreign letter as every reader
-does.
+does.  ``codec.tokens`` keeps the split of the last word it read: every
+reader must read a word alike whatever it read before, and the tokeniser
+must split a word again once another word came between.
 """
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import record_machines
@@ -27,6 +33,7 @@ from permlang.stackmachine import ACCEPT, FAIL, START, StackMachine
 
 SEED = 2005
 COUNT = 10
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def validate_by_letters(word: str) -> str | None:
@@ -220,6 +227,44 @@ def test_stack_acceptor_matches_letter_run(index, machines):
     assert [counters(m) for m in machines] == [counters(reference)] * 2
 
 
+def read_by_tokens(reader: str, word: str):
+    """What a token reader makes of a word: a reason, a permutation, or
+    the stack verdict untraced and traced with the trace."""
+    if reader == "validate":
+        return codec.validate(word).reason
+    if reader == "decode":
+        try:
+            return codec.decode(word)
+        except IllegalCodewordError as err:
+            return err.reason
+    lines = []
+    untraced = stackmachine.accepts_codewords(word)
+    return untraced, stackmachine.accepts_codewords(word, lines.append), lines
+
+
+def read_by_letters(reader: str, word: str):
+    """read_by_tokens by the letter-by-letter references."""
+    if reader == "validate":
+        return validate_by_letters(word)
+    if reader == "decode":
+        return validate_by_letters(word) or decode_by_letters(word)
+    lines = []
+    accepted = accepts_by_letters(word, lines.append)[0]
+    return accepted, accepted, lines
+
+
+@pytest.mark.parametrize("reader", ["validate", "decode", "accepts_codewords"])
+@pytest.mark.parametrize("index", range(len(CASES)))
+def test_a_word_reads_alike_after_another(reader, index):
+    # A, B, A: the second A comes after another word of the same length
+    # or one letter longer, so tokens must split A again, not read B's split
+    first = index - index % 3  # the legal word of A's triple
+    a, b = CASES[index], CASES[first + (index + 1) % 3]
+    want = {word: read_by_letters(reader, word) for word in (a, b)}
+    for word in (a, b, a):
+        assert read_by_tokens(reader, word) == want[word], (reader, index)
+
+
 OPERATIONS = ("cursor_down", "cursor_to_top", "push", "pop")
 
 
@@ -295,8 +340,10 @@ def test_tokens_name_each_run_and_letter():
 
 
 FOREIGN = [
-    # "|" and "\0" are bytes a byte-level letter test could take for its own
+    # "|", "\0" and "\xff" are bytes a byte-level letter test could take
+    # for its own
     ("l|f", "'|' at position 1"),
+    ("r\xfff", "'\xff' at position 1"),
     ("m\x00f", "'\\x00' at position 1"),
     ("lF", "'F' at position 1"),
     ("\uff46", "'\uff46' at position 0"),  # fullwidth f
@@ -311,17 +358,74 @@ READERS = {
     "accepts_codewords": stackmachine.accepts_codewords,
     "check_legal": tape.check_legal,
     "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]])),
-    "tokens": codec.tokens,
+    "tokens": lambda word: list(codec.tokens(word)),
 }
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("word, where", FOREIGN)
 def test_foreign_letters_are_named(reader, word, where):
-    with pytest.raises(ValueError) as err:
-        READERS[reader](word)
-    assert type(err.value) is ValueError
-    assert str(err.value) == f"letter {where} is not one of 'lrmft'"
+    read = READERS[reader]
+    before = read("mrtltff")
+    for _ in range(2):  # a word that raises is never kept: it raises again
+        with pytest.raises(ValueError) as err:
+            read(word)
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"letter {where} is not one of 'lrmft'"
+    assert read("mrtltff") == before
+
+
+FIRST_READ = """
+from permlang.codec import tokens, validate
+from permlang.stackmachine import accepts_codewords
+word = {word!r}
+print(list(tokens(word)), list(tokens(word)), validate(word).reason, accepts_codewords(word))
+"""
+
+
+@pytest.mark.parametrize(
+    "word, want",
+    [("", "[] [] empty-word False"), ("ttt", "[(3, '')] [(3, '')] t-overflow False")],
+)
+def test_a_process_first_reads_a_word_without_letters(word, want):
+    # the kept split starts with no word, so even the empty word is split
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_READ.format(word=word)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, want + "\n", "")
+
+
+def test_equal_words_read_alike_whatever_the_object():
+    word = CASES[0]
+    twin = "".join(list(word))
+    assert twin == word and twin is not word
+    assert list(codec.tokens(word)) == list(codec.tokens(twin))
+    assert rebuilt(twin) == word
+
+
+class SplitCountingWord(str):
+    """A word that counts how often it is encoded, once per split."""
+
+    def __init__(self, text):
+        self.splits = 0
+
+    def encode(self, *args, **kwargs):
+        self.splits += 1
+        return super().encode(*args, **kwargs)
+
+
+def test_tokens_keep_one_split():
+    rebuilt("mrlff")  # any other word, so that neither word below is kept
+    a, b = SplitCountingWord(CASES[0]), SplitCountingWord(CASES[3])
+    # the round trip's readers, one after another, split a word once
+    codec.validate(a), stackmachine.accepts_codewords(a), codec.decode(a)
+    assert a.splits == 1
+    # A, B, A: one entry, so B puts A out and A is split again
+    for word in (b, a):
+        assert rebuilt(word) == word
+    assert (a.splits, b.splits) == (2, 1)
 
 
 @pytest.mark.parametrize("index", range(0, len(CASES), 3))
