@@ -21,6 +21,7 @@ from .permutations import (
     CapExceededError,
     Permutation,
     avoids_basis,
+    check_size,
     is_positive_decimal,
 )
 
@@ -70,12 +71,6 @@ def _decimal(minimum: int) -> Callable[[str], int]:
 
 _COUNT = _decimal(0)
 _POSITIVE = _decimal(1)
-
-
-def _check_cap(option: str, value: int, cap: int) -> None:
-    """Refuse an over-cap size before any work starts."""
-    if value > cap:
-        raise CapExceededError(f"{option} {value} exceeds the cap {cap} (see --cap)")
 
 
 def _stderr_trace(line: str) -> None:
@@ -167,7 +162,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--word is only for --machine partitions")
         if args.n is None:
             raise ValueError("--machine primes needs --n")
-        _check_cap("--n", args.n, DEFAULT_PRIMES_CAP if args.cap is None else args.cap)
+        check_size(args.n, DEFAULT_PRIMES_CAP if args.cap is None else args.cap, "--n")
         ok = bool(tape.is_prime(args.n, trace=trace).verdict)
     else:
         if args.n is not None:
@@ -184,8 +179,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def bench_word(size: int) -> str:
     """Deterministic legal codeword of the given length: a block of m's, up
     to two filler l's, a full-length t-run, then the matching f's."""
-    if size < 1:
-        raise ValueError("size must be positive")
+    check_size(size, name="size", positive=True)
     a = (size - 1) // 3
     pad = size - 1 - 3 * a
     return "m" * a + "l" * pad + "t" * a + "f" * (a + 1)
@@ -213,14 +207,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("--pattern is only for --suite avoid")
     pattern = _parse_pattern(DEFAULT_AVOID_PATTERN if args.pattern is None else args.pattern)
     sizes = _parse_sizes(args.sizes)
-    _check_cap("size", sizes[-1], args.cap)
+    check_size(sizes[-1], args.cap, "size")
     if args.suite == "compare" and sizes[0] < 2:
         # bench_word(1) is "f": one insertion cell, nothing to compare it with
         raise ValueError(f"the compare suite needs sizes of at least 2, got {args.sizes!r}")
     if args.suite == "avoid":
         # the tuple search, not the size, sets the avoid suite's work
         cap = _avoid_size_cap(args.cap, len(pattern))
-        _check_cap(f"size (pattern length {len(pattern)})", sizes[-1], cap)
+        check_size(sizes[-1], cap, f"size (pattern length {len(pattern)})")
     print("size,steps,max_cells")
     for size in sizes:
         word = bench_word(size)
@@ -316,7 +310,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, counting.CountMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # every size cap the CLI meets is its command's --cap
+        hint = " (see --cap)" if isinstance(exc, CapExceededError) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

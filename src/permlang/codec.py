@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from .permutations import DEFAULT_ENUMERATION_CAP, CapExceededError, Permutation
+from .permutations import DEFAULT_ENUMERATION_CAP, Permutation, check_size
 
 ALPHABET = "lrmft"
 
@@ -261,10 +261,7 @@ def codewords_with_insertions(
     Backtracks over the slot count, pruning branches that cannot reach
     slots == 0 on their final letter; the stream has exactly n! elements.
     """
-    if n < 1:
-        raise ValueError("n must be positive; the empty permutation has no codeword")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds codeword enumeration cap {cap}")
+    check_size(n, cap, positive=True)  # the empty permutation has no codeword
 
     def walk(slots: int, remaining: int, prefix: str) -> Iterator[str]:
         for j in range(slots):

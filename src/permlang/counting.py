@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 
 from . import tape
 from .codec import codewords_with_insertions
-from .permutations import Basis, CapExceededError, all_permutations, avoids_basis
+from .permutations import Basis, all_permutations, avoids_basis, check_size
 
 DEFAULT_COUNT_CAP = 8
 PARTITION_LIMIT = 10000
@@ -66,13 +66,6 @@ class CountTable:
         return json.dumps({"rows": [asdict(row) for row in self.rows]})
 
 
-def _check_size(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds counting cap {cap}")
-
-
 def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> CountRow:
     """Count length-n avoiders of the basis along both routes.
 
@@ -80,7 +73,7 @@ def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> CountR
     on each route by convention, the empty permutation avoiding every
     nonempty pattern.
     """
-    _check_size(n, cap)
+    check_size(n, cap)
     if n == 0:
         return CountRow(0, 1, 1)
     return CountRow(
@@ -99,17 +92,15 @@ def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTab
 
     n_max is checked against the cap before any row is computed.
     """
-    _check_size(n_max, cap)
+    check_size(n_max, cap)
     return CountTable(tuple(count_avoiders(n, basis, cap=cap) for n in range(n_max + 1)))
 
 
 def count_codewords_bivariate(
     n_insertions: int, cap: int = DEFAULT_COUNT_CAP
 ) -> dict[int, int]:
-    """Partition the n! legal codewords with n insertions by their t-count."""
-    if n_insertions < 1:
-        raise ValueError("n_insertions must be positive")
-    _check_size(n_insertions, cap)
+    """Partition the n! legal codewords with n insertions by their t-count;
+    ``codewords_with_insertions`` refuses n_insertions < 1 or above the cap."""
     table: dict[int, int] = {}
     for word in codewords_with_insertions(n_insertions, cap=cap):
         t_count = word.count("t")
@@ -120,10 +111,7 @@ def count_codewords_bivariate(
 def partition_count(n: int) -> int:
     """Exact number of integer partitions of n, via the pentagonal-number
     recurrence; p(0) = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > PARTITION_LIMIT:
-        raise CapExceededError(f"n={n} exceeds supported limit {PARTITION_LIMIT}")
+    check_size(n, PARTITION_LIMIT)
     while len(_partition_cache) <= n:
         m = len(_partition_cache)
         total = 0

@@ -14,7 +14,19 @@ DEFAULT_ENUMERATION_CAP = 10
 
 
 class CapExceededError(ValueError):
-    """An enumeration request exceeded its configured size cap."""
+    """A size exceeded its cap."""
+
+
+def check_size(
+    value: int, cap: int | None = None, name: str = "n", positive: bool = False
+) -> None:
+    """Refuse a size before any work starts: ValueError below 0 (below 1
+    when positive), CapExceededError above cap (no upper bound when cap is
+    None).  The package's one size guard; each caller names its size."""
+    if value < positive:
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'}")
+    if cap is not None and value > cap:
+        raise CapExceededError(f"{name}={value} exceeds the cap {cap}")
 
 
 def is_positive_decimal(token: str) -> bool:
@@ -203,8 +215,5 @@ def all_permutations(
     Refuses with CapExceededError when n exceeds the cap; the stream returned
     by each call is independent and restartable.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceededError(f"n={n} exceeds enumeration cap {cap}")
+    check_size(n, cap)
     return map(Permutation.of_ranks, itertools.permutations(range(1, n + 1)))

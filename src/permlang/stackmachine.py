@@ -9,7 +9,9 @@ that raises, because it would be a bug in an acceptor, not bad input.
 Two acceptors are built on it: one for the codeword language (equivalent
 to codec.validate, which the tests check exhaustively) and one for words
 a^i1 b^i2 a^i3 ... with nondecreasing block lengths, whose count at each
-length equals the integer partition number.
+length equals the integer partition number.  Each is a procedure on a
+machine its caller passes in, which after the run is the run's record;
+the public functions run it on a fresh machine and return the verdict.
 """
 
 from __future__ import annotations
@@ -82,7 +84,13 @@ def _trace_line(idx: int, letter: str, state: str, cursor: int, height: int) -> 
 
 
 def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
-    """Run the codeword acceptor; the stack height tracks #m - #f.
+    """Run the codeword acceptor on a fresh machine; see ``_codewords_on``."""
+    return _codewords_on(StackMachine(), word, trace)
+
+
+def _codewords_on(machine: StackMachine, word: str, trace: TraceFn | None) -> bool:
+    """The codeword acceptor on the caller's fresh machine, which the run
+    leaves holding its state and counters; the stack height tracks #m - #f.
 
     l and r return the cursor to the top; m pushes; each t walks the cursor
     down one token, failing at the root; f pops, except on an empty stack,
@@ -92,7 +100,6 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     time.  A t-run never pushes or pops, so ``cursor_down(run)`` charges it
     at once; a trace still gets one line per t, the state after that letter.
     """
-    machine = StackMachine()
     cursor_down, cursor_to_top = machine.cursor_down, machine.cursor_to_top
     push, pop = machine.push, machine.pop  # bound once per word
     idx = 0  # index of the first letter of the t-run or insertion
@@ -129,7 +136,13 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
 
 
 def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
-    """Accept a^i1 b^i2 a^i3 ... with 1 <= i1 <= i2 <= ... (either final letter).
+    """Run the partition acceptor on a fresh machine; see ``_partitions_on``."""
+    return _partitions_on(StackMachine(), word, trace)
+
+
+def _partitions_on(machine: StackMachine, word: str, trace: TraceFn | None) -> bool:
+    """Accept a^i1 b^i2 a^i3 ... with 1 <= i1 <= i2 <= ... (either final
+    letter), on the caller's fresh machine, as ``_codewords_on`` runs.
 
     Each block first walks the cursor down the tokens left by the previous
     block; reaching the root switches to pushing, so on block exit the stack
@@ -140,7 +153,6 @@ def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
     """
     if word.strip("ab"):  # tested here: a call per word costs as much as a short run
         check_letters(word, "ab")  # raises, naming the first foreign letter
-    machine = StackMachine()
     block = "a"
     pushing = True  # trivially at the bottom before the first block
     for idx, ch in enumerate(word):

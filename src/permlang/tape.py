@@ -33,7 +33,7 @@ from enum import Enum
 from typing import Callable
 
 from .codec import check_letters, validate
-from .permutations import Basis
+from .permutations import Basis, check_size
 
 NO_MARK = 0
 STAR = 1
@@ -815,8 +815,7 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
     then the final restore; without one, ``_sieve_closed_form`` gives the
     same verdict and counters without a tape.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_size(n, positive=True)
     if trace is None:
         return TapeRun(*_sieve_closed_form(n))
     tape = BoundedTape("a" * n, trace)

@@ -3,33 +3,52 @@ import math
 import random
 from pathlib import Path
 
-import pytest
-
-from permlang import stackmachine
-from permlang.codec import ALPHABET, codewords_with_insertions, encode
-from permlang.permutations import Basis, Permutation
+from permlang import stackmachine, tape
+from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, validate
+from permlang.permutations import Basis, Permutation, all_permutations
 
 
-def record_machines(monkeypatch, base=stackmachine.StackMachine) -> list:
-    """Record every StackMachine the acceptors create, each built as base
-    (a StackMachine subclass, StackMachine itself unless given)."""
-    made = []
+def legality_sweep(length):
+    """Acceptance 03 at one length: (words checked, failures) of validate,
+    tape.check_legal and the stack acceptor on every word over lrmft of
+    that length.  A word fails when the verdicts disagree or the tape run
+    touches other than |w| cells (one for the empty word)."""
+    checked, odd = 0, []
+    for letters in itertools.product(ALPHABET, repeat=length):
+        word = "".join(letters)
+        direct = bool(validate(word))
+        run = tape.check_legal(word)
+        if (
+            run.verdict != direct
+            or run.max_cells_touched != (length or 1)
+            or stackmachine.accepts_codewords(word) != direct
+        ):
+            odd.append(word)
+        checked += 1
+    if checked != len(ALPHABET) ** length:
+        odd.append(f"{checked} words checked")
+    return checked, odd
 
-    class RecordingMachine(base):
-        __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(stackmachine, "StackMachine", RecordingMachine)
-    return made
-
-
-@pytest.fixture
-def machines(monkeypatch):
-    """Every StackMachine created during the test, in order."""
-    return record_machines(monkeypatch)
+def round_trip_sweep(n):
+    """Acceptance 02 at one n: (codewords checked, failures) over the
+    codewords with n insertion letters.  A word fails when validate refuses
+    it or encode does not give it back from its decode; the decodes must
+    be n! distinct permutations, exactly those of 1..n."""
+    checked, odd, seen = 0, [], set()
+    for word in codewords_with_insertions(n):
+        perm = decode(word)
+        if not validate(word) or encode(perm) != word:
+            odd.append(word)
+        seen.add(bytes(perm.ranks))
+        checked += 1
+    if (
+        checked != math.factorial(n)
+        or len(seen) != checked
+        or seen != {bytes(p.ranks) for p in all_permutations(n)}
+    ):
+        odd.append(f"{checked} codewords, {len(seen)} distinct decodes")
+    return checked, odd
 
 
 def assert_golden(golden: Path, rendered: str) -> None:

@@ -12,16 +12,12 @@ import itertools
 import math
 import random
 
-from conftest import insertion_cells, longest_increasing_at_most, no_trace, partitions_of
+from conftest import (insertion_cells, legality_sweep, longest_increasing_at_most, no_trace,
+                      partitions_of, round_trip_sweep)
 
 from permlang import cli, codec, counting, stackmachine, tape
-from permlang.codec import codewords_with_insertions, decode, encode, validate
-from permlang.permutations import (
-    Basis,
-    Permutation,
-    all_permutations,
-    avoids_basis,
-)
+from permlang.codec import codewords_with_insertions, decode, encode
+from permlang.permutations import Basis, Permutation, avoids_basis
 
 def fitted_slope(sizes, values):
     xs = [math.log(s) for s in sizes]
@@ -40,29 +36,20 @@ def test_criterion_01_worked_examples():
 
 
 def test_criterion_02_bijection_up_to_seven():
+    # tests/slow_words.py runs the same sweep at n = 9
     for n in range(1, 8):
-        words = list(codewords_with_insertions(n))
-        assert len(words) == math.factorial(n), n
-        perms = [decode(w) for w in words]
-        assert len(set(perms)) == len(perms), n
-        assert set(perms) == set(all_permutations(n)), n
-        for word, perm in zip(words, perms):
-            assert validate(word), word
-            assert encode(perm) == word
+        odd = round_trip_sweep(n)[1]
+        assert not odd, (n, odd[:5])
     print("ACCEPTANCE 02 bijection n=1..7: PASS")
 
 
 def test_criterion_03_validator_equivalence():
+    # tests/slow_words.py runs the same sweep at length 9
     checked = 0
     for n in range(0, 9):
-        for tup in itertools.product(codec.ALPHABET, repeat=n):
-            word = "".join(tup)
-            direct = bool(validate(word))
-            run = tape.check_legal(word)
-            assert run.verdict == direct, word
-            assert run.max_cells_touched == (len(word) or 1), word
-            assert stackmachine.accepts_codewords(word) == direct, word
-            checked += 1
+        words, odd = legality_sweep(n)
+        assert not odd, (n, odd[:5])
+        checked += words
     assert checked == sum(5**n for n in range(0, 9))
     print(f"ACCEPTANCE 03 validator equivalence on {checked} strings: PASS")
 

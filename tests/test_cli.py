@@ -228,9 +228,9 @@ class TestEnumerate:
         assert "nonnegative" in err
 
     def test_cap_guard(self):
-        code, _, err = run_cli("enumerate", "--basis", "12", "--n-max", "9")
-        assert code == 2
-        assert "cap" in err
+        assert run_cli("enumerate", "--basis", "12", "--n-max", "9") == (
+            2, "", "error: n=9 exceeds the cap 8 (see --cap)\n"
+        )
 
 
 class TestBivariate:
@@ -288,9 +288,9 @@ class TestSimulate:
 
     def test_cap_guard(self):
         # one past the default cap; 5001 = 3 * 1667, so even uncapped it is quick
-        code, out, err = run_cli("simulate", "--machine", "primes", "--n", "5001")
-        assert (code, out) == (2, "")
-        assert "cap" in err
+        assert run_cli("simulate", "--machine", "primes", "--n", "5001") == (
+            2, "", "error: --n=5001 exceeds the cap 5000 (see --cap)\n"
+        )
         argv = ("simulate", "--machine", "primes", "--n", "7")
         assert run_cli(*argv, "--cap", "6")[:2] == (2, "")
         assert run_cli(*argv, "--cap", "7")[:2] == (0, "accept\n")
@@ -354,9 +354,9 @@ class TestBench:
 
     def test_cap_guard(self):
         # checked before the header and the first size
-        code, out, err = run_cli("bench", "--suite", "legality", "--sizes", "100..101")
-        assert (code, out) == (2, "")
-        assert "cap" in err
+        assert run_cli("bench", "--suite", "legality", "--sizes", "100..101") == (
+            2, "", "error: size=101 exceeds the cap 100 (see --cap)\n"
+        )
         argv = ("bench", "--suite", "legality", "--sizes", "10..12")
         assert run_cli(*argv, "--cap", "11")[:2] == (2, "")
         assert run_cli(*argv, "--cap", "12")[0] == 0
@@ -365,9 +365,9 @@ class TestBench:
         # C(100, 5) tuples, far over the C(100, 3) of a length-3 pattern at
         # the size cap: refused before the header and the first size
         avoid = ("bench", "--suite", "avoid", "--sizes")
-        code, out, err = run_cli(*avoid, "1..100", "--pattern", "12345")
-        assert (code, out) == (2, "")
-        assert "cap" in err
+        assert run_cli(*avoid, "1..100", "--pattern", "12345") == (
+            2, "", "error: size (pattern length 5)=100 exceeds the cap 30 (see --cap)\n"
+        )
         code, out, _ = run_cli(*avoid, "1..100", "--pattern", "21")
         assert code == 0
         assert len(out.splitlines()) == 101

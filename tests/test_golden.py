@@ -13,11 +13,12 @@ Each file named in ``GOLDEN`` holds what its render function returns:
   a 33-t run sits inside 33 nested m..f pairs;
 - ``golden_stack.json``: ``[reason, verdict, pushes, pops, height,
   cursor]`` per word: the ``codec.validate`` reason (null for a legal
-  word), the verdict of ``stackmachine.accepts_codewords``, and the push
-  and pop counts, final stack height and final cursor depth of the one
-  ``StackMachine`` that the acceptor created;
+  word), then the verdict of the codeword acceptor ``_codewords_on``,
+  run on a ``StackMachine`` that the test builds for the word, and that
+  machine's push and pop counts, final stack height and final cursor
+  depth;
 - ``golden_partition.json``: ``[verdict, pushes, pops, height, cursor]``
-  per word, the same for ``stackmachine.accepts_partition_language``.
+  per word, the same for the partition acceptor ``_partitions_on``.
 
 A change that claims the same machine behaviour must leave every file
 untouched; a change that alters one on purpose regenerates it and states
@@ -35,7 +36,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import assert_golden, built_avoider, insertion_cells, record_machines
+from conftest import assert_golden, built_avoider, insertion_cells
 
 from permlang import cli, codec, stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode, validate
@@ -176,17 +177,14 @@ def render_bench() -> str:
 
 # --- stack machine counters ------------------------------------------------
 
-def machine_runs(accepts, words) -> dict[str, list]:
-    """word -> [verdict, pushes, pops, height, cursor] of accepts(word) and
-    the one StackMachine it created, for each distinct word in order."""
+def machine_runs(acceptor, words) -> dict[str, list]:
+    """word -> [verdict, pushes, pops, height, cursor] of the acceptor run
+    untraced on a fresh StackMachine, for each distinct word in order."""
     rows = {}
-    with pytest.MonkeyPatch.context() as patch:
-        made = record_machines(patch)
-        for word in dict.fromkeys(words):
-            verdict = accepts(word)
-            assert len(made) == 1, word
-            m = made.pop()
-            rows[word] = [verdict, m.pushes, m.pops, m.height, m.cursor_depth]
+    for word in dict.fromkeys(words):
+        m = stackmachine.StackMachine()
+        verdict = acceptor(m, word, None)
+        rows[word] = [verdict, m.pushes, m.pops, m.height, m.cursor_depth]
     return rows
 
 
@@ -222,7 +220,7 @@ def stack_long_words() -> list[str]:
 def render_stack() -> str:
     """Every word of length <= 5, then the long words."""
     words = ["".join(w) for n in range(6) for w in itertools.product(ALPHABET, repeat=n)]
-    rows = machine_runs(stackmachine.accepts_codewords, words + stack_long_words())
+    rows = machine_runs(stackmachine._codewords_on, words + stack_long_words())
     return render_rows({word: [validate(word).reason, *row] for word, row in rows.items()})
 
 
@@ -247,7 +245,7 @@ def render_partition() -> str:
     """Every word over a, b of length <= 10, then the long words."""
     words = ["".join(w) for n in range(11) for w in itertools.product("ab", repeat=n)]
     return render_rows(
-        machine_runs(stackmachine.accepts_partition_language, words + partition_long_words())
+        machine_runs(stackmachine._partitions_on, words + partition_long_words())
     )
 
 

@@ -7,12 +7,14 @@ codewords, on copies with one letter changed, and on copies whose t-run
 to the root is one letter longer, the token readers must give the same
 reason, the same permutation, and the same stack verdict, counters and
 trace.  The stack acceptor must still make one operation call per t-run,
-insertion letter, push and pop it reads or makes.  ``encode_by_cells`` is
-the plain reference for ``codec.encode``, and the tokeniser itself must
-give back every word it reads and name a foreign letter as every reader
-does.  ``codec.tokens`` keeps the split of the last word it read: every
-reader must read a word alike whatever it read before, and the tokeniser
-must split a word again once another word came between.
+insertion letter, push and pop it reads or makes, and the partition
+acceptor one per push and per token its cursor walks down.
+``encode_by_cells`` is the plain reference for ``codec.encode``, and the
+tokeniser itself must give back every word it reads and name a foreign
+letter as every reader does.  ``codec.tokens`` keeps the split of the
+last word it read: every reader must read a word alike whatever it read
+before, and the tokeniser must split a word again once another word came
+between.
 """
 
 import itertools
@@ -24,7 +26,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import record_machines
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
@@ -213,18 +214,19 @@ def test_decode_gives_validate_reason_on_every_short_word():
 
 
 @pytest.mark.parametrize("index", range(len(CASES)))
-def test_stack_acceptor_matches_letter_run(index, machines):
+def test_stack_acceptor_matches_letter_run(index):
     word = CASES[index]
     want_lines, got_lines = [], []
     want, reference = accepts_by_letters(word, want_lines.append)
-    assert stackmachine.accepts_codewords(word) is want
-    assert stackmachine.accepts_codewords(word, got_lines.append) is want
+    untraced, traced = StackMachine(), StackMachine()
+    assert stackmachine._codewords_on(untraced, word, None) is want
+    assert stackmachine._codewords_on(traced, word, got_lines.append) is want
     assert got_lines == want_lines
-    def counters(m):
-        return m.pushes, m.pops, m.height, m.cursor_depth
 
-    assert len(machines) == 2  # the untraced and the traced run
-    assert [counters(m) for m in machines] == [counters(reference)] * 2
+    def counters(m):
+        return m.state, m.pushes, m.pops, m.height, m.cursor_depth
+
+    assert [counters(m) for m in (untraced, traced)] == [counters(reference)] * 2
 
 
 def read_by_tokens(reader: str, word: str):
@@ -288,10 +290,9 @@ class CountingMachine(StackMachine):
     cursor_down, cursor_to_top, push, pop = map(counted, OPERATIONS)
 
 
-def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
+def test_stack_acceptor_moves_the_stack_only_by_its_operations():
     # every push and pop the counters show, every t-run read and every
     # insertion letter read is one call of an operation, with its check
-    made = record_machines(monkeypatch, CountingMachine)
     short = (
         "".join(letters)
         for length in range(6)
@@ -301,17 +302,34 @@ def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
         lines = []
         accepts_by_letters(word, lines.append)
         read = "".join(line.split("\t")[1] for line in lines)
-        made.clear()
-        stackmachine.accepts_codewords(word)
-        stackmachine.accepts_codewords(word, lambda line: None)
-        assert len(made) == 2, word  # the untraced and the traced run
-        for machine in made:
+        for trace in (None, lambda line: None):
+            machine = CountingMachine()
+            stackmachine._codewords_on(machine, word, trace)
             assert machine.calls == {
                 "cursor_down": len(re.findall("t+", read)),
                 "cursor_to_top": len(read) - read.count("t"),
                 "push": machine.pushes,
                 "pop": machine.pops,
             }, word
+    # the partition acceptor never pops, and a letter that leaves the run
+    # going and the height as it was walks down one token: one cursor_down()
+    for length in range(11):
+        for letters in itertools.product("ab", repeat=length):
+            word = "".join(letters)
+            lines = []
+            untraced, traced = CountingMachine(), CountingMachine()
+            stackmachine._partitions_on(untraced, word, None)
+            stackmachine._partitions_on(traced, word, lines.append)
+            heights = [0] + [int(line.rsplit("=", 1)[1]) for line in lines]
+            steps = sum(
+                before == after and f"state={START}" in line
+                for before, after, line in zip(heights, heights[1:], lines)
+            )
+            for machine in (untraced, traced):
+                calls = machine.calls
+                assert calls["cursor_down"] == steps, word
+                assert (calls["push"], calls["pop"]) == (machine.pushes, machine.pops), word
+                assert machine.pops == 0, word
 
 
 def rebuilt(word: str) -> str:
