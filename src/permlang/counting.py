@@ -92,7 +92,7 @@ def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTab
 
     n_max is checked against the cap before any row is computed.
     """
-    check_size(n_max, cap)
+    check_size(n_max, cap, "n_max")
     return CountTable(tuple(count_avoiders(n, basis, cap=cap) for n in range(n_max + 1)))
 
 

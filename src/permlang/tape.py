@@ -15,14 +15,15 @@ stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
 
 A BoundedTape exists only for traced runs, where every procedure runs
-primitive by primitive and ends in ``restore``, the clearing scan, which
-verifies the tape and leaves the head on the word's last cell.  Untraced,
-no tape is built: legality and the sieve are functions of the word from
-cell 0, and the compare (one walk from x gives its whole row) of the word
-and a start head; each returns the traced run's verdict and steps, its
-restore included, and the occurrence search reads each compare from a
-table of those rows.  Every word procedure reaches the word's last cell
-and no further, so its high-water mark is |w| cells.
+primitive by primitive on the tape its caller passes in and ends in
+``restore``, the clearing scan, which verifies the tape and leaves the
+head on the word's last cell.  Untraced, no tape is built: legality and
+the sieve are functions of the word from cell 0, and the compare (one
+walk from x gives its whole row) of the word and a start head; each
+returns the traced run's verdict and steps, its restore included, and the
+occurrence search reads each compare from a table of those rows.  Every
+word procedure reaches the word's last cell and no further, so its
+high-water mark is |w| cells.
 """
 
 from __future__ import annotations
@@ -729,29 +730,35 @@ def _avoids(
         i += 1
 
 
+def _accepts_basis_on_tape(tape: BoundedTape, n: int, basis: Basis) -> bool:
+    """``accepts_basis`` on the tape: legality once, as it is a property of
+    the word, and ``scan_insertions`` once after it; then the occurrence
+    search for each pattern in turn until one is contained, every compare
+    through ``_compare_on_tape``.  Each of them ends restored on cell n-1."""
+    if not _check_legal_on_tape(tape, n):
+        return False
+    cells = tape.scan_insertions()
+    return all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
+        _compare_on_tape(tape, cells, chosen[a], y))) for pattern in basis)
+
+
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
     """Accept iff the word is a legal codeword whose permutation avoids every
     pattern in the basis; a single pattern p is ``Basis([p])``.
 
-    Legality is a property of the word, so it runs once, from cell 0, and
-    ``scan_insertions`` once after it; then the occurrence search runs for
-    each pattern in turn until one is contained.  Each ends on cell n-1
-    with the tape unmarked.  Untraced, every compare therefore starts on an
-    unmarked tape with the head on cell n-1, so it depends on the word and
-    its two cells alone: the search reads it from a table of
-    ``_compare_row`` rows, one per x, built the first time x is compared
-    and shared by the basis's patterns.  The insertion cells are listed
-    once, for legality and the search alike.
+    Traced, ``_accepts_basis_on_tape`` runs on a tape from cell 0, and
+    each of its procedures ends restored on cell n-1.  Untraced, every
+    compare therefore starts on an unmarked tape with the head on cell
+    n-1, so it depends on the word and its two cells alone: the search
+    reads it from a table of ``_compare_row`` rows, one per x, built the
+    first time x is compared and shared by the basis's patterns.  The
+    insertion cells are listed once, for legality and the search alike.
     """
     check_letters(word)
     n = len(word)
     if trace is not None:
         tape = BoundedTape(word, trace)
-        ok = _check_legal_on_tape(tape, n)
-        if ok:
-            cells = tape.scan_insertions()
-            ok = all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
-                _compare_on_tape(tape, cells, chosen[a], y))) for pattern in basis)
+        ok = _accepts_basis_on_tape(tape, n, basis)
         return TapeRun(ok, tape.steps, tape.max_cells_touched)
     cells = _insertion_cells(word)
     legal, steps = _legal_closed_form(word, cells)
@@ -811,14 +818,22 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
 
     Accepts iff no i divides n, with n = 1 rejected outright.  Uses at most
     n + 1 cells (the word plus its blank boundary).  With a trace attached
-    the sieve runs primitive by primitive, Θ(n²) trace lines for a prime n,
-    then the final restore; without one, ``_sieve_closed_form`` gives the
-    same verdict and counters without a tape.
+    ``_is_prime_on_tape`` runs, Θ(n²) trace lines for a prime n; without
+    one, ``_sieve_closed_form`` gives the same verdict and counters without
+    a tape.
     """
     check_size(n, positive=True)
     if trace is None:
         return TapeRun(*_sieve_closed_form(n))
     tape = BoundedTape("a" * n, trace)
+    verdict = _is_prime_on_tape(tape, n)
+    return TapeRun(verdict, tape.steps, tape.max_cells_touched)
+
+
+def _is_prime_on_tape(tape: BoundedTape, n: int) -> bool:
+    """The sieve on a tape of n cells, primitive by primitive, then the
+    final restore; from cell 0, ``_sieve_closed_form`` gives its verdict
+    and counters without a tape."""
     if n == 1:
         tape.read()
     verdict = n > 1
@@ -842,4 +857,4 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
         if not verdict:
             break
     tape.restore()
-    return TapeRun(verdict, tape.steps, tape.max_cells_touched)
+    return verdict

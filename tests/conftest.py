@@ -5,6 +5,7 @@ from pathlib import Path
 
 from permlang import stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, validate
+from permlang.counting import sequence
 from permlang.permutations import Basis, Permutation, all_permutations
 
 
@@ -165,14 +166,23 @@ def square_symmetries(patterns):
     return images
 
 
-def symmetry_bases():
-    """Four seeded bases of one or two patterns of length 3 or 4, as lists
-    of rank lists."""
+def symmetry_sweep(n):
+    """The symmetry check at one n: (images checked, failures).  A symmetry
+    of the square maps the avoiders of a basis one to one onto those of its
+    image, so each other image of four seeded bases of one or two patterns
+    of length 3 or 4 must have its basis's ``sequence`` to n."""
     rng = random.Random(1983)
-    return [
-        [rng.sample(range(1, k + 1), k) for k in rng.choices((3, 4), k=rng.randint(1, 2))]
-        for _ in range(4)
-    ]
+    checked, odd = 0, []
+    for _ in range(4):
+        lengths = rng.choices((3, 4), k=rng.randint(1, 2))
+        patterns = [rng.sample(range(1, k + 1), k) for k in lengths]
+        basis = Basis(patterns)
+        want = sequence(basis, n)
+        for image in {Basis(image) for image in square_symmetries(patterns)} - {basis}:
+            checked += 1
+            if sequence(image, n) != want:
+                odd.append((basis, image))
+    return checked, odd
 
 
 def seeded_bases(seed, sizes):

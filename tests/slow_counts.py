@@ -1,5 +1,5 @@
 """Slow tier: both counting routes at n = 9 against pinned counts, and
-at n = 7 under the symmetries of the square.
+at n = 0..7 under the symmetries of the square.
 
 pytest does not collect this file, since its name does not match
 ``test_*.py``.  Run it from the repository root:
@@ -9,17 +9,17 @@ pytest does not collect this file, since its name does not match
 Each row of PINNED runs ``count_avoiders(9, basis, cap=9)``, the
 brute-force route and the tape route over every codeword, which raises
 when the two disagree, and compares the count with its pinned value.  A
-row takes 16-37 s on a 2-core VM with CPython 3.11.7.  Then, for each of
-the seeded bases that tier-1's symmetry test checks to n = 6, the n = 7
-row of every image of the basis under the eight symmetries of the square
-must equal the basis's own: about 13 s for the four.  The script exits 1
+row takes 16-37 s on a 2-core VM with CPython 3.11.7.  Then
+``conftest.symmetry_sweep``, which tier-1 runs to n = 6, checks that
+every image of its four seeded bases under the eight symmetries of the
+square has its basis's counts at n = 0..7: about 9 s.  The script exits 1
 on any mismatch.
 """
 
 import sys
 import time
 
-from conftest import square_symmetries, symmetry_bases
+from conftest import symmetry_sweep
 
 from permlang.counting import CountMismatchError, count_avoiders
 from permlang.permutations import Basis
@@ -55,21 +55,18 @@ def main() -> int:
         line = f"Av({text}) at n={N}: {got}; want {want}, {source}: {verdict}"
         print(f"{line} ({seconds:.1f} s)", flush=True)
         failed += not ok
-    for patterns in symmetry_bases():
-        basis = Basis(patterns)
-        images = {Basis(image) for image in square_symmetries(patterns)} - {basis}
-        start = time.perf_counter()
-        try:
-            want = count_avoiders(SYMMETRY_N, basis)
-            odd = [image for image in images if count_avoiders(SYMMETRY_N, image) != want]
-            got = f"{want.brute} on both routes, {len(images)} other images"
-        except CountMismatchError as err:
-            odd = [err.row]
-            got = f"brute {err.row.brute}, codeword {err.row.codeword}"
-        seconds = time.perf_counter() - start
-        verdict = f"MISMATCH on {odd}" if odd else "ok"
-        print(f"{basis} at n={SYMMETRY_N}: {got}: {verdict} ({seconds:.1f} s)", flush=True)
-        failed += bool(odd)
+    start = time.perf_counter()
+    try:
+        checked, odd = symmetry_sweep(SYMMETRY_N)
+        got = f"{checked} images checked on both routes"
+    except CountMismatchError as err:
+        odd = [err.row]
+        got = f"brute {err.row.brute}, codeword {err.row.codeword}"
+    seconds = time.perf_counter() - start
+    verdict = f"MISMATCH on {odd}" if odd else "ok"
+    line = f"symmetries of the square at n=0..{SYMMETRY_N}: {got}: {verdict}"
+    print(f"{line} ({seconds:.1f} s)", flush=True)
+    failed += bool(odd)
     return 1 if failed else 0
 
 

@@ -229,7 +229,7 @@ class TestEnumerate:
 
     def test_cap_guard(self):
         assert run_cli("enumerate", "--basis", "12", "--n-max", "9") == (
-            2, "", "error: n=9 exceeds the cap 8 (see --cap)\n"
+            2, "", "error: n_max=9 exceeds the cap 8 (see --cap)\n"
         )
 
 

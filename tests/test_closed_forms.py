@@ -5,13 +5,14 @@ Untraced, the tape procedures build no tape: legality is
 walk, ``accepts_basis`` reads its compares from a table of those rows, and
 the sieve is ``_sieve_closed_form``.  Traced, each runs primitive by
 primitive on a ``BoundedTape`` and ends in its restore.  Each row of ROWS
-runs every distinct input of its sources once traced, and checks that the
-two runs agree on the verdict, the steps and the cells touched, that the
-tape ends holding its input with the head on the word's last cell, and
-that trace line i starts with step i.
+runs every distinct input of its sources once traced, on a tape the row
+builds and reads, and checks that the two runs agree on the verdict, the
+steps and the cells touched, that the tape ends holding its input with
+the head on the word's last cell, and that trace line i starts with
+step i.
 
-A traced ``accepts_basis`` runs legality from cell 0 and every compare of
-its search from cell n-1, so the basis row checks those on its own words.
+A traced basis run makes legality from cell 0 and every compare of its
+search from cell n-1, so the basis row checks those on its own words.
 """
 
 import itertools
@@ -24,7 +25,7 @@ from test_golden import counter_runs
 from permlang import tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode
 from permlang.permutations import Basis, Permutation
-from permlang.tape import BoundedTape, TapeRun, accepts_basis, is_prime
+from permlang.tape import BoundedTape, TapeRun, accepts_basis
 
 
 def golden(section):
@@ -123,9 +124,9 @@ def legality_untraced(word, head):
 
 
 def legality_traced(word, head, trace):
-    t = tape.BoundedTape(word, trace)
+    t = BoundedTape(word, trace)
     t.seek(head)
-    return TapeRun(tape._check_legal_on_tape(t, len(word)), t.steps, t.max_cells_touched)
+    return tape._check_legal_on_tape(t, len(word)), t
 
 
 def compare_untraced(word, a, b, head):
@@ -135,18 +136,27 @@ def compare_untraced(word, a, b, head):
 
 
 def compare_traced(word, a, b, head, trace):
-    t = tape.BoundedTape(word, trace)
+    t = BoundedTape(word, trace)
     t.seek(head)
-    descending = tape._compare_on_tape(t, insertion_cells(word), a, b)
-    return TapeRun(descending, t.steps, t.max_cells_touched)
+    return tape._compare_on_tape(t, insertion_cells(word), a, b), t
 
 
-# row: (inputs, untraced run, traced run, distinct inputs)
+def basis_traced(word, basis, trace):
+    t = BoundedTape(word, trace)
+    return tape._accepts_basis_on_tape(t, len(word), basis), t
+
+
+def sieve_traced(n, trace):
+    t = BoundedTape("a" * n, trace)
+    return tape._is_prime_on_tape(t, n), t
+
+
+# row: (inputs, untraced run, traced verdict and its tape, distinct inputs)
 ROWS = {
     "legality": (legality_inputs, legality_untraced, legality_traced, 36_788),
     "compare": (compare_inputs, compare_untraced, compare_traced, 24_831),
-    "accepts_basis": (basis_inputs, accepts_basis, accepts_basis, 6_138),
-    "sieve": (sieve_inputs, lambda n: TapeRun(*tape._sieve_closed_form(n)), is_prime, 179),
+    "accepts_basis": (basis_inputs, accepts_basis, basis_traced, 6_138),
+    "sieve": (sieve_inputs, lambda n: TapeRun(*tape._sieve_closed_form(n)), sieve_traced, 179),
 }
 
 
@@ -167,28 +177,16 @@ def traced_row(request):
     row's checks."""
     name = request.param
     inputs, _, traced, _ = ROWS[name]
-    built = []
-
-    class RecordedTape(BoundedTape):
-        __slots__ = ()
-
-        def __init__(self, word, trace):
-            super().__init__(word, trace)
-            built.append(self)
-
     row = Traced(name, list(dict.fromkeys(inputs())))
     prefixes = []  # "1\t", "2\t", ...: how trace lines 1, 2, ... start
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tape, "BoundedTape", RecordedTape)
-        for key in row.keys:
-            lines = []
-            run = row.runs[key] = traced(*key, lines.append)
-            [t] = built
-            built.clear()
-            n = len(t.snapshot()[0]) - 1
-            row.ends[key] = (t.holds_input(), t.head, max(n - 1, 0))
-            prefixes += [f"{i}\t" for i in range(len(prefixes) + 1, run.steps + 1)]
-            row.lines[key] = (len(lines), all(map(str.startswith, lines, prefixes)))
+    for key in row.keys:
+        lines = []
+        verdict, t = traced(*key, lines.append)
+        run = row.runs[key] = TapeRun(verdict, t.steps, t.max_cells_touched)
+        n = len(t.snapshot()[0]) - 1
+        row.ends[key] = (t.holds_input(), t.head, max(n - 1, 0))
+        prefixes += [f"{i}\t" for i in range(len(prefixes) + 1, run.steps + 1)]
+        row.lines[key] = (len(lines), all(map(str.startswith, lines, prefixes)))
     return row
 
 

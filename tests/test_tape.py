@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from conftest import (basis_sum_cases, built_avoider, complement, insertion_cells, inverse,
@@ -26,43 +27,23 @@ from permlang.tape import (
 )
 
 
-@pytest.fixture
-def compares(monkeypatch):
-    """Record the (x_pos, y_pos) of every compare the tape procedures make
-    on a traced tape."""
+def search(word, q):
+    """Whether a legal word avoids q by the occurrence search, each compare
+    made by ``compare``, and every compare as (prefix, x_pos, y_pos), where
+    prefix is the tuple of cells chosen when it is made: a run of equal
+    (prefix, y_pos) is one candidate of one level."""
+    cells = insertion_cells(word)
     made = []
-    inner = tape._compare_on_tape
 
-    def counting(t, cells, a, b):
-        made.append((cells[a], cells[b]))
-        return inner(t, cells, a, b)
+    def descending(chosen, a, y):
+        made.append((tuple(cells[c] for c in chosen), cells[chosen[a]], cells[y]))
+        return compare(word, cells[chosen[a]], cells[y]).verdict is PairOrder.DESCENDING
 
-    monkeypatch.setattr(tape, "_compare_on_tape", counting)
-    return made
-
-
-@pytest.fixture
-def searched(monkeypatch):
-    """Record every compare of an occurrence search as (prefix, x_pos,
-    y_pos), where prefix is the tuple of cells chosen when the compare is
-    made, as the search hands its control state to its compare: a run of
-    equal (prefix, y_pos) is one candidate of one level."""
-    made = []
-    inner = tape._avoids
-
-    def recording(cells, pattern, descending):
-        def watched(chosen, a, y):
-            made.append((tuple(cells[c] for c in chosen), cells[chosen[a]], cells[y]))
-            return descending(chosen, a, y)
-
-        return inner(cells, pattern, watched)
-
-    monkeypatch.setattr(tape, "_avoids", recording)
-    return made
+    return tape._avoids(cells, tuple(q), descending), made
 
 
 def candidates(log):
-    """Group a ``searched`` log into [(prefix, y_pos, [x_pos, ...])], one
+    """Group a ``search`` log into [(prefix, y_pos, [x_pos, ...])], one
     entry per candidate the search compared."""
     grouped = []
     for prefix, x, y in log:
@@ -442,14 +423,15 @@ class TestCompare:
             calls.append(word)
             return real(word)
 
-        def no_check(word):
-            raise AssertionError(f"check_letters({word!r})")
-
         monkeypatch.setattr(codec, "tokens", counting_tokens)
-        monkeypatch.setattr(codec, "check_letters", no_check)
-        monkeypatch.setattr(tape, "check_letters", no_check)
-        compare("mrlff", 0, 1)
+        called = set()  # the code of every Python function called
+        sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
+        try:
+            compare("mrlff", 0, 1)
+        finally:
+            sys.setprofile(None)
         assert calls == ["mrlff"]
+        assert codec.check_letters.__code__ not in called
 
     def test_error_order(self):
         # letters, then positions, then t cells, then legality
@@ -515,31 +497,34 @@ class TestAcceptsAvoiding:
         assert accepts_basis("", Basis([[1]])).verdict is False
 
     @pytest.mark.parametrize("m", [2, 5, 8])
-    def test_nothing_to_prune_for_12_on_a_decreasing_word(self, m, compares):
+    def test_nothing_to_prune_for_12_on_a_decreasing_word(self, m):
         # m..1: every pair is descending, so every pair is a full 12-tuple
         # that fails only on its one compare
         word = "r" * (m - 1) + "f"
-        assert accepts_basis(word, Basis([[1, 2]]), no_trace).verdict is True
-        assert len(compares) == math.comb(m, 2)
+        avoids, made = search(word, [1, 2])
+        assert avoids is True
+        assert len(made) == math.comb(m, 2)
 
     @pytest.mark.parametrize("m", [4, 5, 8])
-    def test_first_pair_prunes_123_on_a_decreasing_word(self, m, compares):
+    def test_first_pair_prunes_123_on_a_decreasing_word(self, m):
         # every level-1 pair is descending and prunes its subtree; all
         # C(m, 3) triples at C(3, 2) compares each would be 3 * C(m, 3)
         word = "r" * (m - 1) + "f"
-        assert accepts_basis(word, Basis([[1, 2, 3]]), no_trace).verdict is True
-        assert len(compares) == math.comb(m - 1, 2) < 3 * math.comb(m, 3)
+        avoids, made = search(word, [1, 2, 3])
+        assert avoids is True
+        assert len(made) == math.comb(m - 1, 2) < 3 * math.comb(m, 3)
 
     @pytest.mark.parametrize("m", [3, 5, 8])
-    def test_first_disagreeing_pair_ends_the_compares_at_y(self, m, compares):
+    def test_first_disagreeing_pair_ends_the_compares_at_y(self, m):
         # 1..m with 312: every level-1 pair is ascending, as 3 1 2 wants of
         # values 1 and 2; at level 2, y against the first cell is ascending,
         # not descending, so y's second compare is never made
         word = "l" * (m - 1) + "f"
-        assert accepts_basis(word, Basis([[3, 1, 2]]), no_trace).verdict is True
-        assert len(compares) == math.comb(m - 1, 2) + math.comb(m, 3)
+        avoids, made = search(word, [3, 1, 2])
+        assert avoids is True
+        assert len(made) == math.comb(m - 1, 2) + math.comb(m, 3)
 
-    def test_search_stops_at_the_lexicographically_first_occurrence(self, compares):
+    def test_search_stops_at_the_lexicographically_first_occurrence(self):
         rng = random.Random(4)
         checked = 0
         while checked < 30:
@@ -551,14 +536,15 @@ class TestAcceptsAvoiding:
                 continue
             word = codec.encode(Permutation(p))
             cell = insertion_cells(word)
-            compares.clear()
-            assert accepts_basis(word, Basis([q]), no_trace).verdict is False
+            avoids, made = search(word, q)
+            assert avoids is False
             # the last compares extend the first occurrence's (k-1)-prefix
             # by its last cell: against its left, then its right, positional
             # neighbour among the prefix, the ranks beside k in q
             last = cell[first[-1] - 1]
             beside = positional_neighbours(q, k - 1)
-            assert compares[-len(beside):] == [(cell[first[r - 1] - 1], last) for r in beside]
+            compares = [(x, y) for _, x, y in made[-len(beside):]]
+            assert compares == [(cell[first[r - 1] - 1], last) for r in beside]
             checked += 1
 
 
@@ -578,13 +564,14 @@ class TestOccurrenceSearch:
             yield codec.encode(Permutation(p)), q
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    def test_increasing_pattern_makes_one_compare_per_level(self, k, compares):
+    def test_increasing_pattern_makes_one_compare_per_level(self, k):
         # 1..8 with 12...k: the first k cells are an occurrence, and each
         # level's one positional neighbour is the level before it, so the
         # search makes k-1 compares, not the C(k, 2) of every chosen cell
         word = "l" * 7 + "f"
-        assert accepts_basis(word, Basis([list(range(1, k + 1))]), no_trace).verdict is False
-        assert compares == [(j - 1, j) for j in range(1, k)]
+        avoids, made = search(word, range(1, k + 1))
+        assert avoids is False
+        assert [(x, y) for _, x, y in made] == [(j - 1, j) for j in range(1, k)]
 
     def test_plan_holds_each_levels_positional_neighbours(self):
         for k in range(1, 7):
@@ -604,12 +591,10 @@ class TestOccurrenceSearch:
         counting.sequence(Basis([[1, 3, 2], [2, 4, 1, 3]]), 6)
         assert tape._neighbours.cache_info().misses == 2
 
-    def test_each_candidate_meets_only_its_positional_neighbours(self, searched):
+    def test_each_candidate_meets_only_its_positional_neighbours(self):
         tried = 0
         for word, q in self.seeded_pairs(2010, 60):
-            searched.clear()
-            accepts_basis(word, Basis([q]), no_trace)
-            for prefix, y, xs in candidates(searched):
+            for prefix, y, xs in candidates(search(word, q)[1]):
                 # prefix[r-1] holds rank r, and y is a candidate for the next
                 beside = [prefix[r - 1] for r in positional_neighbours(q, len(prefix))]
                 assert 1 <= len(xs) <= 2, (word, q, prefix, y)
@@ -617,22 +602,20 @@ class TestOccurrenceSearch:
                 tried += 1
         assert tried > 1000
 
-    def test_matches_all_pairs_search_on_small_words(self, searched):
+    def test_matches_all_pairs_search_on_small_words(self):
         patterns = [list(q) for k in range(1, 5) for q in itertools.permutations(range(1, k + 1))]
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 for q in patterns:
-                    searched.clear()
-                    verdict = accepts_basis(word, Basis([q])).verdict
-                    tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
+                    verdict, made = search(word, q)
+                    tried = [(prefix, y) for prefix, y, _ in candidates(made)]
                     assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
 
-    def test_matches_all_pairs_search_on_random_larger_words(self, searched):
+    def test_matches_all_pairs_search_on_random_larger_words(self):
         verdicts = set()
         for word, q in self.seeded_pairs(2011, 80):
-            searched.clear()
-            verdict = accepts_basis(word, Basis([q]), no_trace).verdict
-            tried = [(prefix, y) for prefix, y, _ in candidates(searched)]
+            verdict, made = search(word, q)
+            tried = [(prefix, y) for prefix, y, _ in candidates(made)]
             assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
             verdicts.add(verdict)
         assert verdicts == {True, False}
