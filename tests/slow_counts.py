@@ -9,7 +9,7 @@ pytest does not collect this file, since its name does not match
 Each row of PINNED runs ``count_avoiders(9, basis, cap=9)``, the
 brute-force route and the tape route over every codeword, which raises
 when the two disagree, and compares the count with its pinned value.  A
-row takes 16-37 s on a 2-core VM with CPython 3.11.7.  Then
+row takes 14-36 s on a 2-core VM with CPython 3.11.7.  Then
 ``conftest.symmetry_sweep``, which tier-1 runs to n = 6, checks that
 every image of its four seeded bases under the eight symmetries of the
 square has its basis's counts at n = 0..7: about 9 s.  The script exits 1

@@ -425,11 +425,12 @@ class TestCompare:
 
         monkeypatch.setattr(codec, "tokens", counting_tokens)
         called = set()  # the code of every Python function called
+        previous = sys.getprofile()  # a profiler the suite may run under
         sys.setprofile(lambda frame, event, arg: called.add(frame.f_code))
         try:
             compare("mrlff", 0, 1)
         finally:
-            sys.setprofile(None)
+            sys.setprofile(previous)
         assert calls == ["mrlff"]
         assert codec.check_letters.__code__ not in called
 
