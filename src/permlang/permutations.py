@@ -2,7 +2,10 @@
 
 Everything in this module is deliberately plain: these functions are the
 trusted oracles that the machine-model implementations elsewhere in the
-package are tested against, so they favour obviousness over speed.
+package are tested against, so they favour obviousness over speed.  An
+oracle may hold the literal definition, the pruning its docstring states,
+and ordinary loops that break on the first disagreement.  It holds no
+cache, no table and no further pruning.
 """
 
 from __future__ import annotations
@@ -192,7 +195,10 @@ def contains_pattern(p: Permutation, q: Permutation) -> bool:
             return True
         for pos in range(start, n - (k - j) + 1):
             v = pr[pos]
-            if all((v > c) == (qr[j] > qr[i]) for i, c in enumerate(chosen)):
+            for i, c in enumerate(chosen):
+                if (v > c) != (qr[j] > qr[i]):
+                    break
+            else:
                 chosen.append(v)
                 if extend(pos + 1, chosen):
                     return True
