@@ -14,22 +14,23 @@ primitives.  The space bound is enforced, not just measured: any primitive
 stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
 
-A BoundedTape exists only for traced runs, where every procedure runs
-primitive by primitive on the tape its caller passes in and ends in
-``restore``, the clearing scan, which verifies the tape and leaves the
-head on the word's last cell.  Untraced, no tape is built: legality and
-the sieve are functions of the word from cell 0, and the compare (one
-walk from x gives its whole row) of the word and a start head; each
-returns the traced run's verdict and steps, its restore included, and the
-occurrence search reads each compare from a table of those rows.  Every
-word procedure reaches the word's last cell and no further, so its
-high-water mark is |w| cells.
+A BoundedTape exists only for traced runs, and ``BoundedTape.run`` is
+the one way into a procedure: it faults unless the tape holds its input,
+and each procedure runs primitive by primitive and ends in ``restore``,
+the clearing scan, which verifies the tape and leaves the head on the
+word's last cell.  Untraced, no tape is built: legality and the sieve
+are functions of the word from cell 0, and the compare (one walk from x
+gives its whole row) of the word and a start head; each returns the
+traced run's verdict and steps, its restore included, and the occurrence
+search reads each compare from a table of those rows.  Every word
+procedure reaches the word's last cell and no further, so its high-water
+mark is |w| cells.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -82,11 +83,11 @@ class BoundedTape:
     The letters are an immutable string and the marks a ``bytearray`` over
     it, one byte per cell; the head starts on cell 0.  The four primitives
     are ``move_left``, ``move_right``, ``read`` and ``write_mark``: the
-    letters are read-only, so the tape holds its input exactly when no cell
-    is marked.  Counters: ``steps`` is the number of primitives executed,
-    ``max_cells_touched`` the number of distinct cells the head has visited
-    (the head only moves one cell at a time from cell 0, so that is max
-    head index + 1).
+    letters are read-only, so the tape holds its input, of length ``n``,
+    exactly when no cell is marked.  Counters: ``steps`` is the number of
+    primitives executed, ``max_cells_touched`` the number of distinct cells
+    the head has visited (the head only moves one cell at a time from cell
+    0, so that is max head index + 1).
 
     The methods after the primitives are head-movement programs built from
     them: ``seek``, ``scan_insertions``, ``left_past_marked_ts``,
@@ -95,13 +96,13 @@ class BoundedTape:
     clearing scan).  ``scan_insertions``, ``right_to_pair`` and
     ``right_to_unmarked_mft`` take no range: each stops on the word's last
     cell.  Every program runs primitive by primitive, one trace line a
-    primitive, and none has a closed form.  They serve the traced runs of
-    the four procedures: ``right_to_pair``, ``left_past_marked_ts`` and
-    ``right_to_unmarked_mft`` serve legality;
-    ``left_past_marked_ts``, ``left_to_star``, ``star_t_run``,
-    ``rewrite_left`` and ``right_to_m_or_f`` the positional compare;
-    ``scan_insertions`` the occurrence search; ``rewrite_left`` the sieve;
-    and ``restore`` ends each of them.
+    primitive, and none has a closed form.  They serve the four procedures,
+    which ``run`` enters: ``right_to_pair``, ``left_past_marked_ts`` and
+    ``right_to_unmarked_mft`` serve legality; ``left_past_marked_ts``,
+    ``left_to_star``, ``star_t_run``, ``rewrite_left`` and
+    ``right_to_m_or_f`` the positional compare; ``scan_insertions`` the
+    occurrence search; ``rewrite_left`` the sieve; and ``restore`` ends
+    each of them.
     """
 
     __slots__ = (
@@ -124,6 +125,10 @@ class BoundedTape:
         self._steps = 0
         self._max_head = 0
         self.trace = trace
+
+    @property
+    def n(self) -> int:
+        return self._capacity - 1
 
     @property
     def head(self) -> int:
@@ -305,6 +310,13 @@ class BoundedTape:
         """True iff no cell is marked: the letters never change."""
         return self._marks == self._blank
 
+    def run(self, procedure: Callable[..., bool], *args: object) -> TapeRun:
+        """Run ``procedure(self, *args)``, after faulting unless the tape
+        holds its input, and return the verdict with the tape's counters."""
+        if not self.holds_input():
+            raise TapeFault(f"{procedure.__name__} started on a tape that does not hold its input")
+        return TapeRun(procedure(self, *args), self._steps, self.max_cells_touched)
+
     # Snapshot inspection for assertions and tests; not machine work.
 
     def snapshot(self) -> tuple[str, bytes]:
@@ -314,7 +326,7 @@ class BoundedTape:
 
 # --- legality -------------------------------------------------------------
 
-def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
+def _check_legal_on_tape(tape: BoundedTape) -> bool:
     """Marking procedure for legality.
 
     Repeatedly find an innermost unmarked m..f pair (only l, r, t or marked
@@ -323,15 +335,13 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
     unmarked m or t remains, no unmarked f remains before the end, and the
     last cell is an unmarked f (the one that fills the initial slot).
 
-    It starts on an unmarked tape and faults otherwise, before any step,
-    and ends restored with the head on cell n-1 (the empty word's run is
-    its one read).  It runs ``right_to_pair``, ``_license_span`` and
-    ``right_to_unmarked_mft`` primitive by primitive, then ``restore``;
-    ``_legal_closed_form`` gives its verdict and steps without a tape.
+    It starts on an unmarked tape and ends restored with the head on cell
+    n-1 (the empty word's run is its one read).  It runs ``right_to_pair``,
+    ``_license_span`` and ``right_to_unmarked_mft`` primitive by primitive,
+    then ``restore``; ``_legal_closed_form`` gives its verdict and steps
+    without a tape.
     """
-    if not tape.holds_input():
-        raise TapeFault("legality started on a tape that does not hold its input")
-    if n == 0:
+    if tape.n == 0:
         tape.read()
         return False
     while True:
@@ -347,7 +357,7 @@ def _check_legal_on_tape(tape: BoundedTape, n: int) -> bool:
     # final verification scan
     tape.seek(0)
     letter, mark = tape.right_to_unmarked_mft()
-    legal = tape.head == n - 1 and letter == "f" and mark == NO_MARK
+    legal = tape.head == tape.n - 1 and letter == "f" and mark == NO_MARK
     tape.restore()
     return legal
 
@@ -446,9 +456,7 @@ def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     check_letters(word)
     if trace is None:
         return TapeRun(*_legal_closed_form(word, _insertion_cells(word)), len(word) or 1)
-    tape = BoundedTape(word, trace)
-    ok = _check_legal_on_tape(tape, len(word))
-    return TapeRun(ok, tape.steps, tape.max_cells_touched)
+    return BoundedTape(word, trace).run(_check_legal_on_tape)
 
 
 # --- pairwise positional comparison ---------------------------------------
@@ -514,14 +522,12 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
     exceeding y's t-run means y inserts left of x: descending.
 
     It starts on an unmarked tape, with 0 <= a < b < len(cells), and
-    faults otherwise, and ends restored with the head on the word's last
-    cell.  It runs the programs and shuttles above primitive by primitive,
-    then ``restore``, which clears the stars; entry b-a-1 of
-    ``_compare_row``'s walk from x gives its verdict and steps without a
-    tape.
+    faults before any step when a or b is outside that range, and ends
+    restored with the head on the word's last cell.  It runs the programs
+    and shuttles above primitive by primitive, then ``restore``, which
+    clears the stars; entry b-a-1 of ``_compare_row``'s walk from x gives
+    its verdict and steps without a tape.
     """
-    if not tape.holds_input():
-        raise TapeFault("compare started on a tape that does not hold its input")
     if not 0 <= a < b < len(cells):
         raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
     x_pos, y_pos = cells[a], cells[b]
@@ -643,14 +649,10 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     cells = _insertion_cells(word)
     a, b = cells.index(x_pos), cells.index(y_pos)
     if trace is None:
-        descending, steps = _compare_row(word, cells, a, 0)[b - a - 1]
-        cells_touched = n
+        run = TapeRun(*_compare_row(word, cells, a, 0)[b - a - 1], n)
     else:
-        tape = BoundedTape(word, trace)
-        descending = _compare_on_tape(tape, cells, a, b)
-        steps, cells_touched = tape.steps, tape.max_cells_touched
-    order = PairOrder.DESCENDING if descending else PairOrder.ASCENDING
-    return TapeRun(order, steps, cells_touched)
+        run = BoundedTape(word, trace).run(_compare_on_tape, cells, a, b)
+    return replace(run, verdict=PairOrder.DESCENDING if run.verdict else PairOrder.ASCENDING)
 
 
 # --- pattern avoidance -----------------------------------------------------
@@ -730,12 +732,13 @@ def _avoids(
         i += 1
 
 
-def _accepts_basis_on_tape(tape: BoundedTape, n: int, basis: Basis) -> bool:
+def _accepts_basis_on_tape(tape: BoundedTape, basis: Basis) -> bool:
     """``accepts_basis`` on the tape: legality once, as it is a property of
     the word, and ``scan_insertions`` once after it; then the occurrence
     search for each pattern in turn until one is contained, every compare
-    through ``_compare_on_tape``.  Each of them ends restored on cell n-1."""
-    if not _check_legal_on_tape(tape, n):
+    through ``_compare_on_tape``.  Each ends in ``restore`` on cell n-1,
+    which checks the tape the next one starts on."""
+    if not _check_legal_on_tape(tape):
         return False
     cells = tape.scan_insertions()
     return all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
@@ -757,9 +760,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     check_letters(word)
     n = len(word)
     if trace is not None:
-        tape = BoundedTape(word, trace)
-        ok = _accepts_basis_on_tape(tape, n, basis)
-        return TapeRun(ok, tape.steps, tape.max_cells_touched)
+        return BoundedTape(word, trace).run(_accepts_basis_on_tape, basis)
     cells = _insertion_cells(word)
     legal, steps = _legal_closed_form(word, cells)
     if not legal:
@@ -825,15 +826,14 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
     check_size(n, positive=True)
     if trace is None:
         return TapeRun(*_sieve_closed_form(n))
-    tape = BoundedTape("a" * n, trace)
-    verdict = _is_prime_on_tape(tape, n)
-    return TapeRun(verdict, tape.steps, tape.max_cells_touched)
+    return BoundedTape("a" * n, trace).run(_is_prime_on_tape)
 
 
-def _is_prime_on_tape(tape: BoundedTape, n: int) -> bool:
+def _is_prime_on_tape(tape: BoundedTape) -> bool:
     """The sieve on a tape of n cells, primitive by primitive, then the
     final restore; from cell 0, ``_sieve_closed_form`` gives its verdict
     and counters without a tape."""
+    n = tape.n
     if n == 1:
         tape.read()
     verdict = n > 1

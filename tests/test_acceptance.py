@@ -106,19 +106,19 @@ def test_criterion_07_tape_restoration():
     # Every tape procedure ends restored: it ends in BoundedTape.restore,
     # which raises TapeFault unless the tape holds the unmarked word (the
     # public procedures build a tape only when traced).  Here legality and
-    # the compare run on traced tapes this test owns, and each tape must
-    # hold its input straight after the procedure, with no restore of the
-    # test's.
+    # the compare run through BoundedTape.run on traced tapes this test
+    # owns, and each tape must hold its input straight after the procedure,
+    # with no restore of the test's.
     checked = 0
     for n in range(1, 5):
         for word in codewords_with_insertions(n):
             cells = insertion_cells(word)
             t = tape.BoundedTape(word, no_trace)
-            assert tape._check_legal_on_tape(t, len(word))
+            assert t.run(tape._check_legal_on_tape).verdict
             assert t.holds_input(), word
             for a, b in itertools.combinations(range(len(cells)), 2):
                 t = tape.BoundedTape(word, no_trace)
-                tape._compare_on_tape(t, cells, a, b)
+                t.run(tape._compare_on_tape, cells, a, b)
                 assert t.holds_input(), (word, cells[a], cells[b])
                 checked += 1
     print(f"ACCEPTANCE 07 tape restoration over {checked} owned traced compare tapes: PASS")

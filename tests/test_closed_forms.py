@@ -5,11 +5,11 @@ Untraced, the tape procedures build no tape: legality is
 walk, ``accepts_basis`` reads its compares from a table of those rows, and
 the sieve is ``_sieve_closed_form``.  Traced, each runs primitive by
 primitive on a ``BoundedTape`` and ends in its restore.  Each row of ROWS
-runs every distinct input of its sources once traced, on a tape the row
-builds and reads, and checks that the two runs agree on the verdict, the
-steps and the cells touched, that the tape ends holding its input with
-the head on the word's last cell, and that trace line i starts with
-step i.
+runs every distinct input of its sources once traced, through
+``BoundedTape.run`` on a tape the row builds and reads, and checks that
+the two runs agree on the verdict, the steps and the cells touched, that
+the tape ends holding its input with the head on the word's last cell,
+and that trace line i starts with step i.
 
 A traced basis run makes legality from cell 0 and every compare of its
 search from cell n-1, so the basis row checks those on its own words.
@@ -126,7 +126,7 @@ def legality_untraced(word, head):
 def legality_traced(word, head, trace):
     t = BoundedTape(word, trace)
     t.seek(head)
-    return tape._check_legal_on_tape(t, len(word)), t
+    return t.run(tape._check_legal_on_tape), t
 
 
 def compare_untraced(word, a, b, head):
@@ -138,20 +138,20 @@ def compare_untraced(word, a, b, head):
 def compare_traced(word, a, b, head, trace):
     t = BoundedTape(word, trace)
     t.seek(head)
-    return tape._compare_on_tape(t, insertion_cells(word), a, b), t
+    return t.run(tape._compare_on_tape, insertion_cells(word), a, b), t
 
 
 def basis_traced(word, basis, trace):
     t = BoundedTape(word, trace)
-    return tape._accepts_basis_on_tape(t, len(word), basis), t
+    return t.run(tape._accepts_basis_on_tape, basis), t
 
 
 def sieve_traced(n, trace):
     t = BoundedTape("a" * n, trace)
-    return tape._is_prime_on_tape(t, n), t
+    return t.run(tape._is_prime_on_tape), t
 
 
-# row: (inputs, untraced run, traced verdict and its tape, distinct inputs)
+# row: (inputs, untraced run, traced run and its tape, distinct inputs)
 ROWS = {
     "legality": (legality_inputs, legality_untraced, legality_traced, 36_788),
     "compare": (compare_inputs, compare_untraced, compare_traced, 24_831),
@@ -181,10 +181,9 @@ def traced_row(request):
     prefixes = []  # "1\t", "2\t", ...: how trace lines 1, 2, ... start
     for key in row.keys:
         lines = []
-        verdict, t = traced(*key, lines.append)
-        run = row.runs[key] = TapeRun(verdict, t.steps, t.max_cells_touched)
-        n = len(t.snapshot()[0]) - 1
-        row.ends[key] = (t.holds_input(), t.head, max(n - 1, 0))
+        run, t = traced(*key, lines.append)
+        row.runs[key] = run
+        row.ends[key] = (t.holds_input(), t.head, max(t.n - 1, 0))
         prefixes += [f"{i}\t" for i in range(len(prefixes) + 1, run.steps + 1)]
         row.lines[key] = (len(lines), all(map(str.startswith, lines, prefixes)))
     return row

@@ -31,7 +31,9 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -279,6 +281,25 @@ def test_long_words_cover_every_reason():
 def test_long_words_accept_and_reject():
     golden = json.loads((HERE / "golden_partition.json").read_text())
     assert {golden[word][0] for word in partition_long_words()} == {True, False}
+
+
+def test_regenerator_prints_a_golden_file_and_rejects_an_unknown_name():
+    # the command the module docstring gives for regenerating a file, run
+    # from the repository root
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+
+    def regenerate(name):
+        return subprocess.run(
+            [sys.executable, "tests/test_golden.py", name],
+            capture_output=True, cwd=HERE.parent, env=env, timeout=60,
+        )
+
+    done = regenerate("golden_traces.txt")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (HERE / "golden_traces.txt").read_bytes()
+    done = regenerate("golden_nothing.txt")
+    usage = f"usage: python tests/test_golden.py {{{','.join(GOLDEN)}}}\n"
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", usage)
 
 
 if __name__ == "__main__":

@@ -271,28 +271,32 @@ class TestBoundedTape:
         "restore-with-boundary-mark": (
             "lf", (2,), 2, lambda t: t.restore(),
             "tape does not hold the unmarked input word", False),
+        # BoundedTape.run checks the start of every procedure it enters
         "legality-on-marked-tape": (
-            "mrlff", (3,), 3, lambda t: tape._check_legal_on_tape(t, 5),
-            "legality started on a tape that does not hold its input", True),
+            "mrlff", (3,), 3, lambda t: t.run(tape._check_legal_on_tape),
+            "_check_legal_on_tape started on a tape that does not hold its input", True),
         # the empty word's only cell is the boundary
         "legality-on-marked-empty-word": (
-            "", (0,), 0, lambda t: tape._check_legal_on_tape(t, 0),
-            "legality started on a tape that does not hold its input", True),
+            "", (0,), 0, lambda t: t.run(tape._check_legal_on_tape),
+            "_check_legal_on_tape started on a tape that does not hold its input", True),
         "compare-on-marked-tape": (
-            "mrlff", (3,), 3, lambda t: tape._compare_on_tape(t, [0, 1, 2, 3, 4], 0, 1),
-            "compare started on a tape that does not hold its input", True),
+            "mrlff", (3,), 3, lambda t: t.run(tape._compare_on_tape, [0, 1, 2, 3, 4], 0, 1),
+            "_compare_on_tape started on a tape that does not hold its input", True),
+        "sieve-on-marked-tape": (
+            "aaaa", (1,), 2, lambda t: t.run(tape._is_prime_on_tape),
+            "_is_prime_on_tape started on a tape that does not hold its input", True),
         # a after b, a on b, b one past the last insertion cell, a negative a
         "compare-outside-its-cells": (
-            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 1, 0),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), 1, 0),
             "compare of insertion cells 1, 0: need 0 <= a < b < 7", True),
         "compare-a-on-b": (
-            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 1, 1),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), 1, 1),
             "compare of insertion cells 1, 1: need 0 <= a < b < 7", True),
         "compare-b-past-last-cell": (
-            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), 0, 7),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), 0, 7),
             "compare of insertion cells 0, 7: need 0 <= a < b < 7", True),
         "compare-negative-a": (
-            "mrlmfff", (), 0, lambda t: tape._compare_on_tape(t, list(range(7)), -1, 2),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), -1, 2),
             "compare of insertion cells -1, 2: need 0 <= a < b < 7", True),
         "drop-star-with-none-left": (
             "mrlff", (), 4, lambda t: tape._drop_rightmost_star(t, 4),
@@ -745,6 +749,12 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
         (check_legal, ("",), TapeRun(False, 1, 1)),
         (is_prime, (1,), TapeRun(False, 2, 1)),
         (accepts_basis, ("", Basis([[1], [2, 1]])), TapeRun(False, 1, 1)),
+        # a real word for each public function; the basis run reaches its
+        # second pattern
+        (check_legal, ("mrlff",), TapeRun(True, 67, 5)),
+        (compare, ("mrtff", 0, 4), TapeRun(PairOrder.DESCENDING, 64, 5)),
+        (accepts_basis, ("mrtltff", Basis([[1, 3, 2], [4, 3, 2, 1]])), TapeRun(True, 1533, 7)),
+        (is_prime, (12,), TapeRun(False, 73, 12)),
     ]
     for n in range(0, 6):
         for letters in itertools.product(codec.ALPHABET, repeat=n):
@@ -765,4 +775,4 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
     # the spy sees a traced run, and the traced runs pin the same counters
     for procedure, args, run in pinned:
         assert procedure(*args, no_trace) == run, procedure
-    assert built == ["", "a", ""]
+    assert built == ["", "a", "", "mrlff", "mrtff", "mrtltff", "a" * 12]
