@@ -32,6 +32,7 @@ precondition).
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
@@ -103,9 +104,21 @@ def check_letters(word: str, alphabet: str = ALPHABET) -> None:
 # word splits into its t-runs: one more than its insertion letters
 _RUN_ENDS = bytes.maketrans(b"lrmf", b"\xff\xff\xff\xff")
 
-# The split of the word tokens read last: (word, runs, letters), no word
-# at first.  One entry only; see tokens.
-_last: tuple = (None, None, None)
+
+@functools.lru_cache(maxsize=1)  # the last word read; see tokens
+def _split(word: str) -> tuple[list[bytes], str | list[str]]:
+    """The word's t-runs and its letters, for ``tokens``."""
+    if not word.isascii():
+        check_letters(word)  # raises: the alphabet is ASCII
+    data = word.encode()
+    runs = data.translate(_RUN_ENDS).split(b"\xff")
+    letters = data.translate(None, b"t")
+    if len(letters) != len(runs) - 1:  # a byte neither t nor l, r, m, f
+        check_letters(word)  # raises, naming the first foreign letter
+    letters = letters.decode()
+    if runs[-1]:  # the bare run after the last insertion letter
+        letters = [*letters, ""]
+    return runs, letters
 
 
 def tokens(word: str) -> Iterator[tuple[int, str]]:
@@ -126,20 +139,7 @@ def tokens(word: str) -> Iterator[tuple[int, str]]:
     that raises is never kept.  The pairing stays lazy, so a reader that
     stops early pays nothing for the rest.
     """
-    global _last
-    key, runs, letters = _last
-    if word is not key and word != key:
-        if not word.isascii():
-            check_letters(word)  # raises: the alphabet is ASCII
-        data = word.encode()
-        runs = data.translate(_RUN_ENDS).split(b"\xff")
-        letters = data.translate(None, b"t")
-        if len(letters) != len(runs) - 1:  # a byte neither t nor l, r, m, f
-            check_letters(word)  # raises, naming the first foreign letter
-        letters = letters.decode()
-        if runs[-1]:  # the bare run after the last insertion letter
-            letters = [*letters, ""]
-        _last = (word, runs, letters)
+    runs, letters = _split(word)
     return zip(map(len, runs), letters)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .codec import check_letters, validate
 from .permutations import Basis, check_size
@@ -90,19 +90,14 @@ class BoundedTape:
     0, so that is max head index + 1).
 
     The methods after the primitives are head-movement programs built from
-    them: ``seek``, ``scan_insertions``, ``left_past_marked_ts``,
-    ``left_to_star``, ``star_t_run``, ``rewrite_left``, ``right_to_m_or_f``,
-    ``right_to_pair``, ``right_to_unmarked_mft`` and ``restore`` (the
-    clearing scan).  ``scan_insertions``, ``right_to_pair`` and
-    ``right_to_unmarked_mft`` take no range: each stops on the word's last
-    cell.  Every program runs primitive by primitive, one trace line a
-    primitive, and none has a closed form.  They serve the four procedures,
-    which ``run`` enters: ``right_to_pair``, ``left_past_marked_ts`` and
-    ``right_to_unmarked_mft`` serve legality; ``left_past_marked_ts``,
-    ``left_to_star``, ``star_t_run``, ``rewrite_left`` and
-    ``right_to_m_or_f`` the positional compare; ``scan_insertions`` the
-    occurrence search; ``rewrite_left`` the sieve; and ``restore`` ends
-    each of them.
+    them: ``seek``, ``sweep_right``, ``sweep_left``, ``left_past_marked_ts``,
+    ``left_to_star``, ``rewrite_left`` and ``restore`` (the clearing scan).
+    A sweep yields each cell it reads with the head on it, so a scan is a
+    ``for`` loop over one that breaks where the scan stops.  Every program
+    runs primitive by primitive, one trace line a primitive, and none has a
+    closed form.  Legality's pair and verification scans, the search's list
+    of insertion cells and the compare's starring loop are sweeps; and
+    ``restore`` ends each of the four procedures, which ``run`` enters.
     """
 
     __slots__ = (
@@ -187,122 +182,65 @@ class BoundedTape:
         while self._head > pos:
             self.move_left()
 
-    def scan_insertions(self) -> list[int]:
-        """Seek cell 0, then read each cell and move right until the word's
-        last cell, where the head stays.  Returns the cells whose letter is
-        not t."""
+    def sweep_right(self) -> Iterator[tuple[str, int]]:
+        """Read, then move right and read, until the word's last cell has
+        been read, yielding each cell read with the head on it."""
         last = self._capacity - 2
-        cells = []
-        self.seek(0)
         while True:
-            letter, _ = self.read()
-            if letter != "t":
-                cells.append(self._head)
+            yield self.read()
             if self._head == last:
-                return cells
+                return
             self.move_right()
 
+    def sweep_left(self, lo: int = 0) -> Iterator[tuple[str, int]]:
+        """Move left and read until the head is on cell lo, yielding each
+        cell read with the head on it."""
+        while self._head > lo:
+            self.move_left()
+            yield self.read()
+
     def left_past_marked_ts(self, start: int) -> tuple[str, int] | None:
-        """Seek cell start, then move left and read until the cell read is
-        not a t or is an unmarked t, or cell 0 has been read.  Returns the
-        last cell read, None when start is cell 0."""
+        """Seek cell start, then sweep left until the cell read is not a t
+        or is an unmarked t.  Returns the last cell read, None when start
+        is cell 0."""
         self.seek(start)
         cell = None
-        while self._head > 0:
-            self.move_left()
-            cell = self.read()
+        for cell in self.sweep_left():
             if cell[0] != "t" or cell[1] == NO_MARK:
                 break
         return cell
 
     def left_to_star(self) -> int:
-        """Move left and read until a STAR is read or cell 0 has been read.
-        Returns the starred cell, or -1 when there is none."""
-        while self._head > 0:
-            self.move_left()
-            if self.read()[1] == STAR:
+        """Sweep left until a STAR is read.  Returns the starred cell, or
+        -1 when there is none."""
+        for _, mark in self.sweep_left():
+            if mark == STAR:
                 return self._head
         return -1
 
-    def star_t_run(self) -> int:
-        """Move left and read until a letter other than t is read or cell 0
-        has been read, writing STAR on every t read.  Returns the number of
-        t's starred."""
-        starred = 0
-        while self._head > 0:
-            self.move_left()
-            if self.read()[0] != "t":
-                break
-            self.write_mark(STAR)
-            starred += 1
-        return starred
-
     def rewrite_left(self, start: int, lo: int, table: bytes) -> None:
-        """Seek cell start, then move left and read until the head is on
-        cell lo, writing table[mark] over every mark the table changes;
-        table is a ``bytes.maketrans`` table over the marks."""
+        """Seek cell start, then sweep left to cell lo, writing table[mark]
+        over every mark the table changes; table is a ``bytes.maketrans``
+        table over the marks."""
         if lo < 0:
             raise TapeFault(f"rewrite scan down to cell {lo}")
         self.seek(start)
-        while self._head > lo:
-            self.move_left()
-            _, mark = self.read()
+        for _, mark in self.sweep_left(lo):
             if table[mark] != mark:
                 self.write_mark(table[mark])
 
-    def right_to_m_or_f(self, stop: int) -> tuple[str, int]:
-        """Move right and read until the head is on cell stop or the letter
-        read is m or f.  Returns the last cell read."""
-        while True:
-            self.move_right()
-            cell = self.read()
-            if self._head == stop or cell[0] in "mf":
-                return cell
-
-    def right_to_pair(self) -> int:
-        """Read, then move right and read, until an unmarked f has been read
-        after an unmarked m, or the word's last cell has been read.  Returns
-        the last unmarked m read before that f, or -1 when there is none."""
-        last = self._capacity - 2
-        open_m = -1
-        while True:
-            letter, mark = self.read()
-            if mark == NO_MARK:
-                if letter == "m":
-                    open_m = self._head
-                elif letter == "f" and open_m >= 0:
-                    return open_m
-            if self._head == last:
-                return -1
-            self.move_right()
-
-    def right_to_unmarked_mft(self) -> tuple[str, int]:
-        """Read, then move right and read, until an unmarked m, f or t has
-        been read, or the word's last cell has been read.  Returns the last
-        cell read."""
-        last = self._capacity - 2
-        while True:
-            cell = self.read()
-            if self._head == last or (cell[1] == NO_MARK and cell[0] in "mft"):
-                return cell
-            self.move_right()
-
     def restore(self) -> None:
         """Clearing scan, then verify the tape holds its input.  The scan
-        seeks cell 0, then reads each of the word's n cells, writes NO_MARK
-        over a mark and moves right until the last letter, where the head
-        stays: head + n reads + (n-1) moves + one write per cleared mark.
-        A mark on the boundary cell, which the scan never visits, faults.
-        The closed forms charge this cost as their last term."""
-        last = self._capacity - 2
-        if last >= 0:
+        seeks cell 0, then sweeps right over the word's n cells, writing
+        NO_MARK over each mark, and stays on the last letter: head + n reads
+        + (n-1) moves + one write per cleared mark.  A mark on the boundary
+        cell, which the scan never visits, faults.  The closed forms charge
+        this cost as their last term."""
+        if self._capacity > 1:
             self.seek(0)
-            while True:
-                if self.read()[1] != NO_MARK:
+            for _, mark in self.sweep_right():
+                if mark != NO_MARK:
                     self.write_mark(NO_MARK)
-                if self._head == last:
-                    break
-                self.move_right()
         if not self.holds_input():
             raise TapeFault("tape does not hold the unmarked input word")
 
@@ -336,18 +274,26 @@ def _check_legal_on_tape(tape: BoundedTape) -> bool:
     last cell is an unmarked f (the one that fills the initial slot).
 
     It starts on an unmarked tape and ends restored with the head on cell
-    n-1 (the empty word's run is its one read).  It runs ``right_to_pair``,
-    ``_license_span`` and ``right_to_unmarked_mft`` primitive by primitive,
-    then ``restore``; ``_legal_closed_form`` gives its verdict and steps
-    without a tape.
+    n-1 (the empty word's run is its one read).  Each round's pair scan
+    sweeps right from cell 0, keeping the last unmarked m, until an
+    unmarked f; the verification scan sweeps right until an unmarked m, f
+    or t, or to the last cell.  It runs them and ``_license_span``
+    primitive by primitive, then ``restore``; ``_legal_closed_form`` gives
+    its verdict and steps without a tape.
     """
     if tape.n == 0:
         tape.read()
         return False
     while True:
         tape.seek(0)
-        i = tape.right_to_pair()
-        if i < 0:
+        i = -1
+        for letter, mark in tape.sweep_right():
+            if mark == NO_MARK:
+                if letter == "m":
+                    i = tape.head
+                elif letter == "f" and i >= 0:
+                    break
+        else:
             break
         j = tape.head
         tape.write_mark(STAR)
@@ -356,7 +302,9 @@ def _check_legal_on_tape(tape: BoundedTape) -> bool:
         _license_span(tape, i, j)
     # final verification scan
     tape.seek(0)
-    letter, mark = tape.right_to_unmarked_mft()
+    for letter, mark in tape.sweep_right():
+        if mark == NO_MARK and letter in "mft":
+            break
     legal = tape.head == tape.n - 1 and letter == "f" and mark == NO_MARK
     tape.restore()
     return legal
@@ -394,7 +342,7 @@ def _legal_closed_form(word: str, cells: list[int]) -> tuple[bool, int]:
     bracket matching of m (open) and f (close), in increasing order of the
     f, so one pass with a stack of open m's gives every pair (i, j) in the
     loop's order.  A round costs the seek to cell 0 from the last j (none
-    for the first round), 2j+1 for ``right_to_pair``, two stars, j-i back
+    for the first round), 2j+1 for the pair scan, two stars, j-i back
     to i and 2(j-i) for the span walk.  An insertion cell inside d
     spans, with a t-run of r before it, has its licences taken from the
     right of that run, so its c-th visit (c = 0, 1, ...) walks past c
@@ -512,7 +460,7 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
     inserted at cells[a] (descending) or right of it (ascending).
 
     cells holds the word's insertion cells (those whose letter is not t)
-    from left to right, as ``scan_insertions`` returns them, and a < b
+    from left to right, as the search lists them, and a < b
     index into it; call x = cells[a] and y = cells[b].  Stars the t-run
     before x (plus x itself when it is r or m), so the star count equals
     the number of open slots left of x's entry.  Walking right, every m or
@@ -533,14 +481,20 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
     x_pos, y_pos = cells[a], cells[b]
     tape.seek(x_pos)
     x_letter, _ = tape.read()
-    x_starred = x_letter in "rm"
-    if x_starred:
+    starred = x_letter in "rm"
+    if starred:
         tape.write_mark(STAR)
+    for letter, _ in tape.sweep_left():  # star x's t-run
+        if letter != "t":
+            break
+        tape.write_mark(STAR)
+        starred = True
     descending = False
-    if tape.star_t_run() or x_starred:
+    if starred:
         tape.seek(x_pos)
-        while True:
-            letter, _ = tape.right_to_m_or_f(y_pos)
+        while True:  # the walk right to y, shuttling at y, an m or an f
+            tape.move_right()
+            letter, _ = tape.read()
             pos = tape.head
             if pos == y_pos:
                 descending = _stars_beat_ts(tape, pos)
@@ -548,10 +502,11 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
             if letter == "m":
                 if _stars_beat_ts(tape, pos):
                     tape.write_mark(STAR)
-            # an f: a won shuttle drops a star, and with none left x's entry
-            # has no open slot to its left
-            elif _stars_beat_ts(tape, pos) and not _drop_rightmost_star(tape, pos):
-                break
+            elif letter == "f":
+                # a won shuttle drops a star, and with none left x's entry
+                # has no open slot to its left
+                if _stars_beat_ts(tape, pos) and not _drop_rightmost_star(tape, pos):
+                    break
     tape.restore()
     return descending
 
@@ -579,7 +534,7 @@ def _compare_row(word: str, cells: list[int], a: int, head: int) -> Row:
     """
     restore = 2 * len(word) - 1
     x_pos = cells[a]
-    # seek x, read it, star it when r or m, then star_t_run
+    # seek x, read it, star it when r or m, then star its t-run
     steps = abs(x_pos - head) + 1
     x_starred = word[x_pos] in "rm"
     run_stop = cells[a - 1] if a else -1
@@ -593,7 +548,7 @@ def _compare_row(word: str, cells: list[int], a: int, head: int) -> Row:
         head = x_pos
         for c in range(a + 1, len(cells)):
             z = cells[c]
-            # right_to_m_or_f to z, then the shuttle at z: it pairs the t
+            # the walk to z, then the shuttle at z: it pairs the t
             # on z-k with the star S[-k] for k = 1, 2, ...: 4 steps per
             # pair plus 3 times the sum of their distances (paired), then
             # the walk on to the next star or to cell 0, and the undo scan
@@ -615,7 +570,7 @@ def _compare_row(word: str, cells: list[int], a: int, head: int) -> Row:
             row.append((beat, here + z + restore + s))
             letter = word[z]
             if letter not in "mf":
-                continue  # right_to_m_or_f passes an l or r
+                continue  # the walk passes an l or r
             steps = here
             head = z
             if beat:
@@ -734,13 +689,15 @@ def _avoids(
 
 def _accepts_basis_on_tape(tape: BoundedTape, basis: Basis) -> bool:
     """``accepts_basis`` on the tape: legality once, as it is a property of
-    the word, and ``scan_insertions`` once after it; then the occurrence
-    search for each pattern in turn until one is contained, every compare
-    through ``_compare_on_tape``.  Each ends in ``restore`` on cell n-1,
-    which checks the tape the next one starts on."""
+    the word, and a sweep from cell 0 listing the insertion cells once
+    after it; then the occurrence search for each pattern in turn until one
+    is contained, every compare through ``_compare_on_tape``.  Each ends
+    in ``restore`` on cell n-1, which checks the tape the next one starts
+    on."""
     if not _check_legal_on_tape(tape):
         return False
-    cells = tape.scan_insertions()
+    tape.seek(0)
+    cells = [tape.head for letter, _ in tape.sweep_right() if letter != "t"]
     return all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
         _compare_on_tape(tape, cells, chosen[a], y))) for pattern in basis)
 
@@ -765,7 +722,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     legal, steps = _legal_closed_form(word, cells)
     if not legal:
         return TapeRun(False, steps, n or 1)
-    steps += 3 * n - 2  # scan_insertions from cell n-1: head + 2n - 1
+    steps += 3 * n - 2  # the cell sweep from cell n-1: head + 2n - 1
     rows: list[Row | None] = [None] * len(cells)
 
     def descending(chosen: list[int], a: int, y: int) -> bool:

@@ -79,14 +79,18 @@ def insertion_cells(word):
     return [i for i, letter in enumerate(word) if letter != "t"]
 
 
-def partitions_of(n, largest=None):
-    """The number of partitions of n into parts of at most largest (at most
-    n when omitted), counted by direct recursion."""
+def partitions(n, largest=None):
+    """The partitions of n into parts of at most largest (at most n when
+    omitted), each a non-increasing tuple, by direct recursion."""
     if n == 0:
-        return 1
-    if largest is None:
-        largest = n
-    return sum(partitions_of(n - part, part) for part in range(min(largest, n), 0, -1))
+        yield ()
+    for part in range(min(n if largest is None else largest, n), 0, -1):
+        yield from ((part, *rest) for rest in partitions(n - part, part))
+
+
+def partitions_of(n):
+    """The number of partitions of n, counted one by one."""
+    return sum(1 for _ in partitions(n))
 
 
 def no_trace(line):
@@ -100,13 +104,6 @@ def longest_increasing_at_most(n, k):
     longer than k: the sum of f_lambda squared over the partitions lambda
     of n whose first row is at most k (Schensted 1961), with f_lambda from
     the hook-length formula (Frame, Robinson and Thrall 1954)."""
-
-    def partitions(m, largest):
-        if m == 0:
-            yield ()
-        for part in range(min(m, largest), 0, -1):
-            yield from ((part, *rest) for rest in partitions(m - part, part))
-
     total = 0
     for shape in partitions(n, k):
         hooks = 1

@@ -13,7 +13,7 @@ import math
 import random
 
 from conftest import (insertion_cells, legality_sweep, longest_increasing_at_most, no_trace,
-                      partitions_of, round_trip_sweep)
+                      partitions, partitions_of, round_trip_sweep)
 
 from permlang import cli, codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, encode
@@ -184,16 +184,8 @@ def test_criterion_09_partition_language():
     # lengths 21..25 by block structure: every nondecreasing-part word is
     # accepted and there are exactly p(n) of them; random other words reject
     def partition_words(n):
-        def parts(remaining, minimum):
-            if remaining == 0:
-                yield []
-                return
-            for part in range(minimum, remaining + 1):
-                for rest in parts(remaining - part, part):
-                    yield [part] + rest
-
-        for ps in parts(n, 1):
-            yield "".join(("a" if i % 2 == 0 else "b") * p for i, p in enumerate(ps))
+        for shape in partitions(n):  # each word's blocks, smallest first
+            yield "".join(("a" if i % 2 == 0 else "b") * p for i, p in enumerate(shape[::-1]))
 
     rng = random.Random(20260808)
     for n in range(21, 26):

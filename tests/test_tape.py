@@ -172,12 +172,15 @@ class TestBoundedTape:
                 assert t.holds_input() == (not any(t.snapshot()[1])), word
                 assert t.snapshot()[0] == word + tape.BLANK
 
-    # seek, rewrite_left and restore, which run their primitive loops, must
-    # write one trace line per step; each with arguments drawn for a tape
-    # of `cap` cells, sometimes outside it, so that both tape ends are
-    # reached.
+    # seek, the sweeps, rewrite_left and restore, which run their primitive
+    # loops, must write one trace line per step; each with arguments drawn
+    # for a tape of `cap` cells, sometimes outside it, so that both tape
+    # ends are reached.  A sweep runs as it is iterated, so it is run to
+    # its end.
     PROGRAMS = {
         "seek": lambda rng, cap: (rng.randint(-1, cap),),
+        "sweep_right": lambda rng, cap: (),
+        "sweep_left": lambda rng, cap: (rng.randint(-1, cap),),
         "rewrite_left": lambda rng, cap: (
             rng.randrange(cap),
             rng.randint(-1, cap),
@@ -203,7 +206,9 @@ class TestBoundedTape:
             t.seek(rng.randrange(cap))
             args = self.PROGRAMS[name](rng, cap)
             try:
-                getattr(t, name)(*args)
+                ran = getattr(t, name)(*args)
+                if name.startswith("sweep_"):
+                    list(ran)
             except TapeFault:
                 outcomes.add(True)
                 continue
@@ -213,9 +218,10 @@ class TestBoundedTape:
         assert outcomes == ({False, True} if name in self.FAULTING else {False})
 
     # Programs that fault on some drawn tapes: a drawn cell outside the tape
-    # takes seek's or rewrite_left's head off it, and restore finds a marked
+    # takes seek's, sweep_left's or rewrite_left's head off it, sweep_right
+    # from the boundary cell moves past it, and restore finds a marked
     # boundary cell.
-    FAULTING = {"restore", "rewrite_left", "seek"}
+    FAULTING = {"restore", "rewrite_left", "seek", "sweep_left", "sweep_right"}
 
     def test_trace_lines_one_per_primitive(self):
         lines = []
@@ -246,27 +252,16 @@ class TestBoundedTape:
         "rewrite-below-cell-0": (
             "mrltt", range(5), 3, lambda t: t.rewrite_left(3, -1, tape._CLEAR),
             "rewrite scan down to cell -1", True),
-        # no m or f after cell 3, and a stop behind the head is never met
-        "right-to-m-or-f-off-the-end": (
-            "mrltt", range(5), 3, lambda t: t.right_to_m_or_f(6),
-            "head moved right past cell 5", False),
-        "right-to-m-or-f-stop-behind-head": (
-            "mrltt", range(5), 3, lambda t: t.right_to_m_or_f(2),
-            "head moved right past cell 5", False),
         # the head on the boundary cell, past the word's last cell, which the
         # empty word does not have
-        "right-to-pair-from-boundary": (
-            "mrltt", range(5), 5, lambda t: t.right_to_pair(),
+        "sweep-right-from-boundary": (
+            "mrltt", range(5), 5, lambda t: list(t.sweep_right()),
             "head moved right past cell 5", False),
-        "right-to-unmarked-mft-from-boundary": (
-            "mrltt", range(5), 5, lambda t: t.right_to_unmarked_mft(),
-            "head moved right past cell 5", False),
-        "right-to-pair-of-empty-word": (
-            "", (), 0, lambda t: t.right_to_pair(), "head moved right past cell 0", False),
-        "right-to-unmarked-mft-of-empty-word": (
-            "", (), 0, lambda t: t.right_to_unmarked_mft(), "head moved right past cell 0", False),
-        "scan-insertions-of-empty-word": (
-            "", (), 0, lambda t: t.scan_insertions(), "head moved right past cell 0", False),
+        "sweep-right-of-empty-word": (
+            "", (), 0, lambda t: list(t.sweep_right()), "head moved right past cell 0", False),
+        # a sweep down to a cell left of cell 0 moves off the tape
+        "sweep-left-below-cell-0": (
+            "mrlff", (), 2, lambda t: list(t.sweep_left(-1)), "head moved left past cell 0", False),
         # the clearing scan stops at the last letter and never visits it
         "restore-with-boundary-mark": (
             "lf", (2,), 2, lambda t: t.restore(),
@@ -659,7 +654,7 @@ class TestAcceptsBasis:
                     assert accepts_basis(codec.encode(perm), basis).verdict is want, (p, q)
 
     def test_cumulative_counters_cover_all_patterns(self):
-        # legality and scan_insertions run once per word, not once per
+        # legality and the cell sweep run once per word, not once per
         # pattern: a basis run is the single-pattern runs of the s patterns
         # it searches (up to and including the first one contained), less
         # the legality pass and the scan from cell n-1 (3n-2 steps) of each
