@@ -223,6 +223,51 @@ class TestBoundedTape:
     # boundary cell.
     FAULTING = {"restore", "rewrite_left", "seek", "sweep_left", "sweep_right"}
 
+    # Sweeps, each as (word, start head, lo), lo None for sweep_right: a
+    # sweep reads each cell from next to the head (the head's own, going
+    # right) to its end, and yields it with the head on it.
+    SWEEPS = {
+        "right-from-cell-0": ("mrltf", 0, None),
+        "right-from-inside": ("mrltf", 2, None),
+        "right-from-last-cell": ("mrltf", 4, None),
+        "right-of-one-letter": ("f", 0, None),
+        "left-from-boundary": ("mrltf", 5, 0),
+        "left-to-lo": ("mrltf", 4, 2),
+        "left-from-lo": ("mrltf", 2, 2),
+        "left-from-below-lo": ("mrltf", 1, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_a_sweep_yields_each_cell_with_the_head_on_it(self, name):
+        word, head, lo = self.SWEEPS[name]
+        marked = {i for i in (1, 3) if i < len(word)}
+        if lo is None:
+            cells, cost = list(range(head, len(word))), lambda k: 2 * k + 1
+        else:
+            cells, cost = list(range(head - 1, lo - 1, -1)), lambda k: 2 * (k + 1)
+        want = [(i, (word[i] if i < len(word) else tape.BLANK, STAR if i in marked else NO_MARK))
+                for i in cells]
+
+        def prepared():
+            t = BoundedTape(word, no_trace)
+            for i in marked:
+                t.seek(i)
+                t.write_mark(STAR)
+            t.seek(head)
+            return t, t.steps, t.sweep_right() if lo is None else t.sweep_left(lo)
+
+        t, before, sweep = prepared()
+        assert t.steps == before, name  # a sweep runs only as it is iterated
+        assert [(t.head, cell) for cell in sweep] == want, name
+        assert t.head == (cells[-1] if cells else head), name
+        assert t.steps - before == (cost(len(cells) - 1) if cells else 0), name
+        # broken off after its k-th cell, a sweep leaves the head there
+        for k, (i, _) in enumerate(want):
+            t, before, sweep = prepared()
+            for _ in itertools.islice(sweep, k + 1):
+                pass
+            assert (t.head, t.steps - before) == (i, cost(k)), (name, k)
+
     def test_trace_lines_one_per_primitive(self):
         lines = []
         t = BoundedTape("tf", trace=lines.append)
