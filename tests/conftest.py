@@ -6,7 +6,7 @@ from pathlib import Path
 from permlang import stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, validate
 from permlang.counting import sequence
-from permlang.permutations import Basis, Permutation, all_permutations
+from permlang.permutations import Basis, Permutation, all_permutations, avoids_basis
 
 
 def legality_sweep(length):
@@ -49,6 +49,51 @@ def round_trip_sweep(n):
         or seen != {bytes(p.ranks) for p in all_permutations(n)}
     ):
         odd.append(f"{checked} codewords, {len(seen)} distinct decodes")
+    return checked, odd
+
+
+# acceptance 04's input: the 33 one-pattern bases of length 1 to 4
+SHORT_PATTERNS = [
+    Basis([p]) for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))
+]
+
+
+def avoidance_sweep(n, bases):
+    """Acceptance 04 at one n: (word/basis pairs checked, failures) over the
+    codewords with n insertion letters and each basis.  A pair fails when
+    tape.accepts_basis and the oracle on the word's decode disagree or the
+    tape run touches other than |w| cells."""
+    checked, odd = 0, []
+    for word in codewords_with_insertions(n):
+        perm = decode(word)
+        for basis in bases:
+            run = tape.accepts_basis(word, basis)
+            if run.verdict is not avoids_basis(perm, basis) or run.max_cells_touched != len(word):
+                odd.append((word, basis))
+            checked += 1
+    if checked != math.factorial(n) * len(bases):
+        odd.append(f"{checked} word/basis pairs checked")
+    return checked, odd
+
+
+def compare_sweep(n):
+    """The compare at one n: (compares checked, failures) over every pair of
+    insertion cells of every codeword with n insertion letters.  A compare
+    fails unless it orders the two values as they stand in the word's
+    decode and touches at most |w|+1 cells."""
+    checked, odd = 0, []
+    for word in codewords_with_insertions(n):
+        ranks = decode(word).ranks
+        cells = insertion_cells(word)
+        for a, b in itertools.combinations(range(n), 2):
+            ascending = ranks.index(a + 1) < ranks.index(b + 1)
+            want = tape.PairOrder.ASCENDING if ascending else tape.PairOrder.DESCENDING
+            run = tape.compare(word, cells[a], cells[b])
+            if run.verdict is not want or run.max_cells_touched > len(word) + 1:
+                odd.append((word, cells[a], cells[b]))
+            checked += 1
+    if checked != math.factorial(n) * math.comb(n, 2):
+        odd.append(f"{checked} compares checked")
     return checked, odd
 
 

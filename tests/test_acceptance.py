@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Each criterion runs on its own and is the one home of its sweep: no unit
-test repeats it on fewer inputs.  Criterion 2 validates every generated
-word.  Criteria 3-4 assert that every untraced tape run they make reports
+Each criterion runs on its own; no unit test repeats its sweep on fewer
+inputs.  Criteria 2-4 call sweeps of ``tests/conftest.py`` that
+``tests/slow_tier.py`` runs at larger sizes.  Criterion 2 validates every
+generated word.  Criteria 3-4 check that every untraced tape run reports
 |w| cells touched (one for the empty word), the figure the closed-form
 harness checks against the traced high-water mark; criterion 6 measures
 the space bound |w|+1 on traced tapes of its own.
@@ -12,12 +13,13 @@ import itertools
 import math
 import random
 
-from conftest import (insertion_cells, legality_sweep, longest_increasing_at_most, no_trace,
-                      partitions, partitions_of, round_trip_sweep)
+from conftest import (SHORT_PATTERNS, avoidance_sweep, insertion_cells, legality_sweep,
+                      longest_increasing_at_most, no_trace, partitions, partitions_of,
+                      round_trip_sweep)
 
 from permlang import cli, codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, encode
-from permlang.permutations import Basis, Permutation, avoids_basis
+from permlang.permutations import Basis, Permutation
 
 def fitted_slope(sizes, values):
     xs = [math.log(s) for s in sizes]
@@ -36,7 +38,7 @@ def test_criterion_01_worked_examples():
 
 
 def test_criterion_02_bijection_up_to_seven():
-    # tests/slow_words.py runs the same sweep at n = 9
+    # tests/slow_tier.py runs the same sweep at n = 9
     for n in range(1, 8):
         odd = round_trip_sweep(n)[1]
         assert not odd, (n, odd[:5])
@@ -44,7 +46,7 @@ def test_criterion_02_bijection_up_to_seven():
 
 
 def test_criterion_03_validator_equivalence():
-    # tests/slow_words.py runs the same sweep at length 9
+    # tests/slow_tier.py runs the same sweep at lengths 9 and 10
     checked = 0
     for n in range(0, 9):
         words, odd = legality_sweep(n)
@@ -55,21 +57,13 @@ def test_criterion_03_validator_equivalence():
 
 
 def test_criterion_04_acceptor_matches_oracle():
-    patterns = [
-        Permutation(p)
-        for k in range(1, 5)
-        for p in itertools.permutations(range(1, k + 1))
-    ]
+    # tests/slow_tier.py runs the same sweep at n = 7 and 8
     checked = 0
     for n in range(1, 7):
-        for word in codewords_with_insertions(n):
-            perm = decode(word)
-            for pattern in patterns:
-                want = avoids_basis(perm, Basis([pattern]))
-                run = tape.accepts_basis(word, Basis([pattern]))
-                assert run.verdict is want, (word, pattern.ranks)
-                assert run.max_cells_touched == (len(word) or 1), word
-                checked += 1
+        pairs, odd = avoidance_sweep(n, SHORT_PATTERNS)
+        assert not odd, (n, odd[:5])
+        checked += pairs
+    assert checked == 28_809
     print(f"ACCEPTANCE 04 acceptor vs oracle on {checked} word/pattern pairs: PASS")
 
 

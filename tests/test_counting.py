@@ -71,7 +71,7 @@ class TestSequence:
         )
 
     def test_symmetries_preserve_counts(self):
-        # tests/slow_counts.py runs the same check to n = 7
+        # tests/slow_tier.py runs the same sweep to n = 7
         assert symmetry_sweep(6) == (24, [])
 
     def test_size_checked_before_any_row(self, monkeypatch):

@@ -5,8 +5,8 @@ import random
 import sys
 
 import pytest
-from conftest import (basis_sum_cases, built_avoider, complement, insertion_cells, inverse,
-                      no_trace, reverse)
+from conftest import (avoidance_sweep, basis_sum_cases, built_avoider, compare_sweep,
+                      complement, insertion_cells, inverse, no_trace, reverse)
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, validate
@@ -492,21 +492,10 @@ class TestCompare:
             compare("lff", 0, 2)
 
     def test_matches_decoded_positions_exhaustively(self):
+        # tests/slow_tier.py runs the same sweep at n = 7 and 8
         for n in range(1, 6):
-            for word in codewords_with_insertions(n):
-                perm = decode(word)
-                cells = insertion_cells(word)
-                for a, b in itertools.combinations(range(len(cells)), 2):
-                    pos_a = perm.ranks.index(a + 1)
-                    pos_b = perm.ranks.index(b + 1)
-                    want = (
-                        PairOrder.ASCENDING
-                        if pos_a < pos_b
-                        else PairOrder.DESCENDING
-                    )
-                    run = compare(word, cells[a], cells[b])
-                    assert run.verdict is want, (word, cells[a], cells[b])
-                    assert run.max_cells_touched <= len(word) + 1
+            odd = compare_sweep(n)[1]
+            assert not odd, (n, odd[:5])
 
     def test_matches_decoded_positions_on_large_words(self):
         # seeded words far past the exhaustive range, where t-runs and star
@@ -679,11 +668,8 @@ class TestAcceptsBasis:
             Basis([[1, 3, 2], [3, 1, 2]]),
         ]
         for n in range(1, 5):
-            for word in codewords_with_insertions(n):
-                perm = decode(word)
-                for basis in bases:
-                    want = avoids_basis(perm, basis)
-                    assert accepts_basis(word, basis).verdict is want
+            odd = avoidance_sweep(n, bases)[1]
+            assert not odd, (n, odd[:5])
 
     def test_matches_oracle_on_random_larger_words(self):
         # half built avoiders, so the full search runs as often as not
