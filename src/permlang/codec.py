@@ -135,9 +135,11 @@ def tokens(word: str) -> Iterator[tuple[int, str]]:
 
     The split of the last word read is kept, so a word that several
     readers take in a row (validate, the stack acceptor, decode) is split
-    once.  Any other word replaces it: one entry cannot grow, and a word
-    that raises is never kept.  The pairing stays lazy, so a reader that
-    stops early pays nothing for the rest.
+    once; an equal word reads it whatever the object.  Any other word
+    replaces it: one entry cannot grow, and a word that raises is never
+    kept.  ``encode`` does not fill the entry, so the readers still check
+    every word it writes.  The pairing stays lazy, so a reader that stops
+    early pays nothing for the rest.
     """
     runs, letters = _split(word)
     return zip(map(len, runs), letters)

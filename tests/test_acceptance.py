@@ -1,5 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
+    01  the worked examples mrlff and mrtltff decode as stated;
+    02  the bijection: every codeword with n <= 7 decodes and encodes back,
+        and passes validate;
+    03  validate, tape.check_legal and the stack acceptor agree on all
+        488,281 words of length <= 8;
+    04  tape.accepts_basis matches the oracle on every codeword with
+        n <= 6 and every pattern with k <= 4;
+    05  Av(123) and Av(1234) to n = 7, along both counting routes;
+    06  the space bound |w|+1 on traced tapes;
+    07  legality and the compare leave a traced tape holding its input,
+        with no further restore;
+    08  the log-log slopes of the step counts;
+    09  the partition language: every word to length 20, and counts to
+        n = 25;
+    10  the primes machine against trial division to n = 200.
+
 Each criterion runs on its own; no unit test repeats its sweep on fewer
 inputs.  Criteria 2-4 call sweeps of ``tests/conftest.py`` that
 ``tests/slow_tier.py`` runs at larger sizes.  Criterion 2 validates every

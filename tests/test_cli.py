@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -428,14 +429,56 @@ class TestHarness:
             assert run_cli(*argv) == run_cli(*argv)
 
 
-def readme_tour():
-    """The argv of every command in the README's CLI tour."""
+def readme_tour_lines():
+    """(argv, comment) of every command in the README's CLI tour, the
+    comment being the text after its #, or "" when it has none."""
     block = (ROOT / "README.md").read_text().split("## CLI tour", 1)[1].split("```")[1]
     return [
-        shlex.split(line, comments=True)[1:]
+        (shlex.split(line, comments=True)[1:], line.partition("#")[2].strip())
         for line in block.splitlines()
         if line.startswith("permlang ")
     ]
+
+
+def readme_tour():
+    """The argv of every command in the README's CLI tour."""
+    return [argv for argv, _ in readme_tour_lines()]
+
+
+# the tour's one comment that states no result; it says the line takes the
+# oracle's path, so its output must be the tape path's
+TOUR_PROSE = {"brute-force path instead of tape"}
+
+
+def test_the_readme_tour_prints_what_its_comments_state():
+    # A comment states the result: the first stdout line (the header after
+    # "CSV: "), then the status as "(exit N)", 0 when none is given, and may
+    # add "; trace on stderr".  A line with no comment must exit 0 and print.
+    for argv, comment in readme_tour_lines():
+        code, out, err = run_cli(*argv)
+        if comment in TOUR_PROSE:
+            assert "--oracle" in argv
+            tape_path = [arg for arg in argv if arg != "--oracle"]
+            assert (code, out) == run_cli(*tape_path)[:2], argv
+            continue
+        body, _, status = comment.partition(" (exit ")
+        result, _, note = body.partition("; ")
+        assert code == (int(status.removesuffix(")")) if status else 0), argv
+        if comment:
+            assert out.splitlines()[0] == result.removeprefix("CSV: "), argv
+        else:
+            assert out, argv
+        assert note in ("", "trace on stderr"), argv
+        assert bool(err) == bool(note), argv
+
+
+def test_the_readme_names_no_private_identifier():
+    # the README states the user's contract; a name that starts with _ or
+    # holds ._ is mechanism, which its module's docstrings describe
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    assert len(spans) > 100
+    assert [span for span in spans if span.startswith("_") or "._" in span] == []
 
 
 def parse(parser, argv):

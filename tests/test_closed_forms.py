@@ -9,7 +9,10 @@ runs every distinct input of its sources once traced, through
 ``BoundedTape.run`` on a tape the row builds and reads, and checks that
 the two runs agree on the verdict, the steps and the cells touched, that
 the tape ends holding its input with the head on the word's last cell,
-and that trace line i starts with step i.
+and that trace line i starts with step i.  A module-scoped fixture runs
+a row's inputs traced once, and each check is its own test over that
+pass, so a failure names the check and the row; each row also pins its
+number of distinct inputs, so a shrunk input set fails.
 
 A traced basis run makes legality from cell 0 and every compare of its
 search from cell n-1, so the basis row checks those on its own words.

@@ -5,26 +5,34 @@ Each file named in ``GOLDEN`` holds what its render function returns:
 - ``golden_counters.json``: ``[verdict, steps, max_cells_touched]`` of
   every tape procedure over a fixed input set, one section a procedure;
 - ``golden_traces.txt``: the full text trace that the tape procedures and
-  the two stack acceptors emit through their ``trace`` callback on a small
-  fixed input set, each run under a ``# <procedure> <arguments>`` header;
-- ``golden_bench.txt``: the CSV that ``permlang bench`` prints for each
-  command of ``BENCH_COMMANDS``, under a ``# <arguments>`` header.  The
-  golden counters stop at n <= 14; ``bench_word`` reaches size 100, where
-  a 33-t run sits inside 33 nested m..f pairs;
+  the two stack acceptors emit through their ``trace`` callback, each run
+  under a ``# <procedure> <arguments>`` header: nine tape runs, four
+  codeword-acceptor runs and four partition-acceptor runs.  One of them,
+  ``accepts_basis 21,123 llf``, avoids its first pattern, so it shows a
+  second pattern's search after the one legality pass and cell scan;
+- ``golden_bench.txt``: the CSV that ``permlang bench`` prints for each of
+  the five commands of ``BENCH_COMMANDS``, under a ``# <arguments>``
+  header.  The golden counters stop at n <= 14; ``bench_word`` reaches
+  size 100, where a 33-t run sits inside 33 nested m..f pairs;
 - ``golden_stack.json``: ``[reason, verdict, pushes, pops, height,
   cursor]`` per word: the ``codec.validate`` reason (null for a legal
   word), then the verdict of the codeword acceptor ``_codewords_on``,
   run on a ``StackMachine`` that the test builds for the word, and that
   machine's push and pop counts, final stack height and final cursor
-  depth;
+  depth, for every word of length <= 5 and 60 seeded long words;
 - ``golden_partition.json``: ``[verdict, pushes, pops, height, cursor]``
-  per word, the same for the partition acceptor ``_partitions_on``.
+  per word, the same for the partition acceptor ``_partitions_on``, for
+  every word over a, b of length <= 10 and 60 seeded words of length
+  11..60.
 
 A change that claims the same machine behaviour must leave every file
 untouched; a change that alters one on purpose regenerates it and states
 the delta:
 
     PYTHONPATH=src python tests/test_golden.py <file> > tests/<file>
+
+A test runs that command for ``golden_traces.txt`` and compares its
+output with the file, byte for byte.
 """
 
 import contextlib
