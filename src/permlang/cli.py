@@ -228,7 +228,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="permlang",
         description="Slot-insertion codec for permutations, with bounded-tape "
@@ -292,19 +293,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_bench)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A freshly built full parser, every subcommand's parser in it."""
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses: built on the first call, not at import, and
-    shared by every later call in the process (parsing leaves it as built)."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers main uses: built on the first call, not at import, and
+    shared by every later call in the process (parsing leaves them as built)."""
+    return _build_parsers()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    # A known subcommand goes straight to its own parser, one argparse pass
+    # where the full parser makes two; anything else gets the full parser's
+    # help or usage error.
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

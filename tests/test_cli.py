@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -414,10 +415,26 @@ class TestBench:
 
 class TestHarness:
     def test_unknown_subcommand_is_usage_error(self):
-        assert run_cli("frobnicate")[0] == 2
+        code, out, err = run_cli("frobnicate")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: permlang [-h]")
+        assert "\npermlang: error: argument command: invalid choice: 'frobnicate'" in err
 
-    def test_unknown_flag_rejected(self):
-        assert run_cli("decode", "f", "--bogus")[0] == 2
+    @pytest.mark.parametrize("argv, message", [
+        (("decode", "f", "--bogus"),
+         "usage: permlang decode [-h] codeword\n"
+         "permlang decode: error: unrecognized arguments: --bogus\n"),
+        (("check", "--pattern", "12", "mrlff", "--bogus"),
+         "usage: permlang check [-h] [--perm PERM] [--pattern PATTERN] [--basis BASIS]\n"
+         "                      [--oracle]\n"
+         "                      [codeword]\n"
+         "permlang check: error: unrecognized arguments: --bogus\n"),
+    ], ids=["decode", "check"])
+    def test_unknown_flag_rejected(self, monkeypatch, argv, message):
+        # the subcommand's own parser reports it; argparse wraps usage to
+        # the terminal's width, so the width is pinned
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(*argv) == (2, "", message)
 
     def test_determinism_byte_identical(self):
         for argv in (
@@ -451,25 +468,31 @@ TOUR_PROSE = {"brute-force path instead of tape"}
 
 
 def test_the_readme_tour_prints_what_its_comments_state():
-    # A comment states the result: the first stdout line (the header after
-    # "CSV: "), then the status as "(exit N)", 0 when none is given, and may
-    # add "; trace on stderr".  A line with no comment must exit 0 and print.
+    # Every line's comment states its result: the first stdout line (the
+    # header after "CSV: "), or "JSON: the rows above" for the previous
+    # line's rows as one JSON object; then the status as "(exit N)", 0 when
+    # none is given, and may add "; trace on stderr".
+    previous = None
     for argv, comment in readme_tour_lines():
         code, out, err = run_cli(*argv)
         if comment in TOUR_PROSE:
             assert "--oracle" in argv
             tape_path = [arg for arg in argv if arg != "--oracle"]
             assert (code, out) == run_cli(*tape_path)[:2], argv
-            continue
-        body, _, status = comment.partition(" (exit ")
-        result, _, note = body.partition("; ")
-        assert code == (int(status.removesuffix(")")) if status else 0), argv
-        if comment:
-            assert out.splitlines()[0] == result.removeprefix("CSV: "), argv
         else:
-            assert out, argv
-        assert note in ("", "trace on stderr"), argv
-        assert bool(err) == bool(note), argv
+            body, _, status = comment.partition(" (exit ")
+            result, _, note = body.partition("; ")
+            assert code == (int(status.removesuffix(")")) if status else 0), argv
+            if result == "JSON: the rows above":
+                assert previous == [arg for arg in argv if arg != "--json"], argv
+                header, *lines = run_cli(*previous)[1].splitlines()
+                rows = [dict(zip(header.split(","), map(int, line.split(",")))) for line in lines]
+                assert json.loads(out) == {"rows": rows}, argv
+            else:
+                assert result and out.splitlines()[0] == result.removeprefix("CSV: "), argv
+            assert note in ("", "trace on stderr"), argv
+            assert bool(err) == bool(note), argv
+        previous = argv
 
 
 def test_the_readme_names_no_private_identifier():
@@ -511,26 +534,61 @@ class TestParserReuse:
         }
         commands = (tour + self.EXTRA)[::order]
         with monkeypatch.context() as fresh:
-            fresh.setattr(cli, "_parser", cli.build_parser)
+            fresh.setattr(cli, "_parsers", cli._build_parsers)
             expected = [run_cli(*argv) for argv in commands]
-        cli._parser.cache_clear()
+
+        seen = []  # what each parse_args call main makes returns, or exits with
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, args=None, namespace=None):
+            try:
+                seen.append(parse_args(parser, args, namespace))
+            except SystemExit as exc:
+                seen.append(exc.code)
+                raise
+            return seen[-1]
+
+        cli._parsers.cache_clear()
         for argv, want in zip(commands, expected):
-            assert run_cli(*argv) == want, argv
+            with monkeypatch.context() as spied:
+                spied.setattr(argparse.ArgumentParser, "parse_args", spy)
+                assert run_cli(*argv) == want, argv
             # the namespace too: a leaked --oracle would not show in the
-            # bytes, since both paths give the same verdicts
-            assert parse(cli._parser(), argv) == parse(cli.build_parser(), argv), argv
-        assert cli._parser.cache_info().currsize == 1
+            # bytes, since both paths give the same verdicts. main hands a
+            # subcommand's argv to that subcommand's parser, so its namespace
+            # lacks only the full parser's "command".
+            full = parse(cli.build_parser(), argv)
+            if isinstance(full, argparse.Namespace):
+                del full.command
+            assert seen == [full], argv
+            seen.clear()
+            assert parse(cli._parsers()[0], argv) == parse(cli.build_parser(), argv), argv
+        assert cli._parsers.cache_info().currsize == 1
+
+    def test_a_subcommand_skips_the_full_parser(self, monkeypatch):
+        top, subcommands = cli._parsers()
+        seen = []
+        parse_args = top.parse_args
+        monkeypatch.setattr(top, "parse_args", lambda argv: seen.append(argv) or parse_args(argv))
+        for argv in readme_tour() + self.EXTRA:
+            if argv[0] in subcommands:
+                run_cli(*argv)
+                assert seen == [], argv
+        for argv, code in (([], 2), (["--help"], 0), (["frobnicate"], 2)):
+            assert run_cli(*argv)[0] == code
+            assert seen == [argv]
+            seen.clear()
 
     def test_main_builds_the_parser_once(self, monkeypatch):
         builds = []
-        build = cli.build_parser
+        build = cli._build_parsers
 
         def counted():
             builds.append(1)
             return build()
 
-        monkeypatch.setattr(cli, "build_parser", counted)
-        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "_build_parsers", counted)
+        cli._parsers.cache_clear()
         for argv in readme_tour()[:7] * 3 + self.EXTRA:
             run_cli(*argv)
         assert len(builds) == 1
@@ -588,7 +646,7 @@ def test_python_dash_m_runs_the_cli():
 def test_import_builds_no_parser():
     # every workload imports cli; the first main call pays for the parser
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    probe = "from permlang import cli; print(cli._parser.cache_info().currsize)"
+    probe = "from permlang import cli; print(cli._parsers.cache_info().currsize)"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
