@@ -3,7 +3,7 @@
 Results go to standard output, diagnostics and traces to standard error.
 Exit status 0 means success/accept, 1 means reject/false, 2 means a usage
 or input error.  Output is deterministic: identical argv yields identical
-bytes.
+bytes, and help and usage text wrap at 78 columns whatever the terminal.
 """
 
 from __future__ import annotations
@@ -228,9 +228,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Wraps help and usage at 78 columns, not the terminal's width; each
+    subcommand's parser is one too, as add_subparsers copies the class."""
+
+    def __init__(self, **kwargs):
+        formatter = functools.partial(argparse.HelpFormatter, width=78)
+        super().__init__(formatter_class=formatter, **kwargs)
+
+
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The full parser, and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permlang",
         description="Slot-insertion codec for permutations, with bounded-tape "
         "and stack acceptors, pattern-avoidance checks, and enumeration.",

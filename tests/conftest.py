@@ -11,6 +11,9 @@ its inputs:
   against its traced run;
 - ``test_golden.py`` freezes the machines' exact bytes in five golden
   files;
+- ``test_trace_bytes`` in ``test_cli.py`` holds the CLI's trace bytes: each
+  golden trace run that a ``--trace`` command reaches, run through
+  ``cli.main``, with its verdict line and exit status;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 

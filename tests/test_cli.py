@@ -10,8 +10,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from test_golden import TRACE_RUNS
 
-from permlang import cli, codec, counting
+from permlang import cli, codec, counting, stackmachine, tape
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,6 +67,14 @@ class TestDecodeEncode:
         assert (code, out) == (2, "")
         assert bad in err
 
+    def test_long_codeword_round_trip(self):
+        # 1 31 2 32 ... 30 60: its codeword's t-runs grow to 28 letters
+        ranks = " ".join(f"{i} {i + 30}" for i in range(1, 31))
+        code, word, _ = run_cli("encode", *ranks.split())
+        assert code == 0 and max(map(len, re.findall("t+", word))) == 28
+        assert run_cli("validate", "--machine", "stack", word.strip()) == (0, "true\n", "")
+        assert run_cli("decode", word.strip()) == (0, ranks + "\n", "")
+
 
 class TestValidate:
     def test_false_with_reason(self):
@@ -80,12 +89,6 @@ class TestValidate:
     def test_machines_agree(self, machine):
         assert run_cli("validate", "mrtltff", "--machine", machine)[0] == 0
         assert run_cli("validate", "mmff", "--machine", machine)[0] == 1
-
-    def test_lba_trace_goes_to_stderr(self):
-        code, out, err = run_cli("validate", "f", "--machine", "lba", "--trace")
-        assert code == 0
-        assert out == "true\n"
-        assert "read" in err
 
     @pytest.mark.parametrize("argv", [
         ("mf", "--trace"),
@@ -258,13 +261,6 @@ class TestSimulate:
             assert (code, out) == (2, "")
             assert "'x'" in err
 
-    def test_partitions_trace(self):
-        code, _, err = run_cli(
-            "simulate", "--machine", "partitions", "--word", "abb", "--trace"
-        )
-        assert code == 0
-        assert len(err.strip().splitlines()) == 3
-
     def test_missing_argument(self):
         for machine, option in (("primes", "--n"), ("partitions", "--word")):
             message = f"error: --machine {machine} needs {option}\n"
@@ -430,20 +426,47 @@ class TestHarness:
          "                      [codeword]\n"
          "permlang check: error: unrecognized arguments: --bogus\n"),
     ], ids=["decode", "check"])
-    def test_unknown_flag_rejected(self, monkeypatch, argv, message):
-        # the subcommand's own parser reports it; argparse wraps usage to
-        # the terminal's width, so the width is pinned
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_unknown_flag_rejected(self, argv, message):
+        # the subcommand's own parser reports it
         assert run_cli(*argv) == (2, "", message)
 
-    def test_determinism_byte_identical(self):
-        for argv in (
-            ("enumerate", "--basis", "123,3142", "--n-max", "5"),
-            ("bivariate", "--n", "5"),
-            ("decode", "mrtltff"),
-            ("bench", "--suite", "compare", "--sizes", "10..13"),
-        ):
-            assert run_cli(*argv) == run_cli(*argv)
+    def test_determinism_byte_identical(self, monkeypatch):
+        # the bytes do not depend on COLUMNS, the width argparse would wrap to
+        argvs = [["--help"], ["frobnicate"], ["decode", "f", "--bogus"]]
+        argvs += [["check", "--pattern", "12", "mrlff", "--bogus"]]
+        argvs += [[name, "--help"] for name in cli._parsers()[1]]
+        monkeypatch.delenv("COLUMNS", raising=False)
+        unset = [run_cli(*argv) for argv in argvs]
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            assert [run_cli(*argv) for argv in argvs] == unset, columns
+
+
+# The argv that traces each golden procedure through the CLI, the run's one
+# argument last; the CLI runs compare and accepts_basis untraced only.
+TRACE_ARGV = {
+    tape.check_legal: "validate --trace --machine lba",
+    tape.is_prime: "simulate --trace --machine primes --n",
+    stackmachine.accepts_codewords: "validate --trace --machine stack",
+    stackmachine.accepts_partition_language: "simulate --trace --machine partitions --word",
+}
+CLI_TRACE_RUNS = [run for run in TRACE_RUNS if run[1] not in (tape.compare, tape.accepts_basis)]
+
+
+@pytest.mark.parametrize("header, procedure, arg", CLI_TRACE_RUNS, ids=[r[0] for r in CLI_TRACE_RUNS])
+def test_trace_bytes(header, procedure, arg):
+    # stderr is the golden run's trace, stdout the verdict line, and the
+    # exit status 0 on accept, 1 on reject
+    lines = []
+    run = procedure(arg, lines.append)
+    ok = bool(run.verdict if isinstance(run, tape.TapeRun) else run)
+    command, *options = TRACE_ARGV[procedure].split()
+    if command == "validate":
+        verdict = "true" if ok else f"false {codec.validate(arg).reason}"
+    else:
+        verdict = "accept" if ok else "reject"
+    trace = "".join(line + "\n" for line in lines)
+    assert run_cli(command, *options, str(arg)) == (0 if ok else 1, verdict + "\n", trace)
 
 
 def readme_tour_lines():
