@@ -6,44 +6,4 @@ tape and on a stack automaton, and cross-validates everything against
 brute-force enumeration.
 """
 
-from . import counting, stackmachine, tape
-from .codec import (
-    ALPHABET,
-    IllegalCodewordError,
-    Legality,
-    codewords_with_insertions,
-    decode,
-    encode,
-    validate,
-)
-from .permutations import (
-    Basis,
-    CapExceededError,
-    Permutation,
-    all_permutations,
-    avoids_basis,
-    contains_pattern,
-    order_isomorphic,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALPHABET",
-    "Basis",
-    "CapExceededError",
-    "IllegalCodewordError",
-    "Legality",
-    "Permutation",
-    "all_permutations",
-    "avoids_basis",
-    "codewords_with_insertions",
-    "contains_pattern",
-    "counting",
-    "decode",
-    "encode",
-    "order_isomorphic",
-    "stackmachine",
-    "tape",
-    "validate",
-]

@@ -39,13 +39,13 @@ DEFAULT_AVOID_PATTERN = "21"
 
 
 def _parse_pattern(text: str) -> Permutation:
-    """One pattern: a digit string like 3142, or quoted space-separated ranks
-    for patterns longer than nine."""
-    text = text.strip()
-    if not text:
+    """One pattern: a digit string like 3142, or quoted whitespace-separated
+    ranks for patterns longer than nine."""
+    tokens = text.split()
+    if not tokens:
         raise ValueError("empty pattern")
-    if " " not in text:
-        text = " ".join(text)  # digit form: one entry per character
+    if len(tokens) == 1:
+        text = " ".join(tokens[0])  # digit form: one entry per character
     return Permutation.from_text(text)
 
 
@@ -94,7 +94,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     trace = _stderr_trace if args.trace else None
     verdict = None
     if args.machine == "lba":
-        ok = bool(tape.check_legal(args.codeword, trace=trace).verdict)
+        ok = tape.check_legal(args.codeword, trace=trace).verdict
     elif args.machine == "stack":
         ok = stackmachine.accepts_codewords(args.codeword, trace=trace)
     else:
@@ -127,7 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if args.oracle or len(perm) == 0:
             ok = avoids_basis(perm, basis)
         else:
-            ok = bool(tape.accepts_basis(codec.encode(perm), basis).verdict)
+            ok = tape.accepts_basis(codec.encode(perm), basis).verdict
     elif args.oracle:
         # decode checks the word while decoding it, raising
         # IllegalCodewordError (a ValueError) with the validate reason
@@ -136,7 +136,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         verdict = codec.validate(args.codeword)
         if not verdict:
             raise codec.IllegalCodewordError(args.codeword, verdict.reason)
-        ok = bool(tape.accepts_basis(args.codeword, basis).verdict)
+        ok = tape.accepts_basis(args.codeword, basis).verdict
     print("avoid" if ok else "contain")
     return EXIT_OK if ok else EXIT_REJECT
 
@@ -163,7 +163,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.n is None:
             raise ValueError("--machine primes needs --n")
         check_size(args.n, DEFAULT_PRIMES_CAP if args.cap is None else args.cap, "--n")
-        ok = bool(tape.is_prime(args.n, trace=trace).verdict)
+        ok = tape.is_prime(args.n, trace=trace).verdict
     else:
         if args.n is not None:
             raise ValueError("--n is only for --machine primes")
@@ -303,11 +303,6 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.set_defaults(func=_cmd_bench)
 
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """A freshly built full parser, every subcommand's parser in it."""
-    return _build_parsers()[0]
 
 
 @functools.cache

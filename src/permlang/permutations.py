@@ -43,12 +43,16 @@ class Permutation:
 
     Any sequence of distinct numbers is accepted and normalized to its rank
     sequence, since every notion used here (containment, avoidance, order
-    isomorphism) depends only on relative order.
+    isomorphism) depends only on relative order.  A string raises
+    TypeError rather than being ranked character by character: text goes
+    through ``from_text``.
     """
 
     __slots__ = ("_ranks",)
 
     def __init__(self, values: Iterable[float]) -> None:
+        if isinstance(values, (str, bytes)):
+            raise TypeError(f"parse text with Permutation.from_text, got {values!r}")
         vals = tuple(values)
         if len(set(vals)) != len(vals):
             raise ValueError(f"permutation entries must be distinct, got {vals}")
@@ -64,9 +68,6 @@ class Permutation:
 
     def __iter__(self):
         return iter(self._ranks)
-
-    def __getitem__(self, index: int) -> int:
-        return self._ranks[index]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Permutation):
@@ -143,9 +144,6 @@ class Basis:
 
     def __len__(self) -> int:
         return len(self._patterns)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._patterns
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Basis):

@@ -33,8 +33,7 @@ mark is |w| cells (one for the empty word).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .codec import check_letters, validate
@@ -63,19 +62,11 @@ class TapeFault(RuntimeError):
     """A procedure broke the machine model (out of bounds, bad restoration)."""
 
 
-class PairOrder(Enum):
-    """Relative position of two inserted entries: the earlier-inserted entry
-    either ends up to the left (ascending, "12") or to the right ("21")."""
-
-    ASCENDING = "12"
-    DESCENDING = "21"
-
-
 @dataclass(frozen=True)
 class TapeRun:
     """Outcome of one tape procedure, with its exact resource counters."""
 
-    verdict: bool | PairOrder
+    verdict: bool
     steps: int
     max_cells_touched: int
 
@@ -586,6 +577,8 @@ def _compare_row(word: str, cells: list[int], a: int, head: int) -> Row:
 def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> TapeRun:
     """Decide whether the entry inserted at x_pos lands before or after the
     one inserted at y_pos, on a bounded tape, which ends holding the word.
+    The verdict is True when y's entry lands left of x's (descending,
+    "21") and False when it lands right of it (ascending, "12").
 
     Preconditions (violations raise ValueError): x_pos < y_pos, both cells
     hold insertion letters, and the word is a legal codeword.
@@ -601,10 +594,8 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     cells = _insertion_cells(word)
     a, b = cells.index(x_pos), cells.index(y_pos)
     if trace is None:
-        run = TapeRun(*_compare_row(word, cells, a, 0)[b - a - 1], n)
-    else:
-        run = BoundedTape(word, trace).run(_compare_on_tape, cells, a, b)
-    return replace(run, verdict=PairOrder.DESCENDING if run.verdict else PairOrder.ASCENDING)
+        return TapeRun(*_compare_row(word, cells, a, 0)[b - a - 1], n)
+    return BoundedTape(word, trace).run(_compare_on_tape, cells, a, b)
 
 
 # --- pattern avoidance -----------------------------------------------------

@@ -80,7 +80,7 @@ def legality_sweep(length):
         direct = bool(validate(word))
         run = tape.check_legal(word)
         if (
-            run.verdict != direct
+            run.verdict is not direct
             or run.max_cells_touched != (length or 1)
             or stackmachine.accepts_codewords(word) != direct
         ):
@@ -146,10 +146,9 @@ def compare_sweep(n):
         ranks = decode(word).ranks
         cells = insertion_cells(word)
         for a, b in itertools.combinations(range(n), 2):
-            ascending = ranks.index(a + 1) < ranks.index(b + 1)
-            want = tape.PairOrder.ASCENDING if ascending else tape.PairOrder.DESCENDING
+            descending = ranks.index(a + 1) > ranks.index(b + 1)
             run = tape.compare(word, cells[a], cells[b])
-            if run.verdict is not want or run.max_cells_touched > len(word) + 1:
+            if run.verdict is not descending or run.max_cells_touched > len(word) + 1:
                 odd.append((word, cells[a], cells[b]))
             checked += 1
     if checked != math.factorial(n) * math.comb(n, 2):

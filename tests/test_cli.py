@@ -180,6 +180,14 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert named in err
 
+    @pytest.mark.parametrize("option, rest", [("--pattern", ""), ("--basis", ",321")])
+    def test_pattern_ranks_split_on_any_whitespace(self, option, rest):
+        # a pattern longer than nine is written as ranks, which tabs and
+        # outer whitespace separate as single spaces do
+        ranks = " ".join(map(str, [10, *range(1, 10)]))
+        for text in (ranks, ranks.replace(" ", "\t"), f" {ranks}\n"):
+            assert run_cli("check", option, text + rest, "--perm", ranks) == (1, "contain\n", "")
+
     def test_needs_exactly_one_input(self):
         assert run_cli("check", "--pattern", "12")[0] == 2
         assert run_cli("check", "--pattern", "12", "rf", "--perm", "2 1")[0] == 2
@@ -459,7 +467,7 @@ def test_trace_bytes(header, procedure, arg):
     # exit status 0 on accept, 1 on reject
     lines = []
     run = procedure(arg, lines.append)
-    ok = bool(run.verdict if isinstance(run, tape.TapeRun) else run)
+    ok = run.verdict if isinstance(run, tape.TapeRun) else run
     command, *options = TRACE_ARGV[procedure].split()
     if command == "validate":
         verdict = "true" if ok else f"false {codec.validate(arg).reason}"
@@ -580,12 +588,12 @@ class TestParserReuse:
             # bytes, since both paths give the same verdicts. main hands a
             # subcommand's argv to that subcommand's parser, so its namespace
             # lacks only the full parser's "command".
-            full = parse(cli.build_parser(), argv)
+            full = parse(cli._build_parsers()[0], argv)
             if isinstance(full, argparse.Namespace):
                 del full.command
             assert seen == [full], argv
             seen.clear()
-            assert parse(cli._parsers()[0], argv) == parse(cli.build_parser(), argv), argv
+            assert parse(cli._parsers()[0], argv) == parse(cli._build_parsers()[0], argv), argv
         assert cli._parsers.cache_info().currsize == 1
 
     def test_a_subcommand_skips_the_full_parser(self, monkeypatch):
@@ -616,8 +624,8 @@ class TestParserReuse:
             run_cli(*argv)
         assert len(builds) == 1
 
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
+    def test_build_parsers_returns_fresh_parsers(self):
+        assert cli._build_parsers()[0] is not cli._build_parsers()[0]
 
 
 class TestValidateCalls:

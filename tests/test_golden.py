@@ -118,7 +118,8 @@ def render_counters() -> str:
     table: dict[str, dict[str, list]] = {}
     for section, key, procedure, args in counter_runs():
         run = procedure(*args)
-        verdict = run.verdict.value if isinstance(run.verdict, tape.PairOrder) else run.verdict
+        # a compare's verdict is written as the pair's order: 21 is descending
+        verdict = ("21" if run.verdict else "12") if section == "compare" else run.verdict
         table.setdefault(section, {})[key] = [verdict, run.steps, run.max_cells_touched]
     sections = []
     for name, rows in table.items():

@@ -30,6 +30,8 @@ def test_text_roundtrip():
     assert p.to_text() == "3 4 2 1 5"
     assert Permutation.from_text("3 4 2 1 5") == p
     assert Permutation.from_text("") == Permutation([])
+    # any run of whitespace separates, and outer whitespace is ignored
+    assert Permutation.from_text(" 2\t4  1 3 ") == Permutation.from_text("2 4 1 3")
     with pytest.raises(ValueError):
         Permutation.from_text("3 x 1")
     # text is never rank-normalized: the entries must be exactly 1..k
@@ -37,6 +39,15 @@ def test_text_roundtrip():
     for line in ("5 9", "1 3", "2 1 2", "0 1", "01 2", "\u0661 \u0662", "1 \u00b2"):
         with pytest.raises(ValueError):
             Permutation.from_text(line)
+
+
+def test_constructor_refuses_text():
+    # ranked character by character, "1 2" would be [2, 1, 3]
+    for values in ("1 2", "132", b"12"):
+        with pytest.raises(TypeError, match="from_text"):
+            Permutation(values)
+    with pytest.raises(TypeError, match="from_text"):
+        Basis(["1 2"])
 
 
 def test_of_ranks_matches_the_constructor():

@@ -16,7 +16,6 @@ from permlang.tape import (
     DAGGER,
     DOUBLE_STAR,
     NO_MARK,
-    PairOrder,
     STAR,
     TapeFault,
     TapeRun,
@@ -37,7 +36,7 @@ def search(word, q):
 
     def descending(chosen, a, y):
         made.append((tuple(cells[c] for c in chosen), cells[chosen[a]], cells[y]))
-        return compare(word, cells[chosen[a]], cells[y]).verdict is PairOrder.DESCENDING
+        return compare(word, cells[chosen[a]], cells[y]).verdict
 
     return tape._avoids(cells, tuple(q), descending), made
 
@@ -449,9 +448,9 @@ class TestCompare:
     @pytest.mark.parametrize(
         "word, x, y, expected",
         [
-            ("mrlff", 0, 1, PairOrder.DESCENDING),
-            ("lf", 0, 1, PairOrder.ASCENDING),
-            ("rf", 0, 1, PairOrder.DESCENDING),
+            ("mrlff", 0, 1, True),
+            ("lf", 0, 1, False),
+            ("rf", 0, 1, True),
         ],
     )
     def test_examples(self, word, x, y, expected):
@@ -507,7 +506,7 @@ class TestCompare:
             cells = insertion_cells(word)
             for _ in range(6):
                 a, b = sorted(rng.sample(range(1, n + 1), 2))
-                want = PairOrder.ASCENDING if p.index(a) < p.index(b) else PairOrder.DESCENDING
+                want = p.index(a) > p.index(b)  # descending
                 run = compare(word, cells[a - 1], cells[b - 1])
                 assert run.verdict is want, (p, a, b)
 
@@ -778,7 +777,7 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
         # a real word for each public function; the basis run reaches its
         # second pattern
         (check_legal, ("mrlff",), TapeRun(True, 67, 5)),
-        (compare, ("mrtff", 0, 4), TapeRun(PairOrder.DESCENDING, 64, 5)),
+        (compare, ("mrtff", 0, 4), TapeRun(True, 64, 5)),
         (accepts_basis, ("mrtltff", Basis([[1, 3, 2], [4, 3, 2, 1]])), TapeRun(True, 1533, 7)),
         (is_prime, (12,), TapeRun(False, 73, 12)),
     ]
@@ -795,10 +794,13 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
                 compare(word, x, y)
     for n in range(1, 60):
         is_prime(n)
+    # == alone would let a verdict of 1 pass for True
     for procedure, args, run in pinned:
-        assert procedure(*args) == run, procedure
+        got = procedure(*args)
+        assert got == run and got.verdict is run.verdict, procedure
     assert built == []
     # the spy sees a traced run, and the traced runs pin the same counters
     for procedure, args, run in pinned:
-        assert procedure(*args, no_trace) == run, procedure
+        got = procedure(*args, no_trace)
+        assert got == run and got.verdict is run.verdict, procedure
     assert built == ["", "a", "", "mrlff", "mrtff", "mrtltff", "a" * 12]
