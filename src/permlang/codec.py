@@ -52,18 +52,17 @@ REASON_UNFILLED = "unfilled-slots"
 class Legality:
     """Verdict of validate(); falsy verdicts carry a machine-readable reason."""
 
-    ok: bool
     reason: str | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.reason is None
 
 
 # Verdicts are frozen, so validate hands out shared ones: building a fresh
 # one is a large share of the time to scan a short word.
-_LEGAL = Legality(True)
+_LEGAL = Legality()
 _ILLEGAL = {
-    reason: Legality(False, reason)
+    reason: Legality(reason)
     for reason in (
         REASON_EMPTY,
         REASON_T_OVERFLOW,

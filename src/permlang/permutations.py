@@ -38,25 +38,33 @@ def is_positive_decimal(token: str) -> bool:
     return token.isascii() and token.isdigit() and token[0] != "0"
 
 
+_TEXT = (str, bytes, bytearray)
+
+
 class Permutation:
     """An immutable permutation stored as ranks 1..n.
 
     Any sequence of distinct numbers is accepted and normalized to its rank
     sequence, since every notion used here (containment, avoidance, order
-    isomorphism) depends only on relative order.  A string raises
-    TypeError rather than being ranked character by character: text goes
-    through ``from_text``.
+    isomorphism) depends only on relative order.  Text raises TypeError
+    rather than being ranked character by character or entry by entry:
+    it goes through ``from_text``.
     """
 
     __slots__ = ("_ranks",)
 
     def __init__(self, values: Iterable[float]) -> None:
-        if isinstance(values, (str, bytes)):
+        if isinstance(values, _TEXT):
             raise TypeError(f"parse text with Permutation.from_text, got {values!r}")
         vals = tuple(values)
         if len(set(vals)) != len(vals):
             raise ValueError(f"permutation entries must be distinct, got {vals}")
-        rank = {v: i + 1 for i, v in enumerate(sorted(vals))}
+        ordered = sorted(vals)
+        # sorted raises on text mixed with numbers, so the first entry
+        # tells whether all of them are text
+        if ordered and isinstance(ordered[0], _TEXT):
+            raise TypeError(f"parse text with Permutation.from_text, got {vals!r}")
+        rank = {v: i + 1 for i, v in enumerate(ordered)}
         self._ranks = tuple(rank[v] for v in vals)
 
     @property

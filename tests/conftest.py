@@ -11,6 +11,10 @@ its inputs:
   against its traced run;
 - ``test_golden.py`` freezes the machines' exact bytes in five golden
   files;
+- ``cli_cases.py`` holds the CLI's bytes: one row per argv whose check is
+  its exact exit status, stdout and stderr.  ``test_cli.py`` runs every
+  row through ``cli.main``, and CI's ``console-script`` job runs the file
+  as a script on the installed ``permlang``;
 - ``test_trace_bytes`` in ``test_cli.py`` holds the CLI's trace bytes: each
   golden trace run that a ``--trace`` command reaches, run through
   ``cli.main``, with its verdict line and exit status;
@@ -32,6 +36,7 @@ checked, failures):
 - ``round_trip_sweep(n)``: acceptance 02;
 - ``avoidance_sweep(n, bases)``: acceptance 04 and ``TestAcceptsBasis``;
 - ``compare_sweep(n)``: ``TestCompare``;
+- ``reverse_sweep(n, bases)``: ``test_reverse.py``;
 - ``symmetry_sweep(n)``: ``TestSequence``.
 
 Golden files.  ``assert_golden`` compares a golden file's bytes with what
@@ -64,7 +69,7 @@ import random
 from pathlib import Path
 
 from permlang import stackmachine, tape
-from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, validate
+from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, tokens, validate
 from permlang.counting import sequence
 from permlang.permutations import Basis, Permutation, all_permutations, avoids_basis
 
@@ -129,6 +134,42 @@ def avoidance_sweep(n, bases):
         for basis in bases:
             run = tape.accepts_basis(word, basis)
             if run.verdict is not avoids_basis(perm, basis) or run.max_cells_touched != len(word):
+                odd.append((word, basis))
+            checked += 1
+    if checked != math.factorial(n) * len(bases):
+        odd.append(f"{checked} word/basis pairs checked")
+    return checked, odd
+
+
+_MIRROR = str.maketrans("lr", "rl")
+
+
+def reverse_codeword(word):
+    """The codeword of the reverse of a legal word's permutation.  With s
+    open slots before a token, slot j+1 from the left is slot s - j from
+    the right, so the token (run j, letter) becomes s - 1 - j t's and the
+    letter with l and r swapped; m and f keep their slot change."""
+    out, slots = [], 1
+    for run, letter in tokens(word):
+        out += "t" * (slots - 1 - run), letter.translate(_MIRROR)
+        slots += (letter == "m") - (letter == "f")
+    return "".join(out)
+
+
+def reverse_sweep(n, bases):
+    """The reverse relation at one n: (word/basis pairs checked, failures)
+    over the codewords with n insertion letters and each basis.  A pair
+    fails unless tape.accepts_basis gives the reversed word against the
+    reversed patterns the verdict it gives the word against the basis.
+    The search meets the insertions in another order, so the two runs'
+    steps mostly differ; no oracle takes part."""
+    pairs = [(basis, Basis(p.ranks[::-1] for p in basis)) for basis in bases]
+    checked, odd = 0, []
+    for word in codewords_with_insertions(n):
+        mirrored = reverse_codeword(word)
+        for basis, reversed_basis in pairs:
+            verdict = tape.accepts_basis(word, basis).verdict
+            if tape.accepts_basis(mirrored, reversed_basis).verdict is not verdict:
                 odd.append((word, basis))
             checked += 1
     if checked != math.factorial(n) * len(bases):

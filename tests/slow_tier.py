@@ -11,16 +11,16 @@ at n = 9 against pinned counts; every other row is a sweep of
 ``tests/conftest.py`` that tier-1 runs at smaller sizes (tier-1's
 ``test_slow_tier.py`` checks that each row here is larger).  The script
 prints one line per row with its count and seconds, and exits 1 if any
-row fails, naming its first failures.  The rows take 6 min 8 s in all
-on a 2-core VM with CPython 3.11.7; CI runs the script in its
-``slow-tier`` job.
+row fails, naming its first failures.  The rows took 6 min 8 s in all
+on a 2-core VM with CPython 3.11.7 before the reverse row, which takes
+7.7 s more there; CI runs the script in its ``slow-tier`` job.
 """
 
 import sys
 import time
 
 from conftest import (SHORT_PATTERNS, avoidance_sweep, compare_sweep, legality_sweep,
-                      round_trip_sweep, symmetry_sweep)
+                      reverse_sweep, round_trip_sweep, symmetry_sweep)
 
 from permlang.counting import CountMismatchError, count_avoiders
 from permlang.permutations import Basis
@@ -55,6 +55,8 @@ ROWS = [
        avoidance_sweep, n, SHORT_PATTERNS) for n in (7, 8)),
     *(("compares of codewords with n={} that order their values as the decode does",
        compare_sweep, n) for n in (7, 8)),
+    ("codeword/pattern pairs with n={} that accepts_basis judges as their reverses",
+     reverse_sweep, 7, SHORT_PATTERNS),
 ]
 
 

@@ -42,12 +42,14 @@ def test_text_roundtrip():
 
 
 def test_constructor_refuses_text():
-    # ranked character by character, "1 2" would be [2, 1, 3]
-    for values in ("1 2", "132", b"12"):
+    # ranked character by character, "1 2" would be [2, 1, 3]; ranked
+    # entry by entry, ["1", "10", "2"] would be [1, 2, 3]
+    for values in ("1 2", "132", b"12", bytearray(b"12"), ["1", "10", "2"], [b"2", b"10"]):
         with pytest.raises(TypeError, match="from_text"):
             Permutation(values)
-    with pytest.raises(TypeError, match="from_text"):
-        Basis(["1 2"])
+    for patterns in (["1 2"], [["1", "10", "2"]]):
+        with pytest.raises(TypeError, match="from_text"):
+            Basis(patterns)
 
 
 def test_of_ranks_matches_the_constructor():

@@ -1,14 +1,16 @@
 import slow_tier
-from conftest import (avoidance_sweep, compare_sweep, legality_sweep, round_trip_sweep,
-                      symmetry_sweep)
+from conftest import (avoidance_sweep, compare_sweep, legality_sweep, reverse_sweep,
+                      round_trip_sweep, symmetry_sweep)
 
 # the largest size tier-1 runs each check at: acceptance 03, 02 and 04,
-# TestCompare, TestSequence's symmetries and its pinned counts
+# TestCompare, test_reverse.py, TestSequence's symmetries and its pinned
+# counts
 TIER_1_LARGEST = {
     legality_sweep: 8,
     round_trip_sweep: 7,
     avoidance_sweep: 6,
     compare_sweep: 5,
+    reverse_sweep: 5,
     symmetry_sweep: 6,
     slow_tier.pinned_count: 7,
 }
