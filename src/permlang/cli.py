@@ -13,7 +13,7 @@ import bisect
 import functools
 import math
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import codec, counting, stackmachine, tape
 from .permutations import (

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .permutations import DEFAULT_ENUMERATION_CAP, Permutation, check_size
 
@@ -48,11 +48,11 @@ REASON_TRAILING = "trailing-non-f"
 REASON_UNFILLED = "unfilled-slots"
 
 
-@dataclass(frozen=True)
-class Legality:
-    """Verdict of validate(); falsy verdicts carry a machine-readable reason."""
+class Legality(namedtuple("Legality", "reason", defaults=(None,))):
+    """Verdict of validate(); falsy verdicts carry a machine-readable reason.
+    A named tuple: it equals, and unpacks like, the tuple ``(reason,)``."""
 
-    reason: str | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.reason is None

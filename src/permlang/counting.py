@@ -12,8 +12,7 @@ cross-check the stack automaton's partition-word language.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, astuple, dataclass, fields
+from collections import namedtuple
 
 from . import tape
 from .codec import codewords_with_insertions
@@ -29,41 +28,43 @@ class CountMismatchError(RuntimeError):
     """The counting routes disagreed; carries the offending row as ``row``."""
 
     def __init__(self, row: CountRow) -> None:
-        counts = " != ".join(f"{f.name} {getattr(row, f.name)}" for f in fields(row)[1:])
+        counts = " != ".join(f"{name} {count}" for name, count in zip(row._fields[1:], row[1:]))
         super().__init__(f"count mismatch at n={row.n}: {counts}")
         self.row = row
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(namedtuple("CountRow", "n brute codeword")):
     """The number of length-n avoiders, once per route: each field after
-    ``n`` is a route, and construction refuses routes that disagree."""
+    ``n`` is a route, and construction refuses routes that disagree.  A
+    named tuple: it equals, and unpacks like, the tuple of its fields."""
 
-    n: int
-    brute: int
-    codeword: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(astuple(self)[1:])) > 1:
-            raise CountMismatchError(self)
+    def __new__(cls, n: int, brute: int, codeword: int) -> CountRow:
+        row = super().__new__(cls, n, brute, codeword)
+        if len(set(row[1:])) > 1:
+            raise CountMismatchError(row)
+        return row
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Rows for n = 0, 1, ..., one column per ``CountRow`` field."""
+class CountTable(namedtuple("CountTable", "rows")):
+    """Rows for n = 0, 1, ..., one column per ``CountRow`` field.  A named
+    tuple: it equals, and unpacks like, the tuple ``(rows,)``."""
 
-    rows: tuple[CountRow, ...]
+    __slots__ = ()
 
     def counts(self) -> tuple[int, ...]:
         return tuple(row.brute for row in self.rows)
 
     def to_csv(self) -> str:
-        lines = [",".join(f.name for f in fields(CountRow))]
-        lines.extend(",".join(map(str, astuple(row))) for row in self.rows)
+        lines = [",".join(CountRow._fields)]
+        lines.extend(",".join(map(str, row)) for row in self.rows)
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps({"rows": [asdict(row) for row in self.rows]})
+        import json  # here, so that importing the package does not load json
+
+        return json.dumps({"rows": [row._asdict() for row in self.rows]})
 
 
 def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> CountRow:

@@ -11,7 +11,7 @@ cache, no table and no further pruning.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 DEFAULT_ENUMERATION_CAP = 10
 

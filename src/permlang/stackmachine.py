@@ -16,7 +16,7 @@ the public functions run it on a fresh machine and return the verdict.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .codec import check_letters, tokens
 

@@ -33,8 +33,8 @@ mark is |w| cells (one for the empty word).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .codec import check_letters, validate
 from .permutations import Basis, check_size
@@ -62,13 +62,11 @@ class TapeFault(RuntimeError):
     """A procedure broke the machine model (out of bounds, bad restoration)."""
 
 
-@dataclass(frozen=True)
-class TapeRun:
-    """Outcome of one tape procedure, with its exact resource counters."""
+class TapeRun(namedtuple("TapeRun", "verdict steps max_cells_touched")):
+    """Outcome of one tape procedure, with its exact resource counters.
+    A named tuple: it equals, and unpacks like, the tuple of its fields."""
 
-    verdict: bool
-    steps: int
-    max_cells_touched: int
+    __slots__ = ()
 
 
 class BoundedTape:

@@ -42,6 +42,14 @@ CASES = [
     ("validate mmff --machine direct", 1, "false unfilled-slots\n", ""),
     ("validate mmff --machine lba", 1, "false unfilled-slots\n", ""),
     ("validate mmff --machine stack", 1, "false unfilled-slots\n", ""),
+    # a t-run that passes the cursor by two or more: the stack trace stops
+    # at the first t that fails, with no line for the rest of the run
+    ("validate --machine stack --trace ttf", 1, "false t-overflow\n",
+     "0\tt\tstate=fail\tcursor=0\theight=0\n"),
+    ("validate --machine stack --trace mtttff", 1, "false t-overflow\n",
+     "0\tm\tstate=start\tcursor=1\theight=1\n"
+     "1\tt\tstate=start\tcursor=0\theight=1\n"
+     "2\tt\tstate=fail\tcursor=0\theight=1\n"),
     ("validate mf --trace", 2, "", "error: --trace is only for --machine lba or stack\n"),
     ("validate mf --trace --machine direct", 2, "",
      "error: --trace is only for --machine lba or stack\n"),

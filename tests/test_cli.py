@@ -402,3 +402,22 @@ def test_import_builds_no_parser():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+def test_import_loads_only_what_a_request_uses():
+    # a one-shot request pays for every module the import loads. pytest
+    # itself loads all four modules below, so the probe runs in a fresh
+    # interpreter, with -S so that site loads none of them either; it
+    # checks which modules load and times nothing
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys\n"
+        "from permlang import cli\n"
+        "early = [m for m in ('dataclasses', 'inspect', 'json', 'typing') if m in sys.modules]\n"
+        "cli.main(['enumerate', '--basis', '123', '--n-max', '3', '--json'])\n"
+        "print(early, 'json' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "[] True", "")

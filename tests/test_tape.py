@@ -749,11 +749,33 @@ class TestIsPrime:
             is_prime(0)
 
 
-def test_taperun_is_frozen():
-    run = check_legal("f")
-    assert isinstance(run, TapeRun)
+# the package's four records: each is a named tuple, so it is immutable,
+# prints its fields by name, hashes as its fields and equals a plain tuple of
+# them; (record, a field, repr, truth)
+RECORDS = [
+    (check_legal("f"), "steps", "TapeRun(verdict=True, steps=3, max_cells_touched=1)", True),
+    (codec.Legality(), "reason", "Legality(reason=None)", True),
+    (validate("tf"), "reason", "Legality(reason='t-overflow')", False),
+    (counting.CountRow(2, 2, 2), "brute", "CountRow(n=2, brute=2, codeword=2)", True),
+    (counting.CountTable((counting.CountRow(0, 1, 1),)), "rows",
+     "CountTable(rows=(CountRow(n=0, brute=1, codeword=1),))", True),
+]
+
+
+@pytest.mark.parametrize("record, field, text, truth", RECORDS, ids=[r[2] for r in RECORDS])
+def test_records_are_frozen_named_tuples(record, field, text, truth):
     with pytest.raises(AttributeError):
-        run.steps = 0
+        setattr(record, field, None)
+    assert repr(record) == text
+    assert bool(record) is truth
+    twin = type(record)(*record)
+    assert twin == record == tuple(record)
+    assert hash(twin) == hash(record)
+
+
+def test_validate_hands_out_shared_verdicts():
+    assert validate("mrlff") is validate("f") is codec._LEGAL
+    assert validate("tf") is validate("ttf") is codec._ILLEGAL[codec.REASON_T_OVERFLOW]
 
 
 def test_untraced_procedures_run_no_primitive(monkeypatch):
