@@ -4,6 +4,12 @@ Results go to standard output, diagnostics and traces to standard error.
 Exit status 0 means success/accept, 1 means reject/false, 2 means a usage
 or input error.  Output is deterministic: identical argv yields identical
 bytes, and help and usage text wrap at 78 columns whatever the terminal.
+Every row of the project's CLI table (``tests/cli_cases.py``) gives the
+same bytes on every supported Python: each command's results and errors,
+and ``main``'s refusal of an unknown command under a fixed usage line.
+``--help`` and argparse's own errors (no command, an option first, an
+option value outside its choices) are argparse's text, which Python
+versions may word differently.
 """
 
 from __future__ import annotations
@@ -241,10 +247,13 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     """The full parser, and each subcommand's parser by name."""
     parser = _Parser(
         prog="permlang",
+        # fixed, since argparse wraps a list of choices differently by version
+        usage="permlang [-h] COMMAND ...",
         description="Slot-insertion codec for permutations, with bounded-tape "
         "and stack acceptors, pattern-avoidance checks, and enumeration.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog: without it each subcommand's usage would start with the fixed one
+    sub = parser.add_subparsers(dest="command", required=True, prog="permlang")
 
     p = sub.add_parser("decode", help="print the permutation a codeword builds")
     p.add_argument("codeword")
@@ -316,10 +325,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _parsers()
     # A known subcommand goes straight to its own parser, one argparse pass
-    # where the full parser makes two; anything else gets the full parser's
-    # help or usage error.
+    # where the full parser makes two. Any other first word is refused here,
+    # in the package's own words, since argparse's refusal differs by
+    # version. No argv, or an option first, gets the full parser's help or
+    # usage error.
     command = commands.get(argv[0]) if argv else None
     try:
+        if argv and not command and not argv[0].startswith("-"):
+            parser.error(f"unknown command {argv[0]!r} (choose from {', '.join(commands)})")
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -9,6 +9,11 @@ fills the slot completely.  A run of j consecutive t letters in front of
 an insertion letter redirects it to slot j+1, slots counted from the left;
 the target resets to slot 1 after every insertion.
 
+``MOVES`` is the one table of each insertion letter's change to the
+number of open slots; ``validate`` and ``codewords_with_insertions`` read
+it.  ``decode`` edits its list of slots instead, and the tape and the
+stack automaton keep their own rules, as independent routes.
+
 A word is legal when every insertion targets a slot that exists and the
 word ends exactly when the last slot is filled.  Scanning left to right
 with ``slots = 1 + #m - #f``, that means: slots >= 1 before every
@@ -40,6 +45,8 @@ from collections.abc import Iterator
 from .permutations import DEFAULT_ENUMERATION_CAP, Permutation, check_size
 
 ALPHABET = "lrmft"
+
+MOVES = {"l": 0, "r": 0, "m": 1, "f": -1}
 
 REASON_EMPTY = "empty-word"
 REASON_T_OVERFLOW = "t-overflow"
@@ -155,10 +162,8 @@ def validate(word: str) -> Legality:
             return _ILLEGAL[REASON_EXHAUSTED]
         if run >= slots:
             return _ILLEGAL[REASON_T_OVERFLOW]
-        if letter == "m":
-            slots += 1
-        elif letter == "f":
-            slots -= 1
+        if letter:  # not the bare run of t's that ends the word
+            slots += MOVES[letter]
     if word[-1] != "f":
         return _ILLEGAL[REASON_TRAILING]
     if slots != 0:
@@ -267,8 +272,8 @@ def codewords_with_insertions(
     def walk(slots: int, remaining: int, prefix: str) -> Iterator[str]:
         for j in range(slots):
             head = prefix + "t" * j
-            for ch in "lrmf":
-                new_slots = slots + (1 if ch == "m" else -1 if ch == "f" else 0)
+            for ch, move in MOVES.items():
+                new_slots = slots + move
                 if new_slots == 0:
                     if remaining == 1:
                         yield head + ch

@@ -1,13 +1,17 @@
-"""Avoidance counting along two independent routes, plus codeword statistics.
+"""Avoidance counting along independent routes, plus codeword statistics.
 
-The brute-force route filters all permutations of a given length with the
-direct containment oracle; the codeword route filters all legal codewords
-with the bounded-tape acceptor.  The fields of ``CountRow`` after ``n`` are
-the list of routes: the two totals must agree, and a row whose routes
+``ROUTES`` is the one list of counting routes, in column order, each a
+function of n >= 1, basis and cap: brute force filters all permutations
+of length n with the direct containment oracle, and the codeword route
+filters all legal codewords with the bounded-tape acceptor.  ``CountRow``'s
+fields are ``n`` and the route names, so the CSV header, the JSON keys
+and ``CountMismatchError``'s text follow the table.  A row whose routes
 disagree cannot be built, so a mismatch fails loudly instead of being
-recorded.  The module also counts legal codewords by their number of t
-letters and provides an exact integer-partition counter used to
-cross-check the stack automaton's partition-word language.
+recorded.  The routes look the oracle, the generators and the tape up in
+this module when called, so replacing those attributes reaches every call.
+The module also counts legal codewords by their number of t letters and
+provides an exact integer-partition counter used to cross-check the stack
+automaton's partition-word language.
 """
 
 from __future__ import annotations
@@ -33,18 +37,36 @@ class CountMismatchError(RuntimeError):
         self.row = row
 
 
-class CountRow(namedtuple("CountRow", "n brute codeword")):
+def _brute(n: int, basis: Basis, cap: int) -> int:
+    return sum(1 for p in all_permutations(n, cap=cap) if avoids_basis(p, basis))
+
+
+def _codeword(n: int, basis: Basis, cap: int) -> int:
+    return sum(
+        1 for w in codewords_with_insertions(n, cap=cap) if tape.accepts_basis(w, basis).verdict
+    )
+
+
+ROUTES = {"brute": _brute, "codeword": _codeword}
+
+
+class CountRow(namedtuple("CountRow", ["n", *ROUTES])):
     """The number of length-n avoiders, once per route: each field after
-    ``n`` is a route, and construction refuses routes that disagree.  A
-    named tuple: it equals, and unpacks like, the tuple of its fields."""
+    ``n`` is a route of ``ROUTES``, and construction refuses routes that
+    disagree, also through ``_make`` and ``_replace``.  A named tuple: it
+    equals, and unpacks like, the tuple of its fields."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, brute: int, codeword: int) -> CountRow:
-        row = super().__new__(cls, n, brute, codeword)
-        if len(set(row[1:])) > 1:
+    def __new__(cls, n: int, *counts: int) -> CountRow:
+        row = super().__new__(cls, n, *counts)
+        if len(set(counts)) > 1:
             raise CountMismatchError(row)
         return row
+
+    @classmethod
+    def _make(cls, iterable) -> CountRow:
+        return cls(*iterable)  # _replace builds its row here too
 
 
 class CountTable(namedtuple("CountTable", "rows")):
@@ -54,7 +76,8 @@ class CountTable(namedtuple("CountTable", "rows")):
     __slots__ = ()
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(row.brute for row in self.rows)
+        """One count per row: the routes agree, so the first one's."""
+        return tuple(row[1] for row in self.rows)
 
     def to_csv(self) -> str:
         lines = [",".join(CountRow._fields)]
@@ -68,28 +91,20 @@ class CountTable(namedtuple("CountTable", "rows")):
 
 
 def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> CountRow:
-    """Count length-n avoiders of the basis along both routes.
+    """Count length-n avoiders of the basis along every route of ``ROUTES``.
 
     Raises ``CountMismatchError`` when the routes disagree.  n = 0 counts 1
     on each route by convention, the empty permutation avoiding every
-    nonempty pattern.
+    nonempty pattern, and runs no route.
     """
     check_size(n, cap)
     if n == 0:
-        return CountRow(0, 1, 1)
-    return CountRow(
-        n,
-        brute=sum(1 for p in all_permutations(n, cap=cap) if avoids_basis(p, basis)),
-        codeword=sum(
-            1
-            for w in codewords_with_insertions(n, cap=cap)
-            if tape.accepts_basis(w, basis).verdict
-        ),
-    )
+        return CountRow(0, *[1] * len(ROUTES))
+    return CountRow(n, *(route(n, basis, cap) for route in ROUTES.values()))
 
 
 def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTable:
-    """Avoider counts for n = 0..n_max along both routes; raises on mismatch.
+    """Avoider counts for n = 0..n_max along every route; raises on mismatch.
 
     n_max is checked against the cap before any row is computed.
     """

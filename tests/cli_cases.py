@@ -11,9 +11,10 @@ answer:
 
     cd /tmp && python3 <checkout>/tests/cli_cases.py
 
-No row holds a message of the full parser (an unknown subcommand,
-top-level help): that text is argparse's, and Python versions word it
-differently.
+An unknown first word is a row: ``cli.main`` refuses it in the
+package's own words under a fixed usage line.  No row holds the full
+parser's own messages (top-level help, no argv, an option first): that
+text is argparse's, which Python versions may word differently.
 """
 
 import shlex
@@ -172,6 +173,11 @@ CASES = [
     ("bench --suite compare --sizes 1..3", 2, "",
      "error: the compare suite needs sizes of at least 2, got '1..3'\n"),
     ("bench --suite compare --sizes 2..3", 0, "size,steps,max_cells\n2,4,2\n3,6,3\n", ""),
+    # an unknown first word is refused by main, not by argparse
+    ("frobnicate", 2, "",
+     "usage: permlang [-h] COMMAND ...\n"
+     "permlang: error: unknown command 'frobnicate' (choose from decode, encode, validate, "
+     "check, enumerate, bivariate, simulate, bench)\n"),
     # the subcommand's own parser reports an unknown flag
     ("decode f --bogus", 2, "",
      "usage: permlang decode [-h] codeword\n"

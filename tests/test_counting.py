@@ -41,6 +41,24 @@ class TestCountAvoiders:
         row = err.value.row
         assert (row.n, row.brute, row.codeword) == (1, 0, 1)
 
+    def test_each_route_runs_once(self, monkeypatch):
+        calls = []
+        for name in counting.ROUTES:
+
+            def spy(n, basis, cap, name=name):
+                calls.append((name, n, basis, cap))
+                return 7
+
+            monkeypatch.setitem(counting.ROUTES, name, spy)
+        basis = Basis([[1, 2]])
+        assert count_avoiders(0, basis) == CountRow(0, *[1] * len(counting.ROUTES))
+        assert calls == []
+        assert count_avoiders(3, basis, cap=5) == CountRow(3, *[7] * len(counting.ROUTES))
+        assert calls == [(name, 3, basis, 5) for name in counting.ROUTES]
+        table = CountTable((count_avoiders(1, basis),))
+        assert table.to_csv().splitlines()[0] == ",".join(["n", *counting.ROUTES])
+        assert list(json.loads(table.to_json())["rows"][0]) == ["n", *counting.ROUTES]
+
     def test_subset_monotonicity(self):
         small = Basis([[1, 3, 2]])
         large = Basis([[1, 3, 2], [2, 1]])
@@ -100,9 +118,18 @@ class TestSequence:
             ]
         }
 
-    def test_mismatch_fails_loudly(self):
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: CountRow(3, 5, 4),
+            lambda: CountRow._make((3, 5, 4)),
+            lambda: CountRow(3, 5, 5)._replace(codeword=4),
+        ],
+        ids=["new", "make", "replace"],
+    )
+    def test_mismatch_fails_loudly(self, build):
         with pytest.raises(CountMismatchError) as err:
-            CountRow(3, 5, 4)
+            build()
         assert err.value.row.n == 3
         assert str(err.value) == "count mismatch at n=3: brute 5 != codeword 4"
 
