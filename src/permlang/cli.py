@@ -6,10 +6,11 @@ or input error.  Output is deterministic: identical argv yields identical
 bytes, and help and usage text wrap at 78 columns whatever the terminal.
 Every row of the project's CLI table (``tests/cli_cases.py``) gives the
 same bytes on every supported Python: each command's results and errors,
-and ``main``'s refusal of an unknown command under a fixed usage line.
-``--help`` and argparse's own errors (no command, an option first, an
-option value outside its choices) are argparse's text, which Python
-versions may word differently.
+and ``main``'s refusal, under a fixed usage line, of an empty argv and of
+every first word that is neither a command nor ``-h`` or ``--help``.  Only
+the top-level ``-h`` and ``--help`` keep argparse's top-level text; that
+text, and argparse's errors within a command (an option value outside its
+choices), Python versions may word differently.
 """
 
 from __future__ import annotations
@@ -252,8 +253,10 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
         description="Slot-insertion codec for permutations, with bounded-tape "
         "and stack acceptors, pattern-avoidance checks, and enumeration.",
     )
-    # prog: without it each subcommand's usage would start with the fixed one
-    sub = parser.add_subparsers(dest="command", required=True, prog="permlang")
+    # prog: without it each subcommand's usage would start with the fixed one.
+    # main hands every parse to a subcommand's parser, so this one only prints
+    # help and needs no dest
+    sub = parser.add_subparsers(prog="permlang")
 
     p = sub.add_parser("decode", help="print the permutation a codeword builds")
     p.add_argument("codeword")
@@ -325,14 +328,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _parsers()
     # A known subcommand goes straight to its own parser, one argparse pass
-    # where the full parser makes two. Any other first word is refused here,
-    # in the package's own words, since argparse's refusal differs by
-    # version. No argv, or an option first, gets the full parser's help or
-    # usage error.
+    # where the full parser makes two. Only -h or --help goes to the full
+    # parser, which prints its help. No argv, or any other first word, is
+    # refused here, in the package's own words, since argparse's refusal
+    # differs by version.
     command = commands.get(argv[0]) if argv else None
     try:
-        if argv and not command and not argv[0].startswith("-"):
-            parser.error(f"unknown command {argv[0]!r} (choose from {', '.join(commands)})")
+        if not command and argv[:1] not in (["-h"], ["--help"]):
+            what = f"unknown command {argv[0]!r}" if argv else "no command"
+            parser.error(f"{what} (choose from {', '.join(commands)})")
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -11,10 +11,11 @@ answer:
 
     cd /tmp && python3 <checkout>/tests/cli_cases.py
 
-An unknown first word is a row: ``cli.main`` refuses it in the
-package's own words under a fixed usage line.  No row holds the full
-parser's own messages (top-level help, no argv, an option first): that
-text is argparse's, which Python versions may word differently.
+No argv, and every first word that is neither a command nor ``-h`` or
+``--help``, are rows: ``cli.main`` refuses them in the package's own
+words under a fixed usage line.  Only the top-level ``-h`` and ``--help``
+keep argparse's top-level text, which Python versions may word
+differently, so no row holds it.
 """
 
 import shlex
@@ -173,11 +174,17 @@ CASES = [
     ("bench --suite compare --sizes 1..3", 2, "",
      "error: the compare suite needs sizes of at least 2, got '1..3'\n"),
     ("bench --suite compare --sizes 2..3", 0, "size,steps,max_cells\n2,4,2\n3,6,3\n", ""),
-    # an unknown first word is refused by main, not by argparse
-    ("frobnicate", 2, "",
+    # no command, or a first word that is neither a command nor -h or --help,
+    # is refused by main, not by argparse
+    ("", 2, "",
      "usage: permlang [-h] COMMAND ...\n"
-     "permlang: error: unknown command 'frobnicate' (choose from decode, encode, validate, "
-     "check, enumerate, bivariate, simulate, bench)\n"),
+     "permlang: error: no command (choose from decode, encode, validate, check, enumerate, "
+     "bivariate, simulate, bench)\n"),
+    *((argv, 2, "",
+       "usage: permlang [-h] COMMAND ...\n"
+       f"permlang: error: unknown command {argv.split()[0]!r} (choose from decode, encode, "
+       "validate, check, enumerate, bivariate, simulate, bench)\n")
+      for argv in ("frobnicate", "-", "-1", "--bogus", "--bogus frobnicate")),
     # the subcommand's own parser reports an unknown flag
     ("decode f --bogus", 2, "",
      "usage: permlang decode [-h] codeword\n"

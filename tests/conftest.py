@@ -37,7 +37,18 @@ checked, failures):
 - ``avoidance_sweep(n, bases)``: acceptance 04 and ``TestAcceptsBasis``;
 - ``compare_sweep(n)``: ``TestCompare``;
 - ``reverse_sweep(n, bases)``: ``test_reverse.py``;
-- ``symmetry_sweep(n)``: ``TestSequence``.
+- ``symmetry_sweep(n)``: ``TestSequence``;
+- ``pinned_sweep(n, rows)``: acceptance 05;
+- ``census_sweep(n, classes, groups)``: ``TestSequence``, over the classes
+  of pairs of length-4 patterns that ``pair_classes`` builds.
+
+Pinned counts.  ``PINNED_COUNTS`` is the one home of every avoider count
+the tests pin: one row per basis, with its count at length n as a
+published formula or the published values, and its source.  No other
+test writes a count of its own; acceptance 05 checks every row on both
+counting routes to n = 7, and the slow tier the rows it marks at n = 9.
+A new counting route reaches further by raising a size, not by copying
+counts.
 
 Golden files.  ``assert_golden`` compares a golden file's bytes with what
 its render function in ``test_golden.py`` returns, so one changed byte
@@ -53,8 +64,8 @@ tests run every entry: one checks the message, the precheck and that the
 head stayed on the |w|+1 cells, the other the faulted run's trace
 numbering.
 
-Slow tier.  ``tests/slow_tier.py`` runs tier-1's sweeps at larger sizes,
-and the counting routes at n = 9; pytest does not collect it:
+Slow tier.  ``tests/slow_tier.py`` runs tier-1's sweeps at larger sizes;
+pytest does not collect it:
 
     PYTHONPATH=src python tests/slow_tier.py
 
@@ -70,7 +81,7 @@ from pathlib import Path
 
 from permlang import stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, tokens, validate
-from permlang.counting import sequence
+from permlang.counting import count_avoiders, sequence
 from permlang.permutations import Basis, Permutation, all_permutations, avoids_basis
 
 
@@ -306,6 +317,77 @@ def square_symmetries(patterns):
         for flipped in (turned, [reverse(q) for q in turned]):
             images += [flipped, [complement(q) for q in flipped]]
     return images
+
+
+_BONA_1342 = (1, 1, 2, 6, 23, 103, 512, 2740, 15485, 91245)  # n = 0..9
+
+# Every avoider count the tests pin, and their one home: one row per basis,
+# (basis, its count at length n, source, whether the slow tier counts it at
+# n = 9).  The count is a published formula where there is one, else the
+# published values.  Acceptance 05 runs pinned_sweep on every row to n = 7;
+# tests/slow_tier.py on the marked rows at n = 9.
+PINNED_COUNTS = [
+    ("1", lambda n: int(n == 0), "only the empty permutation avoids 1", False),
+    ("21", lambda n: 1, "only the increasing permutation avoids 21", False),
+    *(("".join(map(str, q)), lambda n: math.comb(2 * n, n) // (n + 1),
+       "the Catalan number (Simion and Schmidt 1985)", q == (2, 3, 1))
+      for q in itertools.permutations((1, 2, 3))),
+    ("312,321", lambda n: 2 ** (n - 1) if n else 1,
+     "2^(n-1) from n = 1 (Simion and Schmidt 1985)", True),
+    ("123,3412", lambda n: 2 ** (n + 1) - math.comb(n + 1, 3) - 2 * n - 1,
+     "2^(n+1) - C(n+1, 3) - 2n - 1", True),
+    ("1234", lambda n: longest_increasing_at_most(n, 3),
+     "no increasing subsequence longer than 3 (Gessel 1990)", True),
+    ("12345", lambda n: longest_increasing_at_most(n, 4),
+     "no increasing subsequence longer than 4 (Gessel 1990)", False),
+    ("1342", _BONA_1342.__getitem__, "Bona (1997)", True),
+    ("2431", _BONA_1342.__getitem__, "the reverse of 1342 (Bona 1997)", True),
+]
+
+
+def pinned_sweep(n, rows):
+    """The pinned counts at one n: (avoiders counted, failures) over rows of
+    PINNED_COUNTS.  Each row's basis is counted by count_avoiders, whose
+    routes must agree (it raises CountMismatchError otherwise), and fails
+    unless they count the row's count at n."""
+    checked, odd = 0, []
+    for text, count, _, _ in rows:
+        basis = Basis([int(d) for d in item] for item in text.split(","))
+        got = count_avoiders(n, basis, cap=n).brute
+        if got != count(n):
+            odd.append(f"Av({text}) at n={n}: {got}, want {count(n)}")
+        checked += got
+    return checked, odd
+
+
+def pair_classes():
+    """The 276 pairs of distinct length-4 patterns in their 56 classes under
+    the symmetries of the square: one list of bases per class, sorted by
+    ranks, so that its representative, the least pair, comes first; the
+    classes are in the order of their representatives."""
+    classes = {}
+    for pair in itertools.combinations(itertools.permutations(range(1, 5)), 2):
+        images = [tuple(sorted(map(tuple, image))) for image in square_symmetries(pair)]
+        classes.setdefault(min(images), set()).add(pair)
+    return [[Basis(pair) for pair in sorted(members)] for _, members in sorted(classes.items())]
+
+
+def census_sweep(n, classes, groups):
+    """The census of pattern pairs at one n: (bases counted, failures) over
+    classes of bases, each with its representative first.  Each basis is
+    counted to n by ``sequence``, whose routes must agree; it fails unless
+    it has its representative's counts, and the census fails unless the
+    representatives' counts fall into exactly ``groups`` distinct
+    sequences."""
+    checked, odd, sequences = 0, [], set()
+    for representative, *others in classes:
+        want = sequence(representative, n).counts()
+        sequences.add(want)
+        odd += [(representative, basis) for basis in others if sequence(basis, n).counts() != want]
+        checked += 1 + len(others)
+    if len(sequences) != groups:
+        odd.append(f"{len(sequences)} distinct sequences, want {groups}")
+    return checked, odd
 
 
 def symmetry_sweep(n):

@@ -5,47 +5,40 @@ pytest does not collect this file, since its name does not match
 
     PYTHONPATH=src python tests/slow_tier.py
 
-Each row of ROWS calls one check at one size and returns (how many it
-checked, failures).  The Av rows count both routes of ``count_avoiders``
-at n = 9 against pinned counts; every other row is a sweep of
-``tests/conftest.py`` that tier-1 runs at smaller sizes (tier-1's
-``test_slow_tier.py`` checks that each row here is larger).  The script
-prints one line per row with its count and seconds, and exits 1 if any
-row fails, naming its first failures.  The rows took 6 min 8 s in all
-on a 2-core VM with CPython 3.11.7 before the reverse row, which takes
-7.7 s more there; CI runs the script in its ``slow-tier`` job.
+Each row of ROWS calls one sweep of ``tests/conftest.py`` at one size,
+a size above the largest tier-1 runs it at (tier-1's
+``test_slow_tier.py`` checks that), and returns (how many it checked,
+failures).  The Av rows count both routes of ``count_avoiders`` at n = 9
+for the six rows of ``conftest.PINNED_COUNTS`` marked for this tier; the
+census row counts the 56 classes of pairs of length-4 patterns to n = 8
+by their representatives, which must fall into Le's 38 groups (Wilf
+classes of pairs of permutations of length 4, 2005).  The script prints
+one line per row with its count and seconds, and exits 1 if any row
+fails, naming its first failures.  The 16 rows took 6 min 53 s in all on
+a 2-core machine with CPython 3.11.7: the census row 2 min 16 s, legality
+at length 10 85 s, avoidance at n = 8 49 s, and the Av rows 9-22 s each.
+CI runs the script in its ``slow-tier`` job.
 """
 
 import sys
 import time
 
-from conftest import (SHORT_PATTERNS, avoidance_sweep, compare_sweep, legality_sweep,
+from conftest import (PINNED_COUNTS, SHORT_PATTERNS, avoidance_sweep, census_sweep,
+                      compare_sweep, legality_sweep, pair_classes, pinned_sweep,
                       reverse_sweep, round_trip_sweep, symmetry_sweep)
 
-from permlang.counting import CountMismatchError, count_avoiders
-from permlang.permutations import Basis
+from permlang.counting import CountMismatchError
 
 SHOWN = 5  # failures printed per row
 
-
-def pinned_count(n, text, want):
-    """Both counting routes on the basis written as text at n: (avoiders
-    counted, failures); the routes must agree and count want."""
-    row = count_avoiders(n, Basis([int(d) for d in item] for item in text.split(",")), cap=n)
-    return row.brute, [] if row.brute == want else [f"want {want}"]
-
-
 # (what the row checks, with {} for its size; check; size; further arguments)
 ROWS = [
-    *((f"Av({text}) on both counting routes at n={{}}, {source}", pinned_count, 9, text, want)
-      for text, want, source in [
-          ("231", 4_862, "the Catalan number C(9) (Simion and Schmidt 1985)"),
-          ("312,321", 256, "2^(n-1) (Simion and Schmidt 1985)"),
-          ("123,3412", 885, "2^(n+1) - C(n+1, 3) - 2n - 1"),
-          ("1234", 94_359, "Gessel (1990)"),
-          ("1342", 91_245, "Bona (1997)"),
-          ("2431", 91_245, "the reverse of 1342"),
-      ]),
+    *((f"Av({text}) avoiders on both counting routes at n={{}}: {source}",
+       pinned_sweep, 9, [(text, count, source, slow)])
+      for text, count, source, slow in PINNED_COUNTS if slow),
+    ("classes of pairs of length-4 patterns whose representatives' counts to n={} "
+     "fall into 38 groups (Le 2005)",
+     census_sweep, 8, [members[:1] for members in pair_classes()], 38),
     ("images under the symmetries of the square with their bases' counts at n=0..{}",
      symmetry_sweep, 7),
     *(("words of length {} on which validate, check_legal and the stack agree",

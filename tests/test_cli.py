@@ -257,12 +257,14 @@ def parse(parser, argv):
 
 
 class TestParserReuse:
-    # help, a usage error, an input error, and --oracle right before a check
+    # first words that main refuses itself, with no parse
+    REFUSED = [["frobnicate"], ["--bogus", "frobnicate"]]
+    # help, usage errors, an input error, and --oracle right before a check
     # without it, so that no parse can leak into the next
     EXTRA = [
         ["--help"],
         ["check", "--help"],
-        ["frobnicate"],
+        *REFUSED,
         ["check", "--pattern", "1x2", "mrlff"],
         ["check", "--pattern", "12", "--oracle", "mrlff"],
         ["check", "--pattern", "12", "mrlff"],
@@ -298,13 +300,10 @@ class TestParserReuse:
                 assert run_cli(*argv) == want, argv
             # the namespace too: a leaked --oracle would not show in the
             # bytes, since both paths give the same verdicts. main hands a
-            # subcommand's argv to that subcommand's parser, so its namespace
-            # lacks only the full parser's "command".
+            # subcommand's argv to that subcommand's parser, which gives the
+            # full parser's namespace
             full = parse(cli._build_parsers()[0], argv)
-            if isinstance(full, argparse.Namespace):
-                del full.command
-            # main refuses an unknown first word itself, with no parse
-            assert seen == ([] if argv == ["frobnicate"] else [full]), argv
+            assert seen == ([] if argv in self.REFUSED else [full]), argv
             seen.clear()
             assert parse(cli._parsers()[0], argv) == parse(cli._build_parsers()[0], argv), argv
         assert cli._parsers.cache_info().currsize == 1
@@ -318,9 +317,11 @@ class TestParserReuse:
             if argv[0] in subcommands:
                 run_cli(*argv)
                 assert seen == [], argv
-        # main refuses an unknown first word itself, with no parse
-        for argv, code, parsed in (([], 2, [[]]), (["--help"], 0, [["--help"]]),
-                                   (["frobnicate"], 2, [])):
+        # only -h or --help reaches the full parser; main refuses no argv and
+        # every other first word itself, with no parse
+        for argv, code, parsed in (([], 2, []), (["-h"], 0, [["-h"]]),
+                                   (["--help"], 0, [["--help"]]),
+                                   *((argv, 2, []) for argv in self.REFUSED)):
             assert run_cli(*argv)[0] == code
             assert seen == parsed
             seen.clear()

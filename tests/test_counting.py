@@ -1,9 +1,7 @@
-import itertools
 import json
-import math
 
 import pytest
-from conftest import longest_increasing_at_most, partitions_of, symmetry_sweep
+from conftest import census_sweep, pair_classes, partitions_of, symmetry_sweep
 
 from permlang import counting
 from permlang.codec import encode
@@ -28,10 +26,6 @@ class TestCountAvoiders:
         with pytest.raises(CapExceededError):
             count_avoiders(9, Basis([[1, 2]]))
         assert count_avoiders(3, Basis([[2, 1]]), cap=3) == CountRow(3, 1, 1)
-
-    def test_single_entry_pattern_kills_everything(self):
-        for n in range(1, 5):
-            assert count_avoiders(n, Basis([[1]])) == CountRow(n, 0, 0)
 
     def test_routes_that_disagree_raise_with_the_row(self, monkeypatch):
         # only a bug can reach this: an oracle that rejects everything
@@ -67,30 +61,18 @@ class TestCountAvoiders:
 
 
 class TestSequence:
-    def test_increasing_only(self):
-        assert sequence(Basis([[2, 1]]), 5).counts() == (1, 1, 1, 1, 1, 1)
-
-    def test_pinned_counts_to_seven(self):
-        # both routes, which sequence checks against each other, at
-        # n = 0..7 against counts computed from published formulas
-        ns = range(8)
-        catalan = tuple(math.comb(2 * n, n) // (n + 1) for n in ns)
-        for q in itertools.permutations((1, 2, 3)):  # Simion and Schmidt (1985)
-            assert sequence(Basis([q]), 7).counts() == catalan, q
-        # 2^(n-1) from n = 1 (Simion and Schmidt)
-        assert sequence(Basis([[3, 1, 2], [3, 2, 1]]), 7).counts() == tuple(
-            2 ** (n - 1) if n else 1 for n in ns
-        )
-        assert sequence(Basis([[1, 2, 3], [3, 4, 1, 2]]), 7).counts() == tuple(
-            2 ** (n + 1) - math.comb(n + 1, 3) - 2 * n - 1 for n in ns
-        )
-        assert sequence(Basis([[1, 2, 3, 4, 5]]), 7).counts() == tuple(
-            longest_increasing_at_most(n, 4) for n in ns
-        )
-
     def test_symmetries_preserve_counts(self):
         # tests/slow_tier.py runs the same sweep to n = 7
         assert symmetry_sweep(6) == (24, [])
+
+    def test_pair_census_to_five(self):
+        # every pair of length-4 patterns has its class representative's
+        # counts; tests/slow_tier.py counts the representatives to n = 8,
+        # where they fall into 38 groups
+        classes = pair_classes()
+        assert len(classes) == 56
+        assert len({basis for members in classes for basis in members}) == 276
+        assert census_sweep(5, classes, 5) == (276, [])
 
     def test_size_checked_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):

@@ -6,8 +6,8 @@ import random
 from conftest import SHORT_PATTERNS, insertion_cells, reverse_codeword, reverse_sweep
 
 from permlang import stackmachine, tape
-from permlang.codec import codewords_with_insertions, decode, encode, validate
-from permlang.permutations import Permutation
+from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, validate
+from permlang.permutations import Basis, Permutation
 
 
 def test_reverse_codeword_is_an_involution_that_reverses_the_decode():
@@ -44,3 +44,40 @@ def test_seeded_reverses_are_legal_and_compare_the_other_way():
                 run = tape.compare(word, cells[a], cells[b])
                 mirrored_run = tape.compare(mirrored, mirrored_cells[a], mirrored_cells[b])
                 assert mirrored_run.verdict is not run.verdict, (word, a, b)
+
+
+def seeded_members():
+    """(codeword, basis) for built avoiders past the oracle's range: acceptance
+    08's families, r...rf against 12 and the adjacent swaps 2 1 4 3 ...
+    against 321, at n = 20..200, and four decreasing runs of m entries,
+    each above the last, against 12345 at n = 4m = 20..60."""
+    for n in (20, 50, 100, 200):
+        swaps = [v for i in range(1, n + 1, 2) for v in ((i + 1, i) if i < n else (i,))]
+        yield "r" * (n - 1) + "f", Basis([[1, 2]])
+        yield encode(Permutation(swaps)), Basis([[3, 2, 1]])
+    for m in (5, 10, 15):
+        runs = [v for run in range(4) for v in range(run * m + m, run * m, -1)]
+        yield encode(Permutation(runs)), Basis([[1, 2, 3, 4, 5]])
+
+
+def legal_mutant(rng, word):
+    """A legal word that differs from word in one letter, drawn from all of
+    them (a letter l or r can always turn into the other)."""
+    mutants = [word[:i] + letter + word[i + 1 :]
+               for i in range(len(word)) for letter in ALPHABET if letter != word[i]]
+    return rng.choice([mutant for mutant in mutants if validate(mutant)])
+
+
+def test_seeded_members_and_their_mutants_get_the_reverse_verdict():
+    rng = random.Random(9)
+    members = list(seeded_members())
+    runs = []
+    for word, basis in members + [(legal_mutant(rng, word), basis) for word, basis in members]:
+        run = tape.accepts_basis(word, basis)
+        mirrored = tape.accepts_basis(reverse_codeword(word), Basis(p.ranks[::-1] for p in basis))
+        assert mirrored.verdict is run.verdict, (word, basis)
+        runs.append((run, mirrored))
+    assert all(run.verdict for run, _ in runs[: len(members)])
+    # the search meets the insertions in another order: a second computation
+    differ = sum(run.steps != mirrored.steps for run, mirrored in runs)
+    assert differ > len(runs) / 2, differ

@@ -1,18 +1,18 @@
 import slow_tier
-from conftest import (avoidance_sweep, compare_sweep, legality_sweep, reverse_sweep,
-                      round_trip_sweep, symmetry_sweep)
+from conftest import (avoidance_sweep, census_sweep, compare_sweep, legality_sweep,
+                      pinned_sweep, reverse_sweep, round_trip_sweep, symmetry_sweep)
 
-# the largest size tier-1 runs each check at: acceptance 03, 02 and 04,
-# TestCompare, test_reverse.py, TestSequence's symmetries and its pinned
-# counts
+# the largest size tier-1 runs each check at: acceptance 03, 02, 04 and 05,
+# TestCompare, test_reverse.py, and TestSequence's symmetries and census
 TIER_1_LARGEST = {
     legality_sweep: 8,
     round_trip_sweep: 7,
     avoidance_sweep: 6,
+    pinned_sweep: 7,
     compare_sweep: 5,
     reverse_sweep: 5,
     symmetry_sweep: 6,
-    slow_tier.pinned_count: 7,
+    census_sweep: 5,
 }
 
 
