@@ -11,7 +11,8 @@ recorded.  The routes look the oracle, the generators and the tape up in
 this module when called, so replacing those attributes reaches every call.
 The module also counts legal codewords by their number of t letters and
 provides an exact integer-partition counter used to cross-check the stack
-automaton's partition-word language.
+automaton's partition-word language; ``partition_count`` builds its table
+per call and keeps none between calls.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .permutations import Basis, all_permutations, avoids_basis, check_size
 
 DEFAULT_COUNT_CAP = 8
 PARTITION_LIMIT = 10000
-
-_partition_cache = [1]
 
 
 class CountMismatchError(RuntimeError):
@@ -126,10 +125,11 @@ def count_codewords_bivariate(
 
 def partition_count(n: int) -> int:
     """Exact number of integer partitions of n, via the pentagonal-number
-    recurrence; p(0) = 1."""
+    recurrence; p(0) = 1.  Each call builds p(0..n) in a table of its own,
+    so no call leaves a table behind."""
     check_size(n, PARTITION_LIMIT)
-    while len(_partition_cache) <= n:
-        m = len(_partition_cache)
+    table = [1]
+    for m in range(1, n + 1):
         total = 0
         k = 1
         while True:
@@ -137,10 +137,10 @@ def partition_count(n: int) -> int:
             if g1 > m:
                 break
             sign = 1 if k % 2 else -1
-            total += sign * _partition_cache[m - g1]
+            total += sign * table[m - g1]
             g2 = k * (3 * k + 1) // 2
             if g2 <= m:
-                total += sign * _partition_cache[m - g2]
+                total += sign * table[m - g2]
             k += 1
-        _partition_cache.append(total)
-    return _partition_cache[n]
+        table.append(total)
+    return table[n]

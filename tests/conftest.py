@@ -18,6 +18,8 @@ its inputs:
 - ``test_trace_bytes`` in ``test_cli.py`` holds the CLI's trace bytes: each
   golden trace run that a ``--trace`` command reaches, run through
   ``cli.main``, with its verdict line and exit status;
+- ``test_module_state.py`` holds the package's module-level state: the
+  caches of ROADMAP's cache ledger and the tables that nothing mutates;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 
@@ -280,7 +282,18 @@ def longest_increasing(seq):
 def built_avoider(rng, n, q):
     """A random permutation of 1..n avoiding q: LIS(q) - 1 interleaved
     decreasing runs leave no increasing subsequence long enough for q.  A
-    decreasing q is avoided by the reverse of an avoider of its reverse."""
+    decreasing q is avoided by the reverse of an avoider of its reverse.
+
+    It is not a uniform avoider.  For every q with LIS(q) = 2, 4 of the 6
+    length-3 patterns and 13 of the 24 length-4 ones, it is one decreasing
+    run, n..1, or the reverse of one, 1..n, so many built avoiders are
+    monotone, not typical members of the class: 24 of the 70 in
+    ``TestOccurrenceSearch.seeded_pairs``, 25 of the 64 in
+    ``TestAcceptsBasis.test_matches_oracle_on_random_larger_words`` and 8
+    of the 20 in ``test_golden.counter_long_words`` are monotone.  They
+    stay until uniform draws replace them (ROADMAP item 13); the golden
+    words must keep their bytes, and rejection sampling at n = 14 and
+    k = 3 takes about 33,000 draws a word."""
     runs = longest_increasing(q) - 1
     if runs == 0:
         return built_avoider(rng, n, q[::-1])[::-1]

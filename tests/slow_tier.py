@@ -12,11 +12,13 @@ failures).  The Av rows count both routes of ``count_avoiders`` at n = 9
 for the six rows of ``conftest.PINNED_COUNTS`` marked for this tier; the
 census row counts the 56 classes of pairs of length-4 patterns to n = 8
 by their representatives, which must fall into Le's 38 groups (Wilf
-classes of pairs of permutations of length 4, 2005).  The script prints
-one line per row with its count and seconds, and exits 1 if any row
-fails, naming its first failures.  The 16 rows took 6 min 53 s in all on
-a 2-core machine with CPython 3.11.7: the census row 2 min 16 s, legality
-at length 10 85 s, avoidance at n = 8 49 s, and the Av rows 9-22 s each.
+classes of pairs of permutations of length 4, 2005); the reverse rows run
+``reverse_sweep`` at n = 7 and 8.  The script prints one line per row
+with its count and seconds, and exits 1 if any row fails, naming its
+first failures.  The 17 rows took 7 min 32 s in all on a 2-core machine
+with CPython 3.11.7: the census row 2 min 2 s, legality at length 10
+83 s, the reverse relation at n = 8 62 s, avoidance at n = 8 50 s, and
+the Av rows 12-19 s each.
 CI runs the script in its ``slow-tier`` job.
 """
 
@@ -48,8 +50,8 @@ ROWS = [
        avoidance_sweep, n, SHORT_PATTERNS) for n in (7, 8)),
     *(("compares of codewords with n={} that order their values as the decode does",
        compare_sweep, n) for n in (7, 8)),
-    ("codeword/pattern pairs with n={} that accepts_basis judges as their reverses",
-     reverse_sweep, 7, SHORT_PATTERNS),
+    *(("codeword/pattern pairs with n={} that accepts_basis judges as their reverses",
+       reverse_sweep, n, SHORT_PATTERNS) for n in (7, 8)),
 ]
 
 

@@ -65,7 +65,8 @@ LONG_PAIRS = 3
 
 def counter_long_words() -> list[tuple[tuple[int, ...], str]]:
     """Seeded (pattern, encode(p)) pairs with n = 9..14 and |q| = 3..5;
-    every other p is built to avoid q, so the full search runs."""
+    every other p is built to avoid q, but 8 of those 20 are monotone, not
+    typical avoiders (see ``conftest.built_avoider``)."""
     rng = random.Random(2026)
     pairs = []
     for i in range(LONG_WORDS):
