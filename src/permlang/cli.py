@@ -60,14 +60,14 @@ def _parse_basis(text: str) -> Basis:
     return Basis(_parse_pattern(item) for item in text.split(","))
 
 
-def _decimal(minimum: int) -> Callable[[str], int]:
+def _decimal(zero_ok: bool) -> Callable[[str], int]:
     """Argparse type for an integer option: ASCII decimal with no sign,
     underscore, space or leading zero, the rule permutation text follows;
-    "0" passes only when minimum is 0."""
-    kind = "nonnegative" if minimum == 0 else "positive"
+    "0" passes only when zero_ok."""
+    kind = "nonnegative" if zero_ok else "positive"
 
     def parse(text: str) -> int:
-        if not (is_positive_decimal(text) or (minimum == 0 and text == "0")):
+        if not (is_positive_decimal(text) or (zero_ok and text == "0")):
             raise argparse.ArgumentTypeError(
                 f"expected a {kind} decimal integer like 12, got {text!r}"
             )
@@ -76,8 +76,8 @@ def _decimal(minimum: int) -> Callable[[str], int]:
     return parse
 
 
-_COUNT = _decimal(0)
-_POSITIVE = _decimal(1)
+_COUNT = _decimal(zero_ok=True)
+_POSITIVE = _decimal(zero_ok=False)
 
 
 def _stderr_trace(line: str) -> None:
@@ -347,7 +347,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         hint = " (see --cap)" if isinstance(exc, CapExceededError) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -42,7 +42,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .permutations import DEFAULT_ENUMERATION_CAP, Permutation, check_size
+from .permutations import Permutation, check_size
 
 ALPHABET = "lrmft"
 
@@ -259,15 +259,15 @@ def encode(perm: Permutation) -> str:
     return "".join(out)
 
 
-def codewords_with_insertions(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[str]:
+def codewords_with_insertions(n: int) -> Iterator[str]:
     """Yield every legal codeword with exactly n insertion (non-t) letters.
 
     Backtracks over the slot count, pruning branches that cannot reach
     slots == 0 on their final letter; the stream has exactly n! elements.
+    Refuses n < 1.  The stream is lazy, so it takes no cap: a caller that
+    consumes it whole checks n first.
     """
-    check_size(n, cap, positive=True)  # the empty permutation has no codeword
+    check_size(n, positive=True)  # the empty permutation has no codeword
 
     def walk(slots: int, remaining: int, prefix: str) -> Iterator[str]:
         for j in range(slots):

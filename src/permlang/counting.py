@@ -1,11 +1,14 @@
 """Avoidance counting along independent routes, plus codeword statistics.
 
 ``ROUTES`` is the one list of counting routes, in column order, each a
-function of n >= 1, basis and cap: brute force filters all permutations
-of length n with the direct containment oracle, and the codeword route
-filters all legal codewords with the bounded-tape acceptor.  ``CountRow``'s
-fields are ``n`` and the route names, so the CSV header, the JSON keys
-and ``CountMismatchError``'s text follow the table.  A row whose routes
+function of n >= 1 and basis: brute force filters all permutations of
+length n with the direct containment oracle, and the codeword route
+filters all legal codewords with the bounded-tape acceptor.  The streams
+take no cap, so the n! limit is this module's: each function here that
+consumes a whole stream checks n against its cap (``DEFAULT_COUNT_CAP``
+unless given) before any stream is created.  ``CountRow``'s fields are
+``n`` and the route names, so the CSV header, the JSON keys and
+``CountMismatchError``'s text follow the table.  A row whose routes
 disagree cannot be built, so a mismatch fails loudly instead of being
 recorded.  The routes look the oracle, the generators and the tape up in
 this module when called, so replacing those attributes reaches every call.
@@ -36,14 +39,12 @@ class CountMismatchError(RuntimeError):
         self.row = row
 
 
-def _brute(n: int, basis: Basis, cap: int) -> int:
-    return sum(1 for p in all_permutations(n, cap=cap) if avoids_basis(p, basis))
+def _brute(n: int, basis: Basis) -> int:
+    return sum(1 for p in all_permutations(n) if avoids_basis(p, basis))
 
 
-def _codeword(n: int, basis: Basis, cap: int) -> int:
-    return sum(
-        1 for w in codewords_with_insertions(n, cap=cap) if tape.accepts_basis(w, basis).verdict
-    )
+def _codeword(n: int, basis: Basis) -> int:
+    return sum(1 for w in codewords_with_insertions(n) if tape.accepts_basis(w, basis).verdict)
 
 
 ROUTES = {"brute": _brute, "codeword": _codeword}
@@ -99,7 +100,7 @@ def count_avoiders(n: int, basis: Basis, cap: int = DEFAULT_COUNT_CAP) -> CountR
     check_size(n, cap)
     if n == 0:
         return CountRow(0, *[1] * len(ROUTES))
-    return CountRow(n, *(route(n, basis, cap) for route in ROUTES.values()))
+    return CountRow(n, *(route(n, basis) for route in ROUTES.values()))
 
 
 def sequence(basis: Basis, n_max: int, cap: int = DEFAULT_COUNT_CAP) -> CountTable:
@@ -115,9 +116,10 @@ def count_codewords_bivariate(
     n_insertions: int, cap: int = DEFAULT_COUNT_CAP
 ) -> dict[int, int]:
     """Partition the n! legal codewords with n insertions by their t-count;
-    ``codewords_with_insertions`` refuses n_insertions < 1 or above the cap."""
+    refuses n_insertions < 1 or above the cap before the stream is created."""
+    check_size(n_insertions, cap, positive=True)
     table: dict[int, int] = {}
-    for word in codewords_with_insertions(n_insertions, cap=cap):
+    for word in codewords_with_insertions(n_insertions):
         t_count = word.count("t")
         table[t_count] = table.get(t_count, 0) + 1
     return dict(sorted(table.items()))

@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 
-DEFAULT_ENUMERATION_CAP = 10
-
 
 class CapExceededError(ValueError):
     """A size exceeded its cap."""
@@ -219,13 +217,11 @@ def avoids_basis(p: Permutation, basis: Basis) -> bool:
     return not any(contains_pattern(p, q) for q in basis)
 
 
-def all_permutations(
-    n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Permutation]:
+def all_permutations(n: int) -> Iterator[Permutation]:
     """Yield all n! permutations of {1..n} exactly once, in lexicographic order.
 
-    Refuses with CapExceededError when n exceeds the cap; the stream returned
-    by each call is independent and restartable.
+    Refuses a negative n.  Each call's stream is independent and lazy, so
+    it takes no cap: a caller that consumes it whole checks n first.
     """
-    check_size(n, cap)
+    check_size(n)
     return map(Permutation.of_ranks, itertools.permutations(range(1, n + 1)))

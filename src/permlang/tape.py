@@ -36,7 +36,7 @@ import functools
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 
-from .codec import check_letters, validate
+from .codec import IllegalCodewordError, check_letters, validate
 from .permutations import Basis, check_size
 
 NO_MARK = 0
@@ -578,8 +578,11 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     The verdict is True when y's entry lands left of x's (descending,
     "21") and False when it lands right of it (ascending, "12").
 
-    Preconditions (violations raise ValueError): x_pos < y_pos, both cells
-    hold insertion letters, and the word is a legal codeword.
+    Preconditions, checked in this order, each violation a ValueError: the
+    letters are in the alphabet, x_pos < y_pos, both cells hold insertion
+    letters, and the word is a legal codeword; an illegal one raises
+    ``IllegalCodewordError`` as ``decode`` does ("illegal codeword 'lff':
+    premature-slot-exhaustion").
     """
     verdict = validate(word)  # raises first on a foreign letter
     n = len(word)
@@ -588,7 +591,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
     if word[x_pos] == "t" or word[y_pos] == "t":
         raise ValueError("compared cells must hold insertion letters, not t")
     if not verdict:
-        raise ValueError(f"compare requires a legal codeword: {verdict.reason}")
+        raise IllegalCodewordError(word, verdict.reason)
     cells = _insertion_cells(word)
     a, b = cells.index(x_pos), cells.index(y_pos)
     if trace is None:

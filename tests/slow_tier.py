@@ -15,10 +15,10 @@ by their representatives, which must fall into Le's 38 groups (Wilf
 classes of pairs of permutations of length 4, 2005); the reverse rows run
 ``reverse_sweep`` at n = 7 and 8.  The script prints one line per row
 with its count and seconds, and exits 1 if any row fails, naming its
-first failures.  The 17 rows took 7 min 32 s in all on a 2-core machine
-with CPython 3.11.7: the census row 2 min 2 s, legality at length 10
-83 s, the reverse relation at n = 8 62 s, avoidance at n = 8 50 s, and
-the Av rows 12-19 s each.
+first failures.  The 18 rows took 9 min 57 s in all on a 2-core machine
+with CPython 3.11.7: the census row 2 min 19 s, compare at n = 9 (13 M
+compares) 1 min 51 s, legality at length 10 94 s, the reverse relation
+at n = 8 69 s, avoidance at n = 8 52 s, and the Av rows 9-21 s each.
 CI runs the script in its ``slow-tier`` job.
 """
 
@@ -49,7 +49,7 @@ ROWS = [
     *(("codeword/pattern pairs with n={} on which accepts_basis matches the oracle",
        avoidance_sweep, n, SHORT_PATTERNS) for n in (7, 8)),
     *(("compares of codewords with n={} that order their values as the decode does",
-       compare_sweep, n) for n in (7, 8)),
+       compare_sweep, n) for n in (7, 8, 9)),
     *(("codeword/pattern pairs with n={} that accepts_basis judges as their reverses",
        reverse_sweep, n, SHORT_PATTERNS) for n in (7, 8)),
 ]

@@ -15,7 +15,7 @@ from permlang.codec import (
     encode,
     validate,
 )
-from permlang.permutations import CapExceededError, Permutation
+from permlang.permutations import Permutation
 
 
 @pytest.mark.parametrize(
@@ -85,10 +85,10 @@ def test_codewords_with_insertions_small():
     assert decode("rf").ranks == (2, 1)
 
 
-def test_codewords_with_insertions_cap_and_bounds():
-    with pytest.raises(CapExceededError):
-        codewords_with_insertions(11)
-    with pytest.raises(ValueError):
+def test_codewords_with_insertions_is_lazy_and_refuses_zero():
+    # 11! codewords: only a lazy stream hands out the first at once
+    assert next(codewords_with_insertions(11)) == "l" * 10 + "f"
+    with pytest.raises(ValueError, match="positive"):
         codewords_with_insertions(0)
 
 

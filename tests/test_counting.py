@@ -22,10 +22,21 @@ from permlang.permutations import (
 
 
 class TestCountAvoiders:
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            count_avoiders(9, Basis([[1, 2]]))
+    def test_cap(self, monkeypatch):
         assert count_avoiders(3, Basis([[2, 1]]), cap=3) == CountRow(3, 1, 1)
+        # counting owns the n! limit: the streams take no cap, so each
+        # function that consumes one refuses n before creating it
+        calls = []
+        for name in ("all_permutations", "codewords_with_insertions"):
+            monkeypatch.setattr(counting, name, lambda *args, name=name: calls.append(name))
+        basis = Basis([[1, 2]])
+        with pytest.raises(CapExceededError, match="^n=9 exceeds the cap 8$"):
+            count_avoiders(9, basis)
+        with pytest.raises(CapExceededError, match="^n_max=9 exceeds the cap 8$"):
+            sequence(basis, 9)
+        with pytest.raises(CapExceededError, match="^n=9 exceeds the cap 8$"):
+            count_codewords_bivariate(9)
+        assert calls == []
 
     def test_routes_that_disagree_raise_with_the_row(self, monkeypatch):
         # only a bug can reach this: an oracle that rejects everything
@@ -39,8 +50,8 @@ class TestCountAvoiders:
         calls = []
         for name in counting.ROUTES:
 
-            def spy(n, basis, cap, name=name):
-                calls.append((name, n, basis, cap))
+            def spy(n, basis, name=name):
+                calls.append((name, n, basis))
                 return 7
 
             monkeypatch.setitem(counting.ROUTES, name, spy)
@@ -48,7 +59,7 @@ class TestCountAvoiders:
         assert count_avoiders(0, basis) == CountRow(0, *[1] * len(counting.ROUTES))
         assert calls == []
         assert count_avoiders(3, basis, cap=5) == CountRow(3, *[7] * len(counting.ROUTES))
-        assert calls == [(name, 3, basis, 5) for name in counting.ROUTES]
+        assert calls == [(name, 3, basis) for name in counting.ROUTES]
         table = CountTable((count_avoiders(1, basis),))
         assert table.to_csv().splitlines()[0] == ",".join(["n", *counting.ROUTES])
         assert list(json.loads(table.to_json())["rows"][0]) == ["n", *counting.ROUTES]

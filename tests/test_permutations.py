@@ -5,7 +5,6 @@ import pytest
 
 from permlang.permutations import (
     Basis,
-    CapExceededError,
     Permutation,
     all_permutations,
     avoids_basis,
@@ -165,6 +164,17 @@ def test_basis_dedupes_and_validates():
         Basis([[]])
 
 
+def test_basis_patterns_repr_and_foreign_equality():
+    b = Basis([[2, 1], [1]])
+    assert b.patterns == (Permutation([1]), Permutation([2, 1]))
+    assert repr(b) == "Basis([[1], [2, 1]])"
+    # a tuple is neither type: __eq__ returns NotImplemented, so == falls
+    # back to identity and != to its negation
+    for value, other in ((Permutation([2, 1]), (2, 1)), (b, b.patterns)):
+        assert not value == other
+        assert value != other
+
+
 def test_all_permutations_small():
     assert [p.ranks for p in all_permutations(0)] == [()]
     assert [p.ranks for p in all_permutations(2)] == [(1, 2), (2, 1)]
@@ -182,11 +192,9 @@ def test_all_permutations_rejects_negative_n():
         all_permutations(-1)
 
 
-def test_all_permutations_cap():
-    with pytest.raises(CapExceededError):
-        all_permutations(11)
-    with pytest.raises(CapExceededError):
-        all_permutations(3, cap=2)
+def test_all_permutations_is_lazy_and_takes_no_cap():
+    # 11! permutations: only a lazy stream hands out the first at once
+    assert next(all_permutations(11)).ranks == tuple(range(1, 12))
 
 
 def test_all_permutations_streams_are_independent():

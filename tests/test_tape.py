@@ -9,7 +9,7 @@ from conftest import (avoidance_sweep, basis_sum_cases, built_avoider, compare_s
                       complement, insertion_cells, inverse, no_trace, reverse)
 
 from permlang import codec, counting, stackmachine, tape
-from permlang.codec import codewords_with_insertions, decode, validate
+from permlang.codec import IllegalCodewordError, codewords_with_insertions, decode, validate
 from permlang.permutations import Basis, Permutation, avoids_basis
 from permlang.tape import (
     BoundedTape,
@@ -487,11 +487,12 @@ class TestCompare:
             compare("mrlff", 1, 1)
         with pytest.raises(ValueError, match="not t"):
             compare("ttf", 0, 2)
-        with pytest.raises(ValueError, match="legal"):
+        with pytest.raises(IllegalCodewordError) as err:
             compare("lff", 0, 2)
+        assert str(err.value) == "illegal codeword 'lff': premature-slot-exhaustion"
 
     def test_matches_decoded_positions_exhaustively(self):
-        # tests/slow_tier.py runs the same sweep at n = 7 and 8
+        # tests/slow_tier.py runs the same sweep at n = 7, 8 and 9
         for n in range(1, 6):
             odd = compare_sweep(n)[1]
             assert not odd, (n, odd[:5])
