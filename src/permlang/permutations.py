@@ -192,24 +192,29 @@ def contains_pattern(p: Permutation, q: Permutation) -> bool:
     if k == 0:
         return True
     pr, qr = p.ranks, q.ranks
-
-    def extend(start: int, chosen: list[int]) -> bool:
+    # chosen holds the values matched to q's first j entries, and stack[j]
+    # the positions of p still to try for entry j: a loop, not a recursion,
+    # so a q longer than the interpreter's recursion limit needs no frames
+    chosen: list[int] = []
+    stack = [iter(range(n - k + 1))]
+    while True:
         j = len(chosen)
-        if j == k:
-            return True
-        for pos in range(start, n - (k - j) + 1):
+        for pos in stack[-1]:
             v = pr[pos]
             for i, c in enumerate(chosen):
                 if (v > c) != (qr[j] > qr[i]):
                     break
             else:
-                chosen.append(v)
-                if extend(pos + 1, chosen):
+                if j + 1 == k:
                     return True
-                chosen.pop()
-        return False
-
-    return extend(0, [])
+                chosen.append(v)
+                stack.append(iter(range(pos + 1, n - (k - j) + 2)))
+                break
+        else:
+            if not chosen:
+                return False
+            stack.pop()
+            chosen.pop()
 
 
 def avoids_basis(p: Permutation, basis: Basis) -> bool:

@@ -66,6 +66,12 @@ class TestCheck:
                 verdicts.add(oracle)
         assert verdicts == {(0, "avoid\n", ""), (1, "contain\n", "")}
 
+    def test_oracle_decides_a_pattern_past_the_recursion_limit(self):
+        # 1..1200 contains itself: exit 1 with the verdict, not a traceback
+        ranks = " ".join(map(str, range(1, 1201)))
+        assert run_cli("check", "--oracle", "--pattern", ranks, "--perm", ranks) == (
+            1, "contain\n", "")
+
     def test_empty_perm_takes_the_oracle_path(self, monkeypatch):
         # the empty permutation has no codeword, so the tape never runs
         monkeypatch.setattr(cli.tape, "accepts_basis", None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -129,6 +130,15 @@ def test_contains_pattern_reflexive_and_length_bound():
         for p in all_permutations(n):
             assert contains_pattern(p, p)
     assert not contains_pattern(Permutation([1, 2]), Permutation([1, 2, 3]))
+
+
+def test_contains_pattern_takes_patterns_past_the_recursion_limit():
+    # the search keeps its own stack, so a pattern with more entries than
+    # the interpreter has frames is decided like a short one
+    identity = list(range(1, sys.getrecursionlimit() + 101))
+    swapped = identity[:-2] + identity[:-3:-1]
+    assert contains_pattern(Permutation(identity), Permutation(identity))
+    assert not contains_pattern(Permutation(identity), Permutation(swapped))
 
 
 def test_avoids_basis_examples():

@@ -15,8 +15,25 @@ TIER_1_LARGEST = {
     census_sweep: 5,
 }
 
+# the most recorded seconds one worker may be handed when the tier runs on
+# two cores, the fewest it is planned for; CI's job limit is 15 minutes
+WORKER_BUDGET = 12 * 60
+
 
 def test_every_slow_row_runs_a_check_past_tier_1():
-    assert {check for _, check, *_ in slow_tier.ROWS} == set(TIER_1_LARGEST)
-    for what, check, size, *_ in slow_tier.ROWS:
+    assert {check for _, _, check, *_ in slow_tier.ROWS} == set(TIER_1_LARGEST)
+    for _, what, check, size, *_ in slow_tier.ROWS:
         assert size > TIER_1_LARGEST[check], what.format(size)
+
+
+def test_every_slow_row_records_its_time():
+    for seconds, what, _, size, *_ in slow_tier.ROWS:
+        assert seconds > 0, what.format(size)
+
+
+def test_two_workers_each_stay_under_the_budget():
+    # the rows largest first, each to the less-loaded of two workers
+    loads = [0.0, 0.0]
+    for seconds in sorted((row[0] for row in slow_tier.ROWS), reverse=True):
+        loads[loads.index(min(loads))] += seconds
+    assert max(loads) < WORKER_BUDGET, loads
