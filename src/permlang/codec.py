@@ -266,18 +266,41 @@ def codewords_with_insertions(n: int) -> Iterator[str]:
     slots == 0 on their final letter; the stream has exactly n! elements.
     Refuses n < 1.  The stream is lazy, so it takes no cap: a caller that
     consumes it whole checks n first.
+
+    The walk keeps its own stack of (prefix, moves left), one entry per
+    insertion, so no n meets Python's recursion limit.  A state is the
+    number of open slots and of insertions left; its moves, each the
+    letters it appends and the state they lead to (None when they end the
+    word), come from ``MOVES`` once per state and stream.
     """
     check_size(n, positive=True)  # the empty permutation has no codeword
 
-    def walk(slots: int, remaining: int, prefix: str) -> Iterator[str]:
-        for j in range(slots):
-            head = prefix + "t" * j
-            for ch, move in MOVES.items():
-                new_slots = slots + move
-                if new_slots == 0:
-                    if remaining == 1:
-                        yield head + ch
-                elif remaining - 1 >= new_slots:
-                    yield from walk(new_slots, remaining - 1, head + ch)
+    def walk() -> Iterator[str]:
+        moves: dict[tuple[int, int], list[tuple[str, tuple[int, int] | None]]] = {}
 
-    return walk(1, n, "")
+        def moves_from(state: tuple[int, int]) -> Iterator[tuple[str, tuple[int, int] | None]]:
+            if state not in moves:
+                slots, remaining = state
+                moves[state] = [
+                    ("t" * j + ch, (slots + move, remaining - 1) if slots + move else None)
+                    for j in range(slots)
+                    for ch, move in MOVES.items()
+                    # end the word on its last insertion, or leave slots
+                    # that the insertions left can still fill
+                    if 0 < slots + move < remaining or slots + move == 0 == remaining - 1
+                ]
+            return iter(moves[state])
+
+        stack = [("", moves_from((1, n)))]
+        while stack:
+            prefix, rest = stack[-1]
+            for letters, state in rest:
+                if state is None:
+                    yield prefix + letters
+                else:
+                    stack.append((prefix + letters, moves_from(state)))
+                    break
+            else:
+                stack.pop()
+
+    return walk()

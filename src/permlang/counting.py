@@ -12,10 +12,7 @@ unless given) before any stream is created.  ``CountRow``'s fields are
 disagree cannot be built, so a mismatch fails loudly instead of being
 recorded.  The routes look the oracle, the generators and the tape up in
 this module when called, so replacing those attributes reaches every call.
-The module also counts legal codewords by their number of t letters and
-provides an exact integer-partition counter used to cross-check the stack
-automaton's partition-word language; ``partition_count`` builds its table
-per call and keeps none between calls.
+The module also counts legal codewords by their number of t letters.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from .codec import codewords_with_insertions
 from .permutations import Basis, all_permutations, avoids_basis, check_size
 
 DEFAULT_COUNT_CAP = 8
-PARTITION_LIMIT = 10000
 
 
 class CountMismatchError(RuntimeError):
@@ -75,10 +71,6 @@ class CountTable(namedtuple("CountTable", "rows")):
 
     __slots__ = ()
 
-    def counts(self) -> tuple[int, ...]:
-        """One count per row: the routes agree, so the first one's."""
-        return tuple(row[1] for row in self.rows)
-
     def to_csv(self) -> str:
         lines = [",".join(CountRow._fields)]
         lines.extend(",".join(map(str, row)) for row in self.rows)
@@ -123,26 +115,3 @@ def count_codewords_bivariate(
         t_count = word.count("t")
         table[t_count] = table.get(t_count, 0) + 1
     return dict(sorted(table.items()))
-
-
-def partition_count(n: int) -> int:
-    """Exact number of integer partitions of n, via the pentagonal-number
-    recurrence; p(0) = 1.  Each call builds p(0..n) in a table of its own,
-    so no call leaves a table behind."""
-    check_size(n, PARTITION_LIMIT)
-    table = [1]
-    for m in range(1, n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * table[m - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * table[m - g2]
-            k += 1
-        table.append(total)
-    return table[n]

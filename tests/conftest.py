@@ -23,8 +23,10 @@ its inputs:
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 
-Reference helpers that several modules use, such as ``insertion_cells``
-and the partition recursion ``partitions_of``, are written once here.  A
+Reference helpers that several modules use are written once here: among
+them ``insertion_cells``, ``words``, which reads every short word over an
+alphabet, ``basis_of``, which reads the tests' basis text, and the
+partition recursion ``partitions_of``, the one home of partition numbers.  A
 test that reads a machine's record builds the machine itself: a
 ``BoundedTape`` given ``no_trace`` and entered through
 ``BoundedTape.run``, or a ``StackMachine`` handed to an acceptor's
@@ -88,14 +90,26 @@ from permlang.counting import count_avoiders, sequence
 from permlang.permutations import Basis, Permutation, all_permutations, avoids_basis
 
 
+def words(lengths, alphabet=ALPHABET):
+    """Every word over alphabet of each length in lengths, in that order,
+    each length's words in lexicographic order of the alphabet."""
+    for n in lengths:
+        yield from map("".join, itertools.product(alphabet, repeat=n))
+
+
+def basis_of(text):
+    """The basis written as comma-separated patterns of digits, such as
+    ``"132,4321"``."""
+    return Basis([int(d) for d in item] for item in text.split(","))
+
+
 def legality_sweep(length):
     """Acceptance 03 at one length: (words checked, failures) of validate,
     tape.check_legal and the stack acceptor on every word over lrmft of
     that length.  A word fails when the verdicts disagree or the tape run
     touches other than |w| cells (one for the empty word)."""
     checked, odd = 0, []
-    for letters in itertools.product(ALPHABET, repeat=length):
-        word = "".join(letters)
+    for word in words([length]):
         direct = bool(validate(word))
         run = tape.check_legal(word)
         if (
@@ -366,8 +380,7 @@ def pinned_sweep(n, rows):
     unless they count the row's count at n."""
     checked, odd = 0, []
     for text, count, _, _ in rows:
-        basis = Basis([int(d) for d in item] for item in text.split(","))
-        got = count_avoiders(n, basis, cap=n).brute
+        got = count_avoiders(n, basis_of(text), cap=n).brute
         if got != count(n):
             odd.append(f"Av({text}) at n={n}: {got}, want {count(n)}")
         checked += got
@@ -393,11 +406,14 @@ def census_sweep(n, classes, groups):
     it has its representative's counts, and the census fails unless the
     representatives' counts fall into exactly ``groups`` distinct
     sequences."""
+    def counts(basis):  # the routes agree, so each row's first route
+        return tuple(row[1] for row in sequence(basis, n).rows)
+
     checked, odd, sequences = 0, [], set()
     for representative, *others in classes:
-        want = sequence(representative, n).counts()
+        want = counts(representative)
         sequences.add(want)
-        odd += [(representative, basis) for basis in others if sequence(basis, n).counts() != want]
+        odd += [(representative, basis) for basis in others if counts(basis) != want]
         checked += 1 + len(others)
     if len(sequences) != groups:
         odd.append(f"{len(sequences)} distinct sequences, want {groups}")
@@ -451,9 +467,5 @@ def basis_sum_cases():
         for word in codewords_with_insertions(n)
         for basis in fixed
     ]
-    cases += [
-        ("".join(letters), fixed[1])
-        for n in range(4)
-        for letters in itertools.product(ALPHABET, repeat=n)
-    ]
+    cases += [(word, fixed[1]) for word in words(range(4))]
     return cases + list(seeded_bases(2031, list(range(9, 13)) * 4))

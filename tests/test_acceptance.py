@@ -14,7 +14,7 @@
         with no further restore;
     08  the log-log slopes of the step counts;
     09  the partition language: every word to length 20, and counts to
-        n = 25;
+        n = 25, against the enumeration conftest.partitions_of;
     10  the primes machine against trial division to n = 200.
 
 Each criterion runs on its own; no unit test repeats its sweep on fewer
@@ -32,9 +32,9 @@ import random
 
 from conftest import (PINNED_COUNTS, SHORT_PATTERNS, avoidance_sweep, insertion_cells,
                       legality_sweep, no_trace, partitions, partitions_of, pinned_sweep,
-                      round_trip_sweep)
+                      round_trip_sweep, words)
 
-from permlang import cli, codec, counting, stackmachine, tape
+from permlang import cli, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, encode
 from permlang.permutations import Basis, Permutation
 
@@ -99,10 +99,8 @@ def test_criterion_06_space_bound():
     # measured, not computed: each run builds a traced tape, whose
     # max_cells_touched is its head's high-water mark
     runs = []
-    for n in range(6):
-        for tup in itertools.product(codec.ALPHABET, repeat=n):
-            word = "".join(tup)
-            runs.append((word, tape.check_legal(word, no_trace)))
+    for word in words(range(6)):
+        runs.append((word, tape.check_legal(word, no_trace)))
     for n in range(1, 6):
         for word in codewords_with_insertions(n):
             cells = insertion_cells(word)
@@ -182,17 +180,13 @@ def test_criterion_08_complexity_slopes():
 
 
 def test_criterion_09_partition_language():
-    # p(10) verified against direct enumeration, independent of the recurrence
-    assert counting.partition_count(10) == partitions_of(10) == 42
+    # the counts are enumerated partition by partition, with p(10) pinned
+    assert partitions_of(10) == 42
 
     # exhaustive over all words up to length 20
     for n in range(1, 21):
-        count = sum(
-            1
-            for tup in itertools.product("ab", repeat=n)
-            if stackmachine.accepts_partition_language("".join(tup))
-        )
-        assert count == counting.partition_count(n), n
+        count = sum(map(stackmachine.accepts_partition_language, words([n], "ab")))
+        assert count == partitions_of(n), n
 
     # lengths 21..25 by block structure: every nondecreasing-part word is
     # accepted and there are exactly p(n) of them; random other words reject
@@ -202,13 +196,13 @@ def test_criterion_09_partition_language():
 
     rng = random.Random(20260808)
     for n in range(21, 26):
-        words = set(partition_words(n))
-        assert len(words) == counting.partition_count(n), n
-        assert all(stackmachine.accepts_partition_language(w) for w in words)
+        accepted = set(partition_words(n))
+        assert len(accepted) == partitions_of(n), n
+        assert all(stackmachine.accepts_partition_language(w) for w in accepted)
         rejected = 0
         while rejected < 500:
             w = "".join(rng.choice("ab") for _ in range(n))
-            if w not in words:
+            if w not in accepted:
                 assert not stackmachine.accepts_partition_language(w), w
                 rejected += 1
     print("ACCEPTANCE 09 partition language counts n=1..25: PASS")

@@ -22,7 +22,7 @@ import itertools
 import random
 
 import pytest
-from conftest import basis_sum_cases, insertion_cells, seeded_bases
+from conftest import basis_sum_cases, insertion_cells, seeded_bases, words
 from test_golden import counter_runs
 
 from permlang import tape
@@ -46,10 +46,10 @@ def legality_inputs():
     mrtltff from cell 0; the same words, then seeded codewords and random
     words, where nesting, t-runs and licences run long, from drawn heads;
     the golden words from cell 0."""
-    words = ["".join(tup) for n in range(7) for tup in itertools.product(ALPHABET, repeat=n)]
-    yield from ((word, 0) for word in words + ["mrtltff"])
+    short = list(words(range(7)))
+    yield from ((word, 0) for word in short + ["mrtltff"])
     rng = random.Random(1997)
-    drawn = words + [random_codeword(rng, 8, 40)[0] for _ in range(300)]
+    drawn = short + [random_codeword(rng, 8, 40)[0] for _ in range(300)]
     drawn += ["".join(rng.choices(ALPHABET, k=rng.randint(1, 60))) for _ in range(300)]
     yield from ((word, rng.randrange(len(word) + 1)) for word in drawn)
     yield from ((word, 0) for word, in golden("check_legal"))

@@ -1,7 +1,8 @@
-import itertools
 import random
+import sys
 
 import pytest
+from conftest import words
 
 from permlang.codec import (
     IllegalCodewordError,
@@ -86,8 +87,10 @@ def test_codewords_with_insertions_small():
 
 
 def test_codewords_with_insertions_is_lazy_and_refuses_zero():
-    # 11! codewords: only a lazy stream hands out the first at once
-    assert next(codewords_with_insertions(11)) == "l" * 10 + "f"
+    # 11! codewords: only a lazy stream hands out the first at once; past
+    # the recursion limit, only a walk that keeps its own stack does
+    for n in (11, sys.getrecursionlimit() + 100):
+        assert next(codewords_with_insertions(n)) == "l" * (n - 1) + "f"
     with pytest.raises(ValueError, match="positive"):
         codewords_with_insertions(0)
 
@@ -110,9 +113,7 @@ def test_exhaustive_legal_words_match_generator():
     for n in range(1, 5):
         generated = set(codewords_with_insertions(n))
         brute = set()
-        for length in range(1, 2 * n):
-            for tup in itertools.product("lrmft", repeat=length):
-                w = "".join(tup)
-                if validate(w) and sum(1 for c in w if c != "t") == n:
-                    brute.add(w)
+        for w in words(range(1, 2 * n)):
+            if validate(w) and sum(1 for c in w if c != "t") == n:
+                brute.add(w)
         assert brute == generated

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import census_sweep, pair_classes, partitions_of, symmetry_sweep
+from conftest import census_sweep, pair_classes, symmetry_sweep
 
 from permlang import counting
 from permlang.codec import encode
@@ -11,7 +11,6 @@ from permlang.counting import (
     CountTable,
     count_avoiders,
     count_codewords_bivariate,
-    partition_count,
     sequence,
 )
 from permlang.permutations import (
@@ -166,26 +165,3 @@ class TestBivariate:
         with pytest.raises(ValueError):
             count_codewords_bivariate(0)
 
-
-class TestPartitionCount:
-    def test_examples(self):
-        assert partition_count(0) == 1
-        assert partition_count(5) == 7
-        assert partition_count(10) == 42
-
-    def test_against_direct_enumeration(self):
-        for n in range(0, 21):
-            assert partition_count(n) == partitions_of(n), n
-
-    def test_large_values_exact(self):
-        # spot values big enough to overflow doubles if done carelessly
-        assert partition_count(100) == 190569292
-        assert partition_count(1000) == int(
-            "24061467864032622473692149727991"
-        )
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            partition_count(-1)
-        with pytest.raises(CapExceededError, match="10000"):
-            partition_count(10001)

@@ -46,7 +46,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import assert_golden, built_avoider, insertion_cells
+from conftest import assert_golden, basis_of, built_avoider, insertion_cells, words
 
 from permlang import cli, codec, stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode, validate
@@ -81,10 +81,8 @@ def counter_runs():
     """(section, key, procedure, args) of every run golden_counters.json
     freezes, in the file's order."""
     long = counter_long_words()
-    for n in range(6):
-        for letters in itertools.product(ALPHABET, repeat=n):
-            word = "".join(letters)
-            yield "check_legal", word, tape.check_legal, (word,)
+    for word in words(range(6)):
+        yield "check_legal", word, tape.check_legal, (word,)
     for size in range(10, 41):
         word = cli.bench_word(size)
         yield "check_legal", word, tape.check_legal, (word,)
@@ -102,7 +100,7 @@ def counter_runs():
             yield "compare", f"{word} {x} {y}", tape.compare, (word, x, y)
 
     for text in BASES:
-        basis = Basis([int(d) for d in item] for item in text.split(","))
+        basis = basis_of(text)
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 yield "accepts_basis", f"{text} {word}", tape.accepts_basis, (word, basis)
@@ -231,8 +229,7 @@ def stack_long_words() -> list[str]:
 
 def render_stack() -> str:
     """Every word of length <= 5, then the long words."""
-    words = ["".join(w) for n in range(6) for w in itertools.product(ALPHABET, repeat=n)]
-    rows = machine_runs(stackmachine._codewords_on, words + stack_long_words())
+    rows = machine_runs(stackmachine._codewords_on, [*words(range(6)), *stack_long_words()])
     return render_rows({word: [validate(word).reason, *row] for word, row in rows.items()})
 
 
@@ -255,10 +252,8 @@ def partition_long_words() -> list[str]:
 
 def render_partition() -> str:
     """Every word over a, b of length <= 10, then the long words."""
-    words = ["".join(w) for n in range(11) for w in itertools.product("ab", repeat=n)]
-    return render_rows(
-        machine_runs(stackmachine._partitions_on, words + partition_long_words())
-    )
+    inputs = [*words(range(11), "ab"), *partition_long_words()]
+    return render_rows(machine_runs(stackmachine._partitions_on, inputs))
 
 
 GOLDEN = {

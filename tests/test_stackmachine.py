@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from conftest import words
 
 from permlang.stackmachine import (
     StackDisciplineError,
@@ -123,8 +124,6 @@ class TestAcceptsPartitionLanguage:
         def blocks(word):
             return [len(list(g)) for _, g in itertools.groupby(word)]
 
-        for n in range(1, 12):
-            for tup in itertools.product("ab", repeat=n):
-                word = "".join(tup)
-                want = word.startswith("a") and blocks(word) == sorted(blocks(word))
-                assert accepts_partition_language(word) is want, word
+        for word in words(range(1, 12), "ab"):
+            want = word.startswith("a") and blocks(word) == sorted(blocks(word))
+            assert accepts_partition_language(word) is want, word

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 from conftest import (avoidance_sweep, basis_sum_cases, built_avoider, compare_sweep,
-                      complement, insertion_cells, inverse, no_trace, reverse)
+                      complement, insertion_cells, inverse, no_trace, reverse, words)
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import IllegalCodewordError, codewords_with_insertions, decode, validate
@@ -819,12 +819,10 @@ def test_untraced_procedures_run_no_primitive(monkeypatch):
         (accepts_basis, ("mrtltff", Basis([[1, 3, 2], [4, 3, 2, 1]])), TapeRun(True, 1533, 7)),
         (is_prime, (12,), TapeRun(False, 73, 12)),
     ]
-    for n in range(0, 6):
-        for letters in itertools.product(codec.ALPHABET, repeat=n):
-            word = "".join(letters)
-            check_legal(word)
-            for basis in bases:
-                accepts_basis(word, basis)
+    for word in words(range(6)):
+        check_legal(word)
+        for basis in bases:
+            accepts_basis(word, basis)
     for n in range(1, 6):
         for word in codewords_with_insertions(n):
             cells = insertion_cells(word)

@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import words
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
@@ -201,16 +202,14 @@ def test_decode_matches_list_splicing(index):
 
 def test_decode_gives_validate_reason_on_every_short_word():
     # decode makes validate's checks in its own pass: same reason, same order
-    for length in range(8):
-        for letters in itertools.product(ALPHABET, repeat=length):
-            word = "".join(letters)
-            try:
-                perm = codec.decode(word)
-            except IllegalCodewordError as err:
-                assert err.reason == codec.validate(word).reason, word
-            else:
-                assert codec.validate(word), word
-                assert perm == decode_by_letters(word), word
+    for word in words(range(8)):
+        try:
+            perm = codec.decode(word)
+        except IllegalCodewordError as err:
+            assert err.reason == codec.validate(word).reason, word
+        else:
+            assert codec.validate(word), word
+            assert perm == decode_by_letters(word), word
 
 
 @pytest.mark.parametrize("index", range(len(CASES)))
@@ -293,12 +292,7 @@ class CountingMachine(StackMachine):
 def test_stack_acceptor_moves_the_stack_only_by_its_operations():
     # every push and pop the counters show, every t-run read and every
     # insertion letter read is one call of an operation, with its check
-    short = (
-        "".join(letters)
-        for length in range(6)
-        for letters in itertools.product(ALPHABET, repeat=length)
-    )
-    for word in itertools.chain(CASES, short):
+    for word in itertools.chain(CASES, words(range(6))):
         lines = []
         accepts_by_letters(word, lines.append)
         read = "".join(line.split("\t")[1] for line in lines)
@@ -313,23 +307,21 @@ def test_stack_acceptor_moves_the_stack_only_by_its_operations():
             }, word
     # the partition acceptor never pops, and a letter that leaves the run
     # going and the height as it was walks down one token: one cursor_down()
-    for length in range(11):
-        for letters in itertools.product("ab", repeat=length):
-            word = "".join(letters)
-            lines = []
-            untraced, traced = CountingMachine(), CountingMachine()
-            stackmachine._partitions_on(untraced, word, None)
-            stackmachine._partitions_on(traced, word, lines.append)
-            heights = [0] + [int(line.rsplit("=", 1)[1]) for line in lines]
-            steps = sum(
-                before == after and f"state={START}" in line
-                for before, after, line in zip(heights, heights[1:], lines)
-            )
-            for machine in (untraced, traced):
-                calls = machine.calls
-                assert calls["cursor_down"] == steps, word
-                assert (calls["push"], calls["pop"]) == (machine.pushes, machine.pops), word
-                assert machine.pops == 0, word
+    for word in words(range(11), "ab"):
+        lines = []
+        untraced, traced = CountingMachine(), CountingMachine()
+        stackmachine._partitions_on(untraced, word, None)
+        stackmachine._partitions_on(traced, word, lines.append)
+        heights = [0] + [int(line.rsplit("=", 1)[1]) for line in lines]
+        steps = sum(
+            before == after and f"state={START}" in line
+            for before, after, line in zip(heights, heights[1:], lines)
+        )
+        for machine in (untraced, traced):
+            calls = machine.calls
+            assert calls["cursor_down"] == steps, word
+            assert (calls["push"], calls["pop"]) == (machine.pushes, machine.pops), word
+            assert machine.pops == 0, word
 
 
 def rebuilt(word: str) -> str:
@@ -337,10 +329,8 @@ def rebuilt(word: str) -> str:
 
 
 def test_tokens_give_back_every_short_word():
-    for length in range(8):
-        for letters in itertools.product(ALPHABET, repeat=length):
-            word = "".join(letters)
-            assert rebuilt(word) == word
+    for word in words(range(8)):
+        assert rebuilt(word) == word
 
 
 @pytest.mark.parametrize("word", ["", "t", "ttt", "tf", "ftt", *CASES])
