@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import census_sweep, pair_classes, symmetry_sweep
+from conftest import census_sweep, pair_classes, partitions, partitions_of, symmetry_sweep
 
 from permlang import counting
 from permlang.codec import encode
@@ -165,3 +165,48 @@ class TestBivariate:
         with pytest.raises(ValueError):
             count_codewords_bivariate(0)
 
+
+def pentagonal_partition_numbers(limit):
+    """p(0..limit) by Euler's pentagonal-number recurrence, a reference
+    independent of ``conftest.partitions_of``'s enumeration."""
+    p = [1]
+    for n in range(1, limit + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    total += sign * p[n - pentagonal]
+            k += 1
+        p.append(total)
+    return p
+
+
+class TestPartitionCount:
+    """``conftest.partitions_of`` is the one home of partition numbers, and
+    acceptance 09 counts the partition acceptor against it."""
+
+    def test_examples(self):
+        assert partitions_of(0) == 1
+        assert partitions_of(5) == 7
+        assert partitions_of(10) == 42
+        assert list(partitions(5)) == [
+            (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)
+        ]
+
+    def test_against_direct_enumeration(self):
+        for n, expected in enumerate(pentagonal_partition_numbers(25)):
+            assert partitions_of(n) == expected, n
+
+    def test_large_values_exact(self):
+        # the reference recurrence at published values (OEIS A000041),
+        # big enough to overflow doubles if done carelessly
+        p = pentagonal_partition_numbers(1000)
+        assert p[100] == 190569292
+        assert p[1000] == int("24061467864032622473692149727991")
+
+    def test_bounds(self):
+        assert partitions_of(-1) == 0
+        assert list(partitions(0, 0)) == [()]
+        assert list(partitions(3, 0)) == []
+        assert list(partitions(5, 2)) == [(2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)]
