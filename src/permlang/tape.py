@@ -10,12 +10,14 @@ procedure ends on a restored tape.
 
 Loop counters and selected cell indices are held in ordinary control state
 outside the tape, and all work that touches the tape is charged through the
-primitives.  One gap: the occurrence search also keeps a Python list of
-every insertion cell, up to n integers, and indexes into it; the counters
-are exact, but a literal linear-bounded automaton would hold those cells as
-marks.  The space bound is enforced, not just measured: any primitive
-stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
-procedure, never an input condition.
+primitives.  One gap: the occurrence search holds its k chosen indices and
+the compare its two cells, but ``_accepts_basis_on_tape`` also keeps a
+Python list of every insertion cell, up to n integers, to map the search's
+indices to cells; it is the one procedure that holds or indexes that list.
+The counters are exact, but a literal linear-bounded automaton would hold
+those cells as marks.  The space bound is enforced, not just measured: any
+primitive stepping outside the |w|+1 cells raises TapeFault, which is a bug
+in a procedure, never an input condition.
 
 A BoundedTape exists only for traced runs, and ``BoundedTape.run`` is
 the one way into a procedure: it faults unless the tape holds its input,
@@ -442,29 +444,30 @@ def _drop_rightmost_star(tape: BoundedTape, z: int) -> bool:
     return remain
 
 
-def _compare_on_tape(tape: BoundedTape, cells: list[int], a: int, b: int) -> bool:
-    """Whether the entry inserted at cells[b] lands left of the one
-    inserted at cells[a] (descending) or right of it (ascending).
+def _compare_on_tape(tape: BoundedTape, x_pos: int, y_pos: int) -> bool:
+    """Whether the entry inserted at cell y_pos lands left of the one
+    inserted at cell x_pos (descending) or right of it (ascending).
 
-    cells holds the word's insertion cells (those whose letter is not t)
-    from left to right, as the search lists them, and a < b
-    index into it; call x = cells[a] and y = cells[b].  Stars the t-run
-    before x (plus x itself when it is r or m), so the star count equals
-    the number of open slots left of x's entry.  Walking right, every m or
-    f whose own t-run is beaten by the stars inserts left of x and bumps
-    the count up or down.  If the stars ever run out, x's entry has no open
-    slot to its left and the answer is ascending.  At y, stars strictly
-    exceeding y's t-run means y inserts left of x: descending.
+    Call x = x_pos and y = y_pos, two insertion cells (whose letter is not
+    t) with x left of y.  Stars the t-run before x (plus x itself when it
+    is r or m), so the star count equals the number of open slots left of
+    x's entry.  Walking right, every m or f whose own t-run is beaten by
+    the stars inserts left of x and bumps the count up or down.  If the
+    stars ever run out, x's entry has no open slot to its left and the
+    answer is ascending.  At y, stars strictly exceeding y's t-run means y
+    inserts left of x: descending.
 
-    It starts on an unmarked tape, with 0 <= a < b < len(cells), and
-    faults before any step when a or b is outside that range, and ends
-    restored with the head on the word's last cell; entry b-a-1 of
+    It starts on an unmarked tape, with x and y insertion cells and
+    0 <= x < y < n, and faults before any step when they are not, reading
+    their letters off the tape's word as ``seek`` reads its bounds; it ends
+    restored with the head on the word's last cell.  Entry b-a-1 of
     ``_compare_row``'s walk from x gives its verdict and steps without a
-    tape.
+    tape, where x and y are insertion cells a and b.
     """
-    if not 0 <= a < b < len(cells):
-        raise TapeFault(f"compare of insertion cells {a}, {b}: need 0 <= a < b < {len(cells)}")
-    x_pos, y_pos = cells[a], cells[b]
+    n, letters = tape.n, tape._letters
+    if not (0 <= x_pos < y_pos < n and "t" not in (letters[x_pos], letters[y_pos])):
+        raise TapeFault(
+            f"compare of cells {x_pos}, {y_pos}: need insertion cells 0 <= x < y < {n}")
     tape.seek(x_pos)
     x_letter, _ = tape.read()
     starred = x_letter in "rm"
@@ -592,11 +595,11 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
         raise ValueError("compared cells must hold insertion letters, not t")
     if not verdict:
         raise IllegalCodewordError(word, verdict.reason)
+    if trace is not None:
+        return BoundedTape(word, trace).run(_compare_on_tape, x_pos, y_pos)
     cells = _insertion_cells(word)
     a, b = cells.index(x_pos), cells.index(y_pos)
-    if trace is None:
-        return TapeRun(*_compare_row(word, cells, a, 0)[b - a - 1], n)
-    return BoundedTape(word, trace).run(_compare_on_tape, cells, a, b)
+    return TapeRun(*_compare_row(word, cells, a, 0)[b - a - 1], n)
 
 
 # --- pattern avoidance -----------------------------------------------------
@@ -631,9 +634,10 @@ def _neighbours(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, bool], ...],
 
 
 def _avoids(
-    cells: list[int], pattern: tuple[int, ...], descending: Callable[[list[int], int, int], bool]
+    count: int, pattern: tuple[int, ...], descending: Callable[[list[int], int, int], bool]
 ) -> bool:
-    """Depth-first search for an occurrence of the pattern; True iff none.
+    """Depth-first search for an occurrence of the pattern among count
+    insertion cells, numbered 0..count-1 left to right; True iff none.
 
     The insertion cells are in value order, so a tuple of cells taken left
     to right holds the values 1..k of a candidate occurrence.  The search
@@ -646,17 +650,18 @@ def _avoids(
     descending).  The chosen entries already stand in the pattern's
     positional order, so y agrees with every chosen cell exactly when it
     agrees with those two; a disagreement prunes y and everything below
-    it.  A full k-tuple is an occurrence.  Control state is the chosen
-    indices into cells and the pattern's neighbour table, ``_neighbours``,
-    which is built once per pattern, not once per word.
+    it.  A full k-tuple is an occurrence.  Control state is the k chosen
+    cell numbers and the pattern's neighbour table, ``_neighbours``, which
+    is built once per pattern, not once per word; the search never sees a
+    cell's position.
 
     ``descending(chosen, a, y)`` makes the compare of the cell chosen at
-    level a with the candidate y, both indices into cells, and says
-    whether it is descending.
+    level a with the candidate y, both cell numbers, and says whether it
+    is descending; the caller maps the numbers to cells.
     """
     nbrs = _neighbours(pattern)
     k = len(pattern)
-    slack = len(cells) - k
+    slack = count - k
     chosen: list[int] = []
     i = 0
     while True:
@@ -682,14 +687,16 @@ def _accepts_basis_on_tape(tape: BoundedTape, basis: Basis) -> bool:
     after it; then the occurrence search for each pattern in turn until one
     is contained, every compare through ``_compare_on_tape``.  Each ends
     in ``restore`` on cell n-1, which checks the tape the next one starts
-    on.  The cell list, up to n integers that ``_avoids`` and the compare
-    index into, is held off the tape: the machine model's one gap."""
+    on.  The cell list, up to n integers, is held off the tape, and only
+    here: ``_avoids`` sees its length and the compare two cells, which the
+    callable maps from the search's chosen numbers.  It is the machine
+    model's one gap."""
     if not _check_legal_on_tape(tape):
         return False
     tape.seek(0)
     cells = [tape.head for letter, _ in tape.sweep_right() if letter != "t"]
-    return all(_avoids(cells, pattern.ranks, lambda chosen, a, y: (
-        _compare_on_tape(tape, cells, chosen[a], y))) for pattern in basis)
+    return all(_avoids(len(cells), pattern.ranks, lambda chosen, a, y: (
+        _compare_on_tape(tape, cells[chosen[a]], cells[y]))) for pattern in basis)
 
 
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
@@ -726,7 +733,7 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
         return verdict
 
     for pattern in basis:
-        if not _avoids(cells, pattern.ranks, descending):
+        if not _avoids(len(cells), pattern.ranks, descending):
             return TapeRun(False, steps, n)
     return TapeRun(True, steps, n)
 

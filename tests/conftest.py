@@ -44,7 +44,12 @@ checked, failures):
 - ``symmetry_sweep(n)``: ``TestSequence``;
 - ``pinned_sweep(n, rows)``: acceptance 05;
 - ``census_sweep(n, classes, groups)``: ``TestSequence``, over the classes
-  of pairs of length-4 patterns that ``pair_classes`` builds.
+  of pairs of length-4 patterns that ``pair_classes`` builds;
+- ``relation_sweep(n, families, decide)``: ``TestAcceptsBasis`` and
+  ``test_permutations.py``, over ``RELATION_FAMILIES``, in tier-1 only.
+  It is not an agreement check: it holds one decider to the containment
+  order of patterns, with no oracle, on words far past the exhaustive
+  sweeps' sizes.
 
 Pinned counts.  ``PINNED_COUNTS`` is the one home of every avoider count
 the tests pin: one row per basis, with its count at length n as a
@@ -77,8 +82,15 @@ Its rows run on every core, largest first, and ``ROWS`` holds the time
 each row took.  In tier-1, ``test_slow_tier.py`` checks that every row
 runs its check at a size above the largest tier-1 runs it at, that every
 row records its time, and that two workers each get under 12 minutes.
+
+Line audit.  ``tests/line_audit.py`` runs tier-1 under a line tracer and
+fails on every executable line of ``src/permlang`` that no test ran;
+pytest does not collect it either:
+
+    python tests/line_audit.py
 """
 
+import functools
 import itertools
 import math
 import random
@@ -222,6 +234,82 @@ def compare_sweep(n):
             checked += 1
     if checked != math.factorial(n) * math.comb(n, 2):
         odd.append(f"{checked} compares checked")
+    return checked, odd
+
+
+def superpatterns(q):
+    """The distinct patterns one entry longer than q that contain it: q
+    with a new entry of each value 1..k+1 put at each position 0..k."""
+    longer = set()
+    for v in range(1, len(q) + 2):
+        lifted = tuple(r + (r >= v) for r in q)
+        longer.update(lifted[:at] + (v,) + lifted[at:] for at in range(len(q) + 1))
+    return sorted(longer)
+
+
+def deletions(q):
+    """The distinct patterns made by deleting one entry of q."""
+    return sorted({tuple(r - (r > q[i]) for r in q[:i] + q[i + 1:]) for i in range(len(q))})
+
+
+def two_layers(n):
+    """Two decreasing layers, the lower first: an avoider of 123 whose
+    codeword has no t."""
+    m = n // 2
+    return [*range(m, 0, -1), *range(n, m, -1)]
+
+
+def increasing_runs(n, count):
+    """count increasing runs of near-equal length, the highest first: an
+    avoider of the decreasing pattern of length count + 1."""
+    cuts = [n * i // count for i in range(count + 1)]
+    return [v for i in reversed(range(count)) for v in range(cuts[i] + 1, cuts[i + 1] + 1)]
+
+
+# relation_sweep's families: (q, a member of Av(q) of length n)
+RELATION_FAMILIES = [
+    ((1, 2, 3), two_layers),
+    ((3, 2, 1), lambda n: increasing_runs(n, 2)),
+    ((4, 3, 2, 1), lambda n: increasing_runs(n, 3)),
+]
+
+
+def relation_sweep(n, families, decide):
+    """The containment relations at one n: (relations checked, failures).
+    ``decide(word, q)`` is a decider's verdict on the word for the basis
+    {q}; no other decider takes part.  Each family gives two words: the
+    codeword of its member of Av(q) of length n, and its mutant, the
+    codeword with its middle l or r swapped for the other, which is legal
+    as l and r leave the open slots as they are.  For each q' one entry
+    longer than q, Up: a word accepted for {q} is accepted for {q'}, and
+    Down: a word rejected for {q'} is rejected for every pattern made by
+    deleting one entry of q'.  Only the relations whose premise holds
+    count as checked.  A member rejected for q fails, and so does a sweep
+    in which no word is rejected for a longer pattern, as it checks no
+    Down."""
+    checked, odd, downs = 0, [], 0
+    for q, member in families:
+        word = encode(Permutation(member(n)))
+        swappable = [i for i, letter in enumerate(word) if letter in "lr"]
+        at = swappable[len(swappable) // 2]
+        mutant = word[:at] + word[at].translate(_MIRROR) + word[at + 1:]
+        if not decide(word, q):
+            odd.append(("member", word, q))
+        for w in (word, mutant):
+            accepts = functools.cache(functools.partial(decide, w))
+            for longer in superpatterns(q):
+                if accepts(q):
+                    checked += 1
+                    if not accepts(longer):
+                        odd.append(("up", w, q, longer))
+                if not accepts(longer):
+                    downs += 1
+                    for shorter in deletions(longer):
+                        checked += 1
+                        if accepts(shorter):
+                            odd.append(("down", w, longer, shorter))
+    if not downs:
+        odd.append("no word rejected for a longer pattern")
     return checked, odd
 
 

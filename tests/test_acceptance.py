@@ -129,7 +129,7 @@ def test_criterion_07_tape_restoration():
             assert t.holds_input(), word
             for a, b in itertools.combinations(range(len(cells)), 2):
                 t = tape.BoundedTape(word, no_trace)
-                t.run(tape._compare_on_tape, cells, a, b)
+                t.run(tape._compare_on_tape, cells[a], cells[b])
                 assert t.holds_input(), (word, cells[a], cells[b])
                 checked += 1
     print(f"ACCEPTANCE 07 tape restoration over {checked} owned traced compare tapes: PASS")

@@ -141,7 +141,8 @@ def compare_untraced(word, a, b, head):
 def compare_traced(word, a, b, head, trace):
     t = BoundedTape(word, trace)
     t.seek(head)
-    return t.run(tape._compare_on_tape, insertion_cells(word), a, b), t
+    cells = insertion_cells(word)
+    return t.run(tape._compare_on_tape, cells[a], cells[b]), t
 
 
 def basis_traced(word, basis, trace):

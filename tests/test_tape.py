@@ -5,8 +5,9 @@ import random
 import sys
 
 import pytest
-from conftest import (avoidance_sweep, basis_sum_cases, built_avoider, compare_sweep,
-                      complement, insertion_cells, inverse, no_trace, reverse, words)
+from conftest import (RELATION_FAMILIES, avoidance_sweep, basis_sum_cases, built_avoider,
+                      compare_sweep, complement, insertion_cells, inverse, no_trace,
+                      relation_sweep, reverse, words)
 
 from permlang import codec, counting, stackmachine, tape
 from permlang.codec import IllegalCodewordError, codewords_with_insertions, decode, validate
@@ -38,7 +39,7 @@ def search(word, q):
         made.append((tuple(cells[c] for c in chosen), cells[chosen[a]], cells[y]))
         return compare(word, cells[chosen[a]], cells[y]).verdict
 
-    return tape._avoids(cells, tuple(q), descending), made
+    return tape._avoids(len(cells), tuple(q), descending), made
 
 
 def candidates(log):
@@ -319,24 +320,28 @@ class TestBoundedTape:
             "", (0,), 0, lambda t: t.run(tape._check_legal_on_tape),
             "_check_legal_on_tape started on a tape that does not hold its input", True),
         "compare-on-marked-tape": (
-            "mrlff", (3,), 3, lambda t: t.run(tape._compare_on_tape, [0, 1, 2, 3, 4], 0, 1),
+            "mrlff", (3,), 3, lambda t: t.run(tape._compare_on_tape, 0, 1),
             "_compare_on_tape started on a tape that does not hold its input", True),
         "sieve-on-marked-tape": (
             "aaaa", (1,), 2, lambda t: t.run(tape._is_prime_on_tape),
             "_is_prime_on_tape started on a tape that does not hold its input", True),
-        # a after b, a on b, b one past the last insertion cell, a negative a
+        # with a the cell x and b the cell y: a after b, a on b, b on the
+        # boundary cell past the last cell, a negative a, and b on a t
         "compare-outside-its-cells": (
-            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), 1, 0),
-            "compare of insertion cells 1, 0: need 0 <= a < b < 7", True),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, 1, 0),
+            "compare of cells 1, 0: need insertion cells 0 <= x < y < 7", True),
         "compare-a-on-b": (
-            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), 1, 1),
-            "compare of insertion cells 1, 1: need 0 <= a < b < 7", True),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, 1, 1),
+            "compare of cells 1, 1: need insertion cells 0 <= x < y < 7", True),
         "compare-b-past-last-cell": (
-            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), 0, 7),
-            "compare of insertion cells 0, 7: need 0 <= a < b < 7", True),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, 0, 7),
+            "compare of cells 0, 7: need insertion cells 0 <= x < y < 7", True),
         "compare-negative-a": (
-            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, list(range(7)), -1, 2),
-            "compare of insertion cells -1, 2: need 0 <= a < b < 7", True),
+            "mrlmfff", (), 0, lambda t: t.run(tape._compare_on_tape, -1, 2),
+            "compare of cells -1, 2: need insertion cells 0 <= x < y < 7", True),
+        "compare-b-on-a-t": (
+            "mrtlff", (), 0, lambda t: t.run(tape._compare_on_tape, 0, 2),
+            "compare of cells 0, 2: need insertion cells 0 <= x < y < 6", True),
         "drop-star-with-none-left": (
             "mrlff", (), 4, lambda t: tape._drop_rightmost_star(t, 4),
             "asked to drop a star but none exists", False),
@@ -686,6 +691,14 @@ class TestAcceptsBasis:
                     want = avoids_basis(perm, basis)
                     assert want or not built, (p, q)
                     assert accepts_basis(codec.encode(perm), basis).verdict is want, (p, q)
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_respects_the_containment_order(self, n):
+        # past the oracle's exhaustive range, with no oracle: the search's
+        # verdicts for q and its one-entry extensions and deletions agree
+        odd = relation_sweep(
+            n, RELATION_FAMILIES, lambda word, q: accepts_basis(word, Basis([q])).verdict)[1]
+        assert not odd, odd[:5]
 
     def test_cumulative_counters_cover_all_patterns(self):
         # legality and the cell sweep run once per word, not once per

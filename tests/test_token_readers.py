@@ -3,12 +3,14 @@
 ``codec.validate``, ``codec.decode`` and ``stackmachine.accepts_codewords``
 read a codeword a token (an insertion letter with its t-run) at a time.
 The plain per-letter readers below are the references.  On long seeded
-codewords, on copies with one letter changed, and on copies whose t-run
-to the root is one letter longer, the token readers must give the same
-reason, the same permutation, and the same stack verdict, counters and
-trace.  The stack acceptor must still make one operation call per t-run,
-insertion letter, push and pop it reads or makes, and the partition
-acceptor one per push and per token its cursor walks down.
+codewords, on copies with one letter changed, on copies whose t-run to
+the root is one letter longer, on copies with an l after the last f or
+in its place, and on the empty word, the token readers must give the
+same reason, the same permutation, and the same stack verdict, counters
+and trace; those words reach every reason.  The stack acceptor must
+still make one operation call per t-run, insertion letter, push and pop
+it reads or makes, and the partition acceptor one per push and per token
+its cursor walks down.
 ``encode_by_cells`` is the plain reference for ``codec.encode``, and the
 tokeniser itself must give back every word it reads and name a foreign
 letter as every reader does.  ``codec.tokens`` keeps the split of the
@@ -168,6 +170,12 @@ def make_cases() -> list[str]:
 
 
 CASES = make_cases()
+# each seeded codeword with an l after its last f (exhaustion) and with an
+# l for it (trailing), then the empty word: kept apart from CASES, whose
+# thirds test_cases_reach_the_root_and_one_past_it reads
+ENDINGS = [*(word + "l" for word in CASES[0::3]),
+           *(word[:-1] + "l" for word in CASES[0::3]), ""]
+READ = CASES + ENDINGS
 
 
 def test_cases_reach_the_root_and_one_past_it():
@@ -182,15 +190,21 @@ def test_cases_reach_the_root_and_one_past_it():
         assert lines[-1].split("\t")[1:4] == ["t", f"state={FAIL}", "cursor=0"]
 
 
-@pytest.mark.parametrize("index", range(len(CASES)))
+def test_cases_reach_every_reason():
+    assert {validate_by_letters(word) for word in READ} == {
+        None, codec.REASON_EMPTY, codec.REASON_T_OVERFLOW, codec.REASON_EXHAUSTED,
+        codec.REASON_TRAILING, codec.REASON_UNFILLED}
+
+
+@pytest.mark.parametrize("index", range(len(READ)))
 def test_validate_matches_letter_scan(index):
-    word = CASES[index]
+    word = READ[index]
     assert codec.validate(word).reason == validate_by_letters(word)
 
 
-@pytest.mark.parametrize("index", range(len(CASES)))
+@pytest.mark.parametrize("index", range(len(READ)))
 def test_decode_matches_list_splicing(index):
-    word = CASES[index]
+    word = READ[index]
     reason = validate_by_letters(word)
     if reason is None:
         assert codec.decode(word) == decode_by_letters(word)
@@ -212,9 +226,9 @@ def test_decode_gives_validate_reason_on_every_short_word():
             assert perm == decode_by_letters(word), word
 
 
-@pytest.mark.parametrize("index", range(len(CASES)))
+@pytest.mark.parametrize("index", range(len(READ)))
 def test_stack_acceptor_matches_letter_run(index):
-    word = CASES[index]
+    word = READ[index]
     want_lines, got_lines = [], []
     want, reference = accepts_by_letters(word, want_lines.append)
     untraced, traced = StackMachine(), StackMachine()
@@ -292,7 +306,7 @@ class CountingMachine(StackMachine):
 def test_stack_acceptor_moves_the_stack_only_by_its_operations():
     # every push and pop the counters show, every t-run read and every
     # insertion letter read is one call of an operation, with its check
-    for word in itertools.chain(CASES, words(range(6))):
+    for word in itertools.chain(READ, words(range(6))):
         lines = []
         accepts_by_letters(word, lines.append)
         read = "".join(line.split("\t")[1] for line in lines)
