@@ -25,12 +25,14 @@ its inputs:
 
 Reference helpers that several modules use are written once here: among
 them ``insertion_cells``, ``words``, which reads every short word over an
-alphabet, ``basis_of``, which reads the tests' basis text, and the
-partition recursion ``partitions_of``, the one home of partition numbers.  A
-test that reads a machine's record builds the machine itself: a
-``BoundedTape`` given ``no_trace`` and entered through
-``BoundedTape.run``, or a ``StackMachine`` handed to an acceptor's
-procedure, such as a subclass that counts operation calls.
+alphabet, ``basis_of``, which reads the tests' basis text, the partition
+recursion ``partitions_of``, the one home of partition numbers, and
+``run_python``, the one way a test starts a child interpreter.  So is each
+family of class members the tests build: ``increasing_runs``, its mirror
+``layers`` and ``adjacent_swaps``.  A test that reads a machine's record
+builds the machine itself: a ``BoundedTape`` given ``no_trace`` and
+entered through ``BoundedTape.run``, or a ``StackMachine`` handed to an
+acceptor's procedure, such as a subclass that counts operation calls.
 
 Sweeps.  Each exhaustive agreement check is one sweep function here,
 called by tier-1 and by the slow tier alike, and each returns (how many it
@@ -45,11 +47,12 @@ checked, failures):
 - ``pinned_sweep(n, rows)``: acceptance 05;
 - ``census_sweep(n, classes, groups)``: ``TestSequence``, over the classes
   of pairs of length-4 patterns that ``pair_classes`` builds;
-- ``relation_sweep(n, families, decide)``: ``TestAcceptsBasis`` and
-  ``test_permutations.py``, over ``RELATION_FAMILIES``, in tier-1 only.
-  It is not an agreement check: it holds one decider to the containment
-  order of patterns, with no oracle, on words far past the exhaustive
-  sweeps' sizes.
+- ``relation_sweep(n, family, decide)``: ``TestAcceptsBasis``'s
+  ``test_respects_the_containment_order_as_the_oracle_does``, on each
+  family of ``RELATION_FAMILIES``, in tier-1 only.  It holds one decider
+  to the containment order of patterns on words far past the exhaustive
+  sweeps' sizes; the test runs it with the tape and with the oracle and
+  compares the two deciders' verdicts on every question it asks.
 
 Pinned counts.  ``PINNED_COUNTS`` is the one home of every avoider count
 the tests pin: one row per basis, with its count at length n as a
@@ -93,13 +96,26 @@ pytest does not collect it either:
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from permlang import stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, tokens, validate
 from permlang.counting import count_avoiders, sequence
 from permlang.permutations import Basis, Permutation, all_permutations, avoids_basis
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """A child interpreter given args, run from the repository root with
+    ``src`` on PYTHONPATH: its CompletedProcess, with text output."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=ROOT,
+                          env=env, timeout=60)
 
 
 def words(lengths, alphabet=ALPHABET):
@@ -252,13 +268,6 @@ def deletions(q):
     return sorted({tuple(r - (r > q[i]) for r in q[:i] + q[i + 1:]) for i in range(len(q))})
 
 
-def two_layers(n):
-    """Two decreasing layers, the lower first: an avoider of 123 whose
-    codeword has no t."""
-    m = n // 2
-    return [*range(m, 0, -1), *range(n, m, -1)]
-
-
 def increasing_runs(n, count):
     """count increasing runs of near-equal length, the highest first: an
     avoider of the decreasing pattern of length count + 1."""
@@ -266,48 +275,61 @@ def increasing_runs(n, count):
     return [v for i in reversed(range(count)) for v in range(cuts[i] + 1, cuts[i + 1] + 1)]
 
 
+def layers(n, count):
+    """count decreasing runs of near-equal length, the lowest first, the
+    mirror of increasing_runs: an avoider of the increasing pattern of
+    length count + 1.  Two layers make a codeword with no t."""
+    return increasing_runs(n, count)[::-1]
+
+
+def adjacent_swaps(n):
+    """2 1 4 3 6 5 ..., ending in n when n is odd: an avoider of 321 whose
+    codeword carries m, f and t letters."""
+    return [v for i in range(1, n + 1, 2) for v in ((i + 1, i) if i < n else (i,))]
+
+
 # relation_sweep's families: (q, a member of Av(q) of length n)
 RELATION_FAMILIES = [
-    ((1, 2, 3), two_layers),
+    ((1, 2, 3), lambda n: layers(n, 2)),
     ((3, 2, 1), lambda n: increasing_runs(n, 2)),
     ((4, 3, 2, 1), lambda n: increasing_runs(n, 3)),
 ]
 
 
-def relation_sweep(n, families, decide):
+def relation_sweep(n, family, decide):
     """The containment relations at one n: (relations checked, failures).
     ``decide(word, q)`` is a decider's verdict on the word for the basis
-    {q}; no other decider takes part.  Each family gives two words: the
-    codeword of its member of Av(q) of length n, and its mutant, the
-    codeword with its middle l or r swapped for the other, which is legal
-    as l and r leave the open slots as they are.  For each q' one entry
-    longer than q, Up: a word accepted for {q} is accepted for {q'}, and
-    Down: a word rejected for {q'} is rejected for every pattern made by
-    deleting one entry of q'.  Only the relations whose premise holds
-    count as checked.  A member rejected for q fails, and so does a sweep
-    in which no word is rejected for a longer pattern, as it checks no
-    Down."""
+    {q}; no other decider takes part.  The family (q, member) of
+    RELATION_FAMILIES gives two words: the codeword of its member of Av(q)
+    of length n, and its mutant, the codeword with its middle l or r
+    swapped for the other, which is legal as l and r leave the open slots
+    as they are.  For each q' one entry longer than q, Up: a word accepted
+    for {q} is accepted for {q'}, and Down: a word rejected for {q'} is
+    rejected for every pattern made by deleting one entry of q'.  Only the
+    relations whose premise holds count as checked.  A member rejected for
+    q fails, and so does a sweep in which no word is rejected for a longer
+    pattern, as it checks no Down."""
+    q, member = family
+    word = encode(Permutation(member(n)))
+    swappable = [i for i, letter in enumerate(word) if letter in "lr"]
+    at = swappable[len(swappable) // 2]
+    mutant = word[:at] + word[at].translate(_MIRROR) + word[at + 1:]
     checked, odd, downs = 0, [], 0
-    for q, member in families:
-        word = encode(Permutation(member(n)))
-        swappable = [i for i, letter in enumerate(word) if letter in "lr"]
-        at = swappable[len(swappable) // 2]
-        mutant = word[:at] + word[at].translate(_MIRROR) + word[at + 1:]
-        if not decide(word, q):
-            odd.append(("member", word, q))
-        for w in (word, mutant):
-            accepts = functools.cache(functools.partial(decide, w))
-            for longer in superpatterns(q):
-                if accepts(q):
-                    checked += 1
-                    if not accepts(longer):
-                        odd.append(("up", w, q, longer))
+    if not decide(word, q):
+        odd.append(("member", word, q))
+    for w in (word, mutant):
+        accepts = functools.cache(functools.partial(decide, w))
+        for longer in superpatterns(q):
+            if accepts(q):
+                checked += 1
                 if not accepts(longer):
-                    downs += 1
-                    for shorter in deletions(longer):
-                        checked += 1
-                        if accepts(shorter):
-                            odd.append(("down", w, longer, shorter))
+                    odd.append(("up", w, q, longer))
+            if not accepts(longer):
+                downs += 1
+                for shorter in deletions(longer):
+                    checked += 1
+                    if accepts(shorter):
+                        odd.append(("down", w, longer, shorter))
     if not downs:
         odd.append("no word rejected for a longer pattern")
     return checked, odd

@@ -30,9 +30,9 @@ import itertools
 import math
 import random
 
-from conftest import (PINNED_COUNTS, SHORT_PATTERNS, avoidance_sweep, insertion_cells,
-                      legality_sweep, no_trace, partitions, partitions_of, pinned_sweep,
-                      round_trip_sweep, words)
+from conftest import (PINNED_COUNTS, SHORT_PATTERNS, adjacent_swaps, avoidance_sweep,
+                      insertion_cells, legality_sweep, no_trace, partitions, partitions_of,
+                      pinned_sweep, round_trip_sweep, words)
 
 from permlang import cli, stackmachine, tape
 from permlang.codec import codewords_with_insertions, decode, encode
@@ -158,16 +158,9 @@ def test_criterion_08_complexity_slopes():
     slope_k2 = fitted_slope([len(w) for w in words_k2], steps_k2)
     assert slope_k2 <= 4.5, slope_k2
 
-    # k = 3: adjacent-swap permutations 2 1 4 3 6 5 ... avoid 321 while
+    # k = 3: conftest.adjacent_swaps, 2 1 4 3 6 5 ..., avoid 321 while
     # their codewords still carry m, f and t letters
-    words_k3 = []
-    for target in sizes:
-        n = max(4, (2 * target) // 3)
-        perm = []
-        for i in range(1, n + 1, 2):
-            pair = [i + 1, i] if i + 1 <= n else [i]
-            perm.extend(pair)
-        words_k3.append(encode(Permutation(perm)))
+    words_k3 = [encode(Permutation(adjacent_swaps(max(4, 2 * s // 3)))) for s in sizes]
     steps_k3 = [tape.accepts_basis(w, Basis([[3, 2, 1]])).steps for w in words_k3]
     slope_k3 = fitted_slope([len(w) for w in words_k3], steps_k3)
     assert slope_k3 <= 5.5, slope_k3

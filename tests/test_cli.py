@@ -1,21 +1,16 @@
 import argparse
 import io
 import json
-import os
 import re
 import shlex
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from cli_cases import CASES
+from conftest import ROOT, run_python
 from test_golden import TRACE_RUNS
 
 from permlang import cli, codec, counting, stackmachine, tape
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
@@ -388,21 +383,13 @@ class TestValidateCalls:
 
 
 def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-m", "permlang", "decode", "mrlff"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_python("-m", "permlang", "decode", "mrlff")
     assert (done.returncode, done.stdout, done.stderr) == (0, "3 4 2 1 5\n", "")
 
 
 def test_import_builds_no_parser():
     # every workload imports cli; the first main call pays for the parser
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    probe = "from permlang import cli; print(cli._parsers.cache_info().currsize)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
+    done = run_python("-c", "from permlang import cli; print(cli._parsers.cache_info().currsize)")
     assert (done.returncode, done.stdout) == (0, "0\n")
 
 
@@ -411,7 +398,6 @@ def test_import_loads_only_what_a_request_uses():
     # itself loads all four modules below, so the probe runs in a fresh
     # interpreter, with -S so that site loads none of them either; it
     # checks which modules load and times nothing
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     probe = (
         "import sys\n"
         "from permlang import cli\n"
@@ -419,7 +405,5 @@ def test_import_loads_only_what_a_request_uses():
         "cli.main(['enumerate', '--basis', '123', '--n-max', '3', '--json'])\n"
         "print(early, 'json' in sys.modules)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60
-    )
+    done = run_python("-S", "-c", probe)
     assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, "[] True", "")

@@ -39,14 +39,12 @@ import contextlib
 import io
 import itertools
 import json
-import os
 import random
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from conftest import assert_golden, basis_of, built_avoider, insertion_cells, words
+from conftest import assert_golden, basis_of, built_avoider, insertion_cells, run_python, words
 
 from permlang import cli, codec, stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode, validate
@@ -291,20 +289,12 @@ def test_long_words_accept_and_reject():
 def test_regenerator_prints_a_golden_file_and_rejects_an_unknown_name():
     # the command the module docstring gives for regenerating a file, run
     # from the repository root
-    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
-
-    def regenerate(name):
-        return subprocess.run(
-            [sys.executable, "tests/test_golden.py", name],
-            capture_output=True, cwd=HERE.parent, env=env, timeout=60,
-        )
-
-    done = regenerate("golden_traces.txt")
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (HERE / "golden_traces.txt").read_bytes()
-    done = regenerate("golden_nothing.txt")
+    done = run_python("tests/test_golden.py", "golden_traces.txt")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.encode() == (HERE / "golden_traces.txt").read_bytes()
+    done = run_python("tests/test_golden.py", "golden_nothing.txt")
     usage = f"usage: python tests/test_golden.py {{{','.join(GOLDEN)}}}\n"
-    assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", usage)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", usage)
 
 
 if __name__ == "__main__":

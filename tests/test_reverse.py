@@ -3,7 +3,8 @@ machines at sizes the oracle cannot reach."""
 
 import random
 
-from conftest import SHORT_PATTERNS, insertion_cells, reverse_codeword, reverse_sweep
+from conftest import (SHORT_PATTERNS, adjacent_swaps, insertion_cells, layers, reverse_codeword,
+                      reverse_sweep)
 
 from permlang import stackmachine, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, decode, encode, validate
@@ -48,16 +49,14 @@ def test_seeded_reverses_are_legal_and_compare_the_other_way():
 
 def seeded_members():
     """(codeword, basis) for built avoiders past the oracle's range: acceptance
-    08's families, r...rf against 12 and the adjacent swaps 2 1 4 3 ...
-    against 321, at n = 20..200, and four decreasing runs of m entries,
-    each above the last, against 12345 at n = 4m = 20..60."""
+    08's families, r...rf against 12 and conftest.adjacent_swaps against
+    321, at n = 20..200, and conftest.layers, four decreasing runs, each
+    above the last, against 12345 at n = 20..60."""
     for n in (20, 50, 100, 200):
-        swaps = [v for i in range(1, n + 1, 2) for v in ((i + 1, i) if i < n else (i,))]
         yield "r" * (n - 1) + "f", Basis([[1, 2]])
-        yield encode(Permutation(swaps)), Basis([[3, 2, 1]])
-    for m in (5, 10, 15):
-        runs = [v for run in range(4) for v in range(run * m + m, run * m, -1)]
-        yield encode(Permutation(runs)), Basis([[1, 2, 3, 4, 5]])
+        yield encode(Permutation(adjacent_swaps(n))), Basis([[3, 2, 1]])
+    for n in (20, 40, 60):
+        yield encode(Permutation(layers(n, 4))), Basis([[1, 2, 3, 4, 5]])
 
 
 def legal_mutant(rng, word):

@@ -662,6 +662,12 @@ class TestOccurrenceSearch:
         assert verdicts == {True, False}
 
 
+# the compare of the two deciders: every family at n = 20..40, and at n = 60
+# the two cheap ones (the 4321 family there takes about 4 s)
+RELATION_CASES = [(n, family) for n in (20, 30, 40) for family in RELATION_FAMILIES]
+RELATION_CASES += [(60, family) for family in RELATION_FAMILIES[:2]]
+
+
 class TestAcceptsBasis:
     def test_examples(self):
         assert accepts_basis("rrf", Basis([[1, 2, 3], [2, 1, 3]])).verdict is True
@@ -692,13 +698,25 @@ class TestAcceptsBasis:
                     assert want or not built, (p, q)
                     assert accepts_basis(codec.encode(perm), basis).verdict is want, (p, q)
 
-    @pytest.mark.parametrize("n", [20, 30, 40])
-    def test_respects_the_containment_order(self, n):
-        # past the oracle's exhaustive range, with no oracle: the search's
-        # verdicts for q and its one-entry extensions and deletions agree
-        odd = relation_sweep(
-            n, RELATION_FAMILIES, lambda word, q: accepts_basis(word, Basis([q])).verdict)[1]
-        assert not odd, odd[:5]
+    @pytest.mark.parametrize("n, family", RELATION_CASES,
+                             ids=[f"{n}-{''.join(map(str, q))}" for n, (q, _) in RELATION_CASES])
+    def test_respects_the_containment_order_as_the_oracle_does(self, n, family):
+        # past the oracle's exhaustive range: each decider's verdicts for q
+        # and its one-entry extensions and deletions agree, and the two
+        # give the same verdict on every word and pattern the sweep asks about
+        def verdicts(decide):
+            table = {}
+
+            def record(word, q):
+                table[word, q] = decide(word, q)
+                return table[word, q]
+
+            odd = relation_sweep(n, family, record)[1]
+            assert not odd, odd[:5]
+            return table
+
+        searched = verdicts(lambda word, q: accepts_basis(word, Basis([q])).verdict)
+        assert searched == verdicts(lambda word, q: avoids_basis(decode(word), Basis([q])))
 
     def test_cumulative_counters_cover_all_patterns(self):
         # legality and the cell sweep run once per word, not once per

@@ -20,15 +20,11 @@ between.
 """
 
 import itertools
-import os
 import random
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-from conftest import words
+from conftest import run_python, words
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
@@ -37,7 +33,6 @@ from permlang.stackmachine import ACCEPT, FAIL, START, StackMachine
 
 SEED = 2005
 COUNT = 10
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def validate_by_letters(word: str) -> str | None:
@@ -411,11 +406,7 @@ print(list(tokens(word)), list(tokens(word)), validate(word).reason, accepts_cod
 )
 def test_a_process_first_reads_a_word_without_letters(word, want):
     # the kept split starts with no word, so even the empty word is split
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run(
-        [sys.executable, "-c", FIRST_READ.format(word=word)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_python("-c", FIRST_READ.format(word=word))
     assert (done.returncode, done.stdout, done.stderr) == (0, want + "\n", "")
 
 
