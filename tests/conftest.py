@@ -20,6 +20,10 @@ its inputs:
   ``cli.main``, with its verdict line and exit status;
 - ``test_module_state.py`` holds the package's module-level state: the
   caches of ROADMAP's cache ledger and the tables that nothing mutates;
+- ``test_token_readers.py`` holds every codeword reader against its
+  letter-by-letter reference: one table, ``READERS``, and one test that
+  reads each word of ``READ`` with each reader, then a neighbour, then
+  the word again;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 

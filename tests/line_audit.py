@@ -17,7 +17,7 @@ that no test ran, and with tier-1's own status when tier-1 fails.
 ``__main__.py`` is exempt: tier-1 runs ``python -m permlang`` only in a
 subprocess, which this tracer does not follow, so its lines never run
 here.  Under the tracer, tier-1 takes several times its usual time:
-196-230 s on a 2-core VM under CPython 3.11.7.
+196-251 s on a 2-core VM under CPython 3.11.7.
 """
 
 import os

@@ -1,22 +1,27 @@
-"""The token readers against the letter-by-letter readers they replaced.
+"""Every codeword reader against its letter-by-letter reference.
 
-``codec.validate``, ``codec.decode`` and ``stackmachine.accepts_codewords``
-read a codeword a token (an insertion letter with its t-run) at a time.
-The plain per-letter readers below are the references.  On long seeded
-codewords, on copies with one letter changed, on copies whose t-run to
-the root is one letter longer, on copies with an l after the last f or
-in its place, and on the empty word, the token readers must give the
-same reason, the same permutation, and the same stack verdict, counters
-and trace; those words reach every reason.  The stack acceptor must
-still make one operation call per t-run, insertion letter, push and pop
-it reads or makes, and the partition acceptor one per push and per token
-its cursor walks down.
-``encode_by_cells`` is the plain reference for ``codec.encode``, and the
-tokeniser itself must give back every word it reads and name a foreign
-letter as every reader does.  ``codec.tokens`` keeps the split of the
-last word it read: every reader must read a word alike whatever it read
-before, and the tokeniser must split a word again once another word came
-between.
+The package reads a codeword a token (an insertion letter with its t-run)
+at a time.  ``READERS`` is the one table of those readers: each entry
+pairs what a reader makes of a word with what a plain per-letter
+reference makes of it.  These are ``codec.validate``'s reason,
+``codec.decode``'s permutation or reason, the stack acceptor's verdict
+with its machine's state and counters, untraced and traced, and its
+trace, ``tape.check_legal``'s verdict, and the word that ``codec.tokens``
+spells back.  One test reads each word A of ``READ`` with each reader,
+then a neighbour B, then A again, and holds all three reads to the
+reference.  ``codec.tokens`` keeps the split of the last word it read, so
+a reader must read a word alike whatever it read before.  ``READ`` holds
+long seeded codewords, copies with one letter changed, copies whose t-run
+to the root is one letter longer, copies with an l after the last f or in
+its place, the empty word, and copies with an insertion letter deleted or
+with a letter put in front of one; those words reach every reason.  Every
+reader of the table, and the tape's occurrence search, must name a
+foreign letter alike.
+
+The stack acceptor must also make one operation call per t-run,
+insertion letter, push and pop it reads or makes, and the partition
+acceptor one per push and per token its cursor walks down.
+``encode_by_cells`` is the plain reference for ``codec.encode``.
 """
 
 import itertools
@@ -24,7 +29,7 @@ import random
 import re
 
 import pytest
-from conftest import run_python, words
+from conftest import insertion_cells, run_python, words
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
@@ -104,8 +109,14 @@ def encode_by_cells(perm: Permutation) -> str:
     return "".join(out)
 
 
-def accepts_by_letters(word: str, trace) -> tuple[bool, StackMachine]:
-    """The stack acceptor, one cursor_down per t."""
+def counters(machine: StackMachine) -> tuple:
+    """The machine's state, pushes, pops, height and cursor."""
+    return machine.state, machine.pushes, machine.pops, machine.height, machine.cursor_depth
+
+
+def accepts_by_letters(word: str, trace=None) -> tuple[bool, tuple]:
+    """The stack acceptor, one cursor_down per t: its verdict and its
+    machine's counters."""
     machine = StackMachine()
     last = len(word) - 1
     for idx, ch in enumerate(word):
@@ -125,13 +136,14 @@ def accepts_by_letters(word: str, trace) -> tuple[bool, StackMachine]:
                 machine.state = FAIL
             else:
                 machine.cursor_down()
-        trace(
-            f"{idx}\t{ch}\tstate={machine.state}"
-            f"\tcursor={machine.cursor_depth}\theight={machine.height}"
-        )
+        if trace is not None:
+            trace(
+                f"{idx}\t{ch}\tstate={machine.state}"
+                f"\tcursor={machine.cursor_depth}\theight={machine.height}"
+            )
         if machine.state != START:
             break
-    return machine.state == ACCEPT, machine
+    return machine.state == ACCEPT, counters(machine)
 
 
 def root_runs(word: str) -> list[int]:
@@ -165,18 +177,43 @@ def make_cases() -> list[str]:
 
 
 CASES = make_cases()
+SEEDED = CASES[0::3]
 # each seeded codeword with an l after its last f (exhaustion) and with an
 # l for it (trailing), then the empty word: kept apart from CASES, whose
 # thirds test_cases_reach_the_root_and_one_past_it reads
-ENDINGS = [*(word + "l" for word in CASES[0::3]),
-           *(word[:-1] + "l" for word in CASES[0::3]), ""]
-READ = CASES + ENDINGS
+ENDINGS = [*(word + "l" for word in SEEDED), *(word[:-1] + "l" for word in SEEDED), ""]
+
+
+def make_splices() -> list[str]:
+    """Each seeded codeword with one insertion letter deleted, then each
+    with a letter put in front of one: one letter shorter and one longer."""
+    rng = random.Random(SEED + 1)
+    deleted, inserted = [], []
+    for word in SEEDED:
+        cells = insertion_cells(word)
+        pos = rng.choice(cells)
+        deleted.append(word[:pos] + word[pos + 1 :])
+        pos = rng.choice(cells)
+        inserted.append(word[:pos] + rng.choice(ALPHABET) + word[pos:])
+    return deleted + inserted
+
+
+SPLICES = make_splices()
+READ = CASES + ENDINGS + SPLICES
+# B for each A = READ[i], read between two reads of A.  A word of a CASES
+# triple (seeded, one letter changed, one t more) is followed by the next
+# word of its triple, and the third by the first: B has A's length, one
+# letter more and one letter less, in turn.  An ending is followed by the
+# seeded word it was made from, one letter shorter or of A's length, and
+# the empty word by "f", one letter longer.  A splice is followed by the
+# seeded word it was made from, one letter longer or one letter shorter.
+NEIGHBOURS = [*(CASES[i - i % 3 + (i + 1) % 3] for i in range(len(CASES))),
+              *SEEDED, *SEEDED, "f", *SEEDED, *SEEDED]
 
 
 def test_cases_reach_the_root_and_one_past_it():
-    legal = CASES[0::3]
-    assert all(root_runs(word) for word in legal)
-    assert {validate_by_letters(word) for word in legal} == {None}
+    assert all(root_runs(word) for word in SEEDED)
+    assert {validate_by_letters(word) for word in SEEDED} == {None}
     # one t more than the run to the root: the first overflow is that t
     for word in CASES[2::3]:
         lines = []
@@ -191,22 +228,56 @@ def test_cases_reach_every_reason():
         codec.REASON_TRAILING, codec.REASON_UNFILLED}
 
 
-@pytest.mark.parametrize("index", range(len(READ)))
-def test_validate_matches_letter_scan(index):
-    word = READ[index]
-    assert codec.validate(word).reason == validate_by_letters(word)
+def rebuilt(word: str) -> str:
+    """The word that codec.tokens spells back."""
+    return "".join("t" * run + letter for run, letter in codec.tokens(word))
+
+
+def decode_or_reason(word: str) -> Permutation | str:
+    try:
+        return codec.decode(word)
+    except IllegalCodewordError as err:
+        return err.reason
+
+
+def acceptor_on_fresh_machine(word: str, trace) -> tuple[bool, tuple]:
+    machine = StackMachine()
+    return stackmachine._codewords_on(machine, word, trace), counters(machine)
+
+
+def untraced_and_traced(run):
+    """A stack run read untraced, then traced, with the trace lines."""
+    def read(word):
+        lines = []
+        return run(word, None), run(word, lines.append), lines
+
+    return read
+
+
+# each codeword reader: what it makes of a word, and what its
+# letter-by-letter reference makes of it
+READERS = {
+    "validate": (lambda word: codec.validate(word).reason, validate_by_letters),
+    "decode": (decode_or_reason, lambda word: validate_by_letters(word) or decode_by_letters(word)),
+    "accepts_codewords": (untraced_and_traced(acceptor_on_fresh_machine),
+                          untraced_and_traced(accepts_by_letters)),
+    "check_legal": (lambda word: tape.check_legal(word).verdict,
+                    lambda word: validate_by_letters(word) is None),
+    "tokens": (rebuilt, lambda word: word),
+}
 
 
 @pytest.mark.parametrize("index", range(len(READ)))
-def test_decode_matches_list_splicing(index):
-    word = READ[index]
-    reason = validate_by_letters(word)
-    if reason is None:
-        assert codec.decode(word) == decode_by_letters(word)
-    else:
-        with pytest.raises(IllegalCodewordError) as err:
-            codec.decode(word)
-        assert err.value.reason == reason
+@pytest.mark.parametrize("reader", READERS)
+def test_reader_matches_its_reference_after_another_word(reader, index):
+    # A, B, A: the second A comes after another word, so tokens must split
+    # A again, not read B's split
+    read, reference = READERS[reader]
+    a, b = READ[index], NEIGHBOURS[index]
+    want_a, want_b = reference(a), reference(b)
+    assert read(a) == want_a, "A"
+    assert read(b) == want_b, "B"
+    assert read(a) == want_a, "A after B"
 
 
 def test_decode_gives_validate_reason_on_every_short_word():
@@ -219,60 +290,6 @@ def test_decode_gives_validate_reason_on_every_short_word():
         else:
             assert codec.validate(word), word
             assert perm == decode_by_letters(word), word
-
-
-@pytest.mark.parametrize("index", range(len(READ)))
-def test_stack_acceptor_matches_letter_run(index):
-    word = READ[index]
-    want_lines, got_lines = [], []
-    want, reference = accepts_by_letters(word, want_lines.append)
-    untraced, traced = StackMachine(), StackMachine()
-    assert stackmachine._codewords_on(untraced, word, None) is want
-    assert stackmachine._codewords_on(traced, word, got_lines.append) is want
-    assert got_lines == want_lines
-
-    def counters(m):
-        return m.state, m.pushes, m.pops, m.height, m.cursor_depth
-
-    assert [counters(m) for m in (untraced, traced)] == [counters(reference)] * 2
-
-
-def read_by_tokens(reader: str, word: str):
-    """What a token reader makes of a word: a reason, a permutation, or
-    the stack verdict untraced and traced with the trace."""
-    if reader == "validate":
-        return codec.validate(word).reason
-    if reader == "decode":
-        try:
-            return codec.decode(word)
-        except IllegalCodewordError as err:
-            return err.reason
-    lines = []
-    untraced = stackmachine.accepts_codewords(word)
-    return untraced, stackmachine.accepts_codewords(word, lines.append), lines
-
-
-def read_by_letters(reader: str, word: str):
-    """read_by_tokens by the letter-by-letter references."""
-    if reader == "validate":
-        return validate_by_letters(word)
-    if reader == "decode":
-        return validate_by_letters(word) or decode_by_letters(word)
-    lines = []
-    accepted = accepts_by_letters(word, lines.append)[0]
-    return accepted, accepted, lines
-
-
-@pytest.mark.parametrize("reader", ["validate", "decode", "accepts_codewords"])
-@pytest.mark.parametrize("index", range(len(CASES)))
-def test_a_word_reads_alike_after_another(reader, index):
-    # A, B, A: the second A comes after another word of the same length
-    # or one letter longer, so tokens must split A again, not read B's split
-    first = index - index % 3  # the legal word of A's triple
-    a, b = CASES[index], CASES[first + (index + 1) % 3]
-    want = {word: read_by_letters(reader, word) for word in (a, b)}
-    for word in (a, b, a):
-        assert read_by_tokens(reader, word) == want[word], (reader, index)
 
 
 OPERATIONS = ("cursor_down", "cursor_to_top", "push", "pop")
@@ -333,18 +350,9 @@ def test_stack_acceptor_moves_the_stack_only_by_its_operations():
             assert machine.pops == 0, word
 
 
-def rebuilt(word: str) -> str:
-    return "".join("t" * run + letter for run, letter in codec.tokens(word))
-
-
 def test_tokens_give_back_every_short_word():
     for word in words(range(8)):
         assert rebuilt(word) == word
-
-
-@pytest.mark.parametrize("word", ["", "t", "ttt", "tf", "ftt", *CASES])
-def test_tokens_give_back_the_word(word):
-    assert rebuilt(word) == word
 
 
 def test_tokens_name_each_run_and_letter():
@@ -367,22 +375,17 @@ FOREIGN = [
     ("l\u00e9", "'\u00e9' at position 1"),
     ("r\u0661f", "'\u0661' at position 1"),  # Arabic-Indic digit one
     ("l\ud800f", "'\\ud800' at position 1"),  # a lone surrogate has no UTF-8
+    ("fx", "'x' at position 1"),  # the f on the root ends a stack run before x
 ]
-
-READERS = {
-    "validate": codec.validate,
-    "decode": codec.decode,
-    "accepts_codewords": stackmachine.accepts_codewords,
-    "check_legal": tape.check_legal,
-    "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]])),
-    "tokens": lambda word: list(codec.tokens(word)),
-}
+# every reader of the table, and the tape's occurrence search
+FOREIGN_READERS = {name: read for name, (read, _) in READERS.items()} | {
+    "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]]))}
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("reader", sorted(FOREIGN_READERS))
 @pytest.mark.parametrize("word, where", FOREIGN)
 def test_foreign_letters_are_named(reader, word, where):
-    read = READERS[reader]
+    read = FOREIGN_READERS[reader]
     before = read("mrtltff")
     for _ in range(2):  # a word that raises is never kept: it raises again
         with pytest.raises(ValueError) as err:
