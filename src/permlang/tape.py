@@ -248,12 +248,6 @@ class BoundedTape:
             raise TapeFault(f"{procedure.__name__} started on a tape that does not hold its input")
         return TapeRun(procedure(self, *args), self._steps, self.max_cells_touched)
 
-    # Snapshot inspection for assertions and tests; not machine work.
-
-    def snapshot(self) -> tuple[str, bytes]:
-        """The letters (boundary blank included) and a copy of the marks."""
-        return self._letters, bytes(self._marks)
-
 
 # --- legality -------------------------------------------------------------
 

@@ -9,8 +9,8 @@ its inputs:
   exhaustive sweep and a PASS line;
 - ``test_closed_forms.py`` checks every untraced closed form of the tape
   against its traced run;
-- ``test_golden.py`` freezes the machines' exact bytes in five golden
-  files;
+- ``test_golden.py`` freezes the machines' exact bytes in three golden
+  files: the tape's counters, the machines' traces and the ``bench`` CSV;
 - ``cli_cases.py`` holds the CLI's bytes: one row per argv whose check is
   its exact exit status, stdout and stderr.  ``test_cli.py`` runs every
   row through ``cli.main``, and CI's ``console-script`` job runs the file
@@ -23,7 +23,9 @@ its inputs:
 - ``test_token_readers.py`` holds every codeword reader against its
   letter-by-letter reference: one table, ``READERS``, and one test that
   reads each word of ``READ`` with each reader, then a neighbour, then
-  the word again;
+  the word again.  It is also the home of the codeword acceptor's verdict
+  and counters, against ``accepts_by_letters``, and ``test_stackmachine.py``
+  that of the partition acceptor's, against ``by_blocks``;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 
@@ -68,7 +70,10 @@ counts.
 
 Golden files.  ``assert_golden`` compares a golden file's bytes with what
 its render function in ``test_golden.py`` returns, so one changed byte
-fails, naming the first differing line and how many lines differ.
+fails, naming the first differing line and how many lines differ.  A file
+freezes only what no reference in the tests computes: where a plain
+reference exists, as for the stack acceptors' counters, a test compares
+the machine with it, untraced and traced, in place of a frozen file.
 Regenerate a file only for a deliberate change, and state the delta:
 
     PYTHONPATH=src python tests/test_golden.py <file> > tests/<file>

@@ -13,17 +13,14 @@ Each file named in ``GOLDEN`` holds what its render function returns:
 - ``golden_bench.txt``: the CSV that ``permlang bench`` prints for each of
   the five commands of ``BENCH_COMMANDS``, under a ``# <arguments>``
   header.  The golden counters stop at n <= 14; ``bench_word`` reaches
-  size 100, where a 33-t run sits inside 33 nested m..f pairs;
-- ``golden_stack.json``: ``[reason, verdict, pushes, pops, height,
-  cursor]`` per word: the ``codec.validate`` reason (null for a legal
-  word), then the verdict of the codeword acceptor ``_codewords_on``,
-  run on a ``StackMachine`` that the test builds for the word, and that
-  machine's push and pop counts, final stack height and final cursor
-  depth, for every word of length <= 5 and 60 seeded long words;
-- ``golden_partition.json``: ``[verdict, pushes, pops, height, cursor]``
-  per word, the same for the partition acceptor ``_partitions_on``, for
-  every word over a, b of length <= 10 and 60 seeded words of length
-  11..60.
+  size 100, where a 33-t run sits inside 33 nested m..f pairs.
+
+A file freezes only what no reference in the tests computes.  The stack
+acceptors' verdicts and counters have references, so they are checked
+against them, untraced and traced, and no file freezes them: the codeword
+acceptor against ``accepts_by_letters`` and ``codec.validate``'s reason
+against ``validate_by_letters`` in ``test_token_readers.py``, the partition
+acceptor against ``by_blocks`` in ``test_stackmachine.py``.
 
 A change that claims the same machine behaviour must leave every file
 untouched; a change that alters one on purpose regenerates it and states
@@ -46,8 +43,8 @@ from pathlib import Path
 import pytest
 from conftest import assert_golden, basis_of, built_avoider, insertion_cells, run_python, words
 
-from permlang import cli, codec, stackmachine, tape
-from permlang.codec import ALPHABET, codewords_with_insertions, encode, validate
+from permlang import cli, stackmachine, tape
+from permlang.codec import codewords_with_insertions, encode
 from permlang.permutations import Basis, Permutation
 
 HERE = Path(__file__).parent
@@ -183,107 +180,16 @@ def render_bench() -> str:
     return out.getvalue()
 
 
-# --- stack machine counters ------------------------------------------------
-
-def machine_runs(acceptor, words) -> dict[str, list]:
-    """word -> [verdict, pushes, pops, height, cursor] of the acceptor run
-    untraced on a fresh StackMachine, for each distinct word in order."""
-    rows = {}
-    for word in dict.fromkeys(words):
-        m = stackmachine.StackMachine()
-        verdict = acceptor(m, word, None)
-        rows[word] = [verdict, m.pushes, m.pops, m.height, m.cursor_depth]
-    return rows
-
-
-def render_rows(rows: dict[str, list]) -> str:
-    """One word per line, so a change shows up as a readable diff."""
-    body = ",\n".join(
-        f"{json.dumps(k)}:{json.dumps(v, separators=(',', ':'))}" for k, v in rows.items()
-    )
-    return "{\n" + body + "\n}\n"
-
-
-def stack_long_words() -> list[str]:
-    """encode(p) for seeded p with n = 20..60, each followed by a copy with
-    one letter changed.  Of every five copies, one ends in l, r or m, one
-    fills the slot of its last l or r (so the slots run out early), and
-    three change a seeded position to a seeded other letter."""
-    rng = random.Random(2)
-    words = []
-    for i in range(30):
-        n = rng.randint(20, 60)
-        word = encode(Permutation(rng.sample(range(1, n + 1), n)))
-        if i % 5 == 0:
-            pos, letter = len(word) - 1, rng.choice("lrm")
-        elif i % 5 == 1:
-            pos, letter = max(word.rfind("l"), word.rfind("r")), "f"
-        else:
-            pos = rng.randrange(len(word))
-            letter = rng.choice([ch for ch in ALPHABET if ch != word[pos]])
-        words += [word, word[:pos] + letter + word[pos + 1 :]]
-    return words
-
-
-def render_stack() -> str:
-    """Every word of length <= 5, then the long words."""
-    rows = machine_runs(stackmachine._codewords_on, [*words(range(6)), *stack_long_words()])
-    return render_rows({word: [validate(word).reason, *row] for word, row in rows.items()})
-
-
-def partition_long_words() -> list[str]:
-    """Seeded block words of length 11..60 whose block lengths are
-    nondecreasing, each followed by a copy with one seeded letter flipped
-    and by a seeded random word of its length."""
-    rng = random.Random(3)
-    words = []
-    for _ in range(20):
-        n = rng.randint(11, 60)
-        cuts = sorted(rng.sample(range(1, n), rng.randint(0, 8)))
-        parts = sorted(b - a for a, b in zip([0, *cuts], [*cuts, n]))
-        word = "".join("ab"[i % 2] * part for i, part in enumerate(parts))
-        pos = rng.randrange(n)
-        flipped = word[:pos] + "ba"["ab".index(word[pos])] + word[pos + 1 :]
-        words += [word, flipped, "".join(rng.choices("ab", k=n))]
-    return words
-
-
-def render_partition() -> str:
-    """Every word over a, b of length <= 10, then the long words."""
-    inputs = [*words(range(11), "ab"), *partition_long_words()]
-    return render_rows(machine_runs(stackmachine._partitions_on, inputs))
-
-
 GOLDEN = {
     "golden_counters.json": render_counters,
     "golden_traces.txt": render_traces,
     "golden_bench.txt": render_bench,
-    "golden_stack.json": render_stack,
-    "golden_partition.json": render_partition,
 }
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_golden_unchanged(name):
     assert_golden(HERE / name, GOLDEN[name]())
-
-
-def test_long_words_cover_every_reason():
-    golden = json.loads((HERE / "golden_stack.json").read_text())
-    reasons = {golden[word][0] for word in stack_long_words()}
-    assert reasons == {
-        None,
-        codec.REASON_T_OVERFLOW,
-        codec.REASON_EXHAUSTED,
-        codec.REASON_TRAILING,
-        codec.REASON_UNFILLED,
-    }
-    assert golden[""][0] == codec.REASON_EMPTY
-
-
-def test_long_words_accept_and_reject():
-    golden = json.loads((HERE / "golden_partition.json").read_text())
-    assert {golden[word][0] for word in partition_long_words()} == {True, False}
 
 
 def test_regenerator_prints_a_golden_file_and_rejects_an_unknown_name():

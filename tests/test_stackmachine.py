@@ -1,4 +1,14 @@
+"""The stack machine's discipline, and both stack acceptors on worked
+examples.  The partition acceptor's verdict and counters have their one
+home here: ``by_blocks`` reads them off the word's blocks, and the acceptor
+must match it, untraced and traced, on every word over a, b of length
+<= 11 and on ``PARTITION_LONG_WORDS``.  The codeword acceptor's verdict and
+counters are checked against ``accepts_by_letters`` in
+``test_token_readers.py``.
+"""
+
 import itertools
+import random
 
 import pytest
 from conftest import words
@@ -6,9 +16,46 @@ from conftest import words
 from permlang.stackmachine import (
     StackDisciplineError,
     StackMachine,
+    _partitions_on,
     accepts_codewords,
     accepts_partition_language,
 )
+
+
+def by_blocks(word: str) -> list:
+    """[verdict, pushes, pops, height, cursor] of the partition acceptor: each
+    block walks down to the root, then pushes until the stack is as high as
+    the block is long; a block shorter than the one before ends the run."""
+    if not word.startswith("a"):
+        return [False, 0, 0, 0, 0]
+    height = cursor = 0
+    for _, run in itertools.groupby(word):
+        b = len(list(run))
+        if b < height:
+            return [False, height, 0, height, height - b]
+        cursor = b if b > height else 0
+        height = b
+    return [True, height, 0, height, cursor]
+
+
+def partition_long_words() -> list[str]:
+    """Seeded block words of length 11..60 whose block lengths are
+    nondecreasing, each followed by a copy with one seeded letter flipped
+    and by a seeded random word of its length."""
+    rng = random.Random(3)
+    words = []
+    for _ in range(20):
+        n = rng.randint(11, 60)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, 8)))
+        parts = sorted(b - a for a, b in zip([0, *cuts], [*cuts, n]))
+        word = "".join("ab"[i % 2] * part for i, part in enumerate(parts))
+        pos = rng.randrange(n)
+        flipped = word[:pos] + "ba"["ab".index(word[pos])] + word[pos + 1 :]
+        words += [word, flipped, "".join(rng.choices("ab", k=n))]
+    return words
+
+
+PARTITION_LONG_WORDS = partition_long_words()
 
 
 class TestStackMachine:
@@ -114,9 +161,11 @@ class TestAcceptsPartitionLanguage:
             accepts_partition_language("aabx")
 
     def test_accepts_exactly_the_nondecreasing_block_words(self):
-        def blocks(word):
-            return [len(list(g)) for _, g in itertools.groupby(word)]
-
-        for word in words(range(1, 12), "ab"):
-            want = word.startswith("a") and blocks(word) == sorted(blocks(word))
-            assert accepts_partition_language(word) is want, word
+        # verdict and counters, untraced and traced, against the blocks
+        for word in [*words(range(12), "ab"), *PARTITION_LONG_WORDS]:
+            want = by_blocks(word)
+            for trace in (None, lambda line: None):
+                m = StackMachine()
+                verdict = _partitions_on(m, word, trace)
+                assert [verdict, m.pushes, m.pops, m.height, m.cursor_depth] == want, word
+        assert {by_blocks(word)[0] for word in PARTITION_LONG_WORDS} == {True, False}

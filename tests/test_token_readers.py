@@ -18,8 +18,13 @@ with a letter put in front of one; those words reach every reason.  Every
 reader of the table, and the tape's occurrence search, must name a
 foreign letter alike.
 
-The stack acceptor must also make one operation call per t-run,
-insertion letter, push and pop it reads or makes, and the partition
+This module is the one home of the codeword acceptor's verdict and
+counters: on ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and
+one-letter mutants of them) and on every word of length <= 5, untraced
+and traced, they must be ``accepts_by_letters``'.  ``codec.validate``'s
+reason must be ``validate_by_letters``' on ``LONG_WORDS`` and on every word
+of length <= 7.  The stack acceptor must also make one operation call per
+t-run, insertion letter, push and pop it reads or makes, and the partition
 acceptor one per push and per token its cursor walks down.
 ``encode_by_cells`` is the plain reference for ``codec.encode``.
 """
@@ -200,6 +205,31 @@ def make_splices() -> list[str]:
 
 SPLICES = make_splices()
 READ = CASES + ENDINGS + SPLICES
+
+
+def stack_long_words() -> list[str]:
+    """encode(p) for seeded p with n = 20..60, each followed by a copy with
+    one letter changed.  Of every five copies, one ends in l, r or m, one
+    fills the slot of its last l or r (so the slots run out early), and
+    three change a seeded position to a seeded other letter."""
+    rng = random.Random(2)
+    words = []
+    for i in range(30):
+        n = rng.randint(20, 60)
+        word = encode(Permutation(rng.sample(range(1, n + 1), n)))
+        if i % 5 == 0:
+            pos, letter = len(word) - 1, rng.choice("lrm")
+        elif i % 5 == 1:
+            pos, letter = max(word.rfind("l"), word.rfind("r")), "f"
+        else:
+            pos = rng.randrange(len(word))
+            letter = rng.choice([ch for ch in ALPHABET if ch != word[pos]])
+        words += [word, word[:pos] + letter + word[pos + 1 :]]
+    return words
+
+
+# shorter than READ's words: codewords of n = 20..60 and their mutants
+LONG_WORDS = stack_long_words()
 # B for each A = READ[i], read between two reads of A.  A word of a CASES
 # triple (seeded, one letter changed, one t more) is followed by the next
 # word of its triple, and the third by the first: B has A's length, one
@@ -223,9 +253,12 @@ def test_cases_reach_the_root_and_one_past_it():
 
 
 def test_cases_reach_every_reason():
-    assert {validate_by_letters(word) for word in READ} == {
-        None, codec.REASON_EMPTY, codec.REASON_T_OVERFLOW, codec.REASON_EXHAUSTED,
-        codec.REASON_TRAILING, codec.REASON_UNFILLED}
+    nonempty = {None, codec.REASON_T_OVERFLOW, codec.REASON_EXHAUSTED,
+                codec.REASON_TRAILING, codec.REASON_UNFILLED}
+    assert {validate_by_letters(word) for word in READ} == nonempty | {codec.REASON_EMPTY}
+    reasons = [codec.validate(word).reason for word in LONG_WORDS]
+    assert reasons == [validate_by_letters(word) for word in LONG_WORDS]
+    assert set(reasons) == nonempty
 
 
 def rebuilt(word: str) -> str:
@@ -283,10 +316,12 @@ def test_reader_matches_its_reference_after_another_word(reader, index):
 def test_decode_gives_validate_reason_on_every_short_word():
     # decode makes validate's checks in its own pass: same reason, same order
     for word in words(range(8)):
+        reason = codec.validate(word).reason
+        assert reason == validate_by_letters(word), word
         try:
             perm = codec.decode(word)
         except IllegalCodewordError as err:
-            assert err.reason == codec.validate(word).reason, word
+            assert err.reason == reason, word
         else:
             assert codec.validate(word), word
             assert perm == decode_by_letters(word), word
@@ -316,15 +351,17 @@ class CountingMachine(StackMachine):
 
 
 def test_stack_acceptor_moves_the_stack_only_by_its_operations():
+    # the verdict and counters, untraced and traced, are the reference's;
     # every push and pop the counters show, every t-run read and every
     # insertion letter read is one call of an operation, with its check
-    for word in itertools.chain(READ, words(range(6))):
+    for word in itertools.chain(READ, LONG_WORDS, words(range(6))):
         lines = []
-        accepts_by_letters(word, lines.append)
+        want = accepts_by_letters(word, lines.append)
         read = "".join(line.split("\t")[1] for line in lines)
         for trace in (None, lambda line: None):
             machine = CountingMachine()
-            stackmachine._codewords_on(machine, word, trace)
+            verdict = stackmachine._codewords_on(machine, word, trace)
+            assert (verdict, counters(machine)) == want, word
             assert machine.calls == {
                 "cursor_down": len(re.findall("t+", read)),
                 "cursor_to_top": len(read) - read.count("t"),
