@@ -186,12 +186,12 @@ def contains_pattern(p: Permutation, q: Permutation) -> bool:
     extended only by values consistent with the pattern's relative order.
     Equivalent to the exhaustive scan of all C(|p|,|q|) subsequences.
     """
-    k, n = len(q), len(p)
+    pr, qr = p.ranks, q.ranks
+    k, n = len(qr), len(pr)
     if k > n:
         return False
     if k == 0:
         return True
-    pr, qr = p.ranks, q.ranks
     # chosen holds the values matched to q's first j entries, and stack[j]
     # the positions of p still to try for entry j: a loop, not a recursion,
     # so a q longer than the interpreter's recursion limit needs no frames
@@ -218,8 +218,12 @@ def contains_pattern(p: Permutation, q: Permutation) -> bool:
 
 
 def avoids_basis(p: Permutation, basis: Basis) -> bool:
-    """True iff p contains none of the basis patterns."""
-    return not any(contains_pattern(p, q) for q in basis)
+    """True iff p contains none of the basis patterns: each pattern in the
+    basis's order, up to the first one contained."""
+    for q in basis:
+        if contains_pattern(p, q):
+            return False
+    return True
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

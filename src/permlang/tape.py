@@ -10,14 +10,15 @@ procedure ends on a restored tape.
 
 Loop counters and selected cell indices are held in ordinary control state
 outside the tape, and all work that touches the tape is charged through the
-primitives.  One gap: the occurrence search holds its k chosen indices and
-the compare its two cells, but ``_accepts_basis_on_tape`` also keeps a
+primitives.  One gap: the occurrence search holds its k chosen cell numbers
+and the compare its two cells, but ``_accepts_basis_on_tape`` also keeps a
 Python list of every insertion cell, up to n integers, to map the search's
-indices to cells; it is the one procedure that holds or indexes that list.
-The counters are exact, but a literal linear-bounded automaton would hold
-those cells as marks.  The space bound is enforced, not just measured: any
-primitive stepping outside the |w|+1 cells raises TapeFault, which is a bug
-in a procedure, never an input condition.
+numbers to cells; it is the one procedure that holds or indexes that list,
+and its rows reach it only through a compare defined there.  The counters
+are exact, but a literal linear-bounded automaton would hold those cells
+as marks.  The space bound is enforced, not just measured: any primitive
+stepping outside the |w|+1 cells raises TapeFault, which is a bug in a
+procedure, never an input condition.
 
 A BoundedTape exists only for traced runs, and ``BoundedTape.run`` is
 the one way into a procedure: it faults unless the tape holds its input,
@@ -26,10 +27,12 @@ the clearing scan, which verifies the tape and leaves the head on the
 word's last cell.  Untraced, no tape is built: legality and the sieve
 are functions of the word from cell 0, and the compare (one walk from x
 gives its whole row) of the word and a start head; each returns the
-traced run's verdict and steps, its restore included, and the occurrence
-search reads each compare from a table of those rows.  Every word
-procedure reaches the word's last cell and no further, so its high-water
-mark is |w| cells (one for the empty word).
+traced run's verdict and steps, its restore included.  In both modes the
+occurrence search, ``_search``, reads each compare from a pair table of
+rows, one per insertion cell: untraced, ``_compare_row`` rows built on
+first read; traced, rows that run the compare on the tape when read.
+Every word procedure reaches the word's last cell and no further, so its
+high-water mark is |w| cells (one for the empty word).
 """
 
 from __future__ import annotations
@@ -312,14 +315,11 @@ def _license_span(tape: BoundedTape, i: int, j: int) -> None:
         tape.seek(pos)
 
 
-def _insertion_cells(word: str) -> list[int]:
-    """The cells whose letter is not t, left to right (simulator bookkeeping)."""
-    return [pos for pos, letter in enumerate(word) if letter != "t"]
-
-
-def _legal_closed_form(word: str, cells: list[int]) -> tuple[bool, int]:
+def _legal_closed_form(word: str) -> tuple[bool, int, list[int]]:
     """The verdict and steps of ``_check_legal_on_tape`` on the word from
-    cell 0 of an unmarked tape, restore included; cells is ``_insertion_cells(word)``.
+    cell 0 of an unmarked tape, restore included, and the word's insertion
+    cells (those whose letter is not t), which it lists first, so that
+    ``accepts_basis`` reads them without a pass of its own.
 
     The empty word's run is one read.  Otherwise the loop stars exactly the
     bracket matching of m (open) and f (close), in increasing order of the
@@ -339,7 +339,8 @@ def _legal_closed_form(word: str, cells: list[int]) -> tuple[bool, int]:
     """
     n = len(word)
     if n == 0:
-        return False, 1
+        return False, 1, []
+    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
     opened: list[int] = []  # indices into cells of the m's still open
     spans = [0] * (len(cells) + 1)  # difference array of the nesting depth
     stop = n - 1  # the verification scan's stop
@@ -379,14 +380,14 @@ def _legal_closed_form(word: str, cells: list[int]) -> tuple[bool, int]:
         stop = prev + 1
     # the verification scan to stop, then the restore from there
     legal = stop == n - 1 and word[stop] == "f" and paired != stop
-    return legal, steps + 3 * stop + 2 * n - 1
+    return legal, steps + 3 * stop + 2 * n - 1, cells
 
 
 def check_legal(word: str, trace: TraceFn | None = None) -> TapeRun:
     """Decide legality on a bounded tape, which ends holding the word."""
     check_letters(word)
     if trace is None:
-        return TapeRun(*_legal_closed_form(word, _insertion_cells(word)), len(word) or 1)
+        return TapeRun(*_legal_closed_form(word)[:2], len(word) or 1)
     return BoundedTape(word, trace).run(_check_legal_on_tape)
 
 
@@ -591,7 +592,7 @@ def compare(word: str, x_pos: int, y_pos: int, trace: TraceFn | None = None) -> 
         raise IllegalCodewordError(word, verdict.reason)
     if trace is not None:
         return BoundedTape(word, trace).run(_compare_on_tape, x_pos, y_pos)
-    cells = _insertion_cells(word)
+    cells = [pos for pos, letter in enumerate(word) if letter != "t"]
     a, b = cells.index(x_pos), cells.index(y_pos)
     return TapeRun(*_compare_row(word, cells, a, 0)[b - a - 1], n)
 
@@ -627,15 +628,33 @@ def _neighbours(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, bool], ...],
     return tuple(plan)
 
 
-def _avoids(
-    count: int, pattern: tuple[int, ...], descending: Callable[[list[int], int, int], bool]
-) -> bool:
-    """Depth-first search for an occurrence of the pattern among count
-    insertion cells, numbered 0..count-1 left to right; True iff none.
+class _TapeRow:
+    """A row of the pair table on a traced tape: reading entry y-x-1 runs
+    the compare of cell number x with cell number y on the tape, through
+    the row's compare, and charges 0 steps, since the tape counts them."""
+
+    __slots__ = ("_compare", "_x")
+
+    def __init__(self, compare: Callable[[int, int], bool], x: int) -> None:
+        self._compare = compare
+        self._x = x
+
+    def __getitem__(self, i: int) -> tuple[bool, int]:
+        return self._compare(self._x, self._x + i + 1), 0
+
+
+def _search(
+    basis: Basis, rows: list[Row | _TapeRow | None], word: str = "",
+    cells: list[int] | None = None,
+) -> tuple[bool, int]:
+    """Depth-first search for an occurrence of each pattern of the basis
+    in turn among len(rows) insertion cells, numbered left to right, up to
+    the first one contained: (True iff none occurs, the steps of its
+    compares).
 
     The insertion cells are in value order, so a tuple of cells taken left
     to right holds the values 1..k of a candidate occurrence.  The search
-    extends a tuple of cell indices in lexicographic order: level j tries
+    extends a tuple of cell numbers in lexicographic order: level j tries
     each cell y after the one chosen at level j-1 (while k-j cells remain)
     and compares it with at most two chosen cells, its positional
     neighbours in the pattern: first the left one (the chosen level whose
@@ -646,51 +665,68 @@ def _avoids(
     agrees with those two; a disagreement prunes y and everything below
     it.  A full k-tuple is an occurrence.  Control state is the k chosen
     cell numbers and the pattern's neighbour table, ``_neighbours``, which
-    is built once per pattern, not once per word; the search never sees a
+    is built once per pattern, not once per word; the search reads no
     cell's position.
 
-    ``descending(chosen, a, y)`` makes the compare of the cell chosen at
-    level a with the candidate y, both cell numbers, and says whether it
-    is descending; the caller maps the numbers to cells.
+    Every compare is read from the pair table ``rows``: entry y-x-1 of row
+    x is (whether the compare of cells x < y is descending, its steps),
+    and the search sums the steps.  Untraced, every row starts as None and
+    is built the first time it is read, as ``_compare_row`` of the word
+    and its insertion cells from a head on cell n-1, then kept for the
+    basis's later patterns; traced rows are never None.
     """
-    nbrs = _neighbours(pattern)
-    k = len(pattern)
-    slack = count - k
-    chosen: list[int] = []
-    i = 0
-    while True:
-        j = len(chosen)
-        if i > slack + j:  # fewer than k-j cells left: back up
-            if j == 0:
-                return True
-            i = chosen.pop() + 1
-            continue
-        for a, desc in nbrs[j]:
-            if descending(chosen, a, i) != desc:
-                break
-        else:
-            if j + 1 == k:
-                return False
-            chosen.append(i)
-        i += 1
+    count = len(rows)
+    steps = 0
+    for pattern in basis:
+        nbrs = _neighbours(pattern.ranks)
+        k = len(nbrs)
+        slack = count - k
+        chosen: list[int] = []
+        i = j = 0  # j = len(chosen), the level
+        while True:
+            if i > slack + j:  # fewer than k-j cells left: back up
+                if j == 0:
+                    break
+                i = chosen.pop() + 1
+                j -= 1
+                continue
+            for a, desc in nbrs[j]:
+                x = chosen[a]
+                row = rows[x]
+                if row is None:
+                    row = rows[x] = _compare_row(word, cells, x, len(word) - 1)
+                verdict, cost = row[i - x - 1]
+                steps += cost
+                if verdict != desc:
+                    break
+            else:
+                if j + 1 == k:
+                    return False, steps
+                chosen.append(i)
+                j += 1
+            i += 1
+    return True, steps
 
 
 def _accepts_basis_on_tape(tape: BoundedTape, basis: Basis) -> bool:
     """``accepts_basis`` on the tape: legality once, as it is a property of
     the word, and a sweep from cell 0 listing the insertion cells once
-    after it; then the occurrence search for each pattern in turn until one
-    is contained, every compare through ``_compare_on_tape``.  Each ends
-    in ``restore`` on cell n-1, which checks the tape the next one starts
-    on.  The cell list, up to n integers, is held off the tape, and only
-    here: ``_avoids`` sees its length and the compare two cells, which the
-    callable maps from the search's chosen numbers.  It is the machine
+    after it; then ``_search`` over rows whose entries run
+    ``_compare_on_tape`` when read.  Each procedure ends in ``restore`` on
+    cell n-1, which checks the tape the next one starts on.  The cell
+    list, up to n integers, is held off the tape, and only here: the
+    search sees its length and the compare two cells, which the rows'
+    compare maps from the search's cell numbers.  It is the machine
     model's one gap."""
     if not _check_legal_on_tape(tape):
         return False
     tape.seek(0)
     cells = [tape.head for letter, _ in tape.sweep_right() if letter != "t"]
-    return all(_avoids(len(cells), pattern.ranks, lambda chosen, a, y: (
-        _compare_on_tape(tape, cells[chosen[a]], cells[y]))) for pattern in basis)
+
+    def descending(x: int, y: int) -> bool:
+        return _compare_on_tape(tape, cells[x], cells[y])
+
+    return _search(basis, [_TapeRow(descending, x) for x in range(len(cells))])[0]
 
 
 def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> TapeRun:
@@ -700,36 +736,21 @@ def accepts_basis(word: str, basis: Basis, trace: TraceFn | None = None) -> Tape
     Traced, ``_accepts_basis_on_tape`` runs on a tape from cell 0, and
     each of its procedures ends restored on cell n-1.  Untraced, every
     compare therefore starts on an unmarked tape with the head on cell
-    n-1, so it depends on the word and its two cells alone: the search
+    n-1, so it depends on the word and its two cells alone: ``_search``
     reads it from a table of ``_compare_row`` rows, one per x, built the
-    first time x is compared and shared by the basis's patterns.  The
-    insertion cells are listed once, for legality and the search alike.
+    first time x is compared and shared by the basis's patterns.
+    Legality's closed form lists the insertion cells, once for both.
     """
     check_letters(word)
     n = len(word)
     if trace is not None:
         return BoundedTape(word, trace).run(_accepts_basis_on_tape, basis)
-    cells = _insertion_cells(word)
-    legal, steps = _legal_closed_form(word, cells)
+    legal, steps, cells = _legal_closed_form(word)
     if not legal:
         return TapeRun(False, steps, n or 1)
-    steps += 3 * n - 2  # the cell sweep from cell n-1: head + 2n - 1
-    rows: list[Row | None] = [None] * len(cells)
-
-    def descending(chosen: list[int], a: int, y: int) -> bool:
-        nonlocal steps
-        x = chosen[a]
-        row = rows[x]
-        if row is None:
-            row = rows[x] = _compare_row(word, cells, x, n - 1)
-        verdict, cost = row[y - x - 1]
-        steps += cost
-        return verdict
-
-    for pattern in basis:
-        if not _avoids(len(cells), pattern.ranks, descending):
-            return TapeRun(False, steps, n)
-    return TapeRun(True, steps, n)
+    # the cell sweep from cell n-1 (head + 2n - 1), then the search
+    verdict, searched = _search(basis, [None] * len(cells), word, cells)
+    return TapeRun(verdict, steps + 3 * n - 2 + searched, n)
 
 
 # --- primality by sieve strides --------------------------------------------

@@ -122,7 +122,8 @@ def sieve_inputs():
 def legality_untraced(word, head):
     # from cell 0: a later start head pays the seek to it and legality's
     # seek back to cell 0
-    legal, steps = tape._legal_closed_form(word, insertion_cells(word))
+    legal, steps, cells = tape._legal_closed_form(word)
+    assert cells == insertion_cells(word), word
     return TapeRun(legal, steps + 2 * head, max(head + 1, len(word)))
 
 

@@ -145,12 +145,6 @@ class TestBivariate:
         table = count_codewords_bivariate(4)
         assert sum(table.values()) == 24
 
-    def test_frozen_tables_from_encode_route(self):
-        # derived independently by encoding every permutation and counting ts
-        assert count_codewords_bivariate(3) == {0: 5, 1: 1}
-        assert count_codewords_bivariate(4) == {0: 14, 1: 8, 2: 2}
-        assert count_codewords_bivariate(5) == {0: 42, 1: 45, 2: 25, 3: 7, 4: 1}
-
     def test_matches_encode_route(self):
         for n in range(1, 7):
             table: dict[int, int] = {}

@@ -27,29 +27,19 @@ from permlang.tape import (
 
 
 def search(word, q):
-    """Whether a legal word avoids q by the occurrence search, each compare
-    made by ``compare``, and every compare as (prefix, x_pos, y_pos), where
-    prefix is the tuple of cells chosen when it is made: a run of equal
-    (prefix, y_pos) is one candidate of one level."""
+    """Whether a legal word avoids q by the tape's occurrence search, and
+    every compare that a row answers, as (x_pos, y_pos), in order.  The
+    rows are the traced search's: entry y-x-1 of row x makes the compare of
+    insertion cells x and y, here with ``compare``."""
     cells = insertion_cells(word)
     made = []
 
-    def descending(chosen, a, y):
-        made.append((tuple(cells[c] for c in chosen), cells[chosen[a]], cells[y]))
-        return compare(word, cells[chosen[a]], cells[y]).verdict
+    def descending(x, y):
+        made.append((cells[x], cells[y]))
+        return compare(word, cells[x], cells[y]).verdict
 
-    return tape._avoids(len(cells), tuple(q), descending), made
-
-
-def candidates(log):
-    """Group a ``search`` log into [(prefix, y_pos, [x_pos, ...])], one
-    entry per candidate the search compared."""
-    grouped = []
-    for prefix, x, y in log:
-        if not grouped or grouped[-1][:2] != (prefix, y):
-            grouped.append((prefix, y, []))
-        grouped[-1][2].append(x)
-    return grouped
+    rows = [tape._TapeRow(descending, x) for x in range(len(cells))]
+    return tape._search(Basis([q]), rows)[0], made
 
 
 def first_occurrence(p, q):
@@ -75,21 +65,26 @@ def positional_neighbours(q, j):
 def search_by_all_pairs(word, q):
     """Reference for the tape's occurrence search, on positions read from
     decode: the same depth-first search over insertion cells, but each
-    candidate is checked against every chosen cell.  Returns whether the
-    word avoids q and the (prefix, y_pos) of every candidate tried below
-    level 0, in order."""
+    candidate's agreement is decided against every chosen cell.  Returns
+    whether the word avoids q and the compares the search should make, as
+    (x_pos, y_pos): each candidate below level 0 against its positional
+    neighbours among the chosen cells, left then right, up to the first
+    that disagrees."""
     p = decode(word)
     n, k = len(p), len(q)
     cell = insertion_cells(word)
     where = {value: position for position, value in enumerate(p)}
     place = [q.index(rank) for rank in range(1, k + 1)]
-    tried = []
+    expected = []
 
     def extend(chosen, first):
         j = len(chosen)
         for v in range(first, n - k + j + 2):  # leave k-j-1 values after v
-            if j:
-                tried.append((tuple(cell[c - 1] for c in chosen), cell[v - 1]))
+            for r in positional_neighbours(q, j):  # chosen[r-1] holds rank r
+                c = chosen[r - 1]
+                expected.append((cell[c - 1], cell[v - 1]))
+                if (where[v] < where[c]) != (place[j] < place[r - 1]):
+                    break
             agree = all(
                 (where[v] < where[c]) == (place[j] < place[a]) for a, c in enumerate(chosen)
             )
@@ -97,7 +92,7 @@ def search_by_all_pairs(word, q):
                 return True
         return False
 
-    return not extend([], 1), tried
+    return not extend([], 1), expected
 
 
 class TestBoundedTape:
@@ -467,8 +462,11 @@ class TestCompare:
                 assert run.verdict is want, (p, a, b)
 
 
-class TestAcceptsAvoiding:
-    """accepts_basis on single-pattern bases."""
+class TestOccurrenceSearch:
+    """``accepts_basis`` on single-pattern bases, and the occurrence search
+    it runs: it compares each candidate with at most its two positional
+    neighbours among the chosen cells, and visits the same candidates in
+    the same order as comparing with every chosen cell."""
 
     @pytest.mark.parametrize(
         "word, pattern, expected",
@@ -532,15 +530,8 @@ class TestAcceptsAvoiding:
             # neighbour among the prefix, the ranks beside k in q
             last = cell[first[-1] - 1]
             beside = positional_neighbours(q, k - 1)
-            compares = [(x, y) for _, x, y in made[-len(beside):]]
-            assert compares == [(cell[first[r - 1] - 1], last) for r in beside]
+            assert made[-len(beside):] == [(cell[first[r - 1] - 1], last) for r in beside]
             checked += 1
-
-
-class TestOccurrenceSearch:
-    """The occurrence search compares each candidate with at most its two
-    positional neighbours among the chosen cells, and visits the same
-    candidates in the same order as comparing with every chosen cell."""
 
     @staticmethod
     def seeded_pairs(seed, count):
@@ -562,7 +553,7 @@ class TestOccurrenceSearch:
         word = "l" * 7 + "f"
         avoids, made = search(word, range(1, k + 1))
         assert avoids is False
-        assert [(x, y) for _, x, y in made] == [(j - 1, j) for j in range(1, k)]
+        assert made == [(j - 1, j) for j in range(1, k)]
 
     def test_plan_holds_each_levels_positional_neighbours(self):
         for k in range(1, 7):
@@ -583,31 +574,27 @@ class TestOccurrenceSearch:
         assert tape._neighbours.cache_info().misses == 2
 
     def test_each_candidate_meets_only_its_positional_neighbours(self):
-        tried = 0
+        # the reference's log holds each candidate's one or two positional
+        # neighbours, left then right, up to the first disagreement
+        made = 0
         for word, q in self.seeded_pairs(2010, 60):
-            for prefix, y, xs in candidates(search(word, q)[1]):
-                # prefix[r-1] holds rank r, and y is a candidate for the next
-                beside = [prefix[r - 1] for r in positional_neighbours(q, len(prefix))]
-                assert 1 <= len(xs) <= 2, (word, q, prefix, y)
-                assert xs == beside[: len(xs)], (word, q, prefix, y)
-                tried += 1
-        assert tried > 1000
+            log = search(word, q)[1]
+            assert log == search_by_all_pairs(word, q)[1], (word, q)
+            made += len(log)
+        assert made > 4000
 
     def test_matches_all_pairs_search_on_small_words(self):
         patterns = [list(q) for k in range(1, 5) for q in itertools.permutations(range(1, k + 1))]
         for n in range(1, 6):
             for word in codewords_with_insertions(n):
                 for q in patterns:
-                    verdict, made = search(word, q)
-                    tried = [(prefix, y) for prefix, y, _ in candidates(made)]
-                    assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
+                    assert search(word, q) == search_by_all_pairs(word, q), (word, q)
 
     def test_matches_all_pairs_search_on_random_larger_words(self):
         verdicts = set()
         for word, q in self.seeded_pairs(2011, 80):
             verdict, made = search(word, q)
-            tried = [(prefix, y) for prefix, y, _ in candidates(made)]
-            assert (verdict, tried) == search_by_all_pairs(word, q), (word, q)
+            assert (verdict, made) == search_by_all_pairs(word, q), (word, q)
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
@@ -696,6 +683,42 @@ class TestAcceptsBasis:
                 legality.steps + 3 * n - 2)
             assert run == TapeRun(singles[-1].verdict, want, n), (word, basis)
         assert searched == {1, 2, 3}
+
+    def test_untraced_run_builds_each_row_once_and_shares_it(self, monkeypatch):
+        # untraced, row x is built from a head on cell n-1 the first time
+        # the search reads it, and the basis's later patterns read it from
+        # the same table: a basis run builds the union of the rows that its
+        # single-pattern runs build, each once.  Legality rejects a word
+        # before any row is built.
+        inner = tape._compare_row
+        built = []
+
+        def spy(word, cells, a, head):
+            assert head == len(word) - 1, (word, a, head)
+            built.append(a)
+            return inner(word, cells, a, head)
+
+        monkeypatch.setattr(tape, "_compare_row", spy)
+        shared = rejected = 0
+        for word, basis in basis_sum_cases():
+            built.clear()
+            run = accepts_basis(word, basis)
+            rows = list(built)
+            if not check_legal(word).verdict:
+                assert rows == [], (word, basis)
+                rejected += 1
+                continue
+            assert len(rows) == len(set(rows)), (word, basis)
+            singles = []
+            for pattern in basis:
+                built.clear()
+                single = accepts_basis(word, Basis([pattern]))
+                singles += built
+                if not single.verdict:
+                    break
+            assert set(rows) == set(singles), (word, basis)
+            shared += len(singles) > len(rows)
+        assert shared > 100 and rejected > 100
 
 
 class TestSymmetries:
