@@ -12,6 +12,13 @@ a^i1 b^i2 a^i3 ... with nondecreasing block lengths, whose count at each
 length equals the integer partition number.  Each is a procedure on a
 machine its caller passes in, which after the run is the run's record;
 the public functions run it on a fresh machine and return the verdict.
+
+A traced codeword run is the literal machine: it reads a letter, makes
+that letter's stack operations and writes one trace line, then reads the
+next.  An untraced one is its fast form, which reads the word a t-run at
+a time and walks the cursor down a whole run with one
+``cursor_down(run)``; it leaves the machine as the literal run does, and
+has no trace code.
 """
 
 from __future__ import annotations
@@ -96,42 +103,65 @@ def _codewords_on(machine: StackMachine, word: str, trace: TraceFn | None) -> bo
     down one token, failing at the root; f pops, except on an empty stack,
     where it accepts iff it is the last letter.
 
-    ``codec.tokens`` checks the letters, then reads the word a t-run at a
-    time.  A t-run never pushes or pops, so ``cursor_down(run)`` charges it
-    at once; a trace still gets one line per t, the state after that letter.
+    A traced run is the literal machine, ``_codewords_by_letters``.  An
+    untraced run is its fast form: ``codec.tokens`` checks the letters,
+    then reads the word a t-run at a time.  A t-run never pushes or pops,
+    so ``cursor_down(run)`` charges it at once, and a t-run longer than
+    the cursor's depth walks to the root and fails.
     """
+    if trace is not None:
+        return _codewords_by_letters(machine, word, trace)
     cursor_down, cursor_to_top = machine.cursor_down, machine.cursor_to_top
     push, pop = machine.push, machine.pop  # bound once per word
-    idx = 0  # index of the first letter of the t-run or insertion
-    for run, letter in tokens(word):
+    stream = tokens(word)
+    for run, letter in stream:
         if run:
-            depth = machine._cursor
-            if trace is not None:  # one line per t read, up to a t that finds the root
-                for k in range(1, min(run, depth + 1) + 1):
-                    state, cursor = (START, depth - k) if k <= depth else (FAIL, 0)
-                    trace(_trace_line(idx + k - 1, "t", state, cursor, machine._height))
-            if run > depth:  # the t after the depth-th finds the cursor at the root
-                cursor_down(depth)
+            if run > machine._cursor:  # the t after the depth-th finds the root
+                cursor_down(machine._cursor)
                 machine.state = FAIL
                 break
             cursor_down(run)
             if not letter:
                 break
-            idx += run
         cursor_to_top()
         if letter == "m":
             push()
         elif letter == "f":
             if machine._height:
                 pop()
-            else:  # an f on the root ends the run
-                machine.state = ACCEPT if idx == len(word) - 1 else FAIL
-                if trace is not None:
-                    trace(_trace_line(idx, letter, machine.state, 0, 0))
+            else:  # an f on the root ends the run: it accepts iff no token follows
+                machine.state = FAIL if next(stream, None) else ACCEPT
                 break
-        if trace is not None:
-            trace(_trace_line(idx, letter, START, machine._cursor, machine._height))
-        idx += 1
+    return machine.state == ACCEPT
+
+
+def _codewords_by_letters(machine: StackMachine, word: str, trace: TraceFn) -> bool:
+    """The codeword acceptor a letter at a time: a ``cursor_down()`` per t,
+    and ``cursor_to_top`` then ``push`` or ``pop`` per insertion letter.
+    After each letter the trace gets one line, the state after it; the run
+    stops at the first state that is not start.  A letter outside the
+    alphabet raises before the run starts.
+    """
+    check_letters(word)
+    last = len(word) - 1
+    for idx, letter in enumerate(word):
+        if letter == "t":
+            if machine._cursor == 0:
+                machine.state = FAIL
+            else:
+                machine.cursor_down()
+        else:
+            machine.cursor_to_top()
+            if letter == "m":
+                machine.push()
+            elif letter == "f":
+                if machine._height:
+                    machine.pop()
+                else:
+                    machine.state = ACCEPT if idx == last else FAIL
+        trace(_trace_line(idx, letter, machine.state, machine._cursor, machine._height))
+        if machine.state != START:
+            break
     return machine.state == ACCEPT
 
 

@@ -3,8 +3,8 @@ examples.  The partition acceptor's verdict and counters have their one
 home here: ``by_blocks`` reads them off the word's blocks, and the acceptor
 must match it, untraced and traced, on every word over a, b of length
 <= 11 and on ``PARTITION_LONG_WORDS``.  The codeword acceptor's verdict and
-counters are checked against ``accepts_by_letters`` in
-``test_token_readers.py``.
+counters are checked in ``test_token_readers.py``: its untraced run, which
+reads a t-run at a time, against its traced run, the literal machine.
 """
 
 import itertools

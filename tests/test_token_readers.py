@@ -5,9 +5,12 @@ at a time.  ``READERS`` is the one table of those readers: each entry
 pairs what a reader makes of a word with what a plain per-letter
 reference makes of it.  These are ``codec.validate``'s reason,
 ``codec.decode``'s permutation or reason, the stack acceptor's verdict
-with its machine's state and counters, untraced and traced, and its
-trace, ``tape.check_legal``'s verdict, and the word that ``codec.tokens``
-spells back.  One test reads each word A of ``READ`` with each reader,
+with its machine's state and counters, ``tape.check_legal``'s verdict,
+and the word that ``codec.tokens`` spells back.  The stack acceptor's
+reference is the package's own traced run: a traced run is the literal
+machine, with one trace line per letter, and an untraced run
+reads the word a t-run at a time, as the tape's closed forms stand to its
+traced runs.  One test reads each word A of ``READ`` with each reader,
 then a neighbour B, then A again, and holds all three reads to the
 reference.  ``codec.tokens`` keeps the split of the last word it read, so
 a reader must read a word alike whatever it read before.  ``READ`` holds
@@ -16,15 +19,18 @@ to the root is one letter longer, copies with an l after the last f or in
 its place, the empty word, and copies with an insertion letter deleted or
 with a letter put in front of one; those words reach every reason.  Every
 reader of the table, and the tape's occurrence search, must name a
-foreign letter alike.
+foreign letter alike, and so must the stack acceptor's traced run.
 
 This module is the one home of the codeword acceptor's verdict and
 counters: on ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and
-one-letter mutants of them) and on every word of length <= 5, untraced
-and traced, they must be ``accepts_by_letters``'.  ``codec.validate``'s
+one-letter mutants of them) and on every word of length <= 5, the
+untraced run's must be the traced run's, whose trace is one line per
+letter read, numbered from 0, up to the letter that ended the run, the
+last line showing where the untraced run ended.  ``codec.validate``'s
 reason must be ``validate_by_letters``' on ``LONG_WORDS`` and on every word
 of length <= 7.  The stack acceptor must also make one operation call per
-t-run, insertion letter, push and pop it reads or makes, and the partition
+insertion letter, push and pop it reads or makes, and per t-run read
+untraced or per t that walks down traced, and the partition
 acceptor one per push and per token its cursor walks down.
 ``encode_by_cells`` is the plain reference for ``codec.encode``.
 """
@@ -39,7 +45,7 @@ from conftest import insertion_cells, run_python, words
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
 from permlang.permutations import Basis, Permutation, all_permutations
-from permlang.stackmachine import ACCEPT, FAIL, START, StackMachine
+from permlang.stackmachine import FAIL, START, StackMachine
 
 SEED = 2005
 COUNT = 10
@@ -117,38 +123,6 @@ def encode_by_cells(perm: Permutation) -> str:
 def counters(machine: StackMachine) -> tuple:
     """The machine's state, pushes, pops, height and cursor."""
     return machine.state, machine.pushes, machine.pops, machine.height, machine.cursor_depth
-
-
-def accepts_by_letters(word: str, trace=None) -> tuple[bool, tuple]:
-    """The stack acceptor, one cursor_down per t: its verdict and its
-    machine's counters."""
-    machine = StackMachine()
-    last = len(word) - 1
-    for idx, ch in enumerate(word):
-        if ch in "lr":
-            machine.cursor_to_top()
-        elif ch == "m":
-            machine.cursor_to_top()
-            machine.push()
-        elif ch == "f":
-            machine.cursor_to_top()
-            if machine.height == 0:
-                machine.state = ACCEPT if idx == last else FAIL
-            else:
-                machine.pop()
-        else:  # t
-            if machine.cursor_depth == 0:
-                machine.state = FAIL
-            else:
-                machine.cursor_down()
-        if trace is not None:
-            trace(
-                f"{idx}\t{ch}\tstate={machine.state}"
-                f"\tcursor={machine.cursor_depth}\theight={machine.height}"
-            )
-        if machine.state != START:
-            break
-    return machine.state == ACCEPT, counters(machine)
 
 
 def root_runs(word: str) -> list[int]:
@@ -247,7 +221,7 @@ def test_cases_reach_the_root_and_one_past_it():
     # one t more than the run to the root: the first overflow is that t
     for word in CASES[2::3]:
         lines = []
-        accepts_by_letters(word, lines.append)
+        stackmachine.accepts_codewords(word, lines.append)
         assert validate_by_letters(word) == codec.REASON_T_OVERFLOW
         assert lines[-1].split("\t")[1:4] == ["t", f"state={FAIL}", "cursor=0"]
 
@@ -273,27 +247,25 @@ def decode_or_reason(word: str) -> Permutation | str:
         return err.reason
 
 
-def acceptor_on_fresh_machine(word: str, trace) -> tuple[bool, tuple]:
+def stack_run(word: str, trace=None) -> tuple[bool, tuple]:
+    """The codeword acceptor's verdict and its fresh machine's counters."""
     machine = StackMachine()
     return stackmachine._codewords_on(machine, word, trace), counters(machine)
 
 
-def untraced_and_traced(run):
-    """A stack run read untraced, then traced, with the trace lines."""
-    def read(word):
-        lines = []
-        return run(word, None), run(word, lines.append), lines
-
-    return read
+def stack_run_by_letters(word: str) -> tuple[bool, tuple]:
+    """``stack_run`` traced: the literal machine, a letter at a time."""
+    return stack_run(word, lambda line: None)
 
 
 # each codeword reader: what it makes of a word, and what its
-# letter-by-letter reference makes of it
+# letter-by-letter reference makes of it.  The stack acceptor's reference
+# is the package's traced run, the literal machine, and what the two make
+# of a word is the verdict and the machine's counters
 READERS = {
     "validate": (lambda word: codec.validate(word).reason, validate_by_letters),
     "decode": (decode_or_reason, lambda word: validate_by_letters(word) or decode_by_letters(word)),
-    "accepts_codewords": (untraced_and_traced(acceptor_on_fresh_machine),
-                          untraced_and_traced(accepts_by_letters)),
+    "accepts_codewords": (stack_run, stack_run_by_letters),
     "check_legal": (lambda word: tape.check_legal(word).verdict,
                     lambda word: validate_by_letters(word) is None),
     "tokens": (rebuilt, lambda word: word),
@@ -350,20 +322,47 @@ class CountingMachine(StackMachine):
     cursor_down, cursor_to_top, push, pop = map(counted, OPERATIONS)
 
 
-def test_stack_acceptor_moves_the_stack_only_by_its_operations():
-    # the verdict and counters, untraced and traced, are the reference's;
-    # every push and pop the counters show, every t-run read and every
-    # insertion letter read is one call of an operation, with its check
+def test_stack_trace_is_a_line_per_letter_read():
+    # the traced run, the literal machine, writes one line per letter, the
+    # state after it, and stops at the first state that is not start; its
+    # last line, and its machine, show where the untraced run ended
     for word in itertools.chain(READ, LONG_WORDS, words(range(6))):
         lines = []
-        want = accepts_by_letters(word, lines.append)
+        traced, untraced = stack_run(word, lines.append), stack_run(word)
+        assert traced == untraced, word
+        fields = [line.split("\t") for line in lines]
+        assert [int(f[0]) for f in fields] == list(range(len(lines))), word
+        assert "".join(f[1] for f in fields) == word[: len(lines)], word
+        states = [f[2] for f in fields]
+        assert states[:-1] == [f"state={START}"] * (len(lines) - 1), word
+        state, _, _, height, cursor = untraced[1]
+        if state == START:
+            assert len(lines) == len(word), word
+        if lines:
+            assert fields[-1][2:] == [f"state={state}", f"cursor={cursor}", f"height={height}"], word
+        else:
+            assert (word, untraced) == ("", (False, (START, 0, 0, 0, 0)))
+
+
+def test_stack_acceptor_moves_the_stack_only_by_its_operations():
+    # every push and pop the counters show, every insertion letter read and
+    # every walk of the cursor is one call of an operation, with its check.
+    # The untraced run walks a t-run with one cursor_down(run), to the root
+    # if the run is too long; the traced run is the literal machine, with
+    # one cursor_down() per t that finds the cursor above the root
+    for word in itertools.chain(READ, LONG_WORDS, words(range(6))):
+        lines = []
+        untraced, traced = CountingMachine(), CountingMachine()
+        stackmachine._codewords_on(untraced, word, None)
+        stackmachine._codewords_on(traced, word, lines.append)
         read = "".join(line.split("\t")[1] for line in lines)
-        for trace in (None, lambda line: None):
-            machine = CountingMachine()
-            verdict = stackmachine._codewords_on(machine, word, trace)
-            assert (verdict, counters(machine)) == want, word
+        walks = (
+            (untraced, len(re.findall("t+", read))),
+            (traced, sum(line.split("\t")[1:3] == ["t", f"state={START}"] for line in lines)),
+        )
+        for machine, cursor_down in walks:
             assert machine.calls == {
-                "cursor_down": len(re.findall("t+", read)),
+                "cursor_down": cursor_down,
                 "cursor_to_top": len(read) - read.count("t"),
                 "push": machine.pushes,
                 "pop": machine.pops,
@@ -414,8 +413,10 @@ FOREIGN = [
     ("l\ud800f", "'\\ud800' at position 1"),  # a lone surrogate has no UTF-8
     ("fx", "'x' at position 1"),  # the f on the root ends a stack run before x
 ]
-# every reader of the table, and the tape's occurrence search
+# every reader of the table, the stack acceptor's traced run and the
+# tape's occurrence search
 FOREIGN_READERS = {name: read for name, (read, _) in READERS.items()} | {
+    "accepts_codewords traced": stack_run_by_letters,
     "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]]))}
 
 
