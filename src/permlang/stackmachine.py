@@ -9,16 +9,17 @@ that raises, because it would be a bug in an acceptor, not bad input.
 Two acceptors are built on it: one for the codeword language (equivalent
 to codec.validate, which the tests check exhaustively) and one for words
 a^i1 b^i2 a^i3 ... with nondecreasing block lengths, whose count at each
-length equals the integer partition number.  Each is a procedure on a
-machine its caller passes in, which after the run is the run's record;
-the public functions run it on a fresh machine and return the verdict.
+length equals the integer partition number.  The partition acceptor and
+the traced codeword acceptor are procedures on a machine their caller
+passes in, which after the run is the run's record; the public functions
+run them on a fresh machine and return the verdict.
 
 A traced codeword run is the literal machine: it reads a letter, makes
 that letter's stack operations and writes one trace line, then reads the
-next.  An untraced one is its fast form, which reads the word a t-run at
-a time and walks the cursor down a whole run with one
-``cursor_down(run)``; it leaves the machine as the literal run does, and
-has no trace code.
+next.  An untraced one is a closed form of the word, which builds no
+machine: it reads the word a token at a time and keeps the height in a
+local variable, since the cursor stands at the top before every t-run,
+and returns the state and counters the literal machine ends with.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ class StackMachine:
     def cursor_to_top(self) -> None:
         self._cursor = self._height
 
-    def cursor_down(self, j: int = 1) -> None:
-        """Walk the cursor down j tokens; raises, leaving the cursor where
-        it was, unless 0 <= j <= cursor_depth."""
-        if not 0 <= j <= self._cursor:
+    def cursor_down(self) -> None:
+        """Walk the cursor down one token; at the root, raises and leaves
+        it there."""
+        if not self._cursor:
             raise StackDisciplineError("cursor cannot descend below the root")
-        self._cursor -= j
+        self._cursor -= 1
 
     def push(self) -> None:
         if self._cursor != self._height:
@@ -91,48 +92,47 @@ def _trace_line(idx: int, letter: str, state: str, cursor: int, height: int) -> 
 
 
 def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
-    """Run the codeword acceptor on a fresh machine; see ``_codewords_on``."""
-    return _codewords_on(StackMachine(), word, trace)
-
-
-def _codewords_on(machine: StackMachine, word: str, trace: TraceFn | None) -> bool:
-    """The codeword acceptor on the caller's fresh machine, which the run
-    leaves holding its state and counters; the stack height tracks #m - #f.
+    """Accept exactly the legal codewords; the stack height tracks #m - #f.
 
     l and r return the cursor to the top; m pushes; each t walks the cursor
     down one token, failing at the root; f pops, except on an empty stack,
     where it accepts iff it is the last letter.
 
-    A traced run is the literal machine, ``_codewords_by_letters``.  An
-    untraced run is its fast form: ``codec.tokens`` checks the letters,
-    then reads the word a t-run at a time.  A t-run never pushes or pops,
-    so ``cursor_down(run)`` charges it at once, and a t-run longer than
-    the cursor's depth walks to the root and fails.
+    A traced run is the literal machine, ``_codewords_by_letters`` on a
+    fresh ``StackMachine``.  An untraced run is its closed form,
+    ``_codewords_closed_form``, which builds no machine.
     """
-    if trace is not None:
-        return _codewords_by_letters(machine, word, trace)
-    cursor_down, cursor_to_top = machine.cursor_down, machine.cursor_to_top
-    push, pop = machine.push, machine.pop  # bound once per word
+    if trace is None:
+        return _codewords_closed_form(word)[0] == ACCEPT
+    return _codewords_by_letters(StackMachine(), word, trace)
+
+
+def _codewords_closed_form(word: str) -> tuple[str, int, int, int, int]:
+    """The state, pushes, pops, height and cursor that the literal machine
+    ends with on the word, as a function of its tokens.
+
+    ``codec.tokens`` checks the letters, then each token is a t-run and
+    an insertion letter.  An insertion letter leaves the cursor at the
+    top, so each t-run starts there and is legal iff it is no longer than
+    the height: one t more walks to the root and fails.  A t-run pushes
+    and pops nothing, so only the run that ends the word moves the cursor
+    off the top for good.  Pops are pushes less the height.
+    """
+    height = pushes = 0
     stream = tokens(word)
     for run, letter in stream:
-        if run:
-            if run > machine._cursor:  # the t after the depth-th finds the root
-                cursor_down(machine._cursor)
-                machine.state = FAIL
-                break
-            cursor_down(run)
-            if not letter:
-                break
-        cursor_to_top()
+        if run > height:  # the t after the height-th finds the root
+            return FAIL, pushes, pushes - height, height, 0
         if letter == "m":
-            push()
+            height += 1
+            pushes += 1
         elif letter == "f":
-            if machine._height:
-                pop()
-            else:  # an f on the root ends the run: it accepts iff no token follows
-                machine.state = FAIL if next(stream, None) else ACCEPT
-                break
-    return machine.state == ACCEPT
+            if not height:  # an f on the root accepts iff no token follows it
+                return FAIL if next(stream, None) else ACCEPT, pushes, pushes, 0, 0
+            height -= 1
+        elif not letter:  # the bare t-run that ends the word
+            return START, pushes, pushes - height, height, height - run
+    return START, pushes, pushes - height, height, height
 
 
 def _codewords_by_letters(machine: StackMachine, word: str, trace: TraceFn) -> bool:
@@ -172,7 +172,8 @@ def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
 
 def _partitions_on(machine: StackMachine, word: str, trace: TraceFn | None) -> bool:
     """Accept a^i1 b^i2 a^i3 ... with 1 <= i1 <= i2 <= ... (either final
-    letter), on the caller's fresh machine, as ``_codewords_on`` runs.
+    letter), on the caller's fresh machine, which the run leaves holding its
+    state and counters.
 
     Each block first walks the cursor down the tokens left by the previous
     block; reaching the root switches to pushing, so on block exit the stack

@@ -24,8 +24,8 @@ its inputs:
   letter-by-letter reference: one table, ``READERS``, and one test that
   reads each word of ``READ`` with each reader, then a neighbour, then
   the word again.  It is also the home of the codeword acceptor's verdict
-  and counters: its untraced run, a t-run at a time, against its traced
-  run, the literal machine with one line per letter.  ``test_stackmachine.py``
+  and counters: its untraced run, a closed form of the word, against its
+  traced run, the literal machine with one line per letter.  ``test_stackmachine.py``
   is that of the partition acceptor's, against ``by_blocks``;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.

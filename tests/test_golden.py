@@ -18,8 +18,8 @@ Each file named in ``GOLDEN`` holds what its render function returns:
 A file freezes only what no reference in the tests computes.  The stack
 acceptors' verdicts and counters have references, so they are checked
 against them, and no file freezes them: in ``test_token_readers.py`` the
-codeword acceptor's untraced run, a t-run at a time, against its traced
-run, the literal machine, and ``codec.validate``'s reason against
+codeword acceptor's untraced run, a closed form of the word, against its
+traced run, the literal machine, and ``codec.validate``'s reason against
 ``validate_by_letters``; the partition acceptor, untraced and traced,
 against ``by_blocks`` in ``test_stackmachine.py``.  No reference computes
 the traced lines, so ``golden_traces.txt`` freezes them.

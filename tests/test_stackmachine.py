@@ -3,8 +3,8 @@ examples.  The partition acceptor's verdict and counters have their one
 home here: ``by_blocks`` reads them off the word's blocks, and the acceptor
 must match it, untraced and traced, on every word over a, b of length
 <= 11 and on ``PARTITION_LONG_WORDS``.  The codeword acceptor's verdict and
-counters are checked in ``test_token_readers.py``: its untraced run, which
-reads a t-run at a time, against its traced run, the literal machine.
+counters are checked in ``test_token_readers.py``: its untraced run, a
+closed form of the word, against its traced run, the literal machine.
 """
 
 import itertools
@@ -77,34 +77,28 @@ class TestStackMachine:
         with pytest.raises(StackDisciplineError):
             m.cursor_down()
 
-    def test_cursor_down_zero_does_nothing(self):
-        m = StackMachine()
-        m.cursor_down(0)  # at the root: zero steps never descend
-        m.push()
-        m.push()
-        m.cursor_down(0)
-        assert (m.cursor_depth, m.height, m.pushes, m.pops) == (2, 2, 2, 0)
-
-    def test_cursor_down_walks_j_tokens(self):
+    def test_cursor_down_walks_one_token(self):
         m = StackMachine()
         for _ in range(3):
             m.push()
-        m.cursor_down(2)
-        assert m.cursor_depth == 1
-        m.cursor_down()  # one token by default: exactly to the root
-        assert (m.cursor_depth, m.height) == (0, 3)
+        for depth in (2, 1, 0):  # the third walk reaches exactly the root
+            m.cursor_down()
+            assert (m.cursor_depth, m.height, m.pushes, m.pops) == (depth, 3, 3, 0)
 
     @pytest.mark.parametrize("depth, j", [(0, 1), (2, 3), (3, 7)])
     def test_cursor_down_past_the_root_raises_in_place(self, depth, j):
+        # j one-token walks from the top of depth tokens: the first depth
+        # reach the root, and each one after raises and leaves it there
         m = StackMachine()
         for _ in range(depth):
             m.push()
-        with pytest.raises(StackDisciplineError):
-            m.cursor_down(j)
-        assert m.cursor_depth == m.height == depth
-        with pytest.raises(StackDisciplineError):
-            m.cursor_down(-1)
-        assert m.cursor_depth == depth
+        for walked in range(1, j + 1):
+            if walked <= depth:
+                m.cursor_down()
+            else:
+                with pytest.raises(StackDisciplineError):
+                    m.cursor_down()
+            assert (m.cursor_depth, m.height) == (max(depth - walked, 0), depth)
 
     def test_push_below_the_top_raises_in_place(self):
         m = StackMachine()

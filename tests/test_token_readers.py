@@ -5,11 +5,11 @@ at a time.  ``READERS`` is the one table of those readers: each entry
 pairs what a reader makes of a word with what a plain per-letter
 reference makes of it.  These are ``codec.validate``'s reason,
 ``codec.decode``'s permutation or reason, the stack acceptor's verdict
-with its machine's state and counters, ``tape.check_legal``'s verdict,
-and the word that ``codec.tokens`` spells back.  The stack acceptor's
-reference is the package's own traced run: a traced run is the literal
-machine, with one trace line per letter, and an untraced run
-reads the word a t-run at a time, as the tape's closed forms stand to its
+with its state and counters, ``tape.check_legal``'s verdict, and the
+word that ``codec.tokens`` spells back.  The stack acceptor's reference
+is the package's own traced run: a traced run is the literal machine,
+with one trace line per letter, and an untraced run is a closed form of
+the word that builds no machine, as the tape's closed forms stand to its
 traced runs.  One test reads each word A of ``READ`` with each reader,
 then a neighbour B, then A again, and holds all three reads to the
 reference.  ``codec.tokens`` keeps the split of the last word it read, so
@@ -23,21 +23,21 @@ foreign letter alike, and so must the stack acceptor's traced run.
 
 This module is the one home of the codeword acceptor's verdict and
 counters: on ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and
-one-letter mutants of them) and on every word of length <= 5, the
-untraced run's must be the traced run's, whose trace is one line per
-letter read, numbered from 0, up to the letter that ended the run, the
-last line showing where the untraced run ended.  ``codec.validate``'s
+one-letter mutants of them) and on every word of length <= 7, the closed
+form's must be the traced run's, whose trace is one line per letter
+read, numbered from 0, up to the letter that ended the run, the last
+line showing where the closed form ended.  ``codec.validate``'s
 reason must be ``validate_by_letters``' on ``LONG_WORDS`` and on every word
-of length <= 7.  The stack acceptor must also make one operation call per
-insertion letter, push and pop it reads or makes, and per t-run read
-untraced or per t that walks down traced, and the partition
-acceptor one per push and per token its cursor walks down.
+of length <= 7.  The traced stack acceptor must also make one operation
+call per insertion letter, push and pop it reads or makes, and per t that
+walks down, while the untraced one builds no machine and calls no
+operation; the partition acceptor makes one per push and per token its
+cursor walks down.
 ``encode_by_cells`` is the plain reference for ``codec.encode``.
 """
 
 import itertools
 import random
-import re
 
 import pytest
 from conftest import insertion_cells, run_python, words
@@ -247,21 +247,23 @@ def decode_or_reason(word: str) -> Permutation | str:
         return err.reason
 
 
-def stack_run(word: str, trace=None) -> tuple[bool, tuple]:
-    """The codeword acceptor's verdict and its fresh machine's counters."""
+def stack_run(word: str) -> tuple[bool, tuple]:
+    """The untraced codeword acceptor's verdict, and the state and counters
+    of its closed form."""
+    return stackmachine.accepts_codewords(word), stackmachine._codewords_closed_form(word)
+
+
+def stack_run_by_letters(word: str, trace=lambda line: None) -> tuple[bool, tuple]:
+    """The traced codeword acceptor's verdict and its fresh machine's
+    counters: the literal machine, a letter at a time."""
     machine = StackMachine()
-    return stackmachine._codewords_on(machine, word, trace), counters(machine)
-
-
-def stack_run_by_letters(word: str) -> tuple[bool, tuple]:
-    """``stack_run`` traced: the literal machine, a letter at a time."""
-    return stack_run(word, lambda line: None)
+    return stackmachine._codewords_by_letters(machine, word, trace), counters(machine)
 
 
 # each codeword reader: what it makes of a word, and what its
 # letter-by-letter reference makes of it.  The stack acceptor's reference
 # is the package's traced run, the literal machine, and what the two make
-# of a word is the verdict and the machine's counters
+# of a word is the verdict and the state and counters
 READERS = {
     "validate": (lambda word: codec.validate(word).reason, validate_by_letters),
     "decode": (decode_or_reason, lambda word: validate_by_letters(word) or decode_by_letters(word)),
@@ -303,9 +305,9 @@ OPERATIONS = ("cursor_down", "cursor_to_top", "push", "pop")
 
 
 def counted(name: str):
-    def operation(self, *args):
+    def operation(self):
         self.calls[name] += 1
-        return getattr(StackMachine, name)(self, *args)
+        return getattr(StackMachine, name)(self)
 
     return operation
 
@@ -325,10 +327,10 @@ class CountingMachine(StackMachine):
 def test_stack_trace_is_a_line_per_letter_read():
     # the traced run, the literal machine, writes one line per letter, the
     # state after it, and stops at the first state that is not start; its
-    # last line, and its machine, show where the untraced run ended
-    for word in itertools.chain(READ, LONG_WORDS, words(range(6))):
+    # last line, and its machine, show where the closed form ended
+    for word in itertools.chain(READ, LONG_WORDS, words(range(8))):
         lines = []
-        traced, untraced = stack_run(word, lines.append), stack_run(word)
+        traced, untraced = stack_run_by_letters(word, lines.append), stack_run(word)
         assert traced == untraced, word
         fields = [line.split("\t") for line in lines]
         assert [int(f[0]) for f in fields] == list(range(len(lines))), word
@@ -344,29 +346,23 @@ def test_stack_trace_is_a_line_per_letter_read():
             assert (word, untraced) == ("", (False, (START, 0, 0, 0, 0)))
 
 
-def test_stack_acceptor_moves_the_stack_only_by_its_operations():
+def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
     # every push and pop the counters show, every insertion letter read and
-    # every walk of the cursor is one call of an operation, with its check.
-    # The untraced run walks a t-run with one cursor_down(run), to the root
-    # if the run is too long; the traced run is the literal machine, with
-    # one cursor_down() per t that finds the cursor above the root
+    # every walk of the cursor is one call of an operation, with its check:
+    # the traced run is the literal machine, with one cursor_down() per t
+    # that finds the cursor above the root
     for word in itertools.chain(READ, LONG_WORDS, words(range(6))):
         lines = []
-        untraced, traced = CountingMachine(), CountingMachine()
-        stackmachine._codewords_on(untraced, word, None)
-        stackmachine._codewords_on(traced, word, lines.append)
+        traced = CountingMachine()
+        stackmachine._codewords_by_letters(traced, word, lines.append)
         read = "".join(line.split("\t")[1] for line in lines)
-        walks = (
-            (untraced, len(re.findall("t+", read))),
-            (traced, sum(line.split("\t")[1:3] == ["t", f"state={START}"] for line in lines)),
-        )
-        for machine, cursor_down in walks:
-            assert machine.calls == {
-                "cursor_down": cursor_down,
-                "cursor_to_top": len(read) - read.count("t"),
-                "push": machine.pushes,
-                "pop": machine.pops,
-            }, word
+        assert traced.calls == {
+            "cursor_down": sum(line.split("\t")[1:3] == ["t", f"state={START}"]
+                               for line in lines),
+            "cursor_to_top": len(read) - read.count("t"),
+            "push": traced.pushes,
+            "pop": traced.pops,
+        }, word
     # the partition acceptor never pops, and a letter that leaves the run
     # going and the height as it was walks down one token: one cursor_down()
     for word in words(range(11), "ab"):
@@ -384,6 +380,29 @@ def test_stack_acceptor_moves_the_stack_only_by_its_operations():
             assert calls["cursor_down"] == steps, word
             assert (calls["push"], calls["pop"]) == (machine.pushes, machine.pops), word
             assert machine.pops == 0, word
+    # the untraced codeword run is a closed form of the word: it builds no
+    # machine and calls none of the operations
+    made = []
+
+    def spied(name):
+        inner = getattr(StackMachine, name)
+
+        def spy(self):
+            made.append(name)
+            return inner(self)
+
+        return spy
+
+    for name in ("__init__", *OPERATIONS):
+        monkeypatch.setattr(StackMachine, name, spied(name))
+    verdicts = [stackmachine.accepts_codewords(word)
+                for word in itertools.chain(READ, LONG_WORDS, words(range(6)))]
+    assert made == []
+    assert set(map(type, verdicts)) == {bool} and len(set(verdicts)) == 2
+    # the spy sees a traced run
+    assert stackmachine.accepts_codewords("mrtltff", lambda line: None) is True
+    assert made == ["__init__", "cursor_to_top", "push", "cursor_to_top", "cursor_down",
+                    "cursor_to_top", "cursor_down", "cursor_to_top", "pop", "cursor_to_top"]
 
 
 def test_tokens_give_back_every_short_word():
