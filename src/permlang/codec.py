@@ -10,9 +10,11 @@ an insertion letter redirects it to slot j+1, slots counted from the left;
 the target resets to slot 1 after every insertion.
 
 ``MOVES`` is the one table of each insertion letter's change to the
-number of open slots; ``validate`` and ``codewords_with_insertions`` read
-it.  ``decode`` edits its list of slots instead, and the tape and the
-stack automaton keep their own rules, as independent routes.
+number of open slots; ``validate`` and ``moves`` read it.  ``moves`` is
+the one rule of which moves a state of the insertion encoding allows,
+and ``codewords_with_insertions`` walks it.  ``decode`` edits its list of
+slots instead, and the tape and the stack automaton's literal machine
+keep their own rules, as independent routes.
 
 A word is legal when every insertion targets a slot that exists and the
 word ends exactly when the last slot is filled.  Scanning left to right
@@ -21,18 +23,18 @@ insertion, every t-run has length <= slots - 1, the final letter is f,
 and slots == 0 precisely at the end of the word.
 
 A codeword for a permutation of size n has n insertion letters but up to
-Θ(n²) t letters, so every reader here and in ``stackmachine`` takes a word
-in tokens (see ``tokens``, which also checks the letters): one per
-insertion letter, with its t-run.  The readers do their Python work per
-token; the t's meet only ``tokens``' two byte passes over the whole word.
-``tokens`` keeps the split of the last word it read, so validate, the
-stack acceptor and decode, run on one word in a row, split it once.  It
-keeps one entry and no more: a second entry could only serve a word read
-again after another word, which no caller does, and so would only cost
-memory.  The tape and the partition acceptor do not read words through
-``tokens``: they check the letters with ``check_letters`` and read the
-word cell by cell (``tape.compare`` only calls validate for its
-precondition).
+Θ(n²) t letters, so every reader here takes a word in tokens (see
+``tokens``, which also checks the letters): one per insertion letter,
+with its t-run.  The readers do their Python work per token; the t's
+meet only ``tokens``' two byte passes over the whole word.  ``tokens``
+keeps the split of the last word it read, so validate, the untraced
+stack acceptor (which is validate) and decode, run on one word in a row,
+split it once.  It keeps one entry and no more: a second entry could
+only serve a word read again after another word, which no caller does,
+and so would only cost memory.  The tape and the stack automaton's
+literal machines do not read words through ``tokens``: they check the
+letters with ``check_letters`` and read the word cell by cell or letter
+by letter (``tape.compare`` only calls validate for its precondition).
 """
 
 from __future__ import annotations
@@ -259,37 +261,47 @@ def encode(perm: Permutation) -> str:
     return "".join(out)
 
 
+def moves(slots: int, remaining: int) -> list[tuple[int, str, int]]:
+    """The moves from ``slots`` open slots with ``remaining`` insertions
+    left, as (t's, letter, slots after): j t's send the letter to slot
+    j+1.  A move is kept when the insertions after it can still fill the
+    slots it leaves, or when it ends the word on its last insertion.
+    Listed by t's, then in ``MOVES``' order of letters."""
+    return [
+        (j, letter, slots + move)
+        for j in range(slots)
+        for letter, move in MOVES.items()
+        if 0 < slots + move < remaining or slots + move == 0 == remaining - 1
+    ]
+
+
 def codewords_with_insertions(n: int) -> Iterator[str]:
     """Yield every legal codeword with exactly n insertion (non-t) letters.
 
-    Backtracks over the slot count, pruning branches that cannot reach
-    slots == 0 on their final letter; the stream has exactly n! elements.
-    Refuses n < 1.  The stream is lazy, so it takes no cap: a caller that
-    consumes it whole checks n first.
+    Backtracks over the slot count along ``moves``, which prunes the
+    branches that cannot reach slots == 0 on their final letter; the
+    stream has exactly n! elements.  Refuses n < 1.  The stream is lazy,
+    so it takes no cap: a caller that consumes it whole checks n first.
 
     The walk keeps its own stack of (prefix, moves left), one entry per
     insertion, so no n meets Python's recursion limit.  A state is the
     number of open slots and of insertions left; its moves, each the
     letters it appends and the state they lead to (None when they end the
-    word), come from ``MOVES`` once per state and stream.
+    word), are spelled once per state and stream.
     """
     check_size(n, positive=True)  # the empty permutation has no codeword
 
     def walk() -> Iterator[str]:
-        moves: dict[tuple[int, int], list[tuple[str, tuple[int, int] | None]]] = {}
+        spelled: dict[tuple[int, int], list[tuple[str, tuple[int, int] | None]]] = {}
 
         def moves_from(state: tuple[int, int]) -> Iterator[tuple[str, tuple[int, int] | None]]:
-            if state not in moves:
-                slots, remaining = state
-                moves[state] = [
-                    ("t" * j + ch, (slots + move, remaining - 1) if slots + move else None)
-                    for j in range(slots)
-                    for ch, move in MOVES.items()
-                    # end the word on its last insertion, or leave slots
-                    # that the insertions left can still fill
-                    if 0 < slots + move < remaining or slots + move == 0 == remaining - 1
+            if state not in spelled:
+                remaining = state[1]
+                spelled[state] = [
+                    ("t" * j + letter, (after, remaining - 1) if after else None)
+                    for j, letter, after in moves(*state)
                 ]
-            return iter(moves[state])
+            return iter(spelled[state])
 
         stack = [("", moves_from((1, n)))]
         while stack:

@@ -6,27 +6,28 @@ cursor that may walk down the stack read-only, and a three-state control
 is never popped, and the cursor never leaves the stack; violating any of
 that raises, because it would be a bug in an acceptor, not bad input.
 
-Two acceptors are built on it: one for the codeword language (equivalent
-to codec.validate, which the tests check exhaustively) and one for words
-a^i1 b^i2 a^i3 ... with nondecreasing block lengths, whose count at each
-length equals the integer partition number.  The partition acceptor and
-the traced codeword acceptor are procedures on a machine their caller
-passes in, which after the run is the run's record; the public functions
-run them on a fresh machine and return the verdict.
+Two acceptors are built on it: one for the codeword language and one for
+words a^i1 b^i2 a^i3 ... with nondecreasing block lengths, whose count at
+each length equals the integer partition number.  The machine serves
+traced runs only, as ``tape.BoundedTape`` does: a traced run is the
+literal machine, a procedure on a machine its caller passes in, which
+reads a letter, makes that letter's stack operations and writes one
+trace line, then reads the next, and after the run holds the run's
+state and counters.  The public functions run it on a fresh machine and
+return the verdict.
 
-A traced codeword run is the literal machine: it reads a letter, makes
-that letter's stack operations and writes one trace line, then reads the
-next.  An untraced one is a closed form of the word, which builds no
-machine: it reads the word a token at a time and keeps the height in a
-local variable, since the cursor stands at the top before every t-run,
-and returns the state and counters the literal machine ends with.
+An untraced run builds no machine.  The codeword acceptor's is
+``codec.validate``'s scan, whose slot count is the machine's height plus
+one; the literal machine stays the independent stack route that the
+tests hold to ``validate``.  The partition acceptor's is a closed form by
+blocks: the word starts with a and its block lengths never decrease.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .codec import check_letters, tokens
+from .codec import check_letters, validate
 
 START = "start"
 ACCEPT = "accept"
@@ -99,40 +100,12 @@ def accepts_codewords(word: str, trace: TraceFn | None = None) -> bool:
     where it accepts iff it is the last letter.
 
     A traced run is the literal machine, ``_codewords_by_letters`` on a
-    fresh ``StackMachine``.  An untraced run is its closed form,
-    ``_codewords_closed_form``, which builds no machine.
+    fresh ``StackMachine``.  An untraced run is ``codec.validate``'s scan,
+    which decides alike and builds no machine.
     """
     if trace is None:
-        return _codewords_closed_form(word)[0] == ACCEPT
+        return bool(validate(word))
     return _codewords_by_letters(StackMachine(), word, trace)
-
-
-def _codewords_closed_form(word: str) -> tuple[str, int, int, int, int]:
-    """The state, pushes, pops, height and cursor that the literal machine
-    ends with on the word, as a function of its tokens.
-
-    ``codec.tokens`` checks the letters, then each token is a t-run and
-    an insertion letter.  An insertion letter leaves the cursor at the
-    top, so each t-run starts there and is legal iff it is no longer than
-    the height: one t more walks to the root and fails.  A t-run pushes
-    and pops nothing, so only the run that ends the word moves the cursor
-    off the top for good.  Pops are pushes less the height.
-    """
-    height = pushes = 0
-    stream = tokens(word)
-    for run, letter in stream:
-        if run > height:  # the t after the height-th finds the root
-            return FAIL, pushes, pushes - height, height, 0
-        if letter == "m":
-            height += 1
-            pushes += 1
-        elif letter == "f":
-            if not height:  # an f on the root accepts iff no token follows it
-                return FAIL if next(stream, None) else ACCEPT, pushes, pushes, 0, 0
-            height -= 1
-        elif not letter:  # the bare t-run that ends the word
-            return START, pushes, pushes - height, height, height - run
-    return START, pushes, pushes - height, height, height
 
 
 def _codewords_by_letters(machine: StackMachine, word: str, trace: TraceFn) -> bool:
@@ -166,24 +139,39 @@ def _codewords_by_letters(machine: StackMachine, word: str, trace: TraceFn) -> b
 
 
 def accepts_partition_language(word: str, trace: TraceFn | None = None) -> bool:
-    """Run the partition acceptor on a fresh machine; see ``_partitions_on``."""
-    return _partitions_on(StackMachine(), word, trace)
-
-
-def _partitions_on(machine: StackMachine, word: str, trace: TraceFn | None) -> bool:
     """Accept a^i1 b^i2 a^i3 ... with 1 <= i1 <= i2 <= ... (either final
-    letter), on the caller's fresh machine, which the run leaves holding its
-    state and counters.
+    letter); the empty word is rejected.  A letter other than a and b
+    raises before the run starts.
+
+    A traced run is the literal machine, ``_partitions_on`` on a fresh
+    ``StackMachine``.  An untraced run builds no machine: it walks the
+    word a block at a time with ``str.find`` and rejects at the first
+    block shorter than the one before it.
+    """
+    if word.strip("ab"):  # tested here: a call per word costs as much as a short run
+        check_letters(word, "ab")  # raises, naming the first foreign letter
+    if trace is not None:
+        return _partitions_on(StackMachine(), word, trace)
+    if not word.startswith("a"):
+        return False
+    start = longest = 0  # where the block starts; the longest block before it
+    while (end := word.find("ab"[word[start] == "a"], start)) >= 0:  # the other letter
+        if end - start < longest:
+            return False
+        start, longest = end, end - start
+    return len(word) - start >= longest
+
+
+def _partitions_on(machine: StackMachine, word: str, trace: TraceFn) -> bool:
+    """The partition acceptor a letter at a time, on the caller's fresh
+    machine, which the run leaves holding its state and counters; the
+    caller has checked the letters.
 
     Each block first walks the cursor down the tokens left by the previous
     block; reaching the root switches to pushing, so on block exit the stack
     height equals the block's length.  A block that ends while the cursor is
-    still above the root was shorter than its predecessor: reject.  The
-    empty word is rejected; a letter other than a and b raises before the
-    run starts.
+    still above the root was shorter than its predecessor: reject.
     """
-    if word.strip("ab"):  # tested here: a call per word costs as much as a short run
-        check_letters(word, "ab")  # raises, naming the first foreign letter
     block = "a"
     pushing = True  # trivially at the bottom before the first block
     for idx, ch in enumerate(word):
@@ -204,10 +192,7 @@ def _partitions_on(machine: StackMachine, word: str, trace: TraceFn | None) -> b
                 machine.cursor_down()
                 if machine.cursor_depth == 0:
                     pushing = True
-        if trace is not None:
-            trace(
-                _trace_line(idx, ch, machine.state, machine.cursor_depth, machine.height)
-            )
+        trace(_trace_line(idx, ch, machine.state, machine.cursor_depth, machine.height))
         if machine.state != START:
             break
     if machine.state == START and word and pushing:

@@ -23,10 +23,10 @@ its inputs:
 - ``test_token_readers.py`` holds every codeword reader against its
   letter-by-letter reference: one table, ``READERS``, and one test that
   reads each word of ``READ`` with each reader, then a neighbour, then
-  the word again.  It is also the home of the codeword acceptor's verdict
-  and counters: its untraced run, a closed form of the word, against its
-  traced run, the literal machine with one line per letter.  ``test_stackmachine.py``
-  is that of the partition acceptor's, against ``by_blocks``;
+  the word again.  It is also the home of the codeword acceptor's literal
+  machine, its traced run: each trace line, and the pushes and pops,
+  against a letter-level reference.  ``test_stackmachine.py`` is that of
+  the partition acceptor's verdict and counters, against ``by_blocks``;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 
@@ -73,8 +73,8 @@ Golden files.  ``assert_golden`` compares a golden file's bytes with what
 its render function in ``test_golden.py`` returns, so one changed byte
 fails, naming the first differing line and how many lines differ.  A file
 freezes only what no reference in the tests computes: where a plain
-reference exists, as for the stack acceptors' counters, a test compares
-the machine with it, untraced and traced, in place of a frozen file.
+reference exists, as for the stack acceptors' verdicts and counters, a
+test compares the machine with it in place of a frozen file.
 Regenerate a file only for a deliberate change, and state the delta:
 
     PYTHONPATH=src python tests/test_golden.py <file> > tests/<file>
@@ -142,10 +142,12 @@ def basis_of(text):
 
 
 def legality_sweep(length):
-    """Acceptance 03 at one length: (words checked, failures) of validate,
-    tape.check_legal and the stack acceptor on every word over lrmft of
-    that length.  A word fails when the verdicts disagree or the tape run
-    touches other than |w| cells (one for the empty word)."""
+    """Acceptance 03 at one length: (words checked, failures) of three
+    independent legality routes on every word over lrmft of that length:
+    validate, tape.check_legal and the stack acceptor's literal machine,
+    its traced run (untraced, it is validate's scan).  A word fails when
+    the verdicts disagree or the tape run touches other than |w| cells
+    (one for the empty word)."""
     checked, odd = 0, []
     for word in words([length]):
         direct = bool(validate(word))
@@ -153,7 +155,7 @@ def legality_sweep(length):
         if (
             run.verdict is not direct
             or run.max_cells_touched != (length or 1)
-            or stackmachine.accepts_codewords(word) != direct
+            or stackmachine.accepts_codewords(word, no_trace) is not direct
         ):
             odd.append(word)
         checked += 1

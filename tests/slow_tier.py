@@ -55,7 +55,7 @@ ROWS = [
     (5.3, "images under the symmetries of the square with their bases' counts at n=0..{}",
      symmetry_sweep, 7),
     *((seconds, "words of length {} on which validate, check_legal and the stack agree",
-       legality_sweep, length) for length, seconds in ((9, 13.6), (10, 76.5))),
+       legality_sweep, length) for length, seconds in ((9, 21.3), (10, 101.2))),
     (4.4, "codewords with n={} that encode gives back from their decode", round_trip_sweep, 9),
     *((seconds, "codeword/pattern pairs with n={} on which accepts_basis matches the oracle",
        avoidance_sweep, n, SHORT_PATTERNS) for n, seconds in ((7, 5.1), (8, 44.9))),

@@ -3,8 +3,9 @@
     01  the worked examples mrlff and mrtltff decode as stated;
     02  the bijection: every codeword with n <= 7 decodes and encodes back,
         and passes validate;
-    03  validate, tape.check_legal and the stack acceptor agree on all
-        488,281 words of length <= 8;
+    03  three independent legality routes, validate, tape.check_legal and
+        the stack acceptor's literal machine (its traced run), agree on
+        all 488,281 words of length <= 8;
     04  tape.accepts_basis matches the oracle on every codeword with
         n <= 6 and every pattern with k <= 4;
     05  every pinned avoider count, conftest.PINNED_COUNTS, to n = 7 along

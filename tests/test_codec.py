@@ -6,6 +6,7 @@ from conftest import words
 
 from permlang.codec import (
     IllegalCodewordError,
+    MOVES,
     REASON_EMPTY,
     REASON_EXHAUSTED,
     REASON_T_OVERFLOW,
@@ -14,9 +15,11 @@ from permlang.codec import (
     codewords_with_insertions,
     decode,
     encode,
+    moves,
+    tokens,
     validate,
 )
-from permlang.permutations import Permutation
+from permlang.permutations import Permutation, all_permutations
 
 
 @pytest.mark.parametrize(
@@ -88,6 +91,29 @@ def test_codewords_with_insertions_is_lazy_and_refuses_zero():
         assert next(codewords_with_insertions(n)) == "l" * (n - 1) + "f"
     with pytest.raises(ValueError, match="positive"):
         codewords_with_insertions(0)
+
+
+def test_moves_extend_to_legal_words_and_reach_every_legal_prefix():
+    # from s slots with r insertions left, reached by the prefix m^(s-1),
+    # every move extends to a legal word with s - 1 + r insertions: l's,
+    # then an f per slot the move leaves
+    for r in range(1, 8):
+        for s in range(1, r + 2):
+            listed = moves(s, r)
+            assert listed == sorted(listed, key=lambda move: (move[0], "lrmf".index(move[1])))
+            for j, letter, after in listed:
+                assert j < s and after == s + MOVES[letter], (s, r)
+                word = "m" * (s - 1) + "t" * j + letter + "l" * (r - 1 - after) + "f" * after
+                assert validate(word) and len(word.replace("t", "")) == s - 1 + r, word
+    # every prefix of every legal word with n <= 7 insertions is reached:
+    # each token of encode(p) is a move from the state before it
+    for n in range(1, 8):
+        for perm in all_permutations(n):
+            slots, remaining = 1, n
+            for run, letter in tokens(encode(perm)):
+                after = slots + MOVES[letter]
+                assert (run, letter, after) in moves(slots, remaining), perm
+                slots, remaining = after, remaining - 1
 
 
 def test_random_round_trip_beyond_enumeration():

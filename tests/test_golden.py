@@ -18,11 +18,14 @@ Each file named in ``GOLDEN`` holds what its render function returns:
 A file freezes only what no reference in the tests computes.  The stack
 acceptors' verdicts and counters have references, so they are checked
 against them, and no file freezes them: in ``test_token_readers.py`` the
-codeword acceptor's untraced run, a closed form of the word, against its
-traced run, the literal machine, and ``codec.validate``'s reason against
-``validate_by_letters``; the partition acceptor, untraced and traced,
-against ``by_blocks`` in ``test_stackmachine.py``.  No reference computes
-the traced lines, so ``golden_traces.txt`` freezes them.
+codeword acceptor's untraced run, ``codec.validate``'s scan, against its
+traced run, the literal machine, whose pushes and pops, and the state,
+cursor and height of each trace line, are held to a letter-level
+reference; the partition acceptor's untraced verdict, and its traced
+verdict and counters, against ``by_blocks`` in ``test_stackmachine.py``.
+No reference computes the tape's or the partition acceptor's trace
+lines, so ``golden_traces.txt`` freezes them, with four codeword-acceptor
+runs.
 
 A change that claims the same machine behaviour must leave every file
 untouched; a change that alters one on purpose regenerates it and states

@@ -1,10 +1,12 @@
 """The stack machine's discipline, and both stack acceptors on worked
 examples.  The partition acceptor's verdict and counters have their one
-home here: ``by_blocks`` reads them off the word's blocks, and the acceptor
-must match it, untraced and traced, on every word over a, b of length
-<= 11 and on ``PARTITION_LONG_WORDS``.  The codeword acceptor's verdict and
-counters are checked in ``test_token_readers.py``: its untraced run, a
-closed form of the word, against its traced run, the literal machine.
+home here: ``by_blocks`` reads them off the word's blocks, and on every
+word over a, b of length <= 11 and on ``PARTITION_LONG_WORDS`` the
+untraced verdict, a closed form by blocks, must be its verdict, and the
+traced run, the literal machine, its verdict and counters.  The codeword
+acceptor's literal machine is checked in ``test_token_readers.py``
+against a letter-level reference, and its untraced run is
+``codec.validate``'s scan.
 """
 
 import itertools
@@ -155,11 +157,12 @@ class TestAcceptsPartitionLanguage:
             accepts_partition_language("aabx")
 
     def test_accepts_exactly_the_nondecreasing_block_words(self):
-        # verdict and counters, untraced and traced, against the blocks
+        # the untraced verdict, and the traced verdict and counters, against
+        # the blocks
         for word in [*words(range(12), "ab"), *PARTITION_LONG_WORDS]:
             want = by_blocks(word)
-            for trace in (None, lambda line: None):
-                m = StackMachine()
-                verdict = _partitions_on(m, word, trace)
-                assert [verdict, m.pushes, m.pops, m.height, m.cursor_depth] == want, word
+            assert accepts_partition_language(word) is want[0], word
+            m = StackMachine()
+            verdict = _partitions_on(m, word, lambda line: None)
+            assert [verdict, m.pushes, m.pops, m.height, m.cursor_depth] == want, word
         assert {by_blocks(word)[0] for word in PARTITION_LONG_WORDS} == {True, False}

@@ -4,35 +4,37 @@ The package reads a codeword a token (an insertion letter with its t-run)
 at a time.  ``READERS`` is the one table of those readers: each entry
 pairs what a reader makes of a word with what a plain per-letter
 reference makes of it.  These are ``codec.validate``'s reason,
-``codec.decode``'s permutation or reason, the stack acceptor's verdict
-with its state and counters, ``tape.check_legal``'s verdict, and the
-word that ``codec.tokens`` spells back.  The stack acceptor's reference
-is the package's own traced run: a traced run is the literal machine,
-with one trace line per letter, and an untraced run is a closed form of
-the word that builds no machine, as the tape's closed forms stand to its
-traced runs.  One test reads each word A of ``READ`` with each reader,
-then a neighbour B, then A again, and holds all three reads to the
-reference.  ``codec.tokens`` keeps the split of the last word it read, so
-a reader must read a word alike whatever it read before.  ``READ`` holds
-long seeded codewords, copies with one letter changed, copies whose t-run
-to the root is one letter longer, copies with an l after the last f or in
-its place, the empty word, and copies with an insertion letter deleted or
-with a letter put in front of one; those words reach every reason.  Every
-reader of the table, and the tape's occurrence search, must name a
-foreign letter alike, and so must the stack acceptor's traced run.
+``codec.decode``'s permutation or reason, the stack acceptor's verdict,
+``tape.check_legal``'s verdict, and the word that ``codec.tokens`` spells
+back.  The stack acceptor's untraced run is ``validate``'s scan, and its
+reference is its traced run, the literal machine, which reads the word a
+letter at a time.  One test reads each word A of ``READ`` with each
+reader, then a neighbour B, then A again, and holds all three reads to
+the reference.  ``codec.tokens`` keeps the split of the last word it
+read, so a reader must read a word alike whatever it read before.
+``READ`` holds long seeded codewords, copies with one letter changed,
+copies whose t-run to the root is one letter longer, copies with an l
+after the last f or in its place, the empty word, and copies with an
+insertion letter deleted or with a letter put in front of one; those
+words reach every reason.  Every reader of the table, and the tape's
+occurrence search, must name a foreign letter alike, and so must the
+stack acceptor's traced run.
 
-This module is the one home of the codeword acceptor's verdict and
-counters: on ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and
-one-letter mutants of them) and on every word of length <= 7, the closed
-form's must be the traced run's, whose trace is one line per letter
-read, numbered from 0, up to the letter that ended the run, the last
-line showing where the closed form ended.  ``codec.validate``'s
-reason must be ``validate_by_letters``' on ``LONG_WORDS`` and on every word
-of length <= 7.  The traced stack acceptor must also make one operation
-call per insertion letter, push and pop it reads or makes, and per t that
-walks down, while the untraced one builds no machine and calls no
-operation; the partition acceptor makes one per push and per token its
-cursor walks down.
+This module is the one home of the codeword acceptor's literal machine:
+on ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and one-letter
+mutants of them) and on every word of length <= 7, its trace must be
+what ``stack_lines_by_letters`` reads off the letters, one line per
+letter read, numbered from 0, up to the letter that ended the run: the
+state after the letter, the height #m - #f read so far, and the cursor
+as many tokens below the top as t's were read since the last insertion
+letter, at the root on a failing t.  Its pushes must be the m's read and
+its pops the f's that found a token above the root.  ``codec.validate``'s
+reason must be ``validate_by_letters``' on ``LONG_WORDS`` and on every
+word of length <= 7.  The traced stack acceptor must also make one
+operation call per insertion letter, push and pop it reads or makes, and
+per t that walks down; the partition acceptor's makes one per push and
+per token its cursor walks down.  Untraced, neither acceptor builds a
+machine, and each returns an exact bool.
 ``encode_by_cells`` is the plain reference for ``codec.encode``.
 """
 
@@ -40,12 +42,12 @@ import itertools
 import random
 
 import pytest
-from conftest import insertion_cells, run_python, words
+from conftest import insertion_cells, no_trace, run_python, words
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
 from permlang.permutations import Basis, Permutation, all_permutations
-from permlang.stackmachine import FAIL, START, StackMachine
+from permlang.stackmachine import ACCEPT, FAIL, START, StackMachine
 
 SEED = 2005
 COUNT = 10
@@ -118,11 +120,6 @@ def encode_by_cells(perm: Permutation) -> str:
             out.append("r" if filled[pos + 1] else "m")
         filled[pos] = 1
     return "".join(out)
-
-
-def counters(machine: StackMachine) -> tuple:
-    """The machine's state, pushes, pops, height and cursor."""
-    return machine.state, machine.pushes, machine.pops, machine.height, machine.cursor_depth
 
 
 def root_runs(word: str) -> list[int]:
@@ -247,27 +244,19 @@ def decode_or_reason(word: str) -> Permutation | str:
         return err.reason
 
 
-def stack_run(word: str) -> tuple[bool, tuple]:
-    """The untraced codeword acceptor's verdict, and the state and counters
-    of its closed form."""
-    return stackmachine.accepts_codewords(word), stackmachine._codewords_closed_form(word)
-
-
-def stack_run_by_letters(word: str, trace=lambda line: None) -> tuple[bool, tuple]:
-    """The traced codeword acceptor's verdict and its fresh machine's
-    counters: the literal machine, a letter at a time."""
-    machine = StackMachine()
-    return stackmachine._codewords_by_letters(machine, word, trace), counters(machine)
+def stack_by_letters(word: str) -> bool:
+    """The literal machine's verdict: the traced codeword acceptor, a
+    letter at a time."""
+    return stackmachine.accepts_codewords(word, no_trace)
 
 
 # each codeword reader: what it makes of a word, and what its
 # letter-by-letter reference makes of it.  The stack acceptor's reference
-# is the package's traced run, the literal machine, and what the two make
-# of a word is the verdict and the state and counters
+# is its traced run, the literal machine
 READERS = {
     "validate": (lambda word: codec.validate(word).reason, validate_by_letters),
     "decode": (decode_or_reason, lambda word: validate_by_letters(word) or decode_by_letters(word)),
-    "accepts_codewords": (stack_run, stack_run_by_letters),
+    "accepts_codewords": (stackmachine.accepts_codewords, stack_by_letters),
     "check_legal": (lambda word: tape.check_legal(word).verdict,
                     lambda word: validate_by_letters(word) is None),
     "tokens": (rebuilt, lambda word: word),
@@ -324,26 +313,50 @@ class CountingMachine(StackMachine):
     cursor_down, cursor_to_top, push, pop = map(counted, OPERATIONS)
 
 
+def stack_lines_by_letters(word: str) -> tuple[list[list[str]], int, int]:
+    """The fields of each trace line the literal machine writes on the
+    word, with its pushes and pops.  A t walks the cursor one token down
+    and fails at the root; an insertion letter returns it to the top; m
+    pushes; f pops, and on the root accepts iff it is the last letter."""
+    lines, height, walked, pushes, pops = [], 0, 0, 0, 0
+    for idx, letter in enumerate(word):
+        state = START
+        if letter == "t":
+            walked += 1
+            if walked > height:
+                state = FAIL
+        else:
+            walked = 0
+            if letter == "m":
+                height += 1
+                pushes += 1
+            elif letter == "f" and height:
+                height -= 1
+                pops += 1
+            elif letter == "f":
+                state = ACCEPT if idx == len(word) - 1 else FAIL
+        cursor = max(height - walked, 0)
+        lines.append([str(idx), letter, f"state={state}", f"cursor={cursor}", f"height={height}"])
+        if state != START:
+            break
+    return lines, pushes, pops
+
+
 def test_stack_trace_is_a_line_per_letter_read():
     # the traced run, the literal machine, writes one line per letter, the
     # state after it, and stops at the first state that is not start; its
-    # last line, and its machine, show where the closed form ended
+    # lines and its machine are what the letters give
     for word in itertools.chain(READ, LONG_WORDS, words(range(8))):
-        lines = []
-        traced, untraced = stack_run_by_letters(word, lines.append), stack_run(word)
-        assert traced == untraced, word
-        fields = [line.split("\t") for line in lines]
-        assert [int(f[0]) for f in fields] == list(range(len(lines))), word
-        assert "".join(f[1] for f in fields) == word[: len(lines)], word
-        states = [f[2] for f in fields]
-        assert states[:-1] == [f"state={START}"] * (len(lines) - 1), word
-        state, _, _, height, cursor = untraced[1]
-        if state == START:
-            assert len(lines) == len(word), word
-        if lines:
-            assert fields[-1][2:] == [f"state={state}", f"cursor={cursor}", f"height={height}"], word
-        else:
-            assert (word, untraced) == ("", (False, (START, 0, 0, 0, 0)))
+        lines, machine = [], StackMachine()
+        verdict = stackmachine._codewords_by_letters(machine, word, lines.append)
+        want, pushes, pops = stack_lines_by_letters(word)
+        assert [line.split("\t") for line in lines] == want, word
+        # the machine ends as its last line says; the empty word reads nothing
+        last = want[-1][2:] if want else [f"state={START}", "cursor=0", "height=0"]
+        assert [f"state={machine.state}", f"cursor={machine.cursor_depth}",
+                f"height={machine.height}"] == last, word
+        assert (verdict, machine.pushes, machine.pops) == (
+            machine.state == ACCEPT, pushes, pops), word
 
 
 def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
@@ -367,21 +380,17 @@ def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
     # going and the height as it was walks down one token: one cursor_down()
     for word in words(range(11), "ab"):
         lines = []
-        untraced, traced = CountingMachine(), CountingMachine()
-        stackmachine._partitions_on(untraced, word, None)
+        traced = CountingMachine()
         stackmachine._partitions_on(traced, word, lines.append)
         heights = [0] + [int(line.rsplit("=", 1)[1]) for line in lines]
         steps = sum(
             before == after and f"state={START}" in line
             for before, after, line in zip(heights, heights[1:], lines)
         )
-        for machine in (untraced, traced):
-            calls = machine.calls
-            assert calls["cursor_down"] == steps, word
-            assert (calls["push"], calls["pop"]) == (machine.pushes, machine.pops), word
-            assert machine.pops == 0, word
-    # the untraced codeword run is a closed form of the word: it builds no
-    # machine and calls none of the operations
+        calls = traced.calls
+        assert (calls["cursor_down"], calls["push"], calls["pop"], traced.pops) == (
+            steps, traced.pushes, 0, 0), word
+    # untraced, neither acceptor builds a machine or calls an operation
     made = []
 
     def spied(name):
@@ -395,14 +404,21 @@ def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
 
     for name in ("__init__", *OPERATIONS):
         monkeypatch.setattr(StackMachine, name, spied(name))
-    verdicts = [stackmachine.accepts_codewords(word)
-                for word in itertools.chain(READ, LONG_WORDS, words(range(6)))]
-    assert made == []
-    assert set(map(type, verdicts)) == {bool} and len(set(verdicts)) == 2
-    # the spy sees a traced run
+    runs = {
+        stackmachine.accepts_codewords: itertools.chain(READ, LONG_WORDS, words(range(6))),
+        stackmachine.accepts_partition_language: words(range(11), "ab"),
+    }
+    for accepts, inputs in runs.items():
+        verdicts = [accepts(word) for word in inputs]
+        assert made == []
+        assert set(map(type, verdicts)) == {bool} and len(set(verdicts)) == 2
+    # the spy sees traced runs
     assert stackmachine.accepts_codewords("mrtltff", lambda line: None) is True
     assert made == ["__init__", "cursor_to_top", "push", "cursor_to_top", "cursor_down",
                     "cursor_to_top", "cursor_down", "cursor_to_top", "pop", "cursor_to_top"]
+    made.clear()
+    assert stackmachine.accepts_partition_language("ab", lambda line: None) is True
+    assert made == ["__init__", "cursor_to_top", "push", "cursor_to_top", "cursor_down"]
 
 
 def test_tokens_give_back_every_short_word():
@@ -435,7 +451,7 @@ FOREIGN = [
 # every reader of the table, the stack acceptor's traced run and the
 # tape's occurrence search
 FOREIGN_READERS = {name: read for name, (read, _) in READERS.items()} | {
-    "accepts_codewords traced": stack_run_by_letters,
+    "accepts_codewords traced": stack_by_letters,
     "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]]))}
 
 
