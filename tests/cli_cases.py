@@ -118,6 +118,17 @@ CASES = [
     ("simulate --machine primes --n 9", 1, "reject\n", ""),
     ("simulate --machine partitions --word abb", 0, "accept\n", ""),
     ("simulate --machine partitions --word aab", 1, "reject\n", ""),
+    # a block that starts while the cursor is above the root fails on its
+    # first letter; a word that ends there is rejected with no fail line
+    ("simulate --machine partitions --trace --word aaba", 1, "reject\n",
+     "0\ta\tstate=start\tcursor=1\theight=1\n"
+     "1\ta\tstate=start\tcursor=2\theight=2\n"
+     "2\tb\tstate=start\tcursor=1\theight=2\n"
+     "3\ta\tstate=fail\tcursor=1\theight=2\n"),
+    ("simulate --machine partitions --trace --word aab", 1, "reject\n",
+     "0\ta\tstate=start\tcursor=1\theight=1\n"
+     "1\ta\tstate=start\tcursor=2\theight=2\n"
+     "2\tb\tstate=start\tcursor=1\theight=2\n"),
     ("simulate --machine partitions --word bx", 2, "",
      "error: letter 'x' at position 1 is not one of 'ab'\n"),
     # the block rule rejects aab before the x: the letters are checked first

@@ -9,24 +9,25 @@ its inputs:
   exhaustive sweep and a PASS line;
 - ``test_closed_forms.py`` checks every untraced closed form of the tape
   against its traced run;
-- ``test_golden.py`` freezes the machines' exact bytes in three golden
-  files: the tape's counters, the machines' traces and the ``bench`` CSV;
+- ``test_golden.py`` freezes the tape's exact bytes in three golden
+  files: the tape's counters, the tape's traces and the ``bench`` CSV;
 - ``cli_cases.py`` holds the CLI's bytes: one row per argv whose check is
   its exact exit status, stdout and stderr.  ``test_cli.py`` runs every
   row through ``cli.main``, and CI's ``console-script`` job runs the file
   as a script on the installed ``permlang``;
 - ``test_trace_bytes`` in ``test_cli.py`` holds the CLI's trace bytes: each
-  golden trace run that a ``--trace`` command reaches, run through
-  ``cli.main``, with its verdict line and exit status;
+  golden run and stack reference run that a ``--trace`` command reaches,
+  run through ``cli.main``, with its verdict line and exit status;
 - ``test_module_state.py`` holds the package's module-level state: the
   caches of ROADMAP's cache ledger and the tables that nothing mutates;
 - ``test_token_readers.py`` holds every codeword reader against its
   letter-by-letter reference: one table, ``READERS``, and one test that
   reads each word of ``READ`` with each reader, then a neighbour, then
   the word again.  It is also the home of the codeword acceptor's literal
-  machine, its traced run: each trace line, and the pushes and pops,
-  against a letter-level reference.  ``test_stackmachine.py`` is that of
-  the partition acceptor's verdict and counters, against ``by_blocks``;
+  machine, its traced run: each trace line, the end state, the pushes
+  and pops and the operation calls, in one pass per word, against
+  ``stack_lines_by_letters``.  ``test_stackmachine.py`` is that of the
+  partition acceptor's, against ``partition_lines_by_letters``;
 - the other modules hold worked examples, error orders, seeded words past
   the exhaustive range and checks that no sweep makes.
 
@@ -38,8 +39,8 @@ recursion ``partitions_of``, the one home of partition numbers, and
 family of class members the tests build: ``increasing_runs``, its mirror
 ``layers`` and ``adjacent_swaps``.  A test that reads a machine's record
 builds the machine itself: a ``BoundedTape`` given ``no_trace`` and
-entered through ``BoundedTape.run``, or a ``StackMachine`` handed to an
-acceptor's procedure, such as a subclass that counts operation calls.
+entered through ``BoundedTape.run``, or a ``CountingMachine`` handed to
+an acceptor's procedure.
 
 Sweeps.  Each exhaustive agreement check is one sweep function here,
 called by tier-1 and by the slow tier alike, and each returns (how many it
@@ -73,8 +74,9 @@ Golden files.  ``assert_golden`` compares a golden file's bytes with what
 its render function in ``test_golden.py`` returns, so one changed byte
 fails, naming the first differing line and how many lines differ.  A file
 freezes only what no reference in the tests computes: where a plain
-reference exists, as for the stack acceptors' verdicts and counters, a
-test compares the machine with it in place of a frozen file.
+reference exists, as for the stack acceptors' runs, a test compares the
+machine with it in place of a frozen file, and no file freezes a run
+that another already holds.
 Regenerate a file only for a deliberate change, and state the delta:
 
     PYTHONPATH=src python tests/test_golden.py <file> > tests/<file>
@@ -392,6 +394,29 @@ def no_trace(line):
     """A trace sink that drops its lines.  Every tape a test builds gets
     it, and a public procedure given it runs every step, restore included,
     on a tape: untraced, none builds one."""
+
+
+OPERATIONS = ("cursor_down", "cursor_to_top", "push", "pop")
+
+
+def _counted(name):
+    def operation(self):
+        self.calls[name] += 1
+        return getattr(stackmachine.StackMachine, name)(self)
+
+    return operation
+
+
+class CountingMachine(stackmachine.StackMachine):
+    """A StackMachine that counts the calls of each stack operation."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = dict.fromkeys(OPERATIONS, 0)
+
+    cursor_down, cursor_to_top, push, pop = map(_counted, OPERATIONS)
 
 
 def longest_increasing_at_most(n, k):

@@ -40,29 +40,30 @@ from permlang.counting import CountMismatchError
 
 SHOWN = 5  # failures printed per row
 
-# (seconds the row took on a 2-core VM under CPython 3.11.7, run alone;
-# what the row checks, with {} for its size; check; size; further arguments).
-# A row that is added or resized records its new time here.
+# (seconds the row took alone, every row timed in turn in one session on
+# 2026-10-22, 2-core VM, CPython 3.11.7; what the row checks, with {} for
+# its size; check; size; further arguments).  A row that is added or
+# resized records its new time here; a re-timing times every row.
 ROWS = [
     *((seconds, f"Av({text}) avoiders on both counting routes at n={{}}: {source}",
        pinned_sweep, 9, [(text, count, source, slow)])
       for seconds, (text, count, source, slow) in zip(
-          (11.1, 10.3, 11.5, 16.5, 17.3, 17.5),
+          (14.9, 11.5, 14.6, 25.5, 22.4, 25.8),
           [row for row in PINNED_COUNTS if row[-1]], strict=True)),
-    (141.2, "classes of pairs of length-4 patterns whose representatives' counts to n={} "
+    (183.1, "classes of pairs of length-4 patterns whose representatives' counts to n={} "
      "fall into 38 groups (Le 2005)",
      census_sweep, 8, [members[:1] for members in pair_classes()], 38),
-    (5.3, "images under the symmetries of the square with their bases' counts at n=0..{}",
+    (8.7, "images under the symmetries of the square with their bases' counts at n=0..{}",
      symmetry_sweep, 7),
     *((seconds, "words of length {} on which validate, check_legal and the stack agree",
-       legality_sweep, length) for length, seconds in ((9, 21.3), (10, 101.2))),
-    (4.4, "codewords with n={} that encode gives back from their decode", round_trip_sweep, 9),
+       legality_sweep, length) for length, seconds in ((9, 34.8), (10, 171.3))),
+    (7.5, "codewords with n={} that encode gives back from their decode", round_trip_sweep, 9),
     *((seconds, "codeword/pattern pairs with n={} on which accepts_basis matches the oracle",
-       avoidance_sweep, n, SHORT_PATTERNS) for n, seconds in ((7, 5.1), (8, 44.9))),
+       avoidance_sweep, n, SHORT_PATTERNS) for n, seconds in ((7, 8.1), (8, 66.6))),
     *((seconds, "compares of codewords with n={} that order their values as the decode does",
-       compare_sweep, n) for n, seconds in ((7, 0.6), (8, 6.5), (9, 95.5))),
+       compare_sweep, n) for n, seconds in ((7, 0.8), (8, 11.2), (9, 145.6))),
     *((seconds, "codeword/pattern pairs with n={} that accepts_basis judges as their reverses",
-       reverse_sweep, n, SHORT_PATTERNS) for n, seconds in ((7, 7.1), (8, 67.7))),
+       reverse_sweep, n, SHORT_PATTERNS) for n, seconds in ((7, 8.4), (8, 83.3))),
 ]
 
 

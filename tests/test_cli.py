@@ -9,8 +9,10 @@ import pytest
 from cli_cases import CASES
 from conftest import ROOT, run_python
 from test_golden import TRACE_RUNS
+from test_stackmachine import partition_lines_by_letters
+from test_token_readers import ROOT_WALKS, stack_lines_by_letters
 
-from permlang import cli, codec, counting, stackmachine, tape
+from permlang import cli, codec, counting, tape
 
 
 def run_cli(*argv):
@@ -163,24 +165,37 @@ class TestHarness:
             assert [run_cli(*argv) for argv in argvs] == unset, columns
 
 
-# The argv that traces each golden procedure through the CLI, the run's one
-# argument last; the CLI runs compare and accepts_basis untraced only.
+# The argv that traces each procedure through the CLI, the run's one
+# argument last.  The runs: the golden tape runs that a --trace command
+# reaches (compare and accepts_basis run untraced only), and stack runs
+# whose lines and verdict the letter-level references give, four codeword
+# runs, the last with three t-runs to the root, and four partition runs.
 TRACE_ARGV = {
-    tape.check_legal: "validate --trace --machine lba",
-    tape.is_prime: "simulate --trace --machine primes --n",
-    stackmachine.accepts_codewords: "validate --trace --machine stack",
-    stackmachine.accepts_partition_language: "simulate --trace --machine partitions --word",
+    "check_legal": "validate --trace --machine lba",
+    "is_prime": "simulate --trace --machine primes --n",
+    "accepts_codewords": "validate --trace --machine stack",
+    "accepts_partition_language": "simulate --trace --machine partitions --word",
 }
-CLI_TRACE_RUNS = [run for run in TRACE_RUNS if run[1] not in (tape.compare, tape.accepts_basis)]
+STACK_REFERENCES = {"accepts_codewords": stack_lines_by_letters,
+                    "accepts_partition_language": partition_lines_by_letters}
+CLI_TRACE_RUNS = [
+    *((head, arg) for head, procedure, arg, *_ in TRACE_RUNS if procedure.__name__ in TRACE_ARGV),
+    *((f"accepts_codewords {word}", word) for word in ("mrtltff", "tf", "mttf", ROOT_WALKS)),
+    *((f"accepts_partition_language {word}", word) for word in ("abb", "ba", "aab", "aabbb")),
+]
 
 
-@pytest.mark.parametrize("header, procedure, arg", CLI_TRACE_RUNS, ids=[r[0] for r in CLI_TRACE_RUNS])
-def test_trace_bytes(header, procedure, arg):
-    # stderr is the golden run's trace, stdout the verdict line, and the
-    # exit status 0 on accept, 1 on reject
-    lines = []
-    run = procedure(arg, lines.append)
-    ok = run.verdict if isinstance(run, tape.TapeRun) else run
+@pytest.mark.parametrize("header, arg", CLI_TRACE_RUNS, ids=[r[0] for r in CLI_TRACE_RUNS])
+def test_trace_bytes(header, arg):
+    # stderr is the run's trace, stdout the verdict line, and the exit
+    # status 0 on accept, 1 on reject
+    procedure = header.split()[0]
+    if procedure in STACK_REFERENCES:
+        fields, *_, ok = STACK_REFERENCES[procedure](arg)
+        lines = ["\t".join(line) for line in fields]
+    else:
+        lines = []
+        ok = getattr(tape, procedure)(arg, lines.append).verdict
     command, *options = TRACE_ARGV[procedure].split()
     if command == "validate":
         verdict = "true" if ok else f"false {codec.validate(arg).reason}"

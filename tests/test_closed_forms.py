@@ -25,7 +25,7 @@ import pytest
 from conftest import basis_sum_cases, insertion_cells, seeded_bases, words
 from test_golden import counter_runs
 
-from permlang import tape
+from permlang import cli, tape
 from permlang.codec import ALPHABET, codewords_with_insertions, encode
 from permlang.permutations import Basis, Permutation
 from permlang.tape import BoundedTape, TapeRun, accepts_basis
@@ -45,14 +45,16 @@ def legality_inputs():
     """(word, start head): every word of length <= 6, legal or not, and
     mrtltff from cell 0; the same words, then seeded codewords and random
     words, where nesting, t-runs and licences run long, from drawn heads;
-    the golden words from cell 0."""
+    the ``bench_word`` codewords of length 10..40, whose legality runs
+    ``golden_bench.txt`` freezes, from cell 0.  The golden counters'
+    legality words are among the short words."""
     short = list(words(range(7)))
     yield from ((word, 0) for word in short + ["mrtltff"])
     rng = random.Random(1997)
     drawn = short + [random_codeword(rng, 8, 40)[0] for _ in range(300)]
     drawn += ["".join(rng.choices(ALPHABET, k=rng.randint(1, 60))) for _ in range(300)]
     yield from ((word, rng.randrange(len(word) + 1)) for word in drawn)
-    yield from ((word, 0) for word, in golden("check_legal"))
+    yield from ((cli.bench_word(size), 0) for size in range(10, 41))
 
 
 def compare_inputs():

@@ -1,31 +1,26 @@
-"""Golden files: the exact bytes of fixed machine runs.
+"""Golden files: the exact bytes of fixed tape runs.
 
 Each file named in ``GOLDEN`` holds what its render function returns:
 
 - ``golden_counters.json``: ``[verdict, steps, max_cells_touched]`` of
   every tape procedure over a fixed input set, one section a procedure;
-- ``golden_traces.txt``: the full text trace that the tape procedures and
-  the two stack acceptors emit through their ``trace`` callback, each run
-  under a ``# <procedure> <arguments>`` header: nine tape runs, four
-  codeword-acceptor runs and four partition-acceptor runs.  One of them,
+- ``golden_traces.txt``: the full text trace that the tape procedures
+  emit through their ``trace`` callback, each run under a
+  ``# <procedure> <arguments>`` header: nine tape runs.  One of them,
   ``accepts_basis 21,123 llf``, avoids its first pattern, so it shows a
   second pattern's search after the one legality pass and cell scan;
 - ``golden_bench.txt``: the CSV that ``permlang bench`` prints for each of
   the five commands of ``BENCH_COMMANDS``, under a ``# <arguments>``
   header.  The golden counters stop at n <= 14; ``bench_word`` reaches
-  size 100, where a 33-t run sits inside 33 nested m..f pairs.
+  size 100, where a 33-t run sits inside 33 nested m..f pairs; the
+  counters file does not repeat its legality rows.
 
-A file freezes only what no reference in the tests computes.  The stack
-acceptors' verdicts and counters have references, so they are checked
-against them, and no file freezes them: in ``test_token_readers.py`` the
-codeword acceptor's untraced run, ``codec.validate``'s scan, against its
-traced run, the literal machine, whose pushes and pops, and the state,
-cursor and height of each trace line, are held to a letter-level
-reference; the partition acceptor's untraced verdict, and its traced
-verdict and counters, against ``by_blocks`` in ``test_stackmachine.py``.
-No reference computes the tape's or the partition acceptor's trace
-lines, so ``golden_traces.txt`` freezes them, with four codeword-acceptor
-runs.
+A file freezes only what no reference in the tests computes, and no file
+freezes a run that another already holds.  No file freezes a stack run:
+each stack acceptor's trace lines, counters and verdict answer to a
+letter-level reference, ``stack_lines_by_letters`` in
+``test_token_readers.py`` and ``partition_lines_by_letters`` in
+``test_stackmachine.py``.
 
 A change that claims the same machine behaviour must leave every file
 untouched; a change that alters one on purpose regenerates it and states
@@ -48,7 +43,7 @@ from pathlib import Path
 import pytest
 from conftest import assert_golden, basis_of, built_avoider, insertion_cells, run_python, words
 
-from permlang import cli, stackmachine, tape
+from permlang import cli, tape
 from permlang.codec import codewords_with_insertions, encode
 from permlang.permutations import Basis, Permutation
 
@@ -82,9 +77,6 @@ def counter_runs():
     freezes, in the file's order."""
     long = counter_long_words()
     for word in words(range(6)):
-        yield "check_legal", word, tape.check_legal, (word,)
-    for size in range(10, 41):
-        word = cli.bench_word(size)
         yield "check_legal", word, tape.check_legal, (word,)
 
     for n in range(1, 5):
@@ -144,16 +136,6 @@ TRACE_RUNS = (
     # a read, then the one-cell restore
     ("is_prime 1", tape.is_prime, 1),
     ("is_prime 12", tape.is_prime, 12),
-)
-# encode(9 1 10 3 8 12 2 7 6 11 5 4): three t-runs walk to the root exactly
-TRACE_RUNS += tuple(
-    (f"accepts_codewords {word}", stackmachine.accepts_codewords, word)
-    for word in ("mrtltff", "tf", "mttf", "mtmtmtttrtttrtttmtttfttlfftff")
-)
-# two accepted, one rejected at its first letter, one at a short block
-TRACE_RUNS += tuple(
-    (f"accepts_partition_language {word}", stackmachine.accepts_partition_language, word)
-    for word in ("abb", "ba", "aab", "aabbb")
 )
 
 

@@ -1,43 +1,47 @@
 """The stack machine's discipline, and both stack acceptors on worked
-examples.  The partition acceptor's verdict and counters have their one
-home here: ``by_blocks`` reads them off the word's blocks, and on every
-word over a, b of length <= 11 and on ``PARTITION_LONG_WORDS`` the
-untraced verdict, a closed form by blocks, must be its verdict, and the
-traced run, the literal machine, its verdict and counters.  The codeword
-acceptor's literal machine is checked in ``test_token_readers.py``
-against a letter-level reference, and its untraced run is
-``codec.validate``'s scan.
+examples.  This module is the one home of the partition acceptor's literal
+machine: on every a/b word of length <= 11 and on ``PARTITION_LONG_WORDS``,
+one traced pass per word must give the lines, end state, pushes and
+verdict that ``partition_lines_by_letters`` reads off the letters, never
+pop, and make one ``cursor_down()`` per letter that walks; the untraced
+verdict, a closed form by blocks, must be the reference's.  The codeword
+acceptor's literal machine answers to ``test_token_readers.py``.
 """
 
-import itertools
 import random
 
 import pytest
-from conftest import words
+from conftest import CountingMachine, words
 
-from permlang.stackmachine import (
-    StackDisciplineError,
-    StackMachine,
-    _partitions_on,
-    accepts_codewords,
-    accepts_partition_language,
-)
+from permlang.stackmachine import (ACCEPT, FAIL, START, StackDisciplineError, StackMachine,
+                                   _partitions_on, accepts_codewords, accepts_partition_language)
 
 
-def by_blocks(word: str) -> list:
-    """[verdict, pushes, pops, height, cursor] of the partition acceptor: each
-    block walks down to the root, then pushes until the stack is as high as
-    the block is long; a block shorter than the one before ends the run."""
-    if not word.startswith("a"):
-        return [False, 0, 0, 0, 0]
-    height = cursor = 0
-    for _, run in itertools.groupby(word):
-        b = len(list(run))
-        if b < height:
-            return [False, height, 0, height, height - b]
-        cursor = b if b > height else 0
-        height = b
-    return [True, height, 0, height, cursor]
+def partition_lines_by_letters(word: str) -> tuple[list[list[str]], int, bool]:
+    """The fields of each trace line the partition machine writes on the
+    word, with its pushes, the height it reaches, as it never pops, and its
+    verdict.  A block walks the cursor down from the height the previous
+    block left, one token per letter, and then pushes one token per letter.
+    A new block fails on its first letter if the previous block stopped
+    above the root, or if the first block is made of b's; a word accepts
+    iff its last block reached the root."""
+    lines, height, cursor, state = [], 0, 0, START
+    left = 0  # tokens the block has still to walk down
+    for idx, letter in enumerate(word):
+        if word[idx - 1 : idx] != letter:  # a block's first letter
+            if left or letter == "b" and not idx:
+                state = FAIL
+            left = height
+        if state == START and left:
+            left -= 1
+            cursor = left
+        elif state == START:
+            height += 1
+            cursor = height
+        lines.append([str(idx), letter, f"state={state}", f"cursor={cursor}", f"height={height}"])
+        if state == FAIL:
+            break
+    return lines, height, bool(word) and state == START and not left
 
 
 def partition_long_words() -> list[str]:
@@ -157,12 +161,23 @@ class TestAcceptsPartitionLanguage:
             accepts_partition_language("aabx")
 
     def test_accepts_exactly_the_nondecreasing_block_words(self):
-        # the untraced verdict, and the traced verdict and counters, against
-        # the blocks
+        # one traced pass per word, on a machine that counts its operation
+        # calls, and the untraced verdict, against the reference
         for word in [*words(range(12), "ab"), *PARTITION_LONG_WORDS]:
-            want = by_blocks(word)
-            assert accepts_partition_language(word) is want[0], word
-            m = StackMachine()
-            verdict = _partitions_on(m, word, lambda line: None)
-            assert [verdict, m.pushes, m.pops, m.height, m.cursor_depth] == want, word
-        assert {by_blocks(word)[0] for word in PARTITION_LONG_WORDS} == {True, False}
+            want, pushes, verdict = partition_lines_by_letters(word)
+            assert accepts_partition_language(word) is verdict, word
+            lines, m = [], CountingMachine()
+            assert _partitions_on(m, word, lines.append) is verdict, word
+            assert [line.split("\t") for line in lines] == want, word
+            # the verdict's state, the stack as the last line left it
+            last = want[-1][3:] if want else ["cursor=0", "height=0"]
+            assert [f"state={m.state}", f"cursor={m.cursor_depth}", f"height={m.height}"] == [
+                f"state={ACCEPT if verdict else FAIL}", *last], word
+            # a letter that leaves the run going and the height as it was
+            # walks down one token: one cursor_down()
+            heights = ["height=0"] + [fields[4] for fields in want]
+            walks = sum(before == after and fields[2] == f"state={START}"
+                        for before, after, fields in zip(heights, heights[1:], want))
+            assert (m.pushes, m.pops, m.calls["push"], m.calls["pop"], m.calls["cursor_down"]) == (
+                pushes, 0, pushes, 0, walks), word
+        assert {partition_lines_by_letters(w)[2] for w in PARTITION_LONG_WORDS} == {True, False}

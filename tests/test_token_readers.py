@@ -7,34 +7,34 @@ reference makes of it.  These are ``codec.validate``'s reason,
 ``codec.decode``'s permutation or reason, the stack acceptor's verdict,
 ``tape.check_legal``'s verdict, and the word that ``codec.tokens`` spells
 back.  The stack acceptor's untraced run is ``validate``'s scan, and its
-reference is its traced run, the literal machine, which reads the word a
-letter at a time.  One test reads each word A of ``READ`` with each
-reader, then a neighbour B, then A again, and holds all three reads to
-the reference.  ``codec.tokens`` keeps the split of the last word it
-read, so a reader must read a word alike whatever it read before.
-``READ`` holds long seeded codewords, copies with one letter changed,
-copies whose t-run to the root is one letter longer, copies with an l
-after the last f or in its place, the empty word, and copies with an
-insertion letter deleted or with a letter put in front of one; those
-words reach every reason.  Every reader of the table, and the tape's
+reference is the verdict of ``stack_lines_by_letters``, the letter-level
+reference of its literal machine.  One test reads each word A of ``READ``
+with each reader, then a neighbour B, then A again, and holds all three
+reads to the reference.  ``codec.tokens`` keeps the split of the last
+word it read, so a reader must read a word alike whatever it read
+before.  ``READ`` holds long seeded codewords, copies with one letter
+changed, copies whose t-run to the root is one letter longer, copies
+with an l after the last f or in its place, the empty word, and copies
+with an insertion letter deleted or with a letter put in front of one;
+those words reach every reason.  Every reader of the table, and the tape's
 occurrence search, must name a foreign letter alike, and so must the
 stack acceptor's traced run.
 
-This module is the one home of the codeword acceptor's literal machine:
-on ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and one-letter
-mutants of them) and on every word of length <= 7, its trace must be
-what ``stack_lines_by_letters`` reads off the letters, one line per
-letter read, numbered from 0, up to the letter that ended the run: the
-state after the letter, the height #m - #f read so far, and the cursor
-as many tokens below the top as t's were read since the last insertion
-letter, at the root on a failing t.  Its pushes must be the m's read and
-its pops the f's that found a token above the root.  ``codec.validate``'s
-reason must be ``validate_by_letters``' on ``LONG_WORDS`` and on every
-word of length <= 7.  The traced stack acceptor must also make one
-operation call per insertion letter, push and pop it reads or makes, and
-per t that walks down; the partition acceptor's makes one per push and
-per token its cursor walks down.  Untraced, neither acceptor builds a
-machine, and each returns an exact bool.
+This module is the one home of the codeword acceptor's literal machine.
+On ``READ``, on ``LONG_WORDS`` (codewords of n = 20..60 and one-letter
+mutants of them), on ``ROOT_WALKS`` and on every word of length <= 7, one
+traced pass per word, on a ``CountingMachine``, must write what
+``stack_lines_by_letters`` reads off the letters, one line per letter
+read, numbered from 0, up to the letter that ended the run: the state
+after the letter, the height #m - #f read so far, and the cursor as many
+tokens below the top as t's were read since the last insertion letter,
+at the root on a failing t.  The machine must end as its last line says,
+its pushes must be the m's read and its pops the f's that found a token
+above the root, and it must make one operation call per insertion
+letter, push and pop it reads or makes, and per t that walks down.
+``codec.validate``'s reason must be ``validate_by_letters``' on
+``LONG_WORDS`` and on every word of length <= 7.  Untraced, neither
+stack acceptor builds a machine, and each returns an exact bool.
 ``encode_by_cells`` is the plain reference for ``codec.encode``.
 """
 
@@ -42,7 +42,8 @@ import itertools
 import random
 
 import pytest
-from conftest import insertion_cells, no_trace, run_python, words
+from conftest import (OPERATIONS, CountingMachine, insertion_cells, no_trace, run_python,
+                      words)
 
 from permlang import codec, stackmachine, tape
 from permlang.codec import ALPHABET, IllegalCodewordError, encode
@@ -217,10 +218,8 @@ def test_cases_reach_the_root_and_one_past_it():
     assert {validate_by_letters(word) for word in SEEDED} == {None}
     # one t more than the run to the root: the first overflow is that t
     for word in CASES[2::3]:
-        lines = []
-        stackmachine.accepts_codewords(word, lines.append)
         assert validate_by_letters(word) == codec.REASON_T_OVERFLOW
-        assert lines[-1].split("\t")[1:4] == ["t", f"state={FAIL}", "cursor=0"]
+        assert stack_lines_by_letters(word)[0][-1][1:4] == ["t", f"state={FAIL}", "cursor=0"]
 
 
 def test_cases_reach_every_reason():
@@ -244,19 +243,43 @@ def decode_or_reason(word: str) -> Permutation | str:
         return err.reason
 
 
-def stack_by_letters(word: str) -> bool:
-    """The literal machine's verdict: the traced codeword acceptor, a
-    letter at a time."""
-    return stackmachine.accepts_codewords(word, no_trace)
+def stack_lines_by_letters(word: str) -> tuple[list[list[str]], int, int, bool]:
+    """The fields of each trace line the literal machine writes on the
+    word, with its pushes, pops and verdict.  A t walks the cursor one
+    token down and fails at the root; an insertion letter returns it to
+    the top; m pushes; f pops, and on the root accepts iff it is the last
+    letter."""
+    lines, height, walked, pushes, pops, state = [], 0, 0, 0, 0, START
+    for idx, letter in enumerate(word):
+        state = START
+        if letter == "t":
+            walked += 1
+            if walked > height:
+                state = FAIL
+        else:
+            walked = 0
+            if letter == "m":
+                height += 1
+                pushes += 1
+            elif letter == "f" and height:
+                height -= 1
+                pops += 1
+            elif letter == "f":
+                state = ACCEPT if idx == len(word) - 1 else FAIL
+        cursor = max(height - walked, 0)
+        lines.append([str(idx), letter, f"state={state}", f"cursor={cursor}", f"height={height}"])
+        if state != START:
+            break
+    return lines, pushes, pops, state == ACCEPT
 
 
 # each codeword reader: what it makes of a word, and what its
-# letter-by-letter reference makes of it.  The stack acceptor's reference
-# is its traced run, the literal machine
+# letter-by-letter reference makes of it
 READERS = {
     "validate": (lambda word: codec.validate(word).reason, validate_by_letters),
     "decode": (decode_or_reason, lambda word: validate_by_letters(word) or decode_by_letters(word)),
-    "accepts_codewords": (stackmachine.accepts_codewords, stack_by_letters),
+    "accepts_codewords": (stackmachine.accepts_codewords,
+                          lambda word: stack_lines_by_letters(word)[3]),
     "check_legal": (lambda word: tape.check_legal(word).verdict,
                     lambda word: validate_by_letters(word) is None),
     "tokens": (rebuilt, lambda word: word),
@@ -290,106 +313,35 @@ def test_decode_gives_validate_reason_on_every_short_word():
             assert perm == decode_by_letters(word), word
 
 
-OPERATIONS = ("cursor_down", "cursor_to_top", "push", "pop")
-
-
-def counted(name: str):
-    def operation(self):
-        self.calls[name] += 1
-        return getattr(StackMachine, name)(self)
-
-    return operation
-
-
-class CountingMachine(StackMachine):
-    """A StackMachine that counts the calls of each stack operation."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self):
-        super().__init__()
-        self.calls = dict.fromkeys(OPERATIONS, 0)
-
-    cursor_down, cursor_to_top, push, pop = map(counted, OPERATIONS)
-
-
-def stack_lines_by_letters(word: str) -> tuple[list[list[str]], int, int]:
-    """The fields of each trace line the literal machine writes on the
-    word, with its pushes and pops.  A t walks the cursor one token down
-    and fails at the root; an insertion letter returns it to the top; m
-    pushes; f pops, and on the root accepts iff it is the last letter."""
-    lines, height, walked, pushes, pops = [], 0, 0, 0, 0
-    for idx, letter in enumerate(word):
-        state = START
-        if letter == "t":
-            walked += 1
-            if walked > height:
-                state = FAIL
-        else:
-            walked = 0
-            if letter == "m":
-                height += 1
-                pushes += 1
-            elif letter == "f" and height:
-                height -= 1
-                pops += 1
-            elif letter == "f":
-                state = ACCEPT if idx == len(word) - 1 else FAIL
-        cursor = max(height - walked, 0)
-        lines.append([str(idx), letter, f"state={state}", f"cursor={cursor}", f"height={height}"])
-        if state != START:
-            break
-    return lines, pushes, pops
+# encode(9 1 10 3 8 12 2 7 6 11 5 4): three t-runs walk to the root exactly
+ROOT_WALKS = "mtmtmtttrtttrtttmtttfttlfftff"
 
 
 def test_stack_trace_is_a_line_per_letter_read():
     # the traced run, the literal machine, writes one line per letter, the
-    # state after it, and stops at the first state that is not start; its
-    # lines and its machine are what the letters give
-    for word in itertools.chain(READ, LONG_WORDS, words(range(8))):
-        lines, machine = [], StackMachine()
+    # state after it, and stops at the first state that is not start; one
+    # pass per word checks its lines, its machine and its operation calls:
+    # one per insertion letter read, push and pop, and one cursor_down()
+    # per t that finds the cursor above the root
+    for word in itertools.chain(READ, LONG_WORDS, [ROOT_WALKS], words(range(8))):
+        lines, machine = [], CountingMachine()
         verdict = stackmachine._codewords_by_letters(machine, word, lines.append)
-        want, pushes, pops = stack_lines_by_letters(word)
+        want, pushes, pops, accepts = stack_lines_by_letters(word)
         assert [line.split("\t") for line in lines] == want, word
         # the machine ends as its last line says; the empty word reads nothing
         last = want[-1][2:] if want else [f"state={START}", "cursor=0", "height=0"]
         assert [f"state={machine.state}", f"cursor={machine.cursor_depth}",
                 f"height={machine.height}"] == last, word
-        assert (verdict, machine.pushes, machine.pops) == (
-            machine.state == ACCEPT, pushes, pops), word
+        assert (verdict, machine.pushes, machine.pops) == (accepts, pushes, pops), word
+        assert machine.calls == {
+            "cursor_down": sum(fields[1:3] == ["t", f"state={START}"] for fields in want),
+            "cursor_to_top": sum(fields[1] != "t" for fields in want),
+            "push": pushes,
+            "pop": pops,
+        }, word
 
 
 def test_stack_acceptor_moves_the_stack_only_by_its_operations(monkeypatch):
-    # every push and pop the counters show, every insertion letter read and
-    # every walk of the cursor is one call of an operation, with its check:
-    # the traced run is the literal machine, with one cursor_down() per t
-    # that finds the cursor above the root
-    for word in itertools.chain(READ, LONG_WORDS, words(range(6))):
-        lines = []
-        traced = CountingMachine()
-        stackmachine._codewords_by_letters(traced, word, lines.append)
-        read = "".join(line.split("\t")[1] for line in lines)
-        assert traced.calls == {
-            "cursor_down": sum(line.split("\t")[1:3] == ["t", f"state={START}"]
-                               for line in lines),
-            "cursor_to_top": len(read) - read.count("t"),
-            "push": traced.pushes,
-            "pop": traced.pops,
-        }, word
-    # the partition acceptor never pops, and a letter that leaves the run
-    # going and the height as it was walks down one token: one cursor_down()
-    for word in words(range(11), "ab"):
-        lines = []
-        traced = CountingMachine()
-        stackmachine._partitions_on(traced, word, lines.append)
-        heights = [0] + [int(line.rsplit("=", 1)[1]) for line in lines]
-        steps = sum(
-            before == after and f"state={START}" in line
-            for before, after, line in zip(heights, heights[1:], lines)
-        )
-        calls = traced.calls
-        assert (calls["cursor_down"], calls["push"], calls["pop"], traced.pops) == (
-            steps, traced.pushes, 0, 0), word
     # untraced, neither acceptor builds a machine or calls an operation
     made = []
 
@@ -451,7 +403,7 @@ FOREIGN = [
 # every reader of the table, the stack acceptor's traced run and the
 # tape's occurrence search
 FOREIGN_READERS = {name: read for name, (read, _) in READERS.items()} | {
-    "accepts_codewords traced": stack_by_letters,
+    "accepts_codewords traced": lambda word: stackmachine.accepts_codewords(word, no_trace),
     "accepts_basis": lambda word: tape.accepts_basis(word, Basis([[1, 2]]))}
 
 
