@@ -536,8 +536,8 @@ class TestOccurrenceSearch:
     @staticmethod
     def seeded_pairs(seed, count):
         """(word, q) with n = 9..12 and |q| = 3..6, half built avoiders;
-        24 of the 70 built ones that the all-pairs test draws are
-        monotone (see ``conftest.built_avoider``)."""
+        24 of the 70 built ones that the two tests draw are monotone (see
+        ``conftest.built_avoider``)."""
         rng = random.Random(seed)
         for i in range(count):
             n, k = rng.randint(9, 12), rng.randint(3, 6)
@@ -573,6 +573,16 @@ class TestOccurrenceSearch:
         counting.sequence(Basis([[1, 3, 2], [2, 4, 1, 3]]), 6)
         assert tape._neighbours.cache_info().misses == 2
 
+    def test_each_candidate_meets_only_its_positional_neighbours(self):
+        # the reference's log holds each candidate's one or two positional
+        # neighbours, left then right, up to the first disagreement
+        made = 0
+        for word, q in self.seeded_pairs(2010, 60):
+            log = search(word, q)[1]
+            assert log == search_by_all_pairs(word, q)[1], (word, q)
+            made += len(log)
+        assert made > 4000
+
     def test_matches_all_pairs_search_on_small_words(self):
         patterns = [list(q) for k in range(1, 5) for q in itertools.permutations(range(1, k + 1))]
         for n in range(1, 6):
@@ -581,17 +591,11 @@ class TestOccurrenceSearch:
                     assert search(word, q) == search_by_all_pairs(word, q), (word, q)
 
     def test_matches_all_pairs_search_on_random_larger_words(self):
-        # the reference's log holds each candidate's one or two positional
-        # neighbours, left then right, up to the first disagreement
-        verdicts, made = set(), {}
-        for seed, count in ((2010, 60), (2011, 80)):
-            made[seed] = 0
-            for word, q in self.seeded_pairs(seed, count):
-                verdict, log = search(word, q)
-                assert (verdict, log) == search_by_all_pairs(word, q), (word, q)
-                verdicts.add(verdict)
-                made[seed] += len(log)
-        assert made[2010] > 4000
+        verdicts = set()
+        for word, q in self.seeded_pairs(2011, 80):
+            verdict, made = search(word, q)
+            assert (verdict, made) == search_by_all_pairs(word, q), (word, q)
+            verdicts.add(verdict)
         assert verdicts == {True, False}
 
 
